@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .audits import (
     audit_maximal_nijenhuis,
     audit_taming,
 )
-from .cohomology import CohomologyEngine, compute_diamond
+from .cohomology import CohomologyEngine, compute_diamond, diamond_numbers
 from .forms import CoefficientModel, Form, InconsistentModel
 from .lie import (
     AlmostComplexStructure,
@@ -242,6 +243,7 @@ class Session:
         self.frame = build_frame(spec.algebra, spec.structure)
         self._complexes: dict[object, FormComplex] = {}
         self._engines: dict[object, CohomologyEngine] = {}
+        self._sector_numbers: dict[tuple[int, ...], dict] = {}
 
     def truncation_label(self, truncation: int | None) -> str:
         if self.spec.coefficients.kind == "invariant":
@@ -274,6 +276,20 @@ class Session:
             return [None]
         return [self.spec.coefficients.truncation]
 
+    def sector_numbers(self, w: tuple[int, ...]) -> dict:
+        """diamond_numbers of the sector {w, -w}, cached; the sector's engine is dropped.
+
+        An invariant model is one sector: its session engine, whose blocks later stages reuse.
+        """
+        if w not in self._sector_numbers:
+            if self.spec.coefficients.kind == "invariant":
+                engine = self.engine()
+            else:
+                cx = FormComplex(self.frame, self.spec.coefficients.with_sector(w))
+                engine = CohomologyEngine(cx, HermitianStructure(cx, self.spec.metric))
+            self._sector_numbers[w] = diamond_numbers(engine)
+        return self._sector_numbers[w]
+
 
 # ---------------------------------------------------------------------------
 # form rendering
@@ -287,6 +303,22 @@ def render_form(cx: FormComplex, form: Form) -> dict:
         label = f"w{list(e.weight)}|t{holo}|tb{anti}"
         out[label] = format_scalar(c)
     return out
+
+
+def _natural(text: str) -> int | None:
+    text = text.strip()
+    return int(text) if re.fullmatch("[0-9]+", text) else None
+
+
+def _basis_index(selector: str) -> int | None:
+    """K of a basis:K taming selector, None for a named one; raises on anything else."""
+    if selector in ("fundamental", "perturbed"):
+        return None
+    kind, _, k = selector.partition(":")
+    idx = _natural(k) if kind == "basis" else None
+    if idx is None:
+        raise ValidationError("TamingSelector", f"unknown selector {selector!r}")
+    return idx
 
 
 def psi_from_selector(session: Session, truncation, selector: str) -> Form:
@@ -310,20 +342,18 @@ def psi_from_selector(session: Session, truncation, selector: str) -> Form:
                 continue
             return omega + candidate.scale(Scalar(Fraction(1, 10), Fraction(0)))
         return omega
-    if selector.startswith("basis:"):
-        idx = int(selector.split(":", 1)[1])
-        candidates = engine.real_subspace(1, 1)
-        dim11 = cx.dim(1, 1)
-        pure = []
-        for vec in candidates.basis:
-            coords = [Scalar(vec[2 * j].re, vec[2 * j + 1].re) for j in range(dim11)]
-            candidate = cx.from_vector(coords, 1, 1)
-            if cx.apply("partial", cx.apply("dbar", candidate)).is_zero():
-                pure.append(candidate)
-        if idx >= len(pure):
-            raise ValidationError("TamingSelector", f"basis index {idx} out of range ({len(pure)} available)")
-        return pure[idx]
-    raise ValidationError("TamingSelector", f"unknown selector {selector!r}")
+    idx = _basis_index(selector)
+    candidates = engine.real_subspace(1, 1)
+    dim11 = cx.dim(1, 1)
+    pure = []
+    for vec in candidates.basis:
+        coords = [Scalar(vec[2 * j].re, vec[2 * j + 1].re) for j in range(dim11)]
+        candidate = cx.from_vector(coords, 1, 1)
+        if cx.apply("partial", cx.apply("dbar", candidate)).is_zero():
+            pure.append(candidate)
+    if idx >= len(pure):
+        raise ValidationError("TamingSelector", f"basis index {idx} out of range ({len(pure)} available)")
+    return pure[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +372,7 @@ def run(command: str, session: Session, flags: dict) -> tuple[dict, int]:
     }
     exit_code = 0
     try:
+        flags = check_flags(session, flags)
         if command == "validate":
             payload["validation"] = _run_validate(session)
         elif command == "diamond":
@@ -384,21 +415,34 @@ def _run_validate(session: Session) -> dict:
     return report
 
 
-def _parse_truncations(session: Session, flags: dict) -> list[int | None]:
-    if flags.get("truncations"):
+def check_flags(session: Session, flags: dict) -> dict:
+    """The flags with truncations (defaulted) and bidegree parsed; raises ValidationError on bad input."""
+    out = {**flags, "truncations": session.default_truncations()}
+    if flags.get("truncations") is not None:
         if session.spec.coefficients.kind == "invariant":
             raise ValidationError("CoefficientModel", "truncations require a torus_fourier manifest")
-        return [int(x) for x in str(flags["truncations"]).split(",")]
-    return session.default_truncations()
+        out["truncations"] = [_natural(x) for x in str(flags["truncations"]).split(",")]
+        if None in out["truncations"]:
+            raise ValidationError("Truncations", f"{flags['truncations']!r} is not a list of nonnegative integers")
+    if flags.get("bidegree") is not None:
+        cell = [_natural(x) for x in str(flags["bidegree"]).split(",")]
+        n = session.frame.n
+        if len(cell) != 2 or not all(x is not None and x <= n for x in cell):
+            raise ValidationError("Bidegree", f"{flags['bidegree']!r} is not p,q with 0 <= p, q <= {n}")
+        out["bidegree"] = tuple(cell)
+    _basis_index(flags.get("psi") or "fundamental")
+    return out
 
 
 def _run_diamond(session: Session, flags: dict) -> dict:
-    truncations = _parse_truncations(session, flags)
-    engines = [(session.truncation_label(t), session.engine(t)) for t in truncations]
-    diamond = compute_diamond(engines)
-    out = diamond.as_dict()
+    model = session.spec.coefficients
+    columns = [
+        (session.truncation_label(t), map(session.sector_numbers, model.with_truncation(t).sectors()))
+        for t in flags["truncations"]
+    ]
+    out = compute_diamond(columns).as_dict()
     if flags.get("bidegree"):
-        p, q = (int(x) for x in flags["bidegree"].split(","))
+        p, q = flags["bidegree"]
         out["tables"] = {
             theory: {cell: vals for cell, vals in table.items() if cell == f"{p},{q}"}
             for theory, table in out["tables"].items()
@@ -408,7 +452,7 @@ def _run_diamond(session: Session, flags: dict) -> dict:
 
 def _run_verify(session: Session, flags: dict) -> list[dict]:
     items: list[AuditItem] = []
-    for t in _parse_truncations(session, flags):
+    for t in flags["truncations"]:
         engine = session.engine(t)
         label = session.truncation_label(t)
         scoped: list[AuditItem] = []
@@ -432,7 +476,7 @@ def _run_taming(session: Session, flags: dict) -> list[dict]:
     from .audits import DegenerateAtSample, NoSolution, solve_taming
 
     selector = flags.get("psi") or "fundamental"
-    truncation = _parse_truncations(session, flags)[0]
+    truncation = flags["truncations"][0]
     engine = session.engine(truncation)
     cx = engine.complex
     psi = psi_from_selector(session, truncation, selector)

@@ -11,9 +11,9 @@ infinite-dimensional form spaces.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import linalg
 from .lie import SHIFTS
@@ -350,44 +350,45 @@ class HodgeDiamond:
         }
 
 
-def _diamond_cells(engine: CohomologyEngine) -> dict:
+def diamond_numbers(engine: CohomologyEngine) -> dict:
+    """Every diamond number of one engine, keyed (theory, cell), ("betti", r) or ("scalar", name)."""
     n = engine.n
-    cells = {}
+    out = {}
     for p in range(n + 1):
         for q in range(n + 1):
-            cells[("refined", (p, q))] = lambda p=p, q=q: engine.refined_dolbeault(p, q)
-            cells[("spectral", (p, q))] = lambda p=p, q=q: engine.dolbeault_cw(p, q)
+            out[("refined", (p, q))] = engine.refined_dolbeault(p, q)
+            out[("spectral", (p, q))] = engine.dolbeault_cw(p, q)
             if engine.hermitian is not None:
-                cells[("harmonic", (p, q))] = lambda p=p, q=q: engine.ell(p, q)
-    return cells
+                out[("harmonic", (p, q))] = engine.ell(p, q)
+    for r in range(2 * n + 1):
+        out[("betti", r)] = engine.de_rham(r)
+    out[("scalar", "hat_h01")] = engine.hat_h01()
+    out[("scalar", "hat_h1")] = engine.hat_h1()
+    # the one-potential variant is reported alongside for comparison only
+    out[("scalar", "hat_h1_diagonal_potentials")] = engine.hat_h1(diagonal_potentials=True)
+    if n == 2:
+        for k, v in engine.special_11_quotients().items():
+            out[("scalar", k)] = v
+    return out
 
 
-def compute_diamond(engines: list[tuple[str, CohomologyEngine]]) -> HodgeDiamond:
-    """Assemble every theory's numbers for each listed engine (truncation)."""
-    labels = tuple(label for label, _ in engines)
-    diamond = HodgeDiamond(labels=labels)
-    workers = int(os.environ.get("ACX_WORKERS", "1"))
-    for label, engine in engines:
-        n = engine.n
-        cells = _diamond_cells(engine)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(zip(cells.keys(), pool.map(lambda f: f(), cells.values())))
-        else:
-            results = {key: f() for key, f in cells.items()}
-        for (theory, cell), value in results.items():
-            diamond.tables.setdefault(theory, {}).setdefault(cell, []).append(value)
-        for r in range(2 * n + 1):
-            diamond.betti.setdefault(r, []).append(engine.de_rham(r))
-        diamond.scalars.setdefault("hat_h01", []).append(engine.hat_h01())
-        diamond.scalars.setdefault("hat_h1", []).append(engine.hat_h1())
-        # the one-potential variant is reported alongside for comparison only
-        diamond.scalars.setdefault("hat_h1_diagonal_potentials", []).append(
-            engine.hat_h1(diagonal_potentials=True)
-        )
-        if n == 2:
-            special = engine.special_11_quotients()
-            for k, v in special.items():
-                diamond.scalars.setdefault(k, []).append(v)
+def compute_diamond(columns: Iterable[tuple[str, Iterable[dict]]]) -> HodgeDiamond:
+    """One column per (label, parts): the sum of the parts' diamond_numbers.
+
+    A part is a weight sector or a whole complex; every number adds over direct sums.
+    """
+    columns = list(columns)
+    diamond = HodgeDiamond(labels=tuple(label for label, _ in columns))
+    for _, parts in columns:
+        total = Counter()
+        for numbers in parts:
+            total.update(numbers)
+        for (kind, key), v in total.items():
+            if kind == "betti":
+                diamond.betti.setdefault(key, []).append(v)
+            elif kind == "scalar":
+                diamond.scalars.setdefault(key, []).append(v)
+            else:
+                diamond.tables.setdefault(kind, {}).setdefault(key, []).append(v)
     diamond.detect_witnesses()
     return diamond

@@ -10,7 +10,7 @@ coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Callable, Mapping, NamedTuple
 
@@ -153,9 +153,6 @@ class Form:
     def weights(self) -> set[tuple[int, ...]]:
         return {e.weight for e in self.coeffs}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Form(0)"
@@ -190,13 +187,15 @@ class CoefficientModel:
     i * (row . w); the 2*pi of the underlying torus derivative is absorbed
     into this convention so eigenvalues stay in Q(i).  Truncation keeps all
     weights with |w_a| <= N, a box closed under every weight-preserving
-    operator and under conjugation.
+    operator and under conjugation.  Restricted to the sector of w, only the
+    weights {w, -w} are kept; that pair is closed under the same operations.
     """
 
     kind: str  # "invariant" | "torus_fourier"
     rank: int = 0
     actions: tuple[tuple[Scalar, ...], ...] = ()
     truncation: int = 0
+    sector: tuple[int, ...] | None = None
 
     @classmethod
     def invariant(cls) -> "CoefficientModel":
@@ -211,11 +210,21 @@ class CoefficientModel:
     def zero_weight(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
+    def with_sector(self, w: tuple[int, ...]) -> "CoefficientModel":
+        """The model restricted to the weights {w, -w}, at the truncation of w."""
+        return replace(self, truncation=max(map(abs, w)), sector=w)
+
     def weights(self) -> list[tuple[int, ...]]:
         if self.kind == "invariant":
             return [()]
+        if self.sector is not None:
+            return sorted({self.sector, tuple(-x for x in self.sector)})
         n = self.truncation
         return sorted(product(range(-n, n + 1), repeat=self.rank))
+
+    def sectors(self) -> list[tuple[int, ...]]:
+        """One representative w >= -w of each conjugation pair of weights."""
+        return [w for w in self.weights() if w >= tuple(-x for x in w)]
 
     def frame_eigenvalue(self, frame_index: int, weight: tuple[int, ...]) -> Scalar:
         """Action of real frame vector e_{frame_index} (1-based) on mode e_w."""

@@ -11,6 +11,7 @@ below 64 columns; wider matrices are eliminated on sparse rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar
@@ -311,37 +312,29 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[int, tuple[tuple[int, Scalar], ...]], ...]:
+        """(pivot column, nonzero entries) of every nonzero basis row."""
+        rows = (tuple((c, v) for c, v in enumerate(row) if v) for row in self.basis)
+        return tuple((nz[0][0], nz) for nz in rows if nz)
+
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        return _reduce_to_zero(self.basis, vec)
+        work = {c: v for c, v in enumerate(vec) if v}
+        for p, nz in self._sparse_rows:
+            f = work.get(p)
+            if f:
+                for c, v in nz:
+                    s = work.get(c, ZERO) - f * v
+                    if s:
+                        work[c] = s
+                    else:
+                        work.pop(c, None)
+        return not work
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch(f"{other.ambient_dim} != {self.ambient_dim}")
         return all(self.contains(v) for v in other.basis)
-
-    def matrix_of_rows(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(self.basis, self.ambient_dim)
-
-
-def _pivot_of_row(row: Sequence[Scalar]) -> int | None:
-    for c, v in enumerate(row):
-        if v:
-            return c
-    return None
-
-
-def _reduce_to_zero(basis: Sequence[Sequence[Scalar]], vec: Sequence[Scalar]) -> bool:
-    work = list(vec)
-    for row in basis:
-        p = _pivot_of_row(row)
-        if p is None:
-            continue
-        f = work[p]
-        if f:
-            for c, v in enumerate(row):
-                if v:
-                    work[c] = work[c] - f * v
-    return not any(work)
 
 
 def subspace_from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> Subspace:
@@ -399,12 +392,6 @@ def image(m: ExactMatrix) -> Subspace:
     pivots, red = rref(m.transpose())
     basis = [tuple(rd.get(c, ZERO) for c in range(m.rows)) for rd in red]
     return Subspace(m.rows, tuple(basis))
-
-
-def row_space(m: ExactMatrix) -> Subspace:
-    pivots, red = rref(m)
-    basis = [tuple(rd.get(c, ZERO) for c in range(m.cols)) for rd in red]
-    return Subspace(m.cols, tuple(basis))
 
 
 def map_subspace(m: ExactMatrix, s: Subspace) -> Subspace:

@@ -200,9 +200,6 @@ class HermitianStructure:
                         total = total + xa * gram[a][b] * yb.conj()
         return total
 
-    def norm2(self, x, p: int, q: int) -> Scalar:
-        return self.inner(x, x, p, q)
-
     # -- Hodge star -----------------------------------------------------------
 
     def star_invariant(self, p: int, q: int) -> ExactMatrix:

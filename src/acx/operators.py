@@ -279,15 +279,6 @@ class FormComplex:
                     entries[(rr + to, cc + so)] = v
         return ExactMatrix(self.total_dim(r + 1), self.total_dim(r), entries)
 
-    def embed_block_vector(self, vec, p: int, q: int):
-        """Coordinates of a (p,q)-block vector inside the total degree r = p+q space."""
-        r = p + q
-        off = self.total_offsets(r)[(p, q)]
-        out = [ZERO] * self.total_dim(r)
-        for i, v in enumerate(vec):
-            out[off + i] = v
-        return tuple(out)
-
     def total_form_vector(self, form: Form, r: int):
         off = self.total_offsets(r)
         out = [ZERO] * self.total_dim(r)

@@ -154,3 +154,23 @@ def test_report_determinism(kt4_session):
     first.pop("timing")
     second.pop("timing")
     assert render_json(first) == render_json(second)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--truncations", "a"],
+        ["--truncations", "-1"],
+        ["--truncations", "0,,1"],
+        ["--bidegree", "x"],
+        ["--bidegree", "3,0"],
+        ["--psi", "basis:-1"],
+        ["--psi", "basis:x"],
+    ],
+)
+def test_bad_flags_are_fatal(flags, capsys):
+    code = main(["diamond", bundled_manifest_path("kt4"), "--format", "json", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["fatal"]["type"] == "ValidationError"
+    assert "Traceback" not in captured.err

@@ -1,7 +1,8 @@
 import pytest
 
 from acx import linalg
-from acx.cohomology import compute_diamond
+from acx.cli import Session, run
+from acx.cohomology import compute_diamond, diamond_numbers
 from acx.forms import BasisElement, Form
 from acx.metric import Not4Manifold
 
@@ -190,9 +191,15 @@ def test_per_weight_refined_sums(kt4_session):
         assert sum(linalg.kernel(b).dim for b in per_weight) == linalg.kernel(whole).dim
 
 
+def whole_complex_diamond(session, truncations):
+    """The diamond of whole truncated complexes, one part per column: the sector path's oracle."""
+    return compute_diamond(
+        [(session.truncation_label(t), [diamond_numbers(session.engine(t))]) for t in truncations]
+    )
+
+
 def test_diamond_assembly_and_witnesses(kt4_session):
-    engines = [(f"N={n}", kt4_session.engine(n)) for n in range(4)]
-    diamond = compute_diamond(engines)
+    diamond = whole_complex_diamond(kt4_session, range(4))
     cells = {(w["theory"], w["cell"]) for w in diamond.as_dict()["unbounded_witnesses"]}
     assert ("refined", "1,1") in cells
     assert ("refined", "2,1") in cells
@@ -204,17 +211,43 @@ def test_diamond_assembly_and_witnesses(kt4_session):
 
 
 def test_diamond_needs_three_points_for_witness(kt4_session):
-    engines = [(f"N={n}", kt4_session.engine(n)) for n in range(2)]
-    diamond = compute_diamond(engines)
+    diamond = whole_complex_diamond(kt4_session, range(2))
     assert diamond.as_dict()["unbounded_witnesses"] == []
 
 
-def test_diamond_parallel_workers_agree(kt4_session, monkeypatch):
-    engines = [(f"N={n}", kt4_session.engine(n)) for n in range(2)]
-    serial = compute_diamond(engines).as_dict()
-    monkeypatch.setenv("ACX_WORKERS", "4")
-    parallel = compute_diamond(engines).as_dict()
-    assert serial == parallel
+def test_sector_diamond_equals_whole_complex(kt4_session):
+    """Summing the {w, -w} sectors reproduces every table, Betti number, scalar and witness."""
+    payload, code = run("diamond", Session(kt4_session.spec), {"truncations": "0,1,2"})
+    assert code == 0
+    assert payload["diamonds"] == whole_complex_diamond(kt4_session, range(3)).as_dict()
+
+
+def test_sector_numbers_do_not_depend_on_truncation(kt4_session):
+    reached = {}
+    sectors = kt4_session.spec.coefficients.with_truncation(1).sectors()
+    for n in (1, 2):
+        session = Session(kt4_session.spec)
+        run("diamond", session, {"truncations": str(n)})
+        reached[n] = {w: session.sector_numbers(w) for w in sectors}
+    assert reached[1] == reached[2]
+
+
+def test_sector_count(kt4_session):
+    model = kt4_session.spec.coefficients
+    for n in range(4):
+        assert len(model.with_truncation(n).sectors()) == ((2 * n + 1) ** 2 + 1) // 2
+    assert model.with_truncation(0).sectors() == [(0, 0)]
+
+
+def test_invariant_diamond_is_one_sector(torus_session, nil6_session):
+    for base in (torus_session, nil6_session):
+        session = Session(base.spec)
+        payload, code = run("diamond", session, {})
+        assert code == 0
+        assert payload["diamonds"] == whole_complex_diamond(base, [None]).as_dict()
+        assert base.spec.coefficients.sectors() == [()]
+        # the diamond ran on the session's own engine, whose blocks later stages reuse
+        assert session.engine().complex._block_cache
 
 
 def test_betti_duality_on_random_sweep():
