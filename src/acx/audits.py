@@ -504,13 +504,7 @@ def _closedness_system(cx: FormComplex) -> ExactMatrix:
     linear = compose("partial", "dbar", 0, 1) + compose("mubar", "mu", 0, 1)
     conjugated = compose("mubar", "partial", 1, 0) + compose("partial", "mubar", 1, 0)
     c01 = cx.conj_struct(0, 1)
-    dim01 = cx.dim(0, 1)
-    entries = {}
-    for j in range(dim01):
-        entries[(2 * j, 2 * j)] = ONE
-        entries[(2 * j + 1, 2 * j + 1)] = -ONE
-    flip = ExactMatrix(2 * dim01, 2 * dim01, entries)
-    return linalg.realify(linear) + linalg.realify(conjugated @ c01) @ flip
+    return linalg.realify(linear) + linalg.realify(conjugated @ c01) @ linalg.conjugation_flip(cx.dim(0, 1))
 
 
 def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:

@@ -221,12 +221,7 @@ class CohomologyEngine:
         if p != q:
             raise ValueError("real subspaces live on conjugation-stable blocks only")
         c = linalg.realify(self.complex.conj_struct(p, q))
-        # realified conjugation: realify(C) composed with the imaginary-slot flip
-        entries = {}
-        for j in range(self.complex.dim(p, q)):
-            entries[(2 * j, 2 * j)] = ONE
-            entries[(2 * j + 1, 2 * j + 1)] = -ONE
-        conj_real = c @ ExactMatrix(c.cols, c.cols, entries)
+        conj_real = c @ linalg.conjugation_flip(self.complex.dim(p, q))
         return linalg.kernel(conj_real - ExactMatrix.identity(conj_real.rows))
 
     def special_11_quotients(self) -> dict:
@@ -291,13 +286,8 @@ class CohomologyEngine:
         top = ExactMatrix.hstack([ExactMatrix(d10, d10), c_01])
         bottom = ExactMatrix.hstack([c_10, ExactMatrix(d01, d01)])
         c_full = ExactMatrix.vstack([top, bottom])
-        creal = linalg.realify(c_full)
         total = d10 + d01
-        entries = {}
-        for j in range(total):
-            entries[(2 * j, 2 * j)] = ONE
-            entries[(2 * j + 1, 2 * j + 1)] = -ONE
-        conj_real = creal @ ExactMatrix(2 * total, 2 * total, entries)
+        conj_real = linalg.realify(c_full) @ linalg.conjugation_flip(total)
         return linalg.kernel(conj_real - ExactMatrix.identity(2 * total))
 
 

@@ -4,8 +4,10 @@ Ranks, kernels, images, subspace intersections, quotient dimensions and
 linear solves for sparse matrices with Gaussian-rational entries.  All
 elimination uses leftmost-nonzero pivot selection with ties broken by lowest
 row index, so every reduced form (and therefore every reported dimension and
-particular solution) is deterministic.  A dense code path handles matrices
-below 64 columns; wider matrices are eliminated on sparse rows.
+particular solution) is deterministic.  There is one elimination kernel,
+Gauss-Jordan on sparse rows ({column: entry} dicts): the matrices of a
+truncated complex are block-diagonal by Fourier weight, so a row update only
+touches the nonzero entries of the pivot row.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
-DENSE_COLUMN_LIMIT = 64
+# there is no dense elimination path; the bench tracer still reads this name
+DENSE_COLUMN_LIMIT = 0
 
 
 class AmbientMismatch(Exception):
@@ -193,6 +196,11 @@ def realify(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(2 * m.rows, 2 * m.cols, entries)
 
 
+def conjugation_flip(n: int) -> ExactMatrix:
+    """diag(1, -1, 1, -1, ...) of size 2n: complex conjugation on realified coordinates."""
+    return ExactMatrix(2 * n, 2 * n, {(k, k): ONE if k % 2 == 0 else -ONE for k in range(2 * n)})
+
+
 def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
     from fractions import Fraction
 
@@ -208,39 +216,16 @@ def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
 # elimination
 
 
-def _rref_dense(rows: list[list[Scalar]], cols: int, pivot_limit: int | None = None):
-    limit = cols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(limit):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][c].inverse()
-        if inv != ONE:
-            rows[r] = [v * inv for v in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = [{c: v for c, v in enumerate(rows[i]) if v} for i in range(len(pivots))]
-    leftover = [{c: v for c, v in enumerate(rows[i]) if v} for i in range(len(pivots), nrows)]
-    return pivots, reduced, leftover
+def _rref_full(m: ExactMatrix, pivot_limit: int | None = None):
+    """Gauss-Jordan on the sparse rows of m.
 
-
-def _rref_sparse(rows: list[dict[int, Scalar]], cols: int, pivot_limit: int | None = None):
-    limit = cols if pivot_limit is None else pivot_limit
+    Pivots are searched in the first pivot_limit columns (all by default):
+    the leftmost column with a nonzero entry at or below the current row,
+    the lowest such row.  Returns (pivot columns, reduced pivot rows,
+    nonzero leftover rows).
+    """
+    rows = m.row_dicts()
+    limit = m.cols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     r = 0
     nrows = len(rows)
@@ -273,18 +258,8 @@ def _rref_sparse(rows: list[dict[int, Scalar]], cols: int, pivot_limit: int | No
         r += 1
         if r == nrows:
             break
-    reduced = [dict(rows[i]) for i in range(len(pivots))]
-    leftover = [dict(rows[i]) for i in range(len(pivots), nrows) if rows[i]]
-    return pivots, reduced, leftover
-
-
-def _rref_full(m: ExactMatrix, pivot_limit: int | None = None):
-    if m.cols < DENSE_COLUMN_LIMIT:
-        dense = [[ZERO] * m.cols for _ in range(m.rows)]
-        for (r, c), v in m.entries.items():
-            dense[r][c] = v
-        return _rref_dense(dense, m.cols, pivot_limit)
-    return _rref_sparse(m.row_dicts(), m.cols, pivot_limit)
+    leftover = [row for row in rows[r:] if row]
+    return pivots, rows[:r], leftover
 
 
 def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
@@ -337,19 +312,24 @@ class Subspace:
         return all(self.contains(v) for v in other.basis)
 
 
+def _reduced_subspace(ambient_dim: int, reduced: list[dict[int, Scalar]]) -> Subspace:
+    return Subspace(ambient_dim, tuple(tuple(rd.get(c, ZERO) for c in range(ambient_dim)) for rd in reduced))
+
+
 def subspace_from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> Subspace:
-    rows = []
+    entries = {}
+    nrows = 0
     for v in vectors:
         if len(v) != ambient_dim:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-        rows.append(list(v))
-    if not rows:
+        for c, x in enumerate(v):
+            if x:
+                entries[(nrows, c)] = x
+        nrows += 1
+    if not nrows:
         return Subspace(ambient_dim, ())
-    pivots, red = rref(ExactMatrix.from_rows(rows, ambient_dim))
-    basis = []
-    for rd in red:
-        basis.append(tuple(rd.get(c, ZERO) for c in range(ambient_dim)))
-    return Subspace(ambient_dim, tuple(basis))
+    _, red = rref(ExactMatrix(nrows, ambient_dim, entries))
+    return _reduced_subspace(ambient_dim, red)
 
 
 def full_space(n: int) -> Subspace:
@@ -375,23 +355,24 @@ def kernel(m: ExactMatrix) -> Subspace:
     pivots, red = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [ZERO] * m.cols
-        vec[f] = ONE
+    if not free:
+        return zero_space(m.cols)
+    # one vector per free column f: 1 at f, minus the f-column of the reduced rows at the pivots
+    entries = {}
+    for r, f in enumerate(free):
+        entries[(r, f)] = ONE
         for i, p in enumerate(pivots):
             coeff = red[i].get(f)
             if coeff:
-                vec[p] = -coeff
-        basis.append(vec)
-    return subspace_from_vectors(m.cols, basis)
+                entries[(r, p)] = -coeff
+    _, basis = rref(ExactMatrix(len(free), m.cols, entries))
+    return _reduced_subspace(m.cols, basis)
 
 
 def image(m: ExactMatrix) -> Subspace:
     """Canonical basis of the column space of m."""
-    pivots, red = rref(m.transpose())
-    basis = [tuple(rd.get(c, ZERO) for c in range(m.rows)) for rd in red]
-    return Subspace(m.rows, tuple(basis))
+    _, red = rref(m.transpose())
+    return _reduced_subspace(m.rows, red)
 
 
 def map_subspace(m: ExactMatrix, s: Subspace) -> Subspace:

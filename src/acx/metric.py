@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
@@ -97,64 +98,52 @@ def _invert(rows) -> list[list[Scalar]]:
 
 def fundamental_form(complex_: FormComplex, metric: HermitianMetric) -> Form:
     """omega as a real nondegenerate invariant (1,1)-form."""
-    metric.validate()
-    rank = complex_.coefficients.rank
-    zero_w = (0,) * rank
-    coeffs = {}
-    for k in range(metric.n):
-        for j in range(metric.n):
-            g = metric.entries[k][j]
-            if g:
-                coeffs[BasisElement(zero_w, (k + 1,), (j + 1,))] = HALF_I * g
-    omega = Form(coeffs)
-    if omega.conjugate() != omega:
-        raise NotPositive("fundamental form is not real")
-    return omega
+    return pointwise_metric(metric, complex_.coefficients.rank).omega
 
 
-class HermitianStructure:
-    """Star, adjoints, Lefschetz pair and Laplacians for one metric."""
+@lru_cache(maxsize=16)
+def pointwise_metric(metric: HermitianMetric, rank: int) -> "PointwiseMetric":
+    """The PointwiseMetric of a metric on a model with `rank` torus directions, built once."""
+    return PointwiseMetric(metric, rank)
 
-    def __init__(self, complex_: FormComplex, metric: HermitianMetric):
+
+class PointwiseMetric:
+    """The parts of a HermitianStructure that do not depend on the Fourier weight.
+
+    omega, the dual pairing, the volume form and the Gram and star matrices
+    on invariant monomials depend only on the metric and the torus rank, so
+    every complex of one metric (each truncation, each weight sector) shares
+    one instance through pointwise_metric.
+    """
+
+    def __init__(self, metric: HermitianMetric, rank: int):
         metric.validate()
-        if metric.n != complex_.n:
-            raise NotPositive("metric size does not match the frame")
-        self.complex = complex_
-        self.metric = metric
-        self.n = complex_.n
-        self.omega = fundamental_form(complex_, metric)
+        n = self.n = metric.n
+        zero_w = (0,) * rank
+        coeffs = {}
+        for k in range(n):
+            for j in range(n):
+                g = metric.entries[k][j]
+                if g:
+                    coeffs[BasisElement(zero_w, (k + 1,), (j + 1,))] = HALF_I * g
+        omega = self.omega = Form(coeffs)
+        if omega.conjugate() != omega:
+            raise NotPositive("fundamental form is not real")
         # dual pairing on (1,0)-forms: <theta^a, theta^b> = 2 (G^{-1})_{b a}
         ginv = _invert([list(r) for r in metric.entries])
         two = integer(2)
-        self._h = [[two * ginv[b][a] for b in range(self.n)] for a in range(self.n)]
-        self._volume = self._volume_form()
-        vol_elt = BasisElement(
-            (0,) * complex_.coefficients.rank,
-            tuple(range(1, self.n + 1)),
-            tuple(range(1, self.n + 1)),
-        )
-        self._vol_elt = vol_elt
-        self._vol_coeff = self._volume.coeffs[vol_elt]
+        self._h = [[two * ginv[b][a] for b in range(n)] for a in range(n)]
+        acc = omega
+        for _ in range(n - 1):
+            acc = acc.wedge(omega)
+        scale = ONE
+        for k in range(2, n + 1):
+            scale = scale * integer(k)
+        self.volume = acc.scale(ONE / scale)
+        self.vol_elt = BasisElement(zero_w, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+        self.vol_coeff = self.volume.coeffs[self.vol_elt]
         self._gram_cache: dict[tuple[int, int], list[list[Scalar]]] = {}
         self._star_cache: dict[tuple[int, int], ExactMatrix] = {}
-        self._star_full_cache: dict[tuple[int, int], ExactMatrix] = {}
-        self._adjoint_cache: dict[tuple[str, int, int], ExactMatrix] = {}
-        self._lefschetz_cache: dict[tuple[int, int], ExactMatrix] = {}
-
-    def _volume_form(self) -> Form:
-        acc = self.omega
-        for _ in range(self.n - 1):
-            acc = acc.wedge(self.omega)
-        scale = ONE
-        for k in range(2, self.n + 1):
-            scale = scale * integer(k)
-        return acc.scale(ONE / scale)
-
-    @property
-    def volume_form(self) -> Form:
-        return self._volume
-
-    # -- inner products -----------------------------------------------------
 
     def _invariant_monomials(self, p: int, q: int):
         holos = list(combinations(range(1, self.n + 1), p))
@@ -183,25 +172,6 @@ class HermitianStructure:
         self._gram_cache[key] = gram
         return gram
 
-    def inner(self, x, y, p: int, q: int) -> Scalar:
-        """<x, y> summed over weights; distinct weights are orthogonal."""
-        gram = self.gram_invariant(p, q)
-        size = len(gram)
-        total = ZERO
-        dim = self.complex.dim(p, q)
-        for off in range(0, dim, size):
-            for a in range(size):
-                xa = x[off + a]
-                if not xa:
-                    continue
-                for b in range(size):
-                    yb = y[off + b]
-                    if yb:
-                        total = total + xa * gram[a][b] * yb.conj()
-        return total
-
-    # -- Hodge star -----------------------------------------------------------
-
     def star_invariant(self, p: int, q: int) -> ExactMatrix:
         """Star on invariant (p,q)-monomials, solved from the wedge pairing.
 
@@ -228,7 +198,7 @@ class HermitianStructure:
                     ((elt, coeff),) = list(prod.coeffs.items())
                     w_entries[(ip, ib)] = coeff
         w = ExactMatrix(len(probe), len(tgt), w_entries)
-        vol = Scalar(self._vol_coeff.re, self._vol_coeff.im)
+        vol = Scalar(self.vol_coeff.re, self.vol_coeff.im)
         cols = []
         for (sh, sa) in src:
             conj_form = Form.monomial(BasisElement((), sh, sa)).conjugate()
@@ -249,6 +219,56 @@ class HermitianStructure:
         mat = ExactMatrix(len(tgt), len(src), entries)
         self._star_cache[key] = mat
         return mat
+
+
+class HermitianStructure:
+    """Star, adjoints, Lefschetz pair and Laplacians for one metric."""
+
+    def __init__(self, complex_: FormComplex, metric: HermitianMetric):
+        pointwise = pointwise_metric(metric, complex_.coefficients.rank)
+        if metric.n != complex_.n:
+            raise NotPositive("metric size does not match the frame")
+        self.complex = complex_
+        self.metric = metric
+        self.n = complex_.n
+        self._pointwise = pointwise
+        self.omega = pointwise.omega
+        self._star_full_cache: dict[tuple[int, int], ExactMatrix] = {}
+        self._adjoint_cache: dict[tuple[str, int, int], ExactMatrix] = {}
+        self._lefschetz_cache: dict[tuple[int, int], ExactMatrix] = {}
+
+    @property
+    def volume_form(self) -> Form:
+        return self._pointwise.volume
+
+    # -- inner products -----------------------------------------------------
+
+    def gram_invariant(self, p: int, q: int) -> list[list[Scalar]]:
+        """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q)."""
+        return self._pointwise.gram_invariant(p, q)
+
+    def inner(self, x, y, p: int, q: int) -> Scalar:
+        """<x, y> summed over weights; distinct weights are orthogonal."""
+        gram = self.gram_invariant(p, q)
+        size = len(gram)
+        total = ZERO
+        dim = self.complex.dim(p, q)
+        for off in range(0, dim, size):
+            for a in range(size):
+                xa = x[off + a]
+                if not xa:
+                    continue
+                for b in range(size):
+                    yb = y[off + b]
+                    if yb:
+                        total = total + xa * gram[a][b] * yb.conj()
+        return total
+
+    # -- Hodge star -----------------------------------------------------------
+
+    def star_invariant(self, p: int, q: int) -> ExactMatrix:
+        """Star on invariant (p,q)-monomials (see PointwiseMetric.star_invariant)."""
+        return self._pointwise.star_invariant(p, q)
 
     def star(self, p: int, q: int) -> ExactMatrix:
         """Star on the full truncated (p,q) block; pointwise, weight-preserving."""
@@ -374,5 +394,5 @@ class HermitianStructure:
 
     def integral(self, form: Form) -> Scalar:
         """Model-level integral: the volume coefficient of the weight-zero part."""
-        c = form.coeffs.get(self._vol_elt, ZERO)
-        return c / self._vol_coeff
+        c = form.coeffs.get(self._pointwise.vol_elt, ZERO)
+        return c / self._pointwise.vol_coeff

@@ -12,6 +12,7 @@ the Fourier weight, and conjugation negates it, so the symmetric truncation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .forms import (
@@ -296,8 +297,17 @@ class FormComplex:
 
         The seven bidegree components of d^2 = 0, the reconstruction
         d = mu + partial + dbar + mubar and the total d^2 = 0 are each
-        verified as zero-matrix identities on every block.
+        verified as zero-matrix identities on every block.  The checks run
+        once per complex; every call returns fresh lists.
         """
+        return [
+            {"identity": label, "passed": not failures, "failures": list(failures)}
+            for label, failures in self._identity_failures
+        ]
+
+    @cached_property
+    def _identity_failures(self) -> tuple[tuple[str, tuple], ...]:
+        """(identity, failing blocks) for every identity of identity_suite."""
         relations = [
             ("mu.mu", [("mu", "mu")]),
             ("mu.partial+partial.mu", [("mu", "partial"), ("partial", "mu")]),
@@ -329,7 +339,7 @@ class FormComplex:
                         acc = prod if acc is None else acc + prod
                     if acc is not None and not acc.is_zero():
                         failures.append((p, q))
-            report.append({"identity": label, "passed": not failures, "failures": failures})
+            report.append((label, tuple(failures)))
         # reconstruction: d equals the sum of its four components, blockwise
         recon_fail = []
         for p in range(self.n + 1):
@@ -343,13 +353,13 @@ class FormComplex:
                     if total != summed:
                         recon_fail.append((p, q))
                         break
-        report.append({"identity": "d=mu+partial+dbar+mubar", "passed": not recon_fail, "failures": recon_fail})
+        report.append(("d=mu+partial+dbar+mubar", tuple(recon_fail)))
         dd_fail = []
         for r in range(2 * self.n):
             if not (self.d_total(r + 1) @ self.d_total(r)).is_zero():
                 dd_fail.append(r)
-        report.append({"identity": "d.d", "passed": not dd_fail, "failures": dd_fail})
-        return report
+        report.append(("d.d", tuple(dd_fail)))
+        return tuple(report)
 
 
 def block_at_weight(complex_: FormComplex, name: str, p: int, q: int, w) -> ExactMatrix:

@@ -11,8 +11,10 @@ from acx.metric import (
     HermitianStructure,
     Not4Manifold,
     NotPositive,
+    PointwiseMetric,
     fundamental_form,
 )
+from acx.operators import FormComplex
 from acx.scalars import I, ONE, Scalar, ZERO, integer, rational
 
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
@@ -239,6 +241,26 @@ def test_star_involution_generic_metric(kt4_session):
     # Lambda omega = n for the fundamental form of its own metric
     lam = h.lambda_block(1, 1)
     assert lam.apply(cx.to_vector(h.omega, 1, 1)) == (integer(2),)
+
+
+def test_weight_independent_parts_are_shared_across_sectors(kt4_session, monkeypatch):
+    validated = []
+    validate = HermitianMetric.validate
+    monkeypatch.setattr(HermitianMetric, "validate", lambda g: validated.append(g) or validate(g))
+    # a metric no other test builds, so nothing of it is cached yet
+    metric = HermitianMetric(((integer(3), I), (-I, integer(2))))
+    model = kt4_session.spec.coefficients
+    structures = [
+        HermitianStructure(FormComplex(kt4_session.frame, model.with_sector(w)), metric)
+        for w in ((0, 0), (1, 0), (1, -1))
+    ]
+    assert validated == [metric]
+    first, *rest = structures
+    for h in rest:
+        assert h.omega is first.omega
+        assert h.gram_invariant(1, 0) is first.gram_invariant(1, 0)
+        assert h.star_invariant(1, 1) is first.star_invariant(1, 1)
+    assert first.star_invariant(1, 1) == PointwiseMetric(metric, 2).star_invariant(1, 1)
 
 
 def test_star_pairing_positive_generic_metric(kt4_session):

@@ -27,6 +27,27 @@ def test_identity_suite_torus(torus_session):
                 assert cx.block(name, p, q).is_zero()
 
 
+def test_identity_suite_runs_once_per_complex(kt4_session, monkeypatch):
+    cx = FormComplex(kt4_session.frame, kt4_session.spec.coefficients.with_truncation(1))
+    products = []
+    matmul = linalg.ExactMatrix.__matmul__
+
+    def counting_matmul(a, b):
+        products.append((a.rows, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg.ExactMatrix, "__matmul__", counting_matmul)
+    first = cx.identity_suite()
+    assert products and len(first) == 9
+    expected = [dict(entry, failures=list(entry["failures"])) for entry in first]
+    products.clear()
+    # what a caller does to its report must not reach the next caller
+    first[0]["failures"].append((9, 9))
+    first.pop()
+    assert cx.identity_suite() == expected
+    assert not products
+
+
 def test_operator_blocks_respect_shifts(kt4_session):
     cx = kt4_session.complex(1)
     for name, (dp, dq) in SHIFTS.items():
