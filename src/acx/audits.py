@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from . import linalg
 from .forms import BasisElement, Form
-from .lie import SHIFTS, nijenhuis_rank
+from .lie import nijenhuis_rank
 from .linalg import ExactMatrix
 from .metric import Not4Manifold, exact_det
-from .operators import DIFFERENTIALS, FormComplex
+from .operators import DIFFERENTIALS, FormComplex, compose, shift
 from .cohomology import CohomologyEngine
 from .scalars import I, ONE, ZERO, Scalar, integer
 
@@ -85,65 +85,34 @@ def _verdict(ok: bool) -> str:
 # identity audits
 
 
-def _op_table(engine: CohomologyEngine):
-    """(shift, block function) for every operator appearing in the commutators."""
-    cx = engine.complex
-    h = engine.hermitian
-    table = {}
-    for name in DIFFERENTIALS:
-        dp, dq = SHIFTS[name]
-        table[name] = ((dp, dq), lambda p, q, name=name: cx.block(name, p, q))
-        table[name + "*"] = ((-dp, -dq), lambda p, q, name=name: h.adjoint_block(name, p, q))
-    table["L"] = ((1, 1), lambda p, q: h.lefschetz_block(p, q))
-    table["Lambda"] = ((-1, -1), lambda p, q: h.lambda_block(p, q))
-    return table
+def _commutator(engine: CohomologyEngine, a: str, b: str, p: int, q: int, rows: int) -> ExactMatrix:
+    """[a, b] = ab - ba from the (p,q) block into a target block of the given size."""
+    acc = ExactMatrix(rows, engine.complex.dim(p, q))
+    ab = compose(engine.block, [a, b], p, q)
+    ba = compose(engine.block, [b, a], p, q)
+    if ab.rows:
+        acc = acc + ab
+    if ba.rows:
+        acc = acc - ba
+    return acc
 
 
-def _compose_chain(engine: CohomologyEngine, table, names, p, q):
-    """Apply the listed operators right-to-left starting on the (p,q) block."""
-    cx = engine.complex
-    mat = None
-    cp, cq = p, q
-    for name in reversed(names):
-        (dp, dq), fn = table[name]
-        tp, tq = cp + dp, cq + dq
-        if not cx.valid_bidegree(tp, tq):
-            return None, None
-        step = fn(cp, cq)
-        if step.rows == 0:
-            return None, None
-        mat = step if mat is None else step @ mat
-        cp, cq = tp, tq
-    return mat, (cp, cq)
-
-
-def _check_commutator(engine: CohomologyEngine, table, a: str, b: str, rhs) -> bool:
+def _check_commutator(engine: CohomologyEngine, a: str, b: str, rhs) -> bool:
     """[a, b] == rhs as exact block identities on every bidegree."""
     cx = engine.complex
     n = cx.n
-    (dap, daq), _ = table[a]
-    (dbp, dbq), _ = table[b]
+    (dap, daq), (dbp, dbq) = shift(a), shift(b)
     for p in range(n + 1):
         for q in range(n + 1):
-            dim = cx.dim(p, q)
-            if dim == 0:
-                continue
-            ab, _ = _compose_chain(engine, table, [a, b], p, q)
-            ba, _ = _compose_chain(engine, table, [b, a], p, q)
             target = (p + dap + dbp, q + daq + dbq)
-            if not cx.valid_bidegree(*target):
+            if cx.dim(p, q) == 0 or not cx.valid_bidegree(*target):
                 continue
-            rows = cx.dim(*target)
-            acc = ExactMatrix(rows, dim)
-            if ab is not None:
-                acc = acc + ab
-            if ba is not None:
-                acc = acc - ba
+            acc = _commutator(engine, a, b, p, q, cx.dim(*target))
             if rhs is not None:
                 scalar, name = rhs
-                (dp, dq), fn = table[name]
+                dp, dq = shift(name)
                 if (p + dp, q + dq) == target:
-                    m = fn(p, q)
+                    m = engine.block(name, p, q)
                     if m.rows:
                         acc = acc - m.scale(scalar)
             if not acc.is_zero():
@@ -176,7 +145,6 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
             )
         )
         return items
-    table = _op_table(engine)
     commutators = [
         ("L", "mubar", None),
         ("L", "mu", None),
@@ -197,7 +165,7 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
     ]
     failures = []
     for a, b, rhs in commutators:
-        if not _check_commutator(engine, table, a, b, rhs):
+        if not _check_commutator(engine, a, b, rhs):
             failures.append(f"[{a},{b}]")
     items.append(
         AuditItem(
@@ -214,15 +182,8 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
             dim = cx.dim(p, q)
             if dim == 0:
                 continue
-            ab, _ = _compose_chain(engine, table, ["L", "Lambda"], p, q)
-            ba, _ = _compose_chain(engine, table, ["Lambda", "L"], p, q)
-            acc = ExactMatrix(dim, dim)
-            if ab is not None:
-                acc = acc + ab
-            if ba is not None:
-                acc = acc - ba
             expected = ExactMatrix.identity(dim).scale(integer(p + q - cx.n))
-            if acc != expected:
+            if _commutator(engine, "L", "Lambda", p, q, dim) != expected:
                 sl2_fail.append((p, q))
     items.append(
         AuditItem(
@@ -291,9 +252,7 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
     items = []
     # kernel equality on (1,0)-forms
     ker_dbar = engine.op_kernel("dbar", 1, 0)
-    d_parts = [cx.block(name, 1, 0) for name in DIFFERENTIALS]
-    d_parts = [m for m in d_parts if m.rows]
-    ker_d = linalg.kernel(ExactMatrix.vstack(d_parts)) if d_parts else linalg.full_space(cx.dim(1, 0))
+    ker_d = linalg.kernel(ExactMatrix.vstack([cx.block(name, 1, 0) for name in DIFFERENTIALS]))
     items.append(
         AuditItem(
             "closed-one-zero-forms",
@@ -367,32 +326,15 @@ def audit_ddbar_images(engine: CohomologyEngine) -> list[AuditItem]:
     cx = engine.complex
     if cx.n != 2:
         raise Not4Manifold("these composites are four-dimensional statements")
-
-    def compose(names, p, q):
-        mat = None
-        cp, cq = p, q
-        for name in reversed(names):
-            dp, dq = SHIFTS[name]
-            blk = cx.block(name, cp, cq)
-            if blk.rows == 0:
-                return None
-            mat = blk if mat is None else blk @ mat
-            cp, cq = cp + dp, cq + dq
-        return mat
-
-    first = compose(["partial", "dbar", "partial"], 0, 1)
-    second = compose(["partial", "dbar", "dbar"], 1, 0)
-    third = compose(["partial", "dbar", "partial", "dbar"], 0, 0)
-    ok = all(m is None or m.is_zero() for m in (first, second, third))
+    first = compose(cx.block, ["partial", "dbar", "partial"], 0, 1)
+    second = compose(cx.block, ["partial", "dbar", "dbar"], 1, 0)
+    third = compose(cx.block, ["partial", "dbar", "partial", "dbar"], 0, 0)
+    ok = all(m.is_zero() for m in (first, second, third))
     return [
         AuditItem(
             "ddbar-annihilates-first-order-images",
             _verdict(ok),
-            {
-                "on_(0,1)": first is None or first.is_zero(),
-                "on_(1,0)": second is None or second.is_zero(),
-                "on_functions": third is None or third.is_zero(),
-            },
+            {"on_(0,1)": first.is_zero(), "on_(1,0)": second.is_zero(), "on_functions": third.is_zero()},
         )
     ]
 
@@ -434,26 +376,8 @@ def audit_generalized_ddbar(engine: CohomologyEngine) -> list[AuditItem]:
     cx = engine.complex
     if cx.n != 2:
         raise Not4Manifold("the potential-existence audit is four-dimensional")
-    dim11 = cx.dim(1, 1)
-    offsets = cx.total_offsets(2)
-    lo = offsets[(1, 1)]
-    hi = lo + dim11
-    image_total = linalg.image(cx.d_total(1))
-    block_vectors = []
-    for i in range(dim11):
-        v = [ZERO] * cx.total_dim(2)
-        v[lo + i] = ONE
-        block_vectors.append(tuple(v))
-    block_space = linalg.subspace_from_vectors(cx.total_dim(2), block_vectors)
-    exact_in_block = linalg.intersect([image_total, block_space])
-    exact_11 = linalg.subspace_from_vectors(dim11, (v[lo:hi] for v in exact_in_block.basis))
-    pdbar = None
-    first = cx.block("dbar", 0, 0)
-    if first.rows:
-        second = cx.block("partial", 0, 1)
-        if second.rows:
-            pdbar = second @ first
-    potential_image = linalg.image(pdbar) if pdbar is not None else linalg.zero_space(dim11)
+    exact_11 = engine.exact_11()
+    potential_image = linalg.image(compose(cx.block, ["partial", "dbar"], 0, 0))
     counterexamples = 0
     for v in exact_11.basis:
         if not potential_image.contains(v):
@@ -495,14 +419,8 @@ def _correction(cx: FormComplex, u: Form) -> Form:
 def _closedness_system(cx: FormComplex) -> ExactMatrix:
     """Realified matrix of u -> (1,2)-component of d(correction(u))."""
 
-    def compose(outer, inner, p, q):
-        dp, dq = SHIFTS[inner]
-        first = cx.block(inner, p, q)
-        second = cx.block(outer, p + dp, q + dq)
-        return second @ first
-
-    linear = compose("partial", "dbar", 0, 1) + compose("mubar", "mu", 0, 1)
-    conjugated = compose("mubar", "partial", 1, 0) + compose("partial", "mubar", 1, 0)
+    linear = compose(cx.block, ["partial", "dbar"], 0, 1) + compose(cx.block, ["mubar", "mu"], 0, 1)
+    conjugated = compose(cx.block, ["mubar", "partial"], 1, 0) + compose(cx.block, ["partial", "mubar"], 1, 0)
     c01 = cx.conj_struct(0, 1)
     return linalg.realify(linear) + linalg.realify(conjugated @ c01) @ linalg.conjugation_flip(cx.dim(0, 1))
 
@@ -537,14 +455,7 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
     if solution is None:
         obstruction = _obstruction_functional(system, target)
         raise NoSolution("closedness correction equation is inconsistent", obstruction)
-
-    def to_form(doubled) -> Form:
-        coords = []
-        for j in range(cx.dim(0, 1)):
-            coords.append(Scalar(doubled[2 * j].re, doubled[2 * j + 1].re))
-        return cx.from_vector(coords, 0, 1)
-
-    u = to_form(solution)
+    u = cx.from_realified(solution, 0, 1)
     correction = _correction(cx, u)
     omega_prime = psi + correction
     residual = cx.apply("d", omega_prime)
@@ -552,7 +463,7 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
     # well-definedness: a second solve under the reversed pivot order must
     # produce the same corrected form even when u itself differs
     alt = linalg.solve(system, target, reverse_pivots=True)
-    u_alt = to_form(alt)
+    u_alt = cx.from_realified(alt, 0, 1)
     well_defined = (psi + _correction(cx, u_alt)) == omega_prime
     try:
         evidence = check_nondegenerate(engine, omega_prime)
@@ -716,28 +627,13 @@ def audit_ddc_descent(engine: CohomologyEngine) -> list[AuditItem]:
                 {"reason": "correction equation can be obstructed", "ht10": ht10, "ht01": ht01},
             )
         ]
-    dim11 = cx.dim(1, 1)
-    pdbar11 = None
-    first = cx.block("dbar", 1, 1)
-    if first.rows:
-        second = cx.block("partial", 1, 2)
-        if second.rows:
-            pdbar11 = second @ first
-    real11 = engine.real_subspace(1, 1)
-    if pdbar11 is not None:
-        num_real = linalg.intersect([linalg.kernel(linalg.realify(pdbar11)), real11])
-    else:
-        num_real = real11
+    num_real, den_real = engine.real_ddc_parts()
     if num_real.dim == 0:
         return [AuditItem("ddc-descent-injective", "pass", {"note": "empty source"})]
 
-    def doubled_to_form(vec, p, q) -> Form:
-        coords = [Scalar(vec[2 * j].re, vec[2 * j + 1].re) for j in range(cx.dim(p, q))]
-        return cx.from_vector(coords, p, q)
-
     # one elimination for every basis form: batch the correction solves
     system = _closedness_system(cx)
-    psis = [doubled_to_form(v, 1, 1) for v in num_real.basis]
+    psis = [cx.from_realified(v, 1, 1) for v in num_real.basis]
     targets = []
     for psi in psis:
         rhs_vec = cx.to_vector(cx.apply("dbar", psi), 1, 2)
@@ -747,7 +643,7 @@ def audit_ddc_descent(engine: CohomologyEngine) -> list[AuditItem]:
     for psi, sol in zip(psis, solutions):
         if sol is None:
             return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction equation obstructed"})]
-        u = doubled_to_form(sol, 0, 1)
+        u = cx.from_realified(sol, 0, 1)
         omega_prime = psi + _correction(cx, u)
         if not cx.apply("d", omega_prime).is_zero():
             return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction not closed"})]
@@ -766,12 +662,8 @@ def audit_ddc_descent(engine: CohomologyEngine) -> list[AuditItem]:
     exact2 = linalg.image(linalg.realify(cx.d_total(1)))
     kernel_of_class_map = linalg.preimage(s_matrix, exact2)
     # coefficient vectors landing in the image of d^{1,1} on real one-forms
-    dbar10 = cx.block("dbar", 1, 0)
-    partial01 = cx.block("partial", 0, 1)
-    d11 = ExactMatrix.hstack([dbar10, partial01])
-    den_real = linalg.map_subspace(linalg.realify(d11), engine.real_one_forms())
     p_matrix = ExactMatrix(
-        2 * dim11,
+        num_real.ambient_dim,
         num_real.dim,
         {
             (r, c): v

@@ -110,6 +110,11 @@ def parse_manifest(path: str) -> ManifoldSpec:
     return manifest_from_dict(raw)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not integers here, though Python's bool is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def manifest_from_dict(raw: dict) -> ManifoldSpec:
     if not isinstance(raw, dict):
         raise ParseError("$", "manifest must be a JSON object")
@@ -117,7 +122,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
     if not isinstance(name, str) or not name:
         raise ParseError("name", "a nonempty string is required")
     real_dim = raw.get("real_dim")
-    if not isinstance(real_dim, int) or real_dim <= 0:
+    if not _is_int(real_dim) or real_dim <= 0:
         raise ParseError("real_dim", "a positive integer is required")
     if real_dim % 2 != 0:
         raise ValidationError("AlmostComplexStructure", "real_dim must be even over Q(i)")
@@ -131,7 +136,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         if not (isinstance(row, list) and len(row) == 4):
             raise ParseError(f"brackets[{idx}]", "expected [i, j, k, value]")
         i, j, k, value = row
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if not all(_is_int(x) for x in (i, j, k)):
             raise ParseError(f"brackets[{idx}]", "indices must be integers")
         try:
             v = parse_rational(str(value))
@@ -186,7 +191,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         coefficients = CoefficientModel.invariant()
     elif kind == "torus_fourier":
         rank = coeff_raw.get("rank")
-        if not isinstance(rank, int) or rank <= 0:
+        if not _is_int(rank) or rank <= 0:
             raise ParseError("coefficients.rank", "a positive integer is required")
         actions_raw = coeff_raw.get("actions")
         if not (isinstance(actions_raw, list) and len(actions_raw) == real_dim):
@@ -200,7 +205,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
             except ValueError as exc:
                 raise ParseError(f"coefficients.actions[{r}]", str(exc)) from None
         truncation = coeff_raw.get("truncation", 0)
-        if not isinstance(truncation, int) or truncation < 0:
+        if not _is_int(truncation) or truncation < 0:
             raise ParseError("coefficients.truncation", "a nonnegative integer is required")
         coefficients = CoefficientModel("torus_fourier", rank, tuple(actions), truncation)
     else:
@@ -327,30 +332,15 @@ def psi_from_selector(session: Session, truncation, selector: str) -> Form:
     omega = engine.hermitian.omega
     if selector == "fundamental":
         return omega
+    real_11 = (cx.from_realified(vec, 1, 1) for vec in engine.real_subspace(1, 1).basis)
+    # the ddc-closed members of the real (1,1) basis, in basis order, found lazily
+    pure = (c for c in real_11 if cx.apply("partial", cx.apply("dbar", c)).is_zero())
     if selector == "perturbed":
-        candidates = engine.real_subspace(1, 1)
-        dim11 = cx.dim(1, 1)
-        for vec in candidates.basis:
-            coords = [Scalar(vec[2 * j].re, vec[2 * j + 1].re) for j in range(dim11)]
-            candidate = cx.from_vector(coords, 1, 1)
-            if candidate.is_zero():
-                continue
-            ddbar = cx.apply("partial", cx.apply("dbar", candidate))
-            if not ddbar.is_zero():
-                continue
-            if cx.apply("d", candidate).is_zero():
-                continue
-            return omega + candidate.scale(Scalar(Fraction(1, 10), Fraction(0)))
-        return omega
+        # the first one that is not d-closed; omega itself when there is none
+        candidate = next((c for c in pure if not cx.apply("d", c).is_zero()), None)
+        return omega if candidate is None else omega + candidate.scale(Scalar(Fraction(1, 10), Fraction(0)))
     idx = _basis_index(selector)
-    candidates = engine.real_subspace(1, 1)
-    dim11 = cx.dim(1, 1)
-    pure = []
-    for vec in candidates.basis:
-        coords = [Scalar(vec[2 * j].re, vec[2 * j + 1].re) for j in range(dim11)]
-        candidate = cx.from_vector(coords, 1, 1)
-        if cx.apply("partial", cx.apply("dbar", candidate)).is_zero():
-            pure.append(candidate)
+    pure = list(pure)
     if idx >= len(pure):
         raise ValidationError("TamingSelector", f"basis index {idx} out of range ({len(pure)} available)")
     return pure[idx]

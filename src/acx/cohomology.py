@@ -19,8 +19,7 @@ from . import linalg
 from .lie import SHIFTS
 from .linalg import ExactMatrix, Subspace
 from .metric import HermitianStructure, Not4Manifold
-from .operators import FormComplex
-from .scalars import ONE, ZERO
+from .operators import DIFFERENTIALS, FormComplex, compose
 
 
 class CohomologyEngine:
@@ -31,14 +30,26 @@ class CohomologyEngine:
         self.hermitian = hermitian
         self.n = complex_.n
         self._adol_cache: dict[tuple[int, int], Subspace] = {}
+        self._real_ddc: tuple[Subspace, Subspace] | None = None
 
     # -- generic block subspaces ------------------------------------------------
 
+    def block(self, name: str, p: int, q: int) -> ExactMatrix:
+        """One operator from the (p,q) block: a differential, its adjoint `name*`, L or Lambda."""
+        if name == "L":
+            return self.hermitian.lefschetz_block(p, q)
+        if name == "Lambda":
+            return self.hermitian.lambda_block(p, q)
+        if name.endswith("*"):
+            return self.hermitian.adjoint_block(name[:-1], p, q)
+        return self.complex.block(name, p, q)
+
     def op_kernel(self, name: str, p: int, q: int) -> Subspace:
-        m = self.complex.block(name, p, q)
-        if m.rows == 0:
-            return linalg.full_space(m.cols)
-        return linalg.kernel(m)
+        return linalg.kernel(self.complex.block(name, p, q))
+
+    def _kernel_of(self, *chains, p: int, q: int) -> Subspace:
+        """The common kernel of operator chains on the (p,q) block: the kernel of their stack."""
+        return linalg.kernel(ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains]))
 
     def op_image_into(self, name: str, p: int, q: int) -> Subspace:
         """Image of the named operator inside the (p,q) block."""
@@ -48,24 +59,12 @@ class CohomologyEngine:
             return linalg.zero_space(self.complex.dim(p, q))
         return linalg.image(self.complex.block(name, sp, sq))
 
-    def _compose(self, outer: str, inner: str, p: int, q: int) -> ExactMatrix:
-        """Matrix of outer . inner from the (p,q) block (zero rows if it dies)."""
-        dpi, dqi = SHIFTS[inner]
-        mp, mq = p + dpi, q + dqi
-        first = self.complex.block(inner, p, q)
-        if not self.complex.valid_bidegree(mp, mq):
-            return ExactMatrix(0, first.cols)
-        second = self.complex.block(outer, mp, mq)
-        if second.rows == 0:
-            return ExactMatrix(0, first.cols)
-        return second @ first
-
     # -- de Rham ------------------------------------------------------------------
 
     def de_rham(self, r: int) -> int:
         """dim ker(d on r-forms) - rank(d on (r-1)-forms)."""
         d_r = self.complex.d_total(r)
-        kernel_dim = d_r.cols - linalg.rank(d_r) if d_r.rows else d_r.cols
+        kernel_dim = d_r.cols - linalg.rank(d_r)
         if r == 0:
             return kernel_dim
         return kernel_dim - linalg.rank(self.complex.d_total(r - 1))
@@ -74,12 +73,7 @@ class CohomologyEngine:
 
     def dolbeault_cw_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
         ker_mubar = self.op_kernel("mubar", p, q)
-        dbar = self.complex.block("dbar", p, q)
-        if dbar.rows == 0:
-            in_kernel = linalg.full_space(dbar.cols)
-        else:
-            target_image = self.op_image_into("mubar", p, q + 1)
-            in_kernel = linalg.preimage(dbar, target_image)
+        in_kernel = linalg.preimage(self.complex.block("dbar", p, q), self.op_image_into("mubar", p, q + 1))
         numerator = linalg.intersect([ker_mubar, in_kernel])
         den_parts = []
         dbar_image = self.op_image_into("dbar", p, q)
@@ -107,22 +101,13 @@ class CohomologyEngine:
         they land in different bidegrees.
         """
         key = (p, q)
-        if key in self._adol_cache:
-            return self._adol_cache[key]
-        dim = self.complex.dim(p, q)
-        pieces = [self.op_kernel("mu", p, q), self.op_kernel("mubar", p, q)]
-        dbar2 = self._compose("dbar", "dbar", p, q)
-        if dbar2.rows:
-            pieces.append(linalg.kernel(dbar2))
-        mu_dbar = self._compose("mu", "dbar", p, q)
-        if mu_dbar.rows:
-            pieces.append(linalg.kernel(mu_dbar))
-        out = linalg.intersect(pieces) if dim else linalg.zero_space(0)
-        self._adol_cache[key] = out
-        return out
+        if key not in self._adol_cache:
+            self._adol_cache[key] = self._kernel_of(["mu"], ["mubar"], ["dbar", "dbar"], ["mu", "dbar"], p=p, q=q)
+        return self._adol_cache[key]
 
     def refined_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
-        numerator = linalg.intersect([self.op_kernel("dbar", p, q), self.a_dol(p, q)])
+        # ker(dbar) ^ A_Dol: on ker(dbar) the composites dbar^2 and mu dbar vanish
+        numerator = self._kernel_of(["dbar"], ["mu"], ["mubar"], p=p, q=q)
         if q == 0 or not self.complex.valid_bidegree(p, q - 1):
             denominator = linalg.zero_space(self.complex.dim(p, q))
         else:
@@ -163,16 +148,9 @@ class CohomologyEngine:
         diagonal_potentials switches the denominator to the one-function
         variant (f = g), exposed for comparison only.
         """
-        t, s = self._hat_maps()
-        # numerator: kernel of (u1, u2) -> (d^{0,2}, d^{2,0}) components
-        mubar10 = self.complex.block("mubar", 1, 0)
-        dbar01 = self.complex.block("dbar", 0, 1)
-        partial10 = self.complex.block("partial", 1, 0)
-        mu01 = self.complex.block("mu", 0, 1)
-        top = ExactMatrix.hstack([mubar10, dbar01])
-        bottom = ExactMatrix.hstack([partial10, mu01])
-        phi = ExactMatrix.vstack([top, bottom])
-        numerator = linalg.kernel(phi) if phi.rows else linalg.full_space(phi.cols)
+        # numerator: pairs (u1, u2) with T u1 + S u2 = 0, i.e. d(u1 + u2) is pure (1,1)
+        phi = ExactMatrix.hstack(self._hat_maps())
+        numerator = linalg.kernel(phi)
         # denominator: (partial f, dbar g) pairs satisfying the same equations
         pf = self.complex.block("partial", 0, 0)
         dg = self.complex.block("dbar", 0, 0)
@@ -184,26 +162,24 @@ class CohomologyEngine:
             psi = ExactMatrix.vstack(
                 [ExactMatrix.hstack([pf, zero]), ExactMatrix.hstack([ExactMatrix(dg.rows, dim0), dg])]
             )
-        constrained = phi @ psi
-        good_potentials = linalg.kernel(constrained) if constrained.rows else linalg.full_space(psi.cols)
+        good_potentials = linalg.kernel(phi @ psi)
         denominator = linalg.map_subspace(psi, good_potentials)
         return linalg.quotient_dim(numerator, denominator)
+
+    def _d11(self) -> ExactMatrix:
+        """The (1,1) part of d on 1-forms (u', u''): dbar u' + partial u''."""
+        return ExactMatrix.hstack([self.complex.block("dbar", 1, 0), self.complex.block("partial", 0, 1)])
+
+    def exact_11(self) -> Subspace:
+        """The d-exact pure (1,1)-forms: d of the 1-forms whose d has no (2,0) or (0,2) part."""
+        return linalg.map_subspace(self._d11(), linalg.kernel(ExactMatrix.hstack(self._hat_maps())))
 
     # -- harmonic intersections --------------------------------------------------------------
 
     def harmonic_space(self, deltas, p: int, q: int) -> Subspace:
         if self.hermitian is None:
             raise ValueError("harmonic spaces require a metric")
-        pieces = []
-        for name in deltas:
-            pieces.append(self.op_kernel(name, p, q))
-            adj = self.hermitian.adjoint_block(name, p, q)
-            if adj.rows:
-                pieces.append(linalg.kernel(adj))
-        dim = self.complex.dim(p, q)
-        if not dim:
-            return linalg.zero_space(0)
-        return linalg.intersect(pieces) if pieces else linalg.full_space(dim)
+        return self._kernel_of(*([name] for delta in deltas for name in (delta, delta + "*")), p=p, q=q)
 
     def harmonic_dim(self, deltas, p: int, q: int) -> int:
         return self.harmonic_space(deltas, p, q).dim
@@ -213,6 +189,14 @@ class CohomologyEngine:
 
     # -- real structure ------------------------------------------------------------------------
 
+    def _real_constraint(self, c: ExactMatrix) -> ExactMatrix:
+        """conj - id in doubled coordinates, for the C-linear part c of a conjugation.
+
+        Its kernel is the real (conjugation-fixed) vectors.
+        """
+        conj_real = linalg.realify(c) @ linalg.conjugation_flip(c.cols)
+        return conj_real - ExactMatrix.identity(conj_real.rows)
+
     def real_subspace(self, p: int, q: int) -> Subspace:
         """Fixed points of conjugation inside the doubled (real) coordinates.
 
@@ -220,61 +204,34 @@ class CohomologyEngine:
         """
         if p != q:
             raise ValueError("real subspaces live on conjugation-stable blocks only")
-        c = linalg.realify(self.complex.conj_struct(p, q))
-        conj_real = c @ linalg.conjugation_flip(self.complex.dim(p, q))
-        return linalg.kernel(conj_real - ExactMatrix.identity(conj_real.rows))
+        return linalg.kernel(self._real_constraint(self.complex.conj_struct(p, q)))
+
+    def real_ddc_parts(self) -> tuple[Subspace, Subspace]:
+        """The real ddc quotient in doubled coordinates, built once per engine.
+
+        Numerator: ker(del dbar) on real (1,1)-forms; denominator: the image
+        of d^{1,1} on real 1-forms.
+        """
+        if self._real_ddc is None:
+            ddc = linalg.realify(compose(self.block, ["partial", "dbar"], 1, 1))
+            real = self._real_constraint(self.complex.conj_struct(1, 1))
+            numerator = linalg.kernel(ExactMatrix.vstack([ddc, real]))
+            denominator = linalg.map_subspace(linalg.realify(self._d11()), self.real_one_forms())
+            self._real_ddc = (numerator, denominator)
+        return self._real_ddc
 
     def special_11_quotients(self) -> dict:
         """The de Rham, del-delbar-potential and ddc quotients in bidegree (1,1)."""
         if self.n != 2:
             raise Not4Manifold("the (1,1) special quotients are four-dimensional constructions")
-        cx = self.complex
-        dim11 = cx.dim(1, 1)
         # numerator: d-closed pure (1,1) forms
-        d_parts = [cx.block(name, 1, 1) for name in ("mu", "partial", "dbar", "mubar")]
-        d_parts = [m for m in d_parts if m.rows]
-        closed = linalg.kernel(ExactMatrix.vstack(d_parts)) if d_parts else linalg.full_space(dim11)
-        # d-exact forms inside the (1,1) block of degree-2 forms
-        offsets = cx.total_offsets(2)
-        lo = offsets[(1, 1)]
-        hi = lo + dim11
-        d1 = cx.d_total(1)
-        image_total = linalg.image(d1)
-        block_vectors = []
-        for i in range(dim11):
-            v = [ZERO] * cx.total_dim(2)
-            v[lo + i] = ONE
-            block_vectors.append(tuple(v))
-        block_space = linalg.subspace_from_vectors(cx.total_dim(2), block_vectors)
-        exact_in_block_total = linalg.intersect([image_total, block_space])
-        exact_11 = linalg.subspace_from_vectors(dim11, (v[lo:hi] for v in exact_in_block_total.basis))
-        h11_dr = linalg.quotient_dim(closed, exact_11)
+        closed = self._kernel_of(*([name] for name in DIFFERENTIALS), p=1, q=1)
+        h11_dr = linalg.quotient_dim(closed, self.exact_11())
         # del-delbar potentials whose ddc output is pure (1,1)
-        pdbar = self._compose("partial", "dbar", 0, 0)
-        mu_dbar = self._compose("mu", "dbar", 0, 0)
-        mubar_partial = self._compose("mubar", "partial", 0, 0)
-        constraints = [m for m in (mu_dbar, mubar_partial) if m.rows]
-        if constraints:
-            pure_potentials = linalg.kernel(ExactMatrix.vstack(constraints))
-        else:
-            pure_potentials = linalg.full_space(cx.dim(0, 0))
-        bc_denominator = linalg.map_subspace(pdbar, pure_potentials) if pdbar.rows else linalg.zero_space(dim11)
-        h11_bc = linalg.quotient_dim(closed, bc_denominator)
-        # real ddc quotient: ker(del dbar on real (1,1)) / image of d^{1,1} on real 1-forms
-        pdbar11 = self._compose("partial", "dbar", 1, 1)
-        real11 = self.real_subspace(1, 1)
-        if pdbar11.rows:
-            ddc_kernel = linalg.kernel(linalg.realify(pdbar11))
-            num_real = linalg.intersect([ddc_kernel, real11])
-        else:
-            num_real = real11
-        # d^{1,1} on real 1-forms: (u', u'') -> partial u'' + dbar u'
-        dbar10 = cx.block("dbar", 1, 0)
-        partial01 = cx.block("partial", 0, 1)
-        d11 = ExactMatrix.hstack([dbar10, partial01])
-        real1 = self.real_one_forms()
-        den_real = linalg.map_subspace(linalg.realify(d11), real1)
-        h11_ddc_real = linalg.quotient_dim(num_real, den_real)
+        pure_potentials = self._kernel_of(["mu", "dbar"], ["mubar", "partial"], p=0, q=0)
+        pdbar = compose(self.block, ["partial", "dbar"], 0, 0)
+        h11_bc = linalg.quotient_dim(closed, linalg.map_subspace(pdbar, pure_potentials))
+        h11_ddc_real = linalg.quotient_dim(*self.real_ddc_parts())
         return {"h11_dR": h11_dr, "h11_BC": h11_bc, "h11_ddc_real": h11_ddc_real}
 
     def real_one_forms(self) -> Subspace:
@@ -285,10 +242,7 @@ class CohomologyEngine:
         c_01 = cx.conj_struct(0, 1)
         top = ExactMatrix.hstack([ExactMatrix(d10, d10), c_01])
         bottom = ExactMatrix.hstack([c_10, ExactMatrix(d01, d01)])
-        c_full = ExactMatrix.vstack([top, bottom])
-        total = d10 + d01
-        conj_real = linalg.realify(c_full) @ linalg.conjugation_flip(total)
-        return linalg.kernel(conj_real - ExactMatrix.identity(2 * total))
+        return linalg.kernel(self._real_constraint(ExactMatrix.vstack([top, bottom])))
 
 
 # -- diamonds ---------------------------------------------------------------------------

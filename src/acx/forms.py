@@ -206,10 +206,6 @@ class CoefficientModel:
             return self
         return CoefficientModel(self.kind, self.rank, self.actions, n)
 
-    @property
-    def zero_weight(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def with_sector(self, w: tuple[int, ...]) -> "CoefficientModel":
         """The model restricted to the weights {w, -w}, at the truncation of w."""
         return replace(self, truncation=max(map(abs, w)), sector=w)

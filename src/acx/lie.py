@@ -78,9 +78,6 @@ class LieAlgebraSpec:
         """Whether d e^index = 0, i.e. e_index never appears as a bracket target."""
         return all(k != index for (_, _, k, _) in self.brackets)
 
-    def is_abelian(self) -> bool:
-        return not self.brackets
-
 
 @dataclass(frozen=True)
 class AlmostComplexStructure:

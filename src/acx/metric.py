@@ -21,7 +21,7 @@ from .forms import BasisElement, Form
 from .lie import SHIFTS
 from .linalg import ExactMatrix
 from .operators import FormComplex
-from .scalars import I, ONE, ZERO, Scalar, integer
+from .scalars import ONE, ZERO, Scalar, integer
 
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 

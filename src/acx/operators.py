@@ -11,10 +11,9 @@ the Fourier weight, and conjugation negates it, so the symmetric truncation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
-from . import linalg
 from .forms import (
     BasisElement,
     CoefficientModel,
@@ -31,16 +30,33 @@ from .scalars import ZERO, Scalar
 DIFFERENTIALS = ("mu", "partial", "dbar", "mubar")
 
 
-@dataclass(frozen=True)
-class GradedOperator:
-    """A named family of exact blocks indexed by source bidegree."""
+def shift(name: str) -> tuple[int, int]:
+    """Bidegree shift of a differential, its adjoint `name*`, L or Lambda."""
+    if name == "L":
+        return (1, 1)
+    if name == "Lambda":
+        return (-1, -1)
+    if name.endswith("*"):
+        dp, dq = SHIFTS[name[:-1]]
+        return (-dp, -dq)
+    return SHIFTS[name]
 
-    name: str
-    shift: tuple[int, int]
-    blocks: dict
 
-    def block(self, p: int, q: int) -> ExactMatrix:
-        return self.blocks[(p, q)]
+def compose(block: Callable[[str, int, int], ExactMatrix], names, p: int, q: int) -> ExactMatrix:
+    """Matrix of names[0] . names[1] . ... . names[-1] on the (p,q) block.
+
+    block(name, p, q) is one operator's matrix from (p,q); the last name acts
+    first.  A chain that leaves the diamond has zero rows.
+    """
+    mat = None
+    for name in reversed(names):
+        step = block(name, p, q)
+        if step.rows == 0:
+            return ExactMatrix(0, step.cols if mat is None else mat.cols)
+        mat = step if mat is None else step @ mat
+        dp, dq = shift(name)
+        p, q = p + dp, q + dq
+    return mat
 
 
 class FormComplex:
@@ -145,6 +161,11 @@ class FormComplex:
         basis = self.basis(p, q)
         return Form({basis[i]: v for i, v in enumerate(vec) if v})
 
+    def from_realified(self, doubled, p: int, q: int) -> Form:
+        """The (p,q)-form whose coordinates have the (Re, Im) pairs of a realified vector."""
+        coords = [Scalar(doubled[2 * j].re, doubled[2 * j + 1].re) for j in range(self.dim(p, q))]
+        return self.from_vector(coords, p, q)
+
     # -- operators on forms -------------------------------------------------
 
     def _coeff_action(self, name: str):
@@ -204,13 +225,6 @@ class FormComplex:
             mat = ExactMatrix(self.dim(tp, tq), len(src), entries)
         self._block_cache[key] = mat
         return mat
-
-    def graded(self, name: str) -> GradedOperator:
-        blocks = {}
-        for p in range(self.n + 1):
-            for q in range(self.n + 1):
-                blocks[(p, q)] = self.block(name, p, q)
-        return GradedOperator(name, SHIFTS[name], blocks)
 
     def conj_struct(self, p: int, q: int) -> ExactMatrix:
         """C-linear part of conjugation: (p,q) -> (q,p), weight-negating.
@@ -326,14 +340,8 @@ class FormComplex:
             for p in range(self.n + 1):
                 for q in range(self.n + 1):
                     acc = None
-                    for outer, inner in terms:
-                        dpi, dqi = SHIFTS[inner]
-                        first = self.block(inner, p, q)
-                        mid_p, mid_q = p + dpi, q + dqi
-                        if not self.valid_bidegree(mid_p, mid_q):
-                            continue
-                        second = self.block(outer, mid_p, mid_q)
-                        prod = second @ first
+                    for chain in terms:
+                        prod = compose(self.block, chain, p, q)
                         if prod.rows == 0:
                             continue
                         acc = prod if acc is None else acc + prod

@@ -37,7 +37,7 @@ def test_manifest_roundtrip():
     assert again.as_dict() == spec.as_dict()
 
 
-def test_parse_errors():
+def test_parse_errors(tmp_path, capsys):
     with pytest.raises(ParseError):
         parse_manifest("/nonexistent/path.json")
     raw = kt4_raw()
@@ -52,6 +52,23 @@ def test_parse_errors():
     raw["tasks"] = ["explode"]
     with pytest.raises(ParseError):
         manifest_from_dict(raw)
+    # true is an int to Python but not a manifest integer: a ParseError naming the field, exit 2
+    for field in ("real_dim", "coefficients.rank", "coefficients.truncation", "brackets[0]"):
+        raw = kt4_raw()
+        if field == "brackets[0]":
+            raw["brackets"][0][0] = True
+        elif field == "real_dim":
+            raw["real_dim"] = True
+        else:
+            raw["coefficients"][field.split(".")[1]] = True
+        with pytest.raises(ParseError) as exc:
+            manifest_from_dict(raw)
+        assert exc.value.field == field
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["validate", str(path), "--format", "json"]) == 2
+        fatal = json.loads(capsys.readouterr().out)["fatal"]
+        assert fatal["type"] == "ParseError" and fatal["detail"].startswith(f"{field}:"), fatal
 
 
 def test_validation_error_names_invariant():

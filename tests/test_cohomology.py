@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from acx import linalg
 from acx.cli import Session, run
 from acx.cohomology import compute_diamond, diamond_numbers
 from acx.forms import BasisElement, Form
+from acx.lie import SHIFTS
 from acx.metric import Not4Manifold
+from acx.scalars import ONE, ZERO
+
+from conftest import random_4d_session
 
 # frozen regression baselines for the growing cells (derived by a per-weight
 # block analysis at N = 0 and locked to engine output afterwards)
@@ -271,3 +277,103 @@ def test_mu_dbar_intersection_example(kt4_session):
     space = linalg.intersect([eng.op_kernel("mu", 0, 1), eng.op_kernel("dbar", 0, 1)])
     assert space.dim == 1
     assert space.contains(cx.to_vector(Form.monomial(BasisElement((0, 0), (), (1,))), 0, 1))
+
+
+# -- differential oracle: the per-operator kernel intersections and the
+# unit-block extraction that the kernel-of-a-stack constructions replaced
+
+
+def _ref_kernel(m):
+    return linalg.kernel(m) if m.rows else linalg.full_space(m.cols)
+
+
+def _ref_product(cx, outer, inner, p, q):
+    """outer . inner on the (p,q) block, None when the chain leaves the diamond."""
+    dp, dq = SHIFTS[inner]
+    if not cx.valid_bidegree(p + dp, q + dq):
+        return None
+    second = cx.block(outer, p + dp, q + dq)
+    return second @ cx.block(inner, p, q) if second.rows else None
+
+
+def _ref_a_dol(eng, p, q):
+    cx = eng.complex
+    pieces = [_ref_kernel(cx.block("mu", p, q)), _ref_kernel(cx.block("mubar", p, q))]
+    for outer in ("dbar", "mu"):
+        m = _ref_product(cx, outer, "dbar", p, q)
+        if m is not None:
+            pieces.append(linalg.kernel(m))
+    return linalg.intersect(pieces) if cx.dim(p, q) else linalg.zero_space(0)
+
+
+def _ref_harmonic_space(eng, deltas, p, q):
+    cx = eng.complex
+    pieces = []
+    for name in deltas:
+        pieces.append(_ref_kernel(cx.block(name, p, q)))
+        adj = eng.hermitian.adjoint_block(name, p, q)
+        if adj.rows:
+            pieces.append(linalg.kernel(adj))
+    return linalg.intersect(pieces) if cx.dim(p, q) else linalg.zero_space(0)
+
+
+def _ref_exact_11(eng):
+    """image(d on 1-forms) ^ the unit vectors of the (1,1) block of 2-forms, in (1,1) coordinates."""
+    cx = eng.complex
+    lo, dim11, total = cx.total_offsets(2)[(1, 1)], cx.dim(1, 1), cx.total_dim(2)
+    units = [tuple(ONE if c == lo + i else ZERO for c in range(total)) for i in range(dim11)]
+    in_block = linalg.intersect([linalg.image(cx.d_total(1)), linalg.subspace_from_vectors(total, units)])
+    return linalg.subspace_from_vectors(dim11, (v[lo : lo + dim11] for v in in_block.basis))
+
+
+def _ref_real_ddc_numerator(eng):
+    cx = eng.complex
+    pdbar11 = _ref_product(cx, "partial", "dbar", 1, 1)
+    real11 = eng.real_subspace(1, 1)
+    if pdbar11 is None:
+        return real11
+    return linalg.intersect([linalg.kernel(linalg.realify(pdbar11)), real11])
+
+
+def _oracle_engines(request):
+    kt4 = request.getfixturevalue("kt4_session")
+    cases = [(f"kt4 N={n}", kt4.engine(n)) for n in (0, 1, 2)]
+    cases.append(("torus4", request.getfixturevalue("torus_session").engine()))
+    cases.append(("nil6", request.getfixturevalue("nil6_session").engine()))
+    rng = random.Random(4242)
+    cases.extend((f"random {k}", random_4d_session(rng).engine()) for k in range(4))
+    return cases
+
+
+def test_stacked_kernels_equal_kernel_intersections(request):
+    """A_Dol, the refined numerator, harmonic spaces, the d-exact (1,1) forms and
+    the real ddc numerator equal their old constructions as Subspaces."""
+    for label, eng in _oracle_engines(request):
+        cx = eng.complex
+        for p in range(eng.n + 1):
+            for q in range(eng.n + 1):
+                a_dol = _ref_a_dol(eng, p, q)
+                assert eng.a_dol(p, q) == a_dol, (label, p, q)
+                numerator = linalg.intersect([_ref_kernel(cx.block("dbar", p, q)), a_dol])
+                assert eng.refined_parts(p, q)[0] == numerator, (label, p, q)
+                for deltas in (("dbar", "mu"), ("partial",)):
+                    want = _ref_harmonic_space(eng, deltas, p, q)
+                    assert eng.harmonic_space(deltas, p, q) == want, (label, deltas, p, q)
+        assert eng.exact_11() == _ref_exact_11(eng), label
+        if eng.n == 2:
+            assert eng.real_ddc_parts()[0] == _ref_real_ddc_numerator(eng), label
+
+
+def test_oracle_cases_are_not_vacuous(request):
+    """The oracle above compares proper, nonzero subspaces somewhere on every model kind."""
+    engines = dict(_oracle_engines(request))
+    kt4 = engines["kt4 N=2"]
+    assert 0 < kt4.exact_11().dim < kt4.complex.dim(1, 1)
+    assert 0 < kt4.a_dol(0, 1).dim < kt4.complex.dim(0, 1)
+    assert 0 < kt4.refined_parts(2, 1)[0].dim < kt4.a_dol(2, 1).dim
+    assert 0 < kt4.harmonic_space(("dbar", "mu"), 1, 1).dim < kt4.complex.dim(1, 1)
+    assert 0 < kt4.real_ddc_parts()[0].dim < 2 * kt4.complex.dim(1, 1)
+    nil6 = engines["nil6"]
+    assert 0 < nil6.a_dol(1, 1).dim < nil6.complex.dim(1, 1)
+    assert 0 < nil6.refined_parts(2, 1)[0].dim < nil6.a_dol(2, 1).dim
+    assert all(eng.exact_11().dim for label, eng in engines.items() if label.startswith("random"))

@@ -6,7 +6,7 @@ import pytest
 from acx import linalg
 from acx.forms import BasisElement, CoefficientModel, Form, InconsistentModel
 from acx.lie import SHIFTS
-from acx.operators import FormComplex, block_at_weight
+from acx.operators import FormComplex, block_at_weight, compose, shift
 from acx.scalars import ONE, Scalar, ZERO
 
 
@@ -186,10 +186,32 @@ def test_mubar_image_on_invariant_10_forms(kt4_session):
     assert img.contains(target)
 
 
-def test_graded_operator_wrapper(kt4_session):
-    cx = kt4_session.complex(0)
-    op = cx.graded("mubar")
-    assert op.name == "mubar"
-    assert op.shift == (-1, 2)
-    assert op.block(1, 0) == cx.block("mubar", 1, 0)
-    assert set(op.blocks) == {(p, q) for p in range(3) for q in range(3)}
+def test_compose_equals_product_of_blocks(kt4_session):
+    cx = kt4_session.complex(1)
+    assert compose(cx.block, ["partial", "dbar"], 0, 0) == cx.block("partial", 0, 1) @ cx.block("dbar", 0, 0)
+    assert compose(cx.block, ["mubar", "mu"], 0, 1) == cx.block("mubar", 2, 0) @ cx.block("mu", 0, 1)
+    triple = cx.block("partial", 1, 1) @ cx.block("dbar", 1, 0) @ cx.block("partial", 0, 0)
+    assert compose(cx.block, ["partial", "dbar", "partial"], 0, 0) == triple
+    assert compose(cx.block, ["dbar"], 1, 0) == cx.block("dbar", 1, 0)
+
+
+def test_compose_leaving_the_diamond_has_zero_rows(kt4_session):
+    cx = kt4_session.complex(1)
+    # mubar takes (1,0) to (0,2); a second mubar would land in (-1,4)
+    out = compose(cx.block, ["mubar", "mubar"], 1, 0)
+    assert (out.rows, out.cols) == (0, cx.dim(1, 0))
+    # leaving at the first step gives the same shape
+    out = compose(cx.block, ["partial", "mu"], 2, 1)
+    assert (out.rows, out.cols) == (0, cx.dim(2, 1))
+
+
+def test_compose_shifts_of_adjoints_and_lefschetz(kt4_session):
+    eng = kt4_session.engine(1)
+    h, cx = eng.hermitian, eng.complex
+    assert shift("dbar*") == (0, -1) and shift("mubar*") == (1, -2)
+    assert shift("L") == (1, 1) and shift("Lambda") == (-1, -1)
+    assert compose(eng.block, ["L", "Lambda"], 1, 1) == h.lefschetz_block(0, 0) @ h.lambda_block(1, 1)
+    assert compose(eng.block, ["Lambda", "L"], 1, 1) == h.lambda_block(2, 2) @ h.lefschetz_block(1, 1)
+    assert compose(eng.block, ["dbar", "dbar*"], 1, 1) == cx.block("dbar", 1, 0) @ h.adjoint_block("dbar", 1, 1)
+    assert compose(eng.block, ["dbar*", "dbar"], 1, 1) == h.adjoint_block("dbar", 1, 2) @ cx.block("dbar", 1, 1)
+    assert compose(eng.block, ["L", "mubar*"], 0, 2) == h.lefschetz_block(1, 0) @ h.adjoint_block("mubar", 0, 2)
