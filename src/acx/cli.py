@@ -414,6 +414,9 @@ def check_flags(session: Session, flags: dict) -> dict:
         out["truncations"] = [_natural(x) for x in str(flags["truncations"]).split(",")]
         if None in out["truncations"]:
             raise ValidationError("Truncations", f"{flags['truncations']!r} is not a list of nonnegative integers")
+        # witness detection reads the columns as a growing sequence of truncations
+        if any(a >= b for a, b in zip(out["truncations"], out["truncations"][1:])):
+            raise ValidationError("Truncations", f"{flags['truncations']!r} is not strictly increasing")
     if flags.get("bidegree") is not None:
         cell = [_natural(x) for x in str(flags["bidegree"]).split(",")]
         n = session.frame.n

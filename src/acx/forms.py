@@ -266,15 +266,31 @@ def extend_derivation(
     gen_action maps ('h', s) and ('a', s) to the image of theta^s and
     tbar^s; coeff_action(w) is the image of the weight-w mode (None for the
     zero-order operators).  The graded Leibniz rule fixes everything else.
+    Each image monomial is placed between the generator's neighbours by
+    wedge_elements and its coefficient multiplied by the form's once.
     """
-    out = Form()
+    out: dict[BasisElement, Scalar] = {}
+
+    def add(elt: BasisElement, val: Scalar) -> None:
+        s = out.get(elt)
+        if s is None:
+            out[elt] = val
+        else:
+            s = s + val
+            if s:
+                out[elt] = s
+            else:
+                del out[elt]
+
     for elt, c in form.coeffs.items():
         w, holo, anti = elt
+        zero = (0,) * len(w)
         if coeff_action is not None and any(w):
-            df = coeff_action(w)
-            if df:
-                rest = Form.monomial(BasisElement(tuple(0 for _ in w), holo, anti))
-                out = out + df.wedge(rest).scale(c)
+            rest = BasisElement(zero, holo, anti)
+            for e, v in coeff_action(w).coeffs.items():
+                sign, placed = wedge_elements(e, rest)
+                if sign:
+                    add(placed, v * c if sign == 1 else -(v * c))
         gens = [("h", s) for s in holo] + [("a", s) for s in anti]
         for t, g in enumerate(gens):
             action = gen_action.get(g)
@@ -282,12 +298,17 @@ def extend_derivation(
                 continue
             if t < len(holo):
                 prefix = BasisElement(w, holo[:t], ())
-                suffix = BasisElement(tuple(0 for _ in w), holo[t + 1 :], anti)
+                suffix = BasisElement(zero, holo[t + 1 :], anti)
             else:
                 j = t - len(holo)
                 prefix = BasisElement(w, holo, anti[:j])
-                suffix = BasisElement(tuple(0 for _ in w), (), anti[j + 1 :])
-            sign = -1 if t % 2 else 1
-            term = Form.monomial(prefix).wedge(action).wedge(Form.monomial(suffix))
-            out = out + term.scale(c if sign == 1 else -c)
-    return out
+                suffix = BasisElement(zero, (), anti[j + 1 :])
+            parity = -1 if t % 2 else 1
+            for e, v in action.coeffs.items():
+                s1, left = wedge_elements(prefix, e)
+                if not s1:
+                    continue
+                s2, placed = wedge_elements(left, suffix)
+                if s2:
+                    add(placed, v * c if parity * s1 * s2 == 1 else -(v * c))
+    return Form(out)

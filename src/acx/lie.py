@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
@@ -210,26 +211,41 @@ def _pair_monomial(n: int, a: int, b: int) -> BasisElement:
 
 
 def exterior_d_on_generators(frame: ComplexFrame) -> dict[tuple[str, int], Form]:
-    """d(theta^s) and d(tbar^s) as invariant 2-forms in the complex coframe."""
+    """d(theta^s) and d(tbar^s) as invariant 2-forms in the complex coframe.
+
+    The derivation is done once per frame (equal frames share it); every
+    call returns a fresh dict of fresh Forms, so callers may change theirs.
+    """
+    return {gen: Form(dict(items)) for gen, items in _structure_equations(frame)}
+
+
+@lru_cache(maxsize=16)
+def _structure_equations(frame: ComplexFrame) -> tuple[tuple[tuple[str, int], tuple], ...]:
+    """(generator, ((monomial, coefficient), ...)) of d on every coframe generator.
+
+    d(phi)(W_a, W_b) = -phi([W_a, W_b]): each bracket of a pair a < b of
+    complex frame vectors is computed once and paired with all 2n covectors.
+    """
     n = frame.n
     dim = 2 * n
     vectors = [frame.complex_frame_vector(a) for a in range(dim)]
-    out: dict[tuple[str, int], Form] = {}
-    for kind in ("h", "a"):
-        for s in range(1, n + 1):
-            cov = frame.covector(kind, s)
-            coeffs: dict[BasisElement, Scalar] = {}
-            for a in range(dim):
-                for b in range(a + 1, dim):
-                    bracket = frame.algebra.bracket_complex(vectors[a], vectors[b])
-                    val = ZERO
-                    for coord, x in zip(cov, bracket):
-                        if coord and x:
-                            val = val + coord * x
-                    if val:
-                        coeffs[_pair_monomial(n, a, b)] = -val
-            out[(kind, s)] = Form(coeffs)
-    return out
+    gens = [(kind, s) for kind in ("h", "a") for s in range(1, n + 1)]
+    covectors = [frame.covector(kind, s) for kind, s in gens]
+    terms: list[list] = [[] for _ in gens]
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            bracket = frame.algebra.bracket_complex(vectors[a], vectors[b])
+            if not any(bracket):
+                continue
+            mono = _pair_monomial(n, a, b)
+            for cov, out in zip(covectors, terms):
+                val = ZERO
+                for coord, x in zip(cov, bracket):
+                    if coord and x:
+                        val = val + coord * x
+                if val:
+                    out.append((mono, -val))
+    return tuple((gen, tuple(out)) for gen, out in zip(gens, terms))
 
 
 def split_d(differentials: dict[tuple[str, int], Form]) -> dict[str, dict[tuple[str, int], Form]]:

@@ -183,6 +183,9 @@ def test_report_determinism(kt4_session):
         ["--bidegree", "3,0"],
         ["--psi", "basis:-1"],
         ["--psi", "basis:x"],
+        ["--truncations", "3,2,1,0"],
+        ["--truncations", "1,1"],
+        ["--truncations", "0,2,1"],
     ],
 )
 def test_bad_flags_are_fatal(flags, capsys):

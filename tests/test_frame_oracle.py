@@ -1,0 +1,188 @@
+"""Differential oracles for the frame-calculus layer.
+
+The structure equations are derived once per frame and derivations are
+extended monomial by monomial; the references below are the direct
+constructions: one bracket per (covector, pair) and Form arithmetic for each
+Leibniz term.  Both must give equal Forms on every case.
+"""
+
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from acx import lie
+from acx.cli import Session, manifest_from_dict
+from acx.forms import BasisElement, Form, extend_derivation
+from acx.lie import (
+    LieAlgebraSpec,
+    build_frame,
+    exterior_d_on_generators,
+    nijenhuis_rank,
+    validate_model,
+)
+from acx.operators import FormComplex
+from acx.scalars import ZERO, Scalar
+
+from conftest import random_4d_session
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+OPERATORS = ("mu", "partial", "dbar", "mubar", "d")
+
+
+def reference_exterior_d(frame):
+    """d(theta^s) and d(tbar^s), one bracket per covector and pair."""
+    n = frame.n
+    dim = 2 * n
+    vectors = [frame.complex_frame_vector(a) for a in range(dim)]
+    out = {}
+    for kind in ("h", "a"):
+        for s in range(1, n + 1):
+            cov = frame.covector(kind, s)
+            coeffs = {}
+            for a in range(dim):
+                for b in range(a + 1, dim):
+                    bracket = frame.algebra.bracket_complex(vectors[a], vectors[b])
+                    val = ZERO
+                    for coord, x in zip(cov, bracket):
+                        if coord and x:
+                            val = val + coord * x
+                    if val:
+                        coeffs[lie._pair_monomial(n, a, b)] = -val
+            out[(kind, s)] = Form(coeffs)
+    return out
+
+
+def reference_extend_derivation(gen_action, coeff_action, form):
+    """The graded Leibniz rule in Form arithmetic, one wedge of Forms per term."""
+    out = Form()
+    for elt, c in form.coeffs.items():
+        w, holo, anti = elt
+        if coeff_action is not None and any(w):
+            df = coeff_action(w)
+            if df:
+                rest = Form.monomial(BasisElement(tuple(0 for _ in w), holo, anti))
+                out = out + df.wedge(rest).scale(c)
+        gens = [("h", s) for s in holo] + [("a", s) for s in anti]
+        for t, g in enumerate(gens):
+            action = gen_action.get(g)
+            if not action:
+                continue
+            if t < len(holo):
+                prefix = BasisElement(w, holo[:t], ())
+                suffix = BasisElement(tuple(0 for _ in w), holo[t + 1 :], anti)
+            else:
+                j = t - len(holo)
+                prefix = BasisElement(w, holo, anti[:j])
+                suffix = BasisElement(tuple(0 for _ in w), (), anti[j + 1 :])
+            sign = -1 if t % 2 else 1
+            term = Form.monomial(prefix).wedge(action).wedge(Form.monomial(suffix))
+            out = out + term.scale(c if sign == 1 else -c)
+    return out
+
+
+def _random_scalar(rng):
+    return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+
+def _random_combination(rng, basis):
+    picks = rng.sample(basis, min(len(basis), 4))
+    return Form({e: _random_scalar(rng) for e in picks})
+
+
+def _sweep_six_dim_sessions(seed):
+    spec = importlib.util.spec_from_file_location("bench_models", BENCH / "models.py")
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    manifests = models.sweep_manifests(seed, 3, 2)
+    return [Session(manifest_from_dict(m)) for m in manifests if m["real_dim"] == 6]
+
+
+def _compare_complex(cx, rng):
+    """Compare every operator on every basis monomial and a few random combinations; count nonzero images."""
+    nonzero = 0
+    for name in OPERATORS:
+        action, coeff_action = cx._gen_action[name], cx._coeff_action(name)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                basis = list(cx.basis(p, q))
+                forms = [Form.monomial(e) for e in basis]
+                forms += [_random_combination(rng, basis) for _ in range(3)] if basis else []
+                for form in forms:
+                    got = extend_derivation(action, coeff_action, form)
+                    assert got == reference_extend_derivation(action, coeff_action, form), (name, p, q, form)
+                    nonzero += not got.is_zero()
+    return nonzero
+
+
+def _oracle_sessions(kt4_session, torus_session, nil6_session, kodaira_session):
+    rng = random.Random(4242)
+    cases = [("kt4 N=%d" % n, kt4_session.complex(n)) for n in (0, 1, 2)]
+    cases += [("torus4", torus_session.complex()), ("nil6", nil6_session.complex()), ("kodaira", kodaira_session.complex())]
+    cases += [(f"random4d-{k}", random_4d_session(rng).complex()) for k in range(4)]
+    cases += [(f"sweep6d-{k}", s.complex()) for k, s in enumerate(_sweep_six_dim_sessions(0))]
+    return cases
+
+
+def test_structure_equations_match_reference(kt4_session, torus_session, nil6_session, kodaira_session):
+    cases = _oracle_sessions(kt4_session, torus_session, nil6_session, kodaira_session)
+    assert len(cases) == 13
+    nonzero = 0
+    for label, cx in cases:
+        got = exterior_d_on_generators(cx.frame)
+        want = reference_exterior_d(cx.frame)
+        assert got == want, label
+        nonzero += sum(not f.is_zero() for f in got.values())
+    assert nonzero > 0
+
+
+def test_extend_derivation_matches_reference(kt4_session, torus_session, nil6_session, kodaira_session):
+    rng = random.Random(7)
+    for label, cx in _oracle_sessions(kt4_session, torus_session, nil6_session, kodaira_session):
+        nonzero = _compare_complex(cx, rng)
+        # the abelian torus is the one model where every operator vanishes
+        assert (nonzero > 0) == (label != "torus4"), label
+
+
+def test_oracle_runs_the_coefficient_action(kt4_session):
+    """kt4 at N >= 1 has weighted monomials on which partial and dbar act through their coefficients."""
+    cx = kt4_session.complex(1)
+    weighted = [e for e in cx.basis(0, 0) if any(e.weight)]
+    assert weighted
+    act = cx._coeff_action("dbar")
+    assert any(not act(e.weight).is_zero() for e in weighted)
+    # on functions only the coefficient action contributes, so d of one is nonzero
+    f = Form.monomial(weighted[0])
+    assert not extend_derivation(cx._gen_action["d"], cx._coeff_action("d"), f).is_zero()
+
+
+def test_structure_equations_are_derived_once_per_frame(nil6_session, monkeypatch):
+    calls = []
+    bracket = LieAlgebraSpec.bracket_complex
+
+    def counting_bracket(self, x, y):
+        calls.append(1)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(LieAlgebraSpec, "bracket_complex", counting_bracket)
+    spec = nil6_session.spec
+    lie._structure_equations.cache_clear()
+    frame = build_frame(spec.algebra, spec.structure)
+    first = exterior_d_on_generators(frame)
+    dim = spec.algebra.dim
+    assert len(calls) == dim * (dim - 1) // 2
+    snapshot = {g: dict(f.coeffs) for g, f in first.items()}
+    # what a caller does to its copy must not reach the next caller
+    first[("h", 1)].coeffs.clear()
+    next(f for f in first.values() if f.coeffs).coeffs.clear()
+    first.pop(("a", 1))
+    calls.clear()
+    equal_frame = build_frame(spec.algebra, spec.structure)
+    assert equal_frame is not frame
+    assert validate_model(spec.algebra, spec.structure).passed
+    assert nijenhuis_rank(equal_frame) == 3
+    FormComplex(equal_frame, spec.coefficients)
+    again = exterior_d_on_generators(equal_frame)
+    assert not calls
+    assert {g: dict(f.coeffs) for g, f in again.items()} == snapshot
+

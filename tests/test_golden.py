@@ -1,0 +1,43 @@
+"""Byte identity of machine output: the benchmark's recorded digests and frozen reports.
+
+JSON output minus its `timing` field is deterministic; these tests pin it
+against bench/digests.json (through the benchmark's own checks) and against
+the report files under tests/golden/.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from acx import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_bench_jobs_match_recorded_digests(tmp_path, monkeypatch):
+    # import the benchmark's own modules without writing bytecode next to them
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    worker = importlib.import_module("worker")
+    for workload in workloads.WORKLOADS:
+        plan = workloads.prepare(workload, workloads.DEFAULT_SEED, ROOT, tmp_path)
+        raw, _ = worker._run_jobs(cli.main, plan["jobs"])
+        results = worker._finish(raw)
+        digests = workloads.expected_digests(workload, workloads.DEFAULT_SEED)
+        assert digests is not None and len(digests) == len(results)
+        for result, digest in zip(results, digests):
+            assert workloads.check_job(workload, result, digest) == [], (workload, result.get("payload", {}).get("command"))
+
+
+@pytest.mark.parametrize("name", ["torus4", "nil6"])
+def test_report_matches_golden(name, capsys):
+    code = cli.main(["report", cli.bundled_manifest_path(name), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    payload.pop("timing")
+    assert cli.render_json(payload) == (GOLDEN / f"report_{name}.json").read_text(encoding="utf-8")

@@ -48,6 +48,16 @@ def test_identity_suite_runs_once_per_complex(kt4_session, monkeypatch):
     assert not products
 
 
+def test_reconstruction_identity_fails_on_a_corrupted_d(kodaira_session):
+    """d applied to monomials is checked against the assembled component blocks, so a wrong d shows."""
+    cx = FormComplex(kodaira_session.frame, kodaira_session.spec.coefficients)
+    # d(theta^1) gains theta^1 ^ theta^2, which survives on every monomial holding theta^1 but not theta^2
+    cx._gen_action["d"][("h", 1)] = cx._gen_action["d"][("h", 1)] + Form.monomial(BasisElement((), (1, 2), ()))
+    failures = {entry["identity"]: entry["failures"] for entry in cx.identity_suite()}
+    assert failures.pop("d=mu+partial+dbar+mubar") == [(1, 0), (1, 1), (1, 2)]
+    assert not any(failures.values())
+
+
 def test_operator_blocks_respect_shifts(kt4_session):
     cx = kt4_session.complex(1)
     for name, (dp, dq) in SHIFTS.items():
