@@ -406,23 +406,37 @@ def audit_generalized_ddbar(engine: CohomologyEngine) -> list[AuditItem]:
 # taming pipeline
 
 
-def _correction(cx: FormComplex, u: Form) -> Form:
-    ubar = u.conjugate()
-    return (
-        cx.apply("dbar", u)
-        + cx.apply("partial", ubar)
-        + cx.apply("mu", u)
-        + cx.apply("mubar", ubar)
-    )
+def _correct(engine: CohomologyEngine, psi: ExactMatrix, reverse_pivots: bool = False):
+    """Correct the real (1,1)-forms in the columns of psi (realified) towards d-closed 2-forms.
+
+    omega' = psi + K02 u + K20 u is d-closed iff its (1,2) part dbar psi +
+    S u vanishes (its (2,1) part is the conjugate).  Returns the realified
+    (0,1)-forms u, one per column, and the corrected forms stacked in
+    total-degree-2 order [(0,2); (1,1); (2,0)].  Raises NoSolution with the
+    obstruction functional of the first inconsistent column.
+    """
+    k02, k20, system = engine.correction_map()
+    rhs = -(linalg.realify(engine.complex.block("dbar", 1, 1)) @ psi)
+    targets = [tuple(rhs.entry(r, j) for r in range(rhs.rows)) for j in range(rhs.cols)]
+    solutions = linalg.solve_many(system, targets, reverse_pivots)
+    for sol, target in zip(solutions, targets):
+        if sol is None:
+            raise NoSolution("closedness correction equation is inconsistent", _obstruction_functional(system, target))
+    u = ExactMatrix.from_rows(solutions, system.cols).transpose()
+    return solutions, ExactMatrix.vstack([k02 @ u, psi, k20 @ u])
 
 
-def _closedness_system(cx: FormComplex) -> ExactMatrix:
-    """Realified matrix of u -> (1,2)-component of d(correction(u))."""
+def _closed(cx: FormComplex, omega: ExactMatrix) -> bool:
+    """d of every realified degree-2 form in the columns of omega is exactly zero."""
+    return (linalg.realify(cx.d_total(2)) @ omega).is_zero()
 
-    linear = compose(cx.block, ["partial", "dbar"], 0, 1) + compose(cx.block, ["mubar", "mu"], 0, 1)
-    conjugated = compose(cx.block, ["mubar", "partial"], 1, 0) + compose(cx.block, ["partial", "mubar"], 1, 0)
-    c01 = cx.conj_struct(0, 1)
-    return linalg.realify(linear) + linalg.realify(conjugated @ c01) @ linalg.conjugation_flip(cx.dim(0, 1))
+
+def _total_form(cx: FormComplex, vec, r: int) -> Form:
+    """The degree-r form with realified total-degree coordinates vec."""
+    form = Form()
+    for (p, q), off in cx.total_offsets(r).items():
+        form = form + cx.from_realified(vec[2 * off :], p, q)
+    return form
 
 
 def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
@@ -440,31 +454,19 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
         raise ValueError("the input form must be pure (1,1)")
     if psi.conjugate() != psi:
         raise ValueError("the input form must be real")
-    ddbar_psi = cx.apply("partial", cx.apply("dbar", psi))
-    if not ddbar_psi.is_zero():
+    coords = cx.to_vector(psi, 1, 1)
+    if any(compose(cx.block, ["partial", "dbar"], 1, 1).apply(coords)):
         raise NotDdcClosed("del delbar psi != 0")
     ht10 = engine.refined_dolbeault(1, 0)
     ht01 = engine.refined_dolbeault(0, 1)
     hypothesis = {"ht10": ht10, "ht01": ht01, "equal": ht10 == ht01}
 
-    system = _closedness_system(cx)
-    dbar_psi = cx.apply("dbar", psi)
-    rhs_vec = cx.to_vector(dbar_psi, 1, 2)
-    target = linalg.realify_vector(tuple(-v for v in rhs_vec))
-    solution = linalg.solve(system, target)
-    if solution is None:
-        obstruction = _obstruction_functional(system, target)
-        raise NoSolution("closedness correction equation is inconsistent", obstruction)
-    u = cx.from_realified(solution, 0, 1)
-    correction = _correction(cx, u)
-    omega_prime = psi + correction
-    residual = cx.apply("d", omega_prime)
-    closed = residual.is_zero()
+    column = ExactMatrix.from_rows([linalg.realify_vector(coords)]).transpose()
+    (solution,), omega = _correct(engine, column)
+    omega_prime = _total_form(cx, [omega.entry(r, 0) for r in range(omega.rows)], 2)
     # well-definedness: a second solve under the reversed pivot order must
     # produce the same corrected form even when u itself differs
-    alt = linalg.solve(system, target, reverse_pivots=True)
-    u_alt = cx.from_realified(alt, 0, 1)
-    well_defined = (psi + _correction(cx, u_alt)) == omega_prime
+    _, alt = _correct(engine, column, reverse_pivots=True)
     try:
         evidence = check_nondegenerate(engine, omega_prime)
     except DegenerateAtSample as exc:
@@ -472,10 +474,10 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
         evidence = {"kind": "degenerate", "sample_point": [str(x) for x in exc.point]}
     return TamingCertificate(
         psi=psi,
-        u=u,
+        u=cx.from_realified(solution, 0, 1),
         omega_prime=omega_prime,
-        closed=closed,
-        well_defined=well_defined,
+        closed=_closed(cx, omega),
+        well_defined=alt == omega,
         nondegeneracy=evidence,
         hypothesis=hypothesis,
     )
@@ -631,48 +633,17 @@ def audit_ddc_descent(engine: CohomologyEngine) -> list[AuditItem]:
     if num_real.dim == 0:
         return [AuditItem("ddc-descent-injective", "pass", {"note": "empty source"})]
 
-    # one elimination for every basis form: batch the correction solves
-    system = _closedness_system(cx)
-    psis = [cx.from_realified(v, 1, 1) for v in num_real.basis]
-    targets = []
-    for psi in psis:
-        rhs_vec = cx.to_vector(cx.apply("dbar", psi), 1, 2)
-        targets.append(linalg.realify_vector(tuple(-v for v in rhs_vec)))
-    solutions = linalg.solve_many(system, targets)
-    corrected_columns = []
-    for psi, sol in zip(psis, solutions):
-        if sol is None:
-            return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction equation obstructed"})]
-        u = cx.from_realified(sol, 0, 1)
-        omega_prime = psi + _correction(cx, u)
-        if not cx.apply("d", omega_prime).is_zero():
-            return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction not closed"})]
-        total = cx.total_form_vector(omega_prime, 2)
-        corrected_columns.append(linalg.realify_vector(total))
-    s_matrix = ExactMatrix(
-        len(corrected_columns[0]),
-        len(corrected_columns),
-        {
-            (r, c): v
-            for c, col in enumerate(corrected_columns)
-            for r, v in enumerate(col)
-            if v
-        },
-    )
+    psi = ExactMatrix.from_rows(num_real.basis).transpose()
+    try:
+        _, corrected = _correct(engine, psi)
+    except NoSolution:
+        return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction equation obstructed"})]
+    if not _closed(cx, corrected):
+        return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction not closed"})]
     exact2 = linalg.image(linalg.realify(cx.d_total(1)))
-    kernel_of_class_map = linalg.preimage(s_matrix, exact2)
+    kernel_of_class_map = linalg.preimage(corrected, exact2)
     # coefficient vectors landing in the image of d^{1,1} on real one-forms
-    p_matrix = ExactMatrix(
-        num_real.ambient_dim,
-        num_real.dim,
-        {
-            (r, c): v
-            for c, col in enumerate(num_real.basis)
-            for r, v in enumerate(col)
-            if v
-        },
-    )
-    expected_kernel = linalg.preimage(p_matrix, den_real)
+    expected_kernel = linalg.preimage(psi, den_real)
     ok = kernel_of_class_map == expected_kernel
     return [
         AuditItem(

@@ -201,9 +201,13 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
             if not (isinstance(row, list) and len(row) == rank):
                 raise ParseError(f"coefficients.actions[{r}]", f"expected {rank} entries")
             try:
-                actions.append(tuple(parse_scalar(str(x)) for x in row))
+                parsed = tuple(parse_scalar(str(x)) for x in row)
             except ValueError as exc:
                 raise ParseError(f"coefficients.actions[{r}]", str(exc)) from None
+            # a frame vector acts on e^{2 pi i w.t} by 2 pi i (row . w): the row must be real
+            if not all(x.is_real() for x in parsed):
+                raise ParseError(f"coefficients.actions[{r}]", "entries must be rationals")
+            actions.append(parsed)
         truncation = coeff_raw.get("truncation", 0)
         if not _is_int(truncation) or truncation < 0:
             raise ParseError("coefficients.truncation", "a nonnegative integer is required")

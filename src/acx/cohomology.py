@@ -31,6 +31,7 @@ class CohomologyEngine:
         self.n = complex_.n
         self._adol_cache: dict[tuple[int, int], Subspace] = {}
         self._real_ddc: tuple[Subspace, Subspace] | None = None
+        self._correction: tuple[ExactMatrix, ExactMatrix, ExactMatrix] | None = None
 
     # -- generic block subspaces ------------------------------------------------
 
@@ -219,6 +220,25 @@ class CohomologyEngine:
             denominator = linalg.map_subspace(linalg.realify(self._d11()), self.real_one_forms())
             self._real_ddc = (numerator, denominator)
         return self._real_ddc
+
+    def correction_map(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+        """The taming correction u -> dbar u + partial ubar + mu u + mubar ubar, built once.
+
+        Returns (K02, K20, S) on realified (0,1)-forms u.  K02 and K20 give
+        the (0,2) and (2,0) parts of the correction; ubar = C01 . conj(u), so
+        each ubar term is realify(op @ C01) @ flip.  S is the closedness
+        system, the (1,2) rows of d . K: partial on the (0,2) part plus mubar
+        on the (2,0) part.
+        """
+        if self._correction is None:
+            cx = self.complex
+            c01 = cx.conj_struct(0, 1)
+            flip = linalg.conjugation_flip(cx.dim(0, 1))
+            k02 = linalg.realify(cx.block("dbar", 0, 1)) + linalg.realify(cx.block("mubar", 1, 0) @ c01) @ flip
+            k20 = linalg.realify(cx.block("mu", 0, 1)) + linalg.realify(cx.block("partial", 1, 0) @ c01) @ flip
+            system = linalg.realify(cx.block("partial", 0, 2)) @ k02 + linalg.realify(cx.block("mubar", 2, 0)) @ k20
+            self._correction = (k02, k20, system)
+        return self._correction
 
     def special_11_quotients(self) -> dict:
         """The de Rham, del-delbar-potential and ddc quotients in bidegree (1,1)."""

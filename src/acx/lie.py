@@ -341,8 +341,12 @@ class ValidationReport:
         }
 
 
+@lru_cache(maxsize=16)
 def validate_model(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> ValidationReport:
-    """Report antisymmetry, Jacobi (as d*d = 0 on generators) and J^2 = -1."""
+    """Report antisymmetry, Jacobi (as d*d = 0 on generators) and J^2 = -1.
+
+    The checks run once per model (equal arguments share the immutable report).
+    """
     checks = []
     # antisymmetry holds by construction of the bracket table; re-verify anyway
     table = spec.bracket_table()

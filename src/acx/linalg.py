@@ -468,15 +468,18 @@ def preimage(m: ExactMatrix, w: Subspace) -> Subspace:
     return subspace_from_vectors(m.cols, (v[: m.cols] for v in combo.basis))
 
 
-def solve_many(m: ExactMatrix, rhs_list: Sequence[Sequence[Scalar]]):
+def solve_many(m: ExactMatrix, rhs_list: Sequence[Sequence[Scalar]], reverse_pivots: bool = False):
     """Particular solutions of m x = b for many right-hand sides at once.
 
     One elimination pass over the jointly augmented matrix; returns a list
     with None for the inconsistent right-hand sides.  Free variables are set
-    to zero, as in solve.
+    to zero, so each solution is deterministic; reverse_pivots scans the
+    columns of m in reverse order, which generally gives a different
+    representative when the kernel is nonzero.
     """
     k = len(rhs_list)
-    entries = dict(m.entries)
+    last = m.cols - 1
+    entries = {(r, last - c): v for (r, c), v in m.entries.items()} if reverse_pivots else dict(m.entries)
     for j, b in enumerate(rhs_list):
         if len(b) != m.rows:
             raise ValueError("right-hand side length mismatch")
@@ -499,33 +502,10 @@ def solve_many(m: ExactMatrix, rhs_list: Sequence[Sequence[Scalar]]):
             v = reduced[i].get(m.cols + j)
             if v:
                 x[p] = v
-        out.append(tuple(x))
+        out.append(tuple(reversed(x)) if reverse_pivots else tuple(x))
     return out
 
 
 def solve(m: ExactMatrix, b: Sequence[Scalar], reverse_pivots: bool = False):
-    """Some x with m x = b, or None when b is outside the image.
-
-    Free variables are set to zero, so the particular solution is
-    deterministic; reverse_pivots flips the column scan order and generally
-    produces a different representative when the kernel is nonzero.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    cols = m.cols
-    perm = list(range(cols - 1, -1, -1)) if reverse_pivots else list(range(cols))
-    inv_perm = [0] * cols
-    for newc, oldc in enumerate(perm):
-        inv_perm[oldc] = newc
-    entries = {(r, inv_perm[c]): v for (r, c), v in m.entries.items()}
-    for r, val in enumerate(b):
-        if val:
-            entries[(r, cols)] = val
-    aug = ExactMatrix(m.rows, cols + 1, entries)
-    pivots, red = rref(aug)
-    x = [ZERO] * cols
-    for i, p in enumerate(pivots):
-        if p == cols:
-            return None
-        x[p] = red[i].get(cols, ZERO)
-    return tuple(x[inv_perm[c]] for c in range(cols))
+    """Some x with m x = b, or None when b is outside the image: solve_many on one column."""
+    return solve_many(m, [b], reverse_pivots)[0]

@@ -85,14 +85,9 @@ def _invert(rows) -> list[list[Scalar]]:
             if rows[r][c]:
                 entries[(r, c)] = rows[r][c]
     m = ExactMatrix(n, n, entries)
-    cols = []
-    for j in range(n):
-        unit = [ZERO] * n
-        unit[j] = ONE
-        sol = linalg.solve(m, unit)
-        if sol is None:
-            raise NotPositive("metric matrix is singular")
-        cols.append(sol)
+    cols = linalg.solve_many(m, [[ONE if i == j else ZERO for i in range(n)] for j in range(n)])
+    if None in cols:
+        raise NotPositive("metric matrix is singular")
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -199,7 +194,7 @@ class PointwiseMetric:
                     w_entries[(ip, ib)] = coeff
         w = ExactMatrix(len(probe), len(tgt), w_entries)
         vol = Scalar(self.vol_coeff.re, self.vol_coeff.im)
-        cols = []
+        rhs_list = []
         for (sh, sa) in src:
             conj_form = Form.monomial(BasisElement((), sh, sa)).conjugate()
             ((celt, ccoeff),) = list(conj_form.coeffs.items())
@@ -207,10 +202,10 @@ class PointwiseMetric:
             for (ph, pa) in probe:
                 g = gram_qp[probe_index[(ph, pa)]][probe_index[(celt.holo, celt.anti)]]
                 rhs.append(g * ccoeff.conj() * vol)
-            sol = linalg.solve(w, rhs)
-            if sol is None:
-                raise NotPositive("wedge pairing is degenerate")
-            cols.append(sol)
+            rhs_list.append(rhs)
+        cols = linalg.solve_many(w, rhs_list)
+        if None in cols:
+            raise NotPositive("wedge pairing is degenerate")
         entries = {}
         for c, col in enumerate(cols):
             for r, v in enumerate(col):

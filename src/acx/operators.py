@@ -294,16 +294,6 @@ class FormComplex:
                     entries[(rr + to, cc + so)] = v
         return ExactMatrix(self.total_dim(r + 1), self.total_dim(r), entries)
 
-    def total_form_vector(self, form: Form, r: int):
-        off = self.total_offsets(r)
-        out = [ZERO] * self.total_dim(r)
-        for e, c in form.coeffs.items():
-            p, q = e.bidegree
-            if p + q != r:
-                raise ValueError("form is not homogeneous of the requested degree")
-            out[off[(p, q)] + self.index(p, q)[e]] = c
-        return tuple(out)
-
     # -- identity suite ---------------------------------------------------------
 
     def identity_suite(self) -> list[dict]:

@@ -255,10 +255,9 @@ def test_taming_well_definedness_two_pivot_orders(kt4_session):
     """The kernel of the correction system is nontrivial, yet both pivot
     orders give the same corrected form."""
     from acx import linalg
-    from acx.audits import _closedness_system
 
     eng = kt4_session.engine(0)
-    system = _closedness_system(eng.complex)
+    system = eng.correction_map()[2]
     assert linalg.kernel(system).dim > 0
     psi = psi_from_selector(kt4_session, 0, "perturbed")
     cert = solve_taming(eng, psi)

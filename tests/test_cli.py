@@ -69,6 +69,35 @@ def test_parse_errors(tmp_path, capsys):
         assert main(["validate", str(path), "--format", "json"]) == 2
         fatal = json.loads(capsys.readouterr().out)["fatal"]
         assert fatal["type"] == "ParseError" and fatal["detail"].startswith(f"{field}:"), fatal
+    # a frame vector acts on Fourier modes through a rational row; "i" would break d(conj f) = conj(d f)
+    raw = kt4_raw()
+    raw["coefficients"]["actions"][0] = ["i", "0"]
+    with pytest.raises(ParseError) as exc:
+        manifest_from_dict(raw)
+    assert exc.value.field == "coefficients.actions[0]"
+    path = tmp_path / "imaginary_action.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", str(path), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["fatal"]["detail"].startswith("coefficients.actions[0]:")
+
+
+def test_report_validates_the_model_once(monkeypatch, capsys):
+    """Parse time and the report's validation section share one Jacobi d(d theta) check."""
+    from acx import forms, lie
+
+    calls = []
+    extend = forms.extend_derivation
+
+    def counting_extend(gen_action, coeff_action, form):
+        calls.append(1)
+        return extend(gen_action, coeff_action, form)
+
+    monkeypatch.setattr(forms, "extend_derivation", counting_extend)
+    lie.validate_model.cache_clear()
+    assert main(["report", bundled_manifest_path("kt4"), "--truncations", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["passed"]
+    # one d(d theta) per coframe generator of the 4-dimensional model
+    assert len(calls) == 4
 
 
 def test_validation_error_names_invariant():

@@ -34,9 +34,12 @@ def test_bench_jobs_match_recorded_digests(tmp_path, monkeypatch):
             assert workloads.check_job(workload, result, digest) == [], (workload, result.get("payload", {}).get("command"))
 
 
-@pytest.mark.parametrize("name", ["torus4", "nil6"])
+GOLDEN_FLAGS = {"torus4": [], "nil6": [], "kt4": ["--truncations", "0,1,2,3"]}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FLAGS))
 def test_report_matches_golden(name, capsys):
-    code = cli.main(["report", cli.bundled_manifest_path(name), "--format", "json"])
+    code = cli.main(["report", cli.bundled_manifest_path(name), *GOLDEN_FLAGS[name], "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     payload.pop("timing")

@@ -179,11 +179,18 @@ def test_d_on_invariant_one_forms_kt4(kt4_session):
     assert linalg.rank(d1) == 1
     k = linalg.kernel(d1)
     assert k.dim == 3
-    theta1 = cx.total_form_vector(Form.monomial(BasisElement((0, 0), (1,), ())), 1)
-    tbar1 = cx.total_form_vector(Form.monomial(BasisElement((0, 0), (), (1,))), 1)
-    real2 = cx.total_form_vector(
-        Form.monomial(BasisElement((0, 0), (2,), ())) + Form.monomial(BasisElement((0, 0), (), (2,))), 1
-    )
+
+    def total_vector(form):
+        """Coordinates of a 1-form in the total-degree basis of d_total(1)."""
+        offsets = cx.total_offsets(1)
+        out = [ZERO] * cx.total_dim(1)
+        for e, c in form.coeffs.items():
+            out[offsets[e.bidegree] + cx.index(*e.bidegree)[e]] = c
+        return out
+
+    theta1 = total_vector(Form.monomial(BasisElement((0, 0), (1,), ())))
+    tbar1 = total_vector(Form.monomial(BasisElement((0, 0), (), (1,))))
+    real2 = total_vector(Form.monomial(BasisElement((0, 0), (2,), ())) + Form.monomial(BasisElement((0, 0), (), (2,))))
     for v in (theta1, tbar1, real2):
         assert k.contains(v)
 

@@ -1,0 +1,227 @@
+"""Differential oracle for the taming correction.
+
+The correction psi -> psi + dbar u + partial ubar + mu u + mubar ubar is
+built once per engine as a realified map on blocks, and solve_taming and the
+ddc descent audit are the one-column and many-column cases of one helper.
+The references below are the form-by-form constructions: the correction as
+four operator applications, the hand-expanded closedness system, a solve by
+elimination of [m | b], and the descent loop that corrects, differentiates
+and flattens one basis form at a time.  Certificates, obstruction
+functionals and descent witnesses must agree on every case.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+from acx import linalg
+from acx.audits import (
+    AuditItem,
+    DegenerateAtSample,
+    NoSolution,
+    NotDdcClosed,
+    TamingCertificate,
+    _obstruction_functional,
+    audit_ddc_descent,
+    check_nondegenerate,
+    solve_taming,
+)
+from acx.cli import Session, ValidationError, manifest_from_dict, psi_from_selector
+from acx.cohomology import CohomologyEngine
+from acx.linalg import ExactMatrix
+from acx.operators import compose
+from acx.scalars import ZERO
+
+from conftest import random_4d_session
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SELECTORS = ("fundamental", "perturbed", "basis:0", "basis:1", "basis:2")
+
+
+def reference_correction(cx, u):
+    ubar = u.conjugate()
+    return cx.apply("dbar", u) + cx.apply("partial", ubar) + cx.apply("mu", u) + cx.apply("mubar", ubar)
+
+
+def reference_closedness_system(cx):
+    """Realified matrix of u -> (1,2)-component of d(correction(u)), expanded by hand."""
+    linear = compose(cx.block, ["partial", "dbar"], 0, 1) + compose(cx.block, ["mubar", "mu"], 0, 1)
+    conjugated = compose(cx.block, ["mubar", "partial"], 1, 0) + compose(cx.block, ["partial", "mubar"], 1, 0)
+    c01 = cx.conj_struct(0, 1)
+    return linalg.realify(linear) + linalg.realify(conjugated @ c01) @ linalg.conjugation_flip(cx.dim(0, 1))
+
+
+def reference_solve(m, b, reverse_pivots=False):
+    """Some x with m x = b by reducing [m | b], the columns of m optionally in reverse order."""
+    cols = m.cols
+    perm = list(range(cols - 1, -1, -1)) if reverse_pivots else list(range(cols))
+    inv_perm = [0] * cols
+    for newc, oldc in enumerate(perm):
+        inv_perm[oldc] = newc
+    entries = {(r, inv_perm[c]): v for (r, c), v in m.entries.items()}
+    entries.update(((r, cols), v) for r, v in enumerate(b) if v)
+    pivots, red = linalg.rref(ExactMatrix(m.rows, cols + 1, entries))
+    x = [ZERO] * cols
+    for i, p in enumerate(pivots):
+        if p == cols:
+            return None
+        x[p] = red[i].get(cols, ZERO)
+    return tuple(x[inv_perm[c]] for c in range(cols))
+
+
+def _realified_target(cx, psi):
+    return linalg.realify_vector(tuple(-v for v in cx.to_vector(cx.apply("dbar", psi), 1, 2)))
+
+
+def reference_solve_taming(engine, psi):
+    cx = engine.complex
+    if not cx.apply("partial", cx.apply("dbar", psi)).is_zero():
+        raise NotDdcClosed("del delbar psi != 0")
+    ht10 = engine.refined_dolbeault(1, 0)
+    ht01 = engine.refined_dolbeault(0, 1)
+    system = reference_closedness_system(cx)
+    target = _realified_target(cx, psi)
+    solution = reference_solve(system, target)
+    if solution is None:
+        raise NoSolution("closedness correction equation is inconsistent", _obstruction_functional(system, target))
+    u = cx.from_realified(solution, 0, 1)
+    omega_prime = psi + reference_correction(cx, u)
+    u_alt = cx.from_realified(reference_solve(system, target, reverse_pivots=True), 0, 1)
+    try:
+        evidence = check_nondegenerate(engine, omega_prime)
+    except DegenerateAtSample as exc:
+        evidence = {"kind": "degenerate", "sample_point": [str(x) for x in exc.point]}
+    return TamingCertificate(
+        psi=psi,
+        u=u,
+        omega_prime=omega_prime,
+        closed=cx.apply("d", omega_prime).is_zero(),
+        well_defined=(psi + reference_correction(cx, u_alt)) == omega_prime,
+        nondegeneracy=evidence,
+        hypothesis={"ht10": ht10, "ht01": ht01, "equal": ht10 == ht01},
+    )
+
+
+def _total_vector(cx, form, r):
+    off = cx.total_offsets(r)
+    out = [ZERO] * cx.total_dim(r)
+    for e, c in form.coeffs.items():
+        out[off[e.bidegree] + cx.index(*e.bidegree)[e]] = c
+    return tuple(out)
+
+
+def _columns(ambient, vectors):
+    return ExactMatrix(ambient, len(vectors), {(r, c): v for c, col in enumerate(vectors) for r, v in enumerate(col) if v})
+
+
+def reference_ddc_descent(engine):
+    cx = engine.complex
+    ht10 = engine.refined_dolbeault(1, 0)
+    ht01 = engine.refined_dolbeault(0, 1)
+    if ht10 != ht01:
+        reason = {"reason": "correction equation can be obstructed", "ht10": ht10, "ht01": ht01}
+        return [AuditItem("ddc-descent-injective", "not-applicable", reason)]
+    num_real, den_real = engine.real_ddc_parts()
+    if num_real.dim == 0:
+        return [AuditItem("ddc-descent-injective", "pass", {"note": "empty source"})]
+    system = reference_closedness_system(cx)
+    corrected = []
+    for v in num_real.basis:
+        psi = cx.from_realified(v, 1, 1)
+        sol = reference_solve(system, _realified_target(cx, psi))
+        if sol is None:
+            return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction equation obstructed"})]
+        omega_prime = psi + reference_correction(cx, cx.from_realified(sol, 0, 1))
+        if not cx.apply("d", omega_prime).is_zero():
+            return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction not closed"})]
+        corrected.append(linalg.realify_vector(_total_vector(cx, omega_prime, 2)))
+    exact2 = linalg.image(linalg.realify(cx.d_total(1)))
+    kernel = linalg.preimage(_columns(2 * cx.total_dim(2), corrected), exact2)
+    expected = linalg.preimage(_columns(num_real.ambient_dim, num_real.basis), den_real)
+    witness = {"source_dim": num_real.dim, "class_map_kernel": kernel.dim, "expected_kernel": expected.dim}
+    return [AuditItem("ddc-descent-injective", "pass" if kernel == expected else "fail", witness)]
+
+
+def _outcome(solve, engine, psi):
+    """('certified', certificate fields) or the exception's name and payload."""
+    try:
+        cert = solve(engine, psi)
+    except NoSolution as exc:
+        return "no-solution", exc.obstruction
+    except NotDdcClosed:
+        return "not-ddc-closed", None
+    return "certified", cert.as_dict(lambda form: form)
+
+
+def _sweep_four_dim_sessions(seed):
+    spec = importlib.util.spec_from_file_location("bench_models", BENCH / "models.py")
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    return [Session(manifest_from_dict(m)) for m in models.sweep_manifests(seed, 3, 2) if m["real_dim"] == 4]
+
+
+def _oracle_cases(kt4_session, kodaira_session):
+    """(label, session, truncation) for every model of the oracle."""
+    cases = [(f"kt4 N={n}", kt4_session, n) for n in range(4)]
+    cases.append(("kodaira", kodaira_session, None))
+    rng = random.Random(4242)
+    cases += [(f"random4d-{k}", random_4d_session(rng), None) for k in range(4)]
+    for seed in (0, 101):
+        cases += [(f"sweep4d-{seed}-{k}", s, None) for k, s in enumerate(_sweep_four_dim_sessions(seed))]
+    return cases
+
+
+def test_closedness_system_is_the_12_rows_of_d_after_the_correction(kt4_session, kodaira_session):
+    cases = _oracle_cases(kt4_session, kodaira_session)
+    assert len(cases) == 13
+    for label, session, n in cases:
+        engine = session.engine(n)
+        assert engine.correction_map()[2] == reference_closedness_system(engine.complex), label
+
+
+def test_taming_and_descent_match_reference(kt4_session, kodaira_session):
+    seen = set()
+    descent_sources = 0
+    for label, session, n in _oracle_cases(kt4_session, kodaira_session):
+        engine = session.engine(n)
+        for selector in SELECTORS:
+            try:
+                psi = psi_from_selector(session, n, selector)
+            except ValidationError:
+                continue  # fewer ddc-closed basis forms than the selector asks for
+            got = _outcome(solve_taming, engine, psi)
+            assert got == _outcome(reference_solve_taming, engine, psi), (label, selector)
+            seen.add(got[0])
+        descent = audit_ddc_descent(engine)
+        assert [i.as_dict() for i in descent] == [i.as_dict() for i in reference_ddc_descent(engine)], label
+        seen.add(descent[0].status)
+        descent_sources += descent[0].witness.get("source_dim", 0) > 0
+    # non-vacuity: both taming outcomes and both descent regimes occur
+    assert {"certified", "no-solution", "not-applicable", "pass"} <= seen
+    assert descent_sources > 0
+
+
+def _drop_mubar_term(engine):
+    """The correction map with the mubar(ubar) term of K02 left out, and its own closedness system."""
+    cx = engine.complex
+    k02 = linalg.realify(cx.block("dbar", 0, 1))
+    _, k20, _ = engine.correction_map()
+    system = linalg.realify(cx.block("partial", 0, 2)) @ k02 + linalg.realify(cx.block("mubar", 2, 0)) @ k20
+    return k02, k20, system
+
+
+def test_closed_and_well_defined_guards_can_fail(kt4_session, monkeypatch):
+    """A correction map missing one term solves its own system but leaves d(omega') != 0;
+    two pivot orders that reach different corrected forms are caught."""
+    session_engine = kt4_session.engine(1)
+    psi = psi_from_selector(kt4_session, 1, "perturbed")
+    engine = CohomologyEngine(session_engine.complex, session_engine.hermitian)
+    broken = _drop_mubar_term(engine)
+    monkeypatch.setattr(engine, "correction_map", lambda: broken)
+    assert not solve_taming(engine, psi).closed
+    assert audit_ddc_descent(engine)[0].witness == {"reason": "correction not closed"}
+
+    maps = iter([session_engine.correction_map(), broken])
+    monkeypatch.setattr(engine, "correction_map", lambda: next(maps))
+    cert = solve_taming(engine, psi)
+    assert cert.closed and not cert.well_defined
