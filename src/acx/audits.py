@@ -22,7 +22,7 @@ from .operators import DIFFERENTIALS, FormComplex, compose, shift
 from .cohomology import CohomologyEngine
 from .scalars import I, ONE, ZERO, Scalar, integer
 
-MINUS_I = Scalar(Fraction(0), Fraction(-1))
+MINUS_I = -I
 
 
 class NoSolution(Exception):
@@ -565,7 +565,7 @@ def _structural_guarantee(engine: CohomologyEngine, omega_prime: Form) -> dict:
     if invariant_11 and part11:
         n = engine.n
         rows = []
-        minus_two_i = Scalar(Fraction(0), Fraction(-2))
+        minus_two_i = integer(-2) * I
         for k in range(1, n + 1):
             row = []
             for j in range(1, n + 1):

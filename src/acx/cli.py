@@ -14,7 +14,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from . import __version__
@@ -43,7 +42,7 @@ from .lie import (
 from .linalg import NotContained
 from .metric import HermitianMetric, HermitianStructure, Not4Manifold, NotPositive
 from .operators import FormComplex
-from .scalars import Scalar, format_scalar, parse_rational, parse_scalar
+from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, rational
 
 KNOWN_TASKS = ("validate", "diamond", "verify", "taming", "report")
 
@@ -342,7 +341,7 @@ def psi_from_selector(session: Session, truncation, selector: str) -> Form:
     if selector == "perturbed":
         # the first one that is not d-closed; omega itself when there is none
         candidate = next((c for c in pure if not cx.apply("d", c).is_zero()), None)
-        return omega if candidate is None else omega + candidate.scale(Scalar(Fraction(1, 10), Fraction(0)))
+        return omega if candidate is None else omega + candidate.scale(rational(1, 10))
     idx = _basis_index(selector)
     pure = list(pure)
     if idx >= len(pure):

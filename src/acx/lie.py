@@ -17,7 +17,7 @@ from typing import Sequence
 from . import linalg
 from .forms import BasisElement, Form
 from .linalg import ExactMatrix
-from .scalars import I, ONE, ZERO, Scalar, from_fraction
+from .scalars import I, ONE, ZERO, Scalar, from_fraction, rational
 
 OPERATOR_NAMES = ("mu", "partial", "dbar", "mubar")
 
@@ -158,7 +158,7 @@ def build_frame(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> Comp
     if not structure.squares_to_minus_one():
         raise DegenerateJ("J^2 != -1")
     n = dim // 2
-    half = Scalar(Fraction(1, 2), Fraction(0))
+    half = rational(1, 2)
     # columns of (1 - iJ)/2 in the real frame
     columns = []
     for c in range(dim):

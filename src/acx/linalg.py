@@ -181,18 +181,15 @@ def realify(m: ExactMatrix) -> ExactMatrix:
     u + i*v becomes the 2x2 block [[u, -v], [v, u]].  R-linear maps built from
     compositions with complex conjugation stay honest matrices in this form.
     """
-    from fractions import Fraction
-
     entries: dict[tuple[int, int], Scalar] = {}
-    zero = Fraction(0)
     for (r, c), s in m.entries.items():
-        u, v = s.re, s.im
+        u, v = s.real_part(), s.imag_part()
         if u:
-            entries[(2 * r, 2 * c)] = Scalar(u, zero)
-            entries[(2 * r + 1, 2 * c + 1)] = Scalar(u, zero)
+            entries[(2 * r, 2 * c)] = u
+            entries[(2 * r + 1, 2 * c + 1)] = u
         if v:
-            entries[(2 * r, 2 * c + 1)] = Scalar(-v, zero)
-            entries[(2 * r + 1, 2 * c)] = Scalar(v, zero)
+            entries[(2 * r, 2 * c + 1)] = -v
+            entries[(2 * r + 1, 2 * c)] = v
     return ExactMatrix(2 * m.rows, 2 * m.cols, entries)
 
 
@@ -202,13 +199,10 @@ def conjugation_flip(n: int) -> ExactMatrix:
 
 
 def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    from fractions import Fraction
-
-    zero = Fraction(0)
     out = []
     for s in vec:
-        out.append(Scalar(s.re, zero))
-        out.append(Scalar(s.im, zero))
+        out.append(s.real_part())
+        out.append(s.imag_part())
     return tuple(out)
 
 

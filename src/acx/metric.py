@@ -12,7 +12,6 @@ mass, so kernels computed per weight agree with the whole-matrix kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -21,9 +20,9 @@ from .forms import BasisElement, Form
 from .lie import SHIFTS
 from .linalg import ExactMatrix
 from .operators import FormComplex
-from .scalars import ONE, ZERO, Scalar, integer
+from .scalars import I, ONE, ZERO, Scalar, integer, rational
 
-HALF_I = Scalar(Fraction(0), Fraction(1, 2))
+HALF_I = rational(1, 2) * I
 
 
 class NotPositive(Exception):
@@ -193,7 +192,6 @@ class PointwiseMetric:
                     ((elt, coeff),) = list(prod.coeffs.items())
                     w_entries[(ip, ib)] = coeff
         w = ExactMatrix(len(probe), len(tgt), w_entries)
-        vol = Scalar(self.vol_coeff.re, self.vol_coeff.im)
         rhs_list = []
         for (sh, sa) in src:
             conj_form = Form.monomial(BasisElement((), sh, sa)).conjugate()
@@ -201,7 +199,7 @@ class PointwiseMetric:
             rhs = []
             for (ph, pa) in probe:
                 g = gram_qp[probe_index[(ph, pa)]][probe_index[(celt.holo, celt.anti)]]
-                rhs.append(g * ccoeff.conj() * vol)
+                rhs.append(g * ccoeff.conj() * self.vol_coeff)
             rhs_list.append(rhs)
         cols = linalg.solve_many(w, rhs_list)
         if None in cols:

@@ -25,7 +25,7 @@ from .forms import (
 )
 from .lie import SHIFTS, ComplexFrame, exterior_d_on_generators, split_d
 from .linalg import ExactMatrix
-from .scalars import ZERO, Scalar
+from .scalars import I, ZERO, Scalar
 
 DIFFERENTIALS = ("mu", "partial", "dbar", "mubar")
 
@@ -163,7 +163,7 @@ class FormComplex:
 
     def from_realified(self, doubled, p: int, q: int) -> Form:
         """The (p,q)-form whose coordinates have the (Re, Im) pairs of a realified vector."""
-        coords = [Scalar(doubled[2 * j].re, doubled[2 * j + 1].re) for j in range(self.dim(p, q))]
+        coords = [doubled[2 * j] + I * doubled[2 * j + 1] for j in range(self.dim(p, q))]
         return self.from_vector(coords, p, q)
 
     # -- operators on forms -------------------------------------------------

@@ -5,53 +5,121 @@ real and imaginary parts are arbitrary-precision rationals.  Structure
 constants, Hodge stars of rational Hermitian metrics and Fourier eigenvalues
 (with the 2*pi factor absorbed into the eigenvalue convention) all live in
 this field, so nothing in the engine ever rounds.
+
+A scalar (a + b*i)/d is held as three Python ints in canonical form: d > 0
+and gcd(a, b, d) = 1, so zero is (0, 0, 1).  Canonical values make equality
+and hashing plain comparisons of the triple.  Arithmetic stays on ints with
+at most one gcd per result; `Fraction` appears only at the edges (parsing and
+the `re`/`im` views).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+
+_new = object.__new__
 
 
-@dataclass(frozen=True, slots=True)
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The canonical scalar (a + b*i)/d, for d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _exact(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i)/d, already canonical."""
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
 class Scalar:
     """An element a + b*i of Q(i)."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: Fraction | int, im: Fraction | int):
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        if q == s:
+            d = q
+        else:
+            # lowest-terms parts over their lcm are already canonical
+            d = q // gcd(q, s) * s
+            p *= d // q
+            r *= d // s
+        self._a = p
+        self._b = r
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def real_part(self) -> Scalar:
+        """Re(s) as a real scalar."""
+        return _reduced(self._a, 0, self._d)
+
+    def imag_part(self) -> Scalar:
+        """Im(s) as a real scalar."""
+        return _reduced(self._b, 0, self._d)
 
     def __add__(self, other: Scalar) -> Scalar:
-        other = as_scalar(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not Scalar:
+            other = as_scalar(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> Scalar:
-        other = as_scalar(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not Scalar:
+            other = as_scalar(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.re, -self.im)
+        return _exact(-self._a, -self._b, self._d)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        other = as_scalar(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not Scalar:
+            other = as_scalar(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> Scalar:
-        other = as_scalar(other)
-        n = other.re * other.re + other.im * other.im
+        if other.__class__ is not Scalar:
+            other = as_scalar(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        d2 = other._d
+        # x / y = x * conj(y) * d2 / (a2^2 + b2^2)
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __pow__(self, k: int) -> Scalar:
         if k < 0:
@@ -65,17 +133,25 @@ class Scalar:
         return ONE / self
 
     def conj(self) -> Scalar:
-        return Scalar(self.re, -self.im)
+        return _exact(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|s|^2, a nonnegative rational; zero iff s == 0."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -84,50 +160,54 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
-_ZERO_F = Fraction(0)
-_ONE_F = Fraction(1)
-
-ZERO = Scalar(_ZERO_F, _ZERO_F)
-ONE = Scalar(_ONE_F, _ZERO_F)
-I = Scalar(_ZERO_F, _ONE_F)
-MINUS_ONE = Scalar(-_ONE_F, _ZERO_F)
+ZERO = _exact(0, 0, 1)
+ONE = _exact(1, 0, 1)
+I = _exact(0, 1, 1)
+MINUS_ONE = _exact(-1, 0, 1)
 
 
 def integer(k: int) -> Scalar:
-    return Scalar(Fraction(k), _ZERO_F)
+    return _exact(k, 0, 1)
 
 
 def rational(p: int, q: int = 1) -> Scalar:
-    return Scalar(Fraction(p, q), _ZERO_F)
+    return from_fraction(Fraction(p, q))
 
 
 def from_fraction(x: Fraction) -> Scalar:
-    return Scalar(x, _ZERO_F)
+    return _exact(x.numerator, 0, x.denominator)
 
 
 def as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     if isinstance(x, int):
-        return Scalar(Fraction(x), _ZERO_F)
+        return _exact(int(x), 0, 1)
     if isinstance(x, Fraction):
-        return Scalar(x, _ZERO_F)
+        return from_fraction(x)
     raise TypeError(f"cannot coerce {x!r} into Q(i)")
+
+
+def _fraction(text: str) -> Fraction:
+    """A rational literal; exponents are refused, since Fraction expands them eagerly."""
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation is not accepted")
+    return Fraction(text)
 
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}: {exc}") from None
 
 
 def _rational_or_unit(text: str) -> Fraction:
     if text in ("", "+"):
-        return _ONE_F
+        return Fraction(1)
     if text == "-":
-        return -_ONE_F
-    return Fraction(text)
+        return Fraction(-1)
+    return _fraction(text)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -137,7 +217,7 @@ def parse_scalar(text: str) -> Scalar:
         raise ValueError("empty Q(i) literal")
     try:
         if not t.endswith("i"):
-            return Scalar(Fraction(t), _ZERO_F)
+            return from_fraction(_fraction(t))
         body = t[:-1]
         if body.endswith("*"):
             body = body[:-1]
@@ -147,8 +227,8 @@ def parse_scalar(text: str) -> Scalar:
                 split = k
                 break
         if split is None:
-            return Scalar(_ZERO_F, _rational_or_unit(body))
-        return Scalar(Fraction(body[:split]), _rational_or_unit(body[split:]))
+            return Scalar(0, _rational_or_unit(body))
+        return Scalar(_fraction(body[:split]), _rational_or_unit(body[split:]))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"invalid Q(i) literal {text!r}") from None
 
@@ -159,10 +239,11 @@ def format_rational(x: Fraction) -> str:
 
 def format_scalar(s: Scalar) -> str:
     """Canonical 'p/q+r/s*i' rendering; inverse of parse_scalar."""
-    if not s.im:
-        return format_rational(s.re)
-    im = f"{format_rational(s.im)}*i"
-    if not s.re:
+    re_part, im_part = s.re, s.im
+    if not im_part:
+        return format_rational(re_part)
+    im = f"{format_rational(im_part)}*i"
+    if not re_part:
         return im
-    sign = "+" if s.im > 0 else ""
-    return f"{format_rational(s.re)}{sign}{im}"
+    sign = "+" if im_part > 0 else ""
+    return f"{format_rational(re_part)}{sign}{im}"

@@ -79,6 +79,23 @@ def test_parse_errors(tmp_path, capsys):
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["verify", str(path), "--format", "json"]) == 2
     assert json.loads(capsys.readouterr().out)["fatal"]["detail"].startswith("coefficients.actions[0]:")
+    # exponent notation is refused before Fraction expands it: "1e4000000" alone takes seconds
+    for field, value in (("brackets[0]", "1e4000000"), ("J[0]", "1E9"), ("metric[0]", "1/2+1e4000000*i")):
+        raw = kt4_raw()
+        if field == "brackets[0]":
+            raw["brackets"][0][3] = value
+        elif field == "J[0]":
+            raw["J"][0][1] = value
+        else:
+            raw["metric"][0][0] = value
+        with pytest.raises(ParseError) as exc:
+            manifest_from_dict(raw)
+        assert exc.value.field == field
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["validate", str(path), "--format", "json"]) == 2
+        fatal = json.loads(capsys.readouterr().out)["fatal"]
+        assert fatal["type"] == "ParseError" and fatal["detail"].startswith(f"{field}:"), fatal
 
 
 def test_report_validates_the_model_once(monkeypatch, capsys):

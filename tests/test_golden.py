@@ -2,10 +2,12 @@
 
 JSON output minus its `timing` field is deterministic; these tests pin it
 against bench/digests.json (through the benchmark's own checks) and against
-the report files under tests/golden/.
+the report files under tests/golden/, which include two seeded sweep models
+with non-unit rational data.
 """
 
 import importlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -44,3 +46,26 @@ def test_report_matches_golden(name, capsys):
     assert code == 0
     payload.pop("timing")
     assert cli.render_json(payload) == (GOLDEN / f"report_{name}.json").read_text(encoding="utf-8")
+
+
+# (index into bench/models.py's sweep_manifests(101, 3, 2), golden file label)
+SWEEP_SEED = 101
+SWEEP_GOLDEN = {0: "sweep101_6d", 3: "sweep101_4d"}
+
+
+def _sweep_manifests(seed):
+    spec = importlib.util.spec_from_file_location("bench_models", ROOT / "bench" / "models.py")
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    return models.sweep_manifests(seed, 3, 2)
+
+
+@pytest.mark.parametrize("index", list(SWEEP_GOLDEN))
+def test_sweep_report_matches_golden(index, tmp_path, capsys):
+    path = tmp_path / f"model-{index:02d}.json"
+    path.write_text(json.dumps(_sweep_manifests(SWEEP_SEED)[index], indent=1) + "\n", encoding="utf-8")
+    code = cli.main(["report", str(path), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    payload.pop("timing")
+    assert cli.render_json(payload) == (GOLDEN / f"report_{SWEEP_GOLDEN[index]}.json").read_text(encoding="utf-8")
