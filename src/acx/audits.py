@@ -230,11 +230,8 @@ def audit_dualities(engine: CohomologyEngine) -> list[AuditItem]:
             if space.dim == 0:
                 continue
             target = engine.harmonic_space(("dbar", "mu"), n - q, n - p)
-            star = h.star(p, q)
-            for v in space.basis:
-                if not target.contains(star.apply(v)):
-                    star_fail.append((p, q))
-                    break
+            if target.outside(space.rows @ h.star(p, q).transpose()):
+                star_fail.append((p, q))
     items.append(
         AuditItem(
             "star-preserves-harmonicity",
@@ -266,12 +263,12 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
         [engine.op_image_into("partial", 2, 0), engine.op_image_into("mu", 2, 0)]
     )
     candidates = linalg.intersect([reachable, num20])
-    bad = [v for v in candidates.basis if not den20.contains(v)]
+    bad = den20.outside(candidates.rows)
     items.append(
         AuditItem(
             "exact-two-zero-classes-vanish",
             _verdict(not bad),
-            {"candidates": candidates.dim, "nonvanishing": len(bad)},
+            {"candidates": candidates.dim, "nonvanishing": bad},
         )
     )
     # conjugation matches the (2,0) and (0,2) dimensions
@@ -378,10 +375,7 @@ def audit_generalized_ddbar(engine: CohomologyEngine) -> list[AuditItem]:
         raise Not4Manifold("the potential-existence audit is four-dimensional")
     exact_11 = engine.exact_11()
     potential_image = linalg.image(compose(cx.block, ["partial", "dbar"], 0, 0))
-    counterexamples = 0
-    for v in exact_11.basis:
-        if not potential_image.contains(v):
-            counterexamples += 1
+    counterexamples = potential_image.outside(exact_11.rows)
     left = counterexamples == 0
     ht10 = engine.refined_dolbeault(1, 0)
     ht01 = engine.refined_dolbeault(0, 1)
@@ -633,7 +627,7 @@ def audit_ddc_descent(engine: CohomologyEngine) -> list[AuditItem]:
     if num_real.dim == 0:
         return [AuditItem("ddc-descent-injective", "pass", {"note": "empty source"})]
 
-    psi = ExactMatrix.from_rows(num_real.basis).transpose()
+    psi = num_real.rows.transpose()
     try:
         _, corrected = _correct(engine, psi)
     except NoSolution:

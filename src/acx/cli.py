@@ -104,9 +104,27 @@ def parse_manifest(path: str) -> ManifoldSpec:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ParseError(path, "file not found") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(path, f"cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except ValueError as exc:
+        # malformed JSON, or an integer literal longer than Python converts from text
         raise ParseError(path, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(path, "invalid JSON: nested too deeply") from None
     return manifest_from_dict(raw)
+
+
+def _exact(field: str, x) -> str:
+    """The text of a manifest number: a string or a JSON integer.
+
+    A JSON number with a fraction part or exponent has already been rounded
+    to a double by the JSON parser, so it is refused rather than read.
+    """
+    if isinstance(x, float):
+        raise ParseError(field, f"{x!r} is a JSON float; write exact values as strings, e.g. \"1/3\"")
+    return str(x)
 
 
 def _is_int(x) -> bool:
@@ -138,7 +156,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         if not all(_is_int(x) for x in (i, j, k)):
             raise ParseError(f"brackets[{idx}]", "indices must be integers")
         try:
-            v = parse_rational(str(value))
+            v = parse_rational(_exact(f"brackets[{idx}]", value))
         except ValueError as exc:
             raise ParseError(f"brackets[{idx}]", str(exc)) from None
         entries.append((i, j, k, v))
@@ -155,7 +173,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         if not (isinstance(row, list) and len(row) == real_dim):
             raise ParseError(f"J[{r}]", f"expected {real_dim} entries")
         try:
-            matrix.append(tuple(parse_rational(str(x)) for x in row))
+            matrix.append(tuple(parse_rational(_exact(f"J[{r}]", x)) for x in row))
         except ValueError as exc:
             raise ParseError(f"J[{r}]", str(exc)) from None
     structure = AlmostComplexStructure(tuple(matrix))
@@ -173,7 +191,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
             if not (isinstance(row, list) and len(row) == n):
                 raise ParseError(f"metric[{r}]", f"expected {n} entries")
             try:
-                rows.append(tuple(parse_scalar(str(x)) for x in row))
+                rows.append(tuple(parse_scalar(_exact(f"metric[{r}]", x)) for x in row))
             except ValueError as exc:
                 raise ParseError(f"metric[{r}]", str(exc)) from None
         metric = HermitianMetric(tuple(rows))
@@ -200,7 +218,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
             if not (isinstance(row, list) and len(row) == rank):
                 raise ParseError(f"coefficients.actions[{r}]", f"expected {rank} entries")
             try:
-                parsed = tuple(parse_scalar(str(x)) for x in row)
+                parsed = tuple(parse_scalar(_exact(f"coefficients.actions[{r}]", x)) for x in row)
             except ValueError as exc:
                 raise ParseError(f"coefficients.actions[{r}]", str(exc)) from None
             # a frame vector acts on e^{2 pi i w.t} by 2 pi i (row . w): the row must be real

@@ -48,9 +48,12 @@ class CohomologyEngine:
     def op_kernel(self, name: str, p: int, q: int) -> Subspace:
         return linalg.kernel(self.complex.block(name, p, q))
 
+    def _stack(self, *chains, p: int, q: int) -> ExactMatrix:
+        """Operator chains on the (p,q) block, stacked: their common kernel is its kernel."""
+        return ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains])
+
     def _kernel_of(self, *chains, p: int, q: int) -> Subspace:
-        """The common kernel of operator chains on the (p,q) block: the kernel of their stack."""
-        return linalg.kernel(ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains]))
+        return linalg.kernel(self._stack(*chains, p=p, q=q))
 
     def op_image_into(self, name: str, p: int, q: int) -> Subspace:
         """Image of the named operator inside the (p,q) block."""
@@ -177,13 +180,18 @@ class CohomologyEngine:
 
     # -- harmonic intersections --------------------------------------------------------------
 
-    def harmonic_space(self, deltas, p: int, q: int) -> Subspace:
+    def _harmonic_system(self, deltas, p: int, q: int) -> ExactMatrix:
+        """Each operator and its adjoint, stacked: the harmonic forms are its kernel."""
         if self.hermitian is None:
             raise ValueError("harmonic spaces require a metric")
-        return self._kernel_of(*([name] for delta in deltas for name in (delta, delta + "*")), p=p, q=q)
+        return self._stack(*([name] for delta in deltas for name in (delta, delta + "*")), p=p, q=q)
+
+    def harmonic_space(self, deltas, p: int, q: int) -> Subspace:
+        return linalg.kernel(self._harmonic_system(deltas, p, q))
 
     def harmonic_dim(self, deltas, p: int, q: int) -> int:
-        return self.harmonic_space(deltas, p, q).dim
+        system = self._harmonic_system(deltas, p, q)
+        return system.cols - linalg.rank(system)
 
     def ell(self, p: int, q: int) -> int:
         return self.harmonic_dim(("dbar", "mu"), p, q)

@@ -7,7 +7,9 @@ row index, so every reduced form (and therefore every reported dimension and
 particular solution) is deterministic.  There is one elimination kernel,
 Gauss-Jordan on sparse rows ({column: entry} dicts): the matrices of a
 truncated complex are block-diagonal by Fourier weight, so a row update only
-touches the nonzero entries of the pivot row.
+touches the nonzero entries of the pivot row.  A subspace is held as the
+reduced row echelon form of a basis, itself a sparse matrix, and every
+subspace operation eliminates such matrices stacked, transposed or multiplied.
 """
 
 from __future__ import annotations
@@ -128,6 +130,10 @@ class ExactMatrix:
             if vec[c]:
                 out[r] = out[r] + v * vec[c]
         return tuple(out)
+
+    def leading_columns(self, k: int) -> "ExactMatrix":
+        """The first k columns."""
+        return ExactMatrix(self.rows, k, {(r, c): v for (r, c), v in self.entries.items() if c < k})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -268,75 +274,76 @@ def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q(i)^n, held as reduced-echelon basis rows.
+    """A subspace of Q(i)^n, held as the reduced row echelon form of a basis.
 
-    Equality of subspaces is plain basis comparison because the reduced
-    echelon form is canonical.
+    `rows` is that form as a dim x n matrix.  The reduced echelon form is
+    canonical, so equality of subspaces is plain matrix comparison.
     """
 
-    ambient_dim: int
-    basis: tuple[tuple[Scalar, ...], ...]
+    rows: ExactMatrix
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.rows.cols
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.rows.rows
+
+    @property
+    def basis(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The reduced rows as dense vectors, for callers that render or read coordinates."""
+        return tuple(tuple(row.get(c, ZERO) for c in range(self.ambient_dim)) for row in self.rows.row_dicts())
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[int, tuple[tuple[int, Scalar], ...]], ...]:
-        """(pivot column, nonzero entries) of every nonzero basis row."""
-        rows = (tuple((c, v) for c, v in enumerate(row) if v) for row in self.basis)
-        return tuple((nz[0][0], nz) for nz in rows if nz)
+    def _pivot_rows(self) -> list[tuple[int, dict[int, Scalar]]]:
+        return [(min(row), row) for row in self.rows.row_dicts()]
 
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        work = {c: v for c, v in enumerate(vec) if v}
-        for p, nz in self._sparse_rows:
+    def _escapes(self, work: dict[int, Scalar]) -> bool:
+        """Reduce the sparse vector work against the pivot rows, in place; True if a remainder is left."""
+        for p, row in self._pivot_rows:
             f = work.get(p)
             if f:
-                for c, v in nz:
+                for c, v in row.items():
                     s = work.get(c, ZERO) - f * v
                     if s:
                         work[c] = s
                     else:
                         work.pop(c, None)
-        return not work
+        return bool(work)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise AmbientMismatch(f"{other.ambient_dim} != {self.ambient_dim}")
-        return all(self.contains(v) for v in other.basis)
+    def contains(self, vec: Sequence[Scalar]) -> bool:
+        return not self._escapes({c: v for c, v in enumerate(vec) if v})
+
+    def outside(self, m: ExactMatrix) -> int:
+        """The number of rows of m that do not lie in the subspace."""
+        if m.cols != self.ambient_dim:
+            raise AmbientMismatch(f"{m.cols} != {self.ambient_dim}")
+        return sum(self._escapes(row) for row in m.row_dicts())
 
 
-def _reduced_subspace(ambient_dim: int, reduced: list[dict[int, Scalar]]) -> Subspace:
-    return Subspace(ambient_dim, tuple(tuple(rd.get(c, ZERO) for c in range(ambient_dim)) for rd in reduced))
+def span(m: ExactMatrix) -> Subspace:
+    """The row space of m."""
+    _, reduced = rref(m)
+    entries = {(r, c): v for r, row in enumerate(reduced) for c, v in row.items()}
+    return Subspace(ExactMatrix(len(reduced), m.cols, entries))
 
 
 def subspace_from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> Subspace:
-    entries = {}
-    nrows = 0
+    rows = []
     for v in vectors:
         if len(v) != ambient_dim:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-        for c, x in enumerate(v):
-            if x:
-                entries[(nrows, c)] = x
-        nrows += 1
-    if not nrows:
-        return Subspace(ambient_dim, ())
-    _, red = rref(ExactMatrix(nrows, ambient_dim, entries))
-    return _reduced_subspace(ambient_dim, red)
+        rows.append(v)
+    return span(ExactMatrix.from_rows(rows, ambient_dim))
 
 
 def full_space(n: int) -> Subspace:
-    basis = []
-    for i in range(n):
-        row = [ZERO] * n
-        row[i] = ONE
-        basis.append(tuple(row))
-    return Subspace(n, tuple(basis))
+    return Subspace(ExactMatrix.identity(n))
 
 
 def zero_space(n: int) -> Subspace:
-    return Subspace(n, ())
+    return Subspace(ExactMatrix(0, n))
 
 
 def rank(m: ExactMatrix) -> int:
@@ -359,107 +366,71 @@ def kernel(m: ExactMatrix) -> Subspace:
             coeff = red[i].get(f)
             if coeff:
                 entries[(r, p)] = -coeff
-    _, basis = rref(ExactMatrix(len(free), m.cols, entries))
-    return _reduced_subspace(m.cols, basis)
+    return span(ExactMatrix(len(free), m.cols, entries))
 
 
 def image(m: ExactMatrix) -> Subspace:
     """Canonical basis of the column space of m."""
-    _, red = rref(m.transpose())
-    return _reduced_subspace(m.rows, red)
+    return span(m.transpose())
 
 
 def map_subspace(m: ExactMatrix, s: Subspace) -> Subspace:
     """Image of the subspace s under m."""
     if s.ambient_dim != m.cols:
         raise AmbientMismatch(f"{s.ambient_dim} != {m.cols}")
-    return subspace_from_vectors(m.rows, (m.apply(v) for v in s.basis))
+    return span(s.rows @ m.transpose())
+
+
+def _check_ambient(spaces: Sequence[Subspace]) -> None:
+    if not spaces:
+        raise ValueError("at least one subspace is required")
+    for s in spaces:
+        if s.ambient_dim != spaces[0].ambient_dim:
+            raise AmbientMismatch(f"{s.ambient_dim} != {spaces[0].ambient_dim}")
 
 
 def intersect(spaces: Sequence[Subspace]) -> Subspace:
     """Intersection of finitely many subspaces of one ambient space."""
     spaces = list(spaces)
-    if not spaces:
-        raise ValueError("intersect needs at least one subspace")
-    n = spaces[0].ambient_dim
-    for s in spaces:
-        if s.ambient_dim != n:
-            raise AmbientMismatch(f"{s.ambient_dim} != {n}")
+    _check_ambient(spaces)
     acc = spaces[0]
     for s in spaces[1:]:
         acc = _intersect_pair(acc, s)
     return acc
 
+
 def _intersect_pair(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
-    if a.dim == n:
+    if a.dim == n or b.dim == 0:
         return b
-    if b.dim == n:
+    if b.dim == n or a.dim == 0:
         return a
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(n)
-    # (u, v) with u*A = v*B; kernel of the stacked transpose
-    entries = {}
-    for r, row in enumerate(a.basis):
-        for c, val in enumerate(row):
-            if val:
-                entries[(c, r)] = val
-    for r, row in enumerate(b.basis):
-        for c, val in enumerate(row):
-            if val:
-                entries[(c, a.dim + r)] = -val
-    m = ExactMatrix(n, a.dim + b.dim, entries)
-    combos = kernel(m)
-    vecs = []
-    for uv in combos.basis:
-        vec = [ZERO] * n
-        for r, row in enumerate(a.basis):
-            f = uv[r]
-            if f:
-                for c, val in enumerate(row):
-                    if val:
-                        vec[c] = vec[c] + f * val
-        vecs.append(vec)
-    return subspace_from_vectors(n, vecs)
+    # u A = v B: the kernel of [A^T | -B^T], read through its u block
+    combos = kernel(ExactMatrix.hstack([a.rows.transpose(), -b.rows.transpose()]))
+    return span(combos.rows.leading_columns(a.dim) @ a.rows)
 
 
 def sum_spaces(spaces: Sequence[Subspace]) -> Subspace:
     spaces = list(spaces)
-    if not spaces:
-        raise ValueError("sum_spaces needs at least one subspace")
-    n = spaces[0].ambient_dim
-    vecs = []
-    for s in spaces:
-        if s.ambient_dim != n:
-            raise AmbientMismatch(f"{s.ambient_dim} != {n}")
-        vecs.extend(s.basis)
-    return subspace_from_vectors(n, vecs)
+    _check_ambient(spaces)
+    return span(ExactMatrix.vstack([s.rows for s in spaces]))
 
 
 def quotient_dim(num: Subspace, den: Subspace) -> int:
     """dim(num/den); raises NotContained if den is not inside num."""
-    if num.ambient_dim != den.ambient_dim:
-        raise AmbientMismatch(f"{num.ambient_dim} != {den.ambient_dim}")
-    for v in den.basis:
-        if not num.contains(v):
-            raise NotContained("denominator vector escapes the numerator subspace")
+    if num.outside(den.rows):
+        raise NotContained("denominator vector escapes the numerator subspace")
     return num.dim - den.dim
 
 
 def preimage(m: ExactMatrix, w: Subspace) -> Subspace:
-    """{x : m x in w} computed as a kernel of the combined system."""
+    """{x : m x in w}: the x block of the kernel of [m | -W^T]."""
     if w.ambient_dim != m.rows:
         raise AmbientMismatch(f"{w.ambient_dim} != {m.rows}")
     if w.dim == m.rows:
         return full_space(m.cols)
-    entries = dict(m.entries)
-    for j, row in enumerate(w.basis):
-        for c, val in enumerate(row):
-            if val:
-                entries[(c, m.cols + j)] = -val
-    combined = ExactMatrix(m.rows, m.cols + w.dim, entries)
-    combo = kernel(combined)
-    return subspace_from_vectors(m.cols, (v[: m.cols] for v in combo.basis))
+    combos = kernel(ExactMatrix.hstack([m, -w.rows.transpose()]))
+    return span(combos.rows.leading_columns(m.cols))
 
 
 def solve_many(m: ExactMatrix, rhs_list: Sequence[Sequence[Scalar]], reverse_pivots: bool = False):

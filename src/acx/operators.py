@@ -75,10 +75,9 @@ class FormComplex:
             for name in DIFFERENTIALS
         }
         self._gen_action["d"] = {g: with_weight_rank(f, rank) for g, f in diffs.items()}
-        self._weights = coefficients.weights()
         self._z_eig: dict[tuple[int, ...], tuple[Scalar, ...]] = {}
         self._zbar_eig: dict[tuple[int, ...], tuple[Scalar, ...]] = {}
-        for w in self._weights:
+        for w in coefficients.weights():
             z_eigs = []
             zbar_eigs = []
             for r in range(self.n):
@@ -139,14 +138,6 @@ class FormComplex:
 
     def dim(self, p: int, q: int) -> int:
         return len(self.basis(p, q))
-
-    def weight_slices(self, p: int, q: int) -> dict[tuple[int, ...], tuple[int, int]]:
-        """Contiguous index ranges of each weight inside the (p,q) basis."""
-        per_weight = self.dim(p, q) // max(len(self._weights), 1)
-        out = {}
-        for i, w in enumerate(self._weights):
-            out[w] = (i * per_weight, (i + 1) * per_weight)
-        return out
 
     def to_vector(self, form: Form, p: int, q: int) -> tuple[Scalar, ...]:
         idx = self.index(p, q)
@@ -360,21 +351,3 @@ class FormComplex:
                 dd_fail.append(r)
         report.append(("d.d", tuple(dd_fail)))
         return tuple(report)
-
-
-def block_at_weight(complex_: FormComplex, name: str, p: int, q: int, w) -> ExactMatrix:
-    """The sub-block of a weight-preserving operator at one Fourier weight."""
-    dp, dq = SHIFTS[name]
-    tp, tq = p + dp, q + dq
-    m = complex_.block(name, p, q)
-    lo, hi = complex_.weight_slices(p, q)[w]
-    if not complex_.valid_bidegree(tp, tq) or complex_.dim(tp, tq) == 0:
-        return ExactMatrix(0, hi - lo)
-    tlo, thi = complex_.weight_slices(tp, tq)[w]
-    entries = {}
-    for (r, c), v in m.entries.items():
-        if lo <= c < hi:
-            if not (tlo <= r < thi):
-                raise AssertionError(f"{name} failed to preserve the weight {w}")
-            entries[(r - tlo, c - lo)] = v
-    return ExactMatrix(thi - tlo, hi - lo, entries)

@@ -1,9 +1,33 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from acx import linalg
 from acx.cli import Session, bundled_manifest_path, manifest_from_dict, parse_manifest
+from acx.operators import FormComplex
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name: str):
+    """A module of the benchmark, loaded without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def sweep_sessions(seed: int) -> list[Session]:
+    """The benchmark sweep's models for one seed: three 6-dim, then two 4-dim."""
+    return [Session(manifest_from_dict(raw)) for raw in load_bench_module("models").sweep_manifests(seed, 3, 2)]
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +64,21 @@ def kodaira_session():
         "tasks": [],
     }
     return Session(manifest_from_dict(raw))
+
+
+@pytest.fixture(scope="session")
+def oracle_engines(kt4_session, torus_session, nil6_session, kodaira_session):
+    """(label, engine) of every model the differential oracles run on: kt4 at N = 0..2,
+    torus4, nil6, kodaira4, four seeded random 4-dim models and the benchmark sweep's
+    models at seeds 0 and 101."""
+    cases = [(f"kt4 N={n}", kt4_session.engine(n)) for n in (0, 1, 2)]
+    cases += [("torus4", torus_session.engine()), ("nil6", nil6_session.engine())]
+    cases.append(("kodaira4", kodaira_session.engine()))
+    rng = random.Random(4242)
+    cases += [(f"random {k}", random_4d_session(rng).engine()) for k in range(4)]
+    for seed in (0, 101):
+        cases += [(f"sweep{seed} {k}", s.engine()) for k, s in enumerate(sweep_sessions(seed))]
+    return cases
 
 
 def _mat_mul(a, b):
@@ -110,3 +149,23 @@ def random_4d_manifest(rng: random.Random) -> dict:
 
 def random_4d_session(rng: random.Random) -> Session:
     return Session(manifest_from_dict(random_4d_manifest(rng)))
+
+
+def sector_complexes(session: Session, truncation: int) -> list[FormComplex]:
+    """One complex per weight sector {w, -w} of the session's model at this truncation."""
+    model = session.spec.coefficients.with_truncation(truncation)
+    return [FormComplex(session.frame, model.with_sector(w)) for w in model.sectors()]
+
+
+def assert_sectors_decompose(session: Session, truncation: int, names, cells) -> None:
+    """The ranks and kernel dimensions of the sector blocks add up to the whole block's."""
+    whole_cx = session.complex(truncation)
+    sectors = sector_complexes(session, truncation)
+    for name in names:
+        for p, q in cells:
+            whole = whole_cx.block(name, p, q)
+            if whole.rows == 0:
+                continue
+            parts = [cx.block(name, p, q) for cx in sectors]
+            assert sum(linalg.rank(b) for b in parts) == linalg.rank(whole)
+            assert sum(linalg.kernel(b).dim for b in parts) == linalg.kernel(whole).dim

@@ -14,10 +14,9 @@ from acx.cli import Session, psi_from_selector, render_json, run
 from acx.cohomology import compute_diamond, diamond_numbers
 from acx.forms import BasisElement, Form
 from acx.lie import exterior_d_on_generators, split_d
-from acx.operators import block_at_weight
 from acx.scalars import rational
 
-from conftest import random_4d_session
+from conftest import assert_sectors_decompose, random_4d_session
 from test_forms import all_monomials, brute_wedge_sign
 
 SWEEP_SEED = 20260810
@@ -196,15 +195,7 @@ def test_criterion_12_property_suite(kt4_session):
     for _ in range(25):
         f = rand_form(rng, 2, rank=2)
         assert f.conjugate().conjugate() == f
-    # per-weight blocks decompose the whole matrices at N = 1
-    cx = kt4_session.engine(1).complex
-    for name in ("mu", "partial", "dbar", "mubar"):
-        for p in range(3):
-            for q in range(3):
-                whole = cx.block(name, p, q)
-                if whole.rows == 0:
-                    continue
-                parts = [block_at_weight(cx, name, p, q, w) for w in cx.coefficients.weights()]
-                assert sum(linalg.rank(b) for b in parts) == linalg.rank(whole)
-                assert sum(linalg.kernel(b).dim for b in parts) == linalg.kernel(whole).dim
+    # weight-sector blocks decompose the whole matrices at N = 1
+    cells = [(p, q) for p in range(3) for q in range(3)]
+    assert_sectors_decompose(kt4_session, 1, ("mu", "partial", "dbar", "mubar"), cells)
     report(12, "rank-nullity, quotients, wedge oracle, conjugation, weight decomposition")

@@ -96,7 +96,50 @@ def test_parse_errors(tmp_path, capsys):
         assert main(["validate", str(path), "--format", "json"]) == 2
         fatal = json.loads(capsys.readouterr().out)["fatal"]
         assert fatal["type"] == "ParseError" and fatal["detail"].startswith(f"{field}:"), fatal
-
+    # a JSON float is rounded to a double before any parser sees it: refused, never read
+    for field, value in (
+        ("coefficients.actions[0]", 0.33333333333333333333),
+        ("brackets[0]", 1.00000000000000000001),
+        ("J[0]", 1.0),
+        ("metric[0]", 0.5),
+    ):
+        raw = kt4_raw()
+        if field == "coefficients.actions[0]":
+            raw["coefficients"]["actions"][0][0] = value
+        elif field == "brackets[0]":
+            raw["brackets"][0][3] = value
+        elif field == "J[0]":
+            raw["J"][0][1] = value
+        else:
+            raw["metric"][0][1] = value
+        with pytest.raises(ParseError) as exc:
+            manifest_from_dict(raw)
+        assert exc.value.field == field
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["validate", str(path), "--format", "json"]) == 2
+        fatal = json.loads(capsys.readouterr().out)["fatal"]
+        assert fatal["type"] == "ParseError" and fatal["detail"].startswith(f"{field}:"), fatal
+    # JSON integers are exact and stay accepted
+    raw = kt4_raw()
+    raw["brackets"][0][3] = 1
+    raw["coefficients"]["actions"][0] = [1, 0]
+    assert manifest_from_dict(raw).algebra.brackets == ((2, 3, 4, 1),)
+    # unreadable files: a directory, bytes that are not UTF-8, an integer literal past Python's digit limit,
+    # arrays nested deeper than the JSON decoder recurses
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text(json.dumps(kt4_raw())[:-1] + ', "pad": ' + "7" * 4400 + "}", encoding="utf-8")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "\xff"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for path in (tmp_path, latin, long_int, deep):
+        with pytest.raises(ParseError) as exc:
+            parse_manifest(str(path))
+        assert exc.value.field == str(path)
+        assert main(["validate", str(path), "--format", "json"]) == 2
+        fatal = json.loads(capsys.readouterr().out)["fatal"]
+        assert fatal["type"] == "ParseError" and fatal["detail"].startswith(f"{path}:"), fatal
 
 def test_report_validates_the_model_once(monkeypatch, capsys):
     """Parse time and the report's validation section share one Jacobi d(d theta) check."""

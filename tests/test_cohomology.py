@@ -10,7 +10,7 @@ from acx.lie import SHIFTS
 from acx.metric import Not4Manifold
 from acx.scalars import ONE, ZERO
 
-from conftest import random_4d_session
+from conftest import assert_sectors_decompose, random_4d_session
 
 # frozen regression baselines for the growing cells (derived by a per-weight
 # block analysis at N = 0 and locked to engine output afterwards)
@@ -88,7 +88,7 @@ def test_refined_quotient_containment(kt4_session):
     for p in range(3):
         for q in range(3):
             num, den = eng.refined_parts(p, q)
-            assert num.contains_subspace(den)
+            assert not num.outside(den.rows)
 
 
 def test_function_block_quotient_example(kt4_session):
@@ -186,15 +186,8 @@ def test_special_11_bc_vs_dr_on_integrable(kodaira_session):
 
 
 def test_per_weight_refined_sums(kt4_session):
-    """Weight blocks decompose the full matrices: ranks and kernels add up."""
-    from acx.operators import block_at_weight
-
-    cx = kt4_session.engine(1).complex
-    for (p, q) in [(1, 1), (2, 1), (0, 1), (1, 0)]:
-        whole = cx.block("dbar", p, q)
-        per_weight = [block_at_weight(cx, "dbar", p, q, w) for w in cx.coefficients.weights()]
-        assert sum(linalg.rank(b) for b in per_weight) == linalg.rank(whole)
-        assert sum(linalg.kernel(b).dim for b in per_weight) == linalg.kernel(whole).dim
+    """Weight-sector blocks decompose the full matrices: ranks and kernels add up."""
+    assert_sectors_decompose(kt4_session, 1, ("dbar",), [(1, 1), (2, 1), (0, 1), (1, 0)])
 
 
 def whole_complex_diamond(session, truncations):
@@ -335,20 +328,10 @@ def _ref_real_ddc_numerator(eng):
     return linalg.intersect([linalg.kernel(linalg.realify(pdbar11)), real11])
 
 
-def _oracle_engines(request):
-    kt4 = request.getfixturevalue("kt4_session")
-    cases = [(f"kt4 N={n}", kt4.engine(n)) for n in (0, 1, 2)]
-    cases.append(("torus4", request.getfixturevalue("torus_session").engine()))
-    cases.append(("nil6", request.getfixturevalue("nil6_session").engine()))
-    rng = random.Random(4242)
-    cases.extend((f"random {k}", random_4d_session(rng).engine()) for k in range(4))
-    return cases
-
-
-def test_stacked_kernels_equal_kernel_intersections(request):
+def test_stacked_kernels_equal_kernel_intersections(oracle_engines):
     """A_Dol, the refined numerator, harmonic spaces, the d-exact (1,1) forms and
     the real ddc numerator equal their old constructions as Subspaces."""
-    for label, eng in _oracle_engines(request):
+    for label, eng in oracle_engines:
         cx = eng.complex
         for p in range(eng.n + 1):
             for q in range(eng.n + 1):
@@ -364,9 +347,9 @@ def test_stacked_kernels_equal_kernel_intersections(request):
             assert eng.real_ddc_parts()[0] == _ref_real_ddc_numerator(eng), label
 
 
-def test_oracle_cases_are_not_vacuous(request):
+def test_oracle_cases_are_not_vacuous(oracle_engines):
     """The oracle above compares proper, nonzero subspaces somewhere on every model kind."""
-    engines = dict(_oracle_engines(request))
+    engines = dict(oracle_engines)
     kt4 = engines["kt4 N=2"]
     assert 0 < kt4.exact_11().dim < kt4.complex.dim(1, 1)
     assert 0 < kt4.a_dol(0, 1).dim < kt4.complex.dim(0, 1)
@@ -377,3 +360,13 @@ def test_oracle_cases_are_not_vacuous(request):
     assert 0 < nil6.a_dol(1, 1).dim < nil6.complex.dim(1, 1)
     assert 0 < nil6.refined_parts(2, 1)[0].dim < nil6.a_dol(2, 1).dim
     assert all(eng.exact_11().dim for label, eng in engines.items() if label.startswith("random"))
+
+
+def test_rank_first_harmonic_dim_matches_harmonic_space(oracle_engines):
+    """harmonic_dim is cols - rank of the stacked system; the kernel basis gives the same number."""
+    for label, eng in oracle_engines:
+        for p in range(eng.n + 1):
+            for q in range(eng.n + 1):
+                for deltas in (("dbar", "mu"), ("partial",)):
+                    want = eng.harmonic_space(deltas, p, q).dim
+                    assert eng.harmonic_dim(deltas, p, q) == want, (label, deltas, p, q)

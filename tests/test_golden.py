@@ -7,7 +7,6 @@ with non-unit rational data.
 """
 
 import importlib
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -15,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from acx import cli
+
+from conftest import load_bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,10 +55,7 @@ SWEEP_GOLDEN = {0: "sweep101_6d", 3: "sweep101_4d"}
 
 
 def _sweep_manifests(seed):
-    spec = importlib.util.spec_from_file_location("bench_models", ROOT / "bench" / "models.py")
-    models = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(models)
-    return models.sweep_manifests(seed, 3, 2)
+    return load_bench_module("models").sweep_manifests(seed, 3, 2)
 
 
 @pytest.mark.parametrize("index", list(SWEEP_GOLDEN))

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -321,3 +323,218 @@ def test_oracle_covers_rank_deficiency_and_no_solution():
     assert solve(low, tuple(ONE for _ in range(low.rows))) is None
     fourier = matrices["fourier-27x72"]
     assert fourier.cols > 64 and rank(fourier) == 8 * 3 + 1
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the dense-tuple Subspace and its operations, which the
+# canonical sparse reduced-row matrix replaced, kept as the reference
+
+
+@dataclass(frozen=True)
+class DenseSubspace:
+    ambient_dim: int
+    basis: tuple
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def contains(self, vec):
+        work = {c: v for c, v in enumerate(vec) if v}
+        for row in self.basis:
+            nz = [(c, v) for c, v in enumerate(row) if v]
+            f = work.get(nz[0][0])
+            if f:
+                for c, v in nz:
+                    s = work.get(c, ZERO) - f * v
+                    if s:
+                        work[c] = s
+                    else:
+                        work.pop(c, None)
+        return not work
+
+
+def ref_span(n, vectors):
+    vectors = [tuple(v) for v in vectors]
+    if any(len(v) != n for v in vectors):
+        raise AmbientMismatch("vector length")
+    if not vectors:
+        return DenseSubspace(n, ())
+    return DenseSubspace(n, dense_basis(n, linalg.rref(ExactMatrix.from_rows(vectors, n))[1]))
+
+
+def ref_kernel(m):
+    pivots, red = linalg.rref(m)
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        vec = [ZERO] * m.cols
+        vec[f] = ONE
+        for i, p in enumerate(pivots):
+            if red[i].get(f):
+                vec[p] = -red[i][f]
+        vectors.append(vec)
+    return ref_span(m.cols, vectors)
+
+
+def ref_image(m):
+    return DenseSubspace(m.rows, dense_basis(m.rows, linalg.rref(m.transpose())[1]))
+
+
+def ref_map(m, s):
+    return ref_span(m.rows, (m.apply(v) for v in s.basis))
+
+
+def ref_intersect(spaces):
+    n = spaces[0].ambient_dim
+    acc = spaces[0]
+    for b in spaces[1:]:
+        if acc.dim == n:
+            acc = b
+        elif b.dim == n:
+            continue
+        elif acc.dim == 0 or b.dim == 0:
+            acc = DenseSubspace(n, ())
+        else:
+            # (u, v) with u*A = v*B
+            entries = {}
+            for r, row in enumerate(acc.basis):
+                entries.update(((c, r), val) for c, val in enumerate(row) if val)
+            for r, row in enumerate(b.basis):
+                entries.update(((c, acc.dim + r), -val) for c, val in enumerate(row) if val)
+            combos = ref_kernel(ExactMatrix(n, acc.dim + b.dim, entries))
+            vecs = []
+            for uv in combos.basis:
+                vec = [ZERO] * n
+                for r, row in enumerate(acc.basis):
+                    if uv[r]:
+                        vec = [x + uv[r] * y for x, y in zip(vec, row)]
+                vecs.append(vec)
+            acc = ref_span(n, vecs)
+    return acc
+
+
+def ref_sum(spaces):
+    return ref_span(spaces[0].ambient_dim, [v for s in spaces for v in s.basis])
+
+
+def ref_quotient_dim(num, den):
+    if not all(num.contains(v) for v in den.basis):
+        raise NotContained("reference")
+    return num.dim - den.dim
+
+
+def ref_preimage(m, w):
+    if w.dim == m.rows:
+        return ref_span(m.cols, [[ONE if c == r else ZERO for c in range(m.cols)] for r in range(m.cols)])
+    entries = dict(m.entries)
+    for j, row in enumerate(w.basis):
+        entries.update(((c, m.cols + j), -val) for c, val in enumerate(row) if val)
+    combo = ref_kernel(ExactMatrix(m.rows, m.cols + w.dim, entries))
+    return ref_span(m.cols, (v[: m.cols] for v in combo.basis))
+
+
+def as_ref(s):
+    """The reference subspace spanned by a Subspace's basis, canonicalized independently."""
+    return ref_span(s.ambient_dim, s.basis)
+
+
+def assert_same(new, ref, *where):
+    assert (new.ambient_dim, new.dim) == (ref.ambient_dim, ref.dim), where
+    assert new.basis == ref.basis, where
+
+
+def outcome(quotient, num, den):
+    try:
+        return quotient(num, den)
+    except NotContained:
+        return "NotContained"
+
+
+def check_spaces(spaces, *where):
+    """Every subspace operation on these spaces of one ambient space against the reference."""
+    refs = [as_ref(s) for s in spaces]
+    for s, r in zip(spaces, refs):
+        assert_same(s, r, *where)
+    for i, (a, ra) in enumerate(zip(spaces, refs)):
+        for j, (b, rb) in enumerate(zip(spaces, refs)):
+            if i == j:
+                continue
+            assert (a == b) == (ra == rb), where
+            assert_same(intersect([a, b]), ref_intersect([ra, rb]), "intersect", *where)
+            assert_same(sum_spaces([a, b]), ref_sum([ra, rb]), "sum", *where)
+            assert outcome(quotient_dim, a, b) == outcome(ref_quotient_dim, ra, rb), where
+            assert [a.contains(v) for v in rb.basis] == [ra.contains(v) for v in rb.basis], where
+    for order in itertools.permutations(range(len(spaces))):
+        want = ref_intersect([refs[i] for i in order])
+        assert_same(intersect([spaces[i] for i in order]), want, "intersect", order, *where)
+
+
+def check_matrix(m, sources, targets, *where):
+    """kernel, image, map_subspace and preimage of one matrix against the reference."""
+    assert_same(kernel(m), ref_kernel(m), "kernel", *where)
+    assert_same(image(m), ref_image(m), "image", *where)
+    for s in sources:
+        assert_same(linalg.map_subspace(m, s), ref_map(m, as_ref(s)), "map", *where)
+    for w in targets:
+        assert_same(preimage(m, w), ref_preimage(m, as_ref(w)), "preimage", *where)
+
+
+def check_pair(num, den, *where):
+    """A quotient's pair of subspaces: both orders of every operation, and its coefficient map.
+
+    The matrix whose columns are the numerator's basis is the descent's psi:
+    its preimage of the denominator is the coefficient vectors landing there.
+    """
+    check_spaces([num, den], *where)
+    if num.dim:
+        psi = num.rows.transpose()
+        check_matrix(psi, [full_space(num.dim)], [den, num], "psi", *where)
+
+
+@pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in oracle_matrices()])
+def test_subspace_layer_matches_dense_reference(name, m):
+    rng = random.Random(f"{name}-subspaces")
+    vectors = [tuple(rand_scalar(rng, 0.3) for _ in range(m.cols)) for _ in range(3)]
+    k, row_space = kernel(m), image(m.transpose())
+    mixed = subspace_from_vectors(m.cols, vectors + list(k.basis[:1]))
+    assert_same(mixed, ref_span(m.cols, vectors + list(k.basis[:1])), name)
+    check_spaces([k, row_space, mixed], name)
+    targets = [image(m), subspace_from_vectors(m.rows, [tuple(rand_scalar(rng, 0.5) for _ in range(m.rows))])]
+    check_matrix(m, [k, row_space, mixed], targets, name)
+    check_pair(row_space, intersect([row_space, mixed]), name)
+
+
+def test_subspace_layer_matches_dense_reference_on_random_sets():
+    # the random sets of test_intersect_examples_and_order
+    rng = random.Random(3)
+    for _ in range(15):
+        spaces = [image(rand_matrix(rng, 5, rng.randint(1, 4), 0.7)) for _ in range(3)]
+        check_spaces(spaces)
+
+
+def test_subspace_layer_matches_dense_reference_on_models(oracle_engines):
+    for label, eng in oracle_engines:
+        cx = eng.complex
+        for p in range(eng.n + 1):
+            for q in range(eng.n + 1):
+                refined, spectral = eng.refined_parts(p, q), eng.dolbeault_cw_parts(p, q)
+                check_pair(*refined, label, "refined", p, q)
+                check_pair(*spectral, label, "spectral", p, q)
+                if cx.valid_bidegree(p, q + 1):
+                    above = eng.dolbeault_cw_parts(p, q + 1) + eng.refined_parts(p, q + 1)
+                    check_matrix(cx.block("dbar", p, q), refined + spectral, above, label, "dbar", p, q)
+        check_pair(*eng.hat_h01_parts(), label, "hat01")
+        check_pair(*eng.real_ddc_parts(), label, "ddc")
+
+
+def test_subspace_oracle_is_not_vacuous(oracle_engines):
+    """The model pairs include proper nonzero denominators and pairs whose reverse quotient fails."""
+    engines = dict(oracle_engines)
+    kt4 = engines["kt4 N=2"]
+    num, den = kt4.real_ddc_parts()
+    assert 0 < den.dim < num.dim
+    with pytest.raises(NotContained):
+        quotient_dim(den, num)
+    num, den = kt4.refined_parts(1, 1)
+    assert 0 < den.dim < num.dim < kt4.complex.dim(1, 1)
+    assert sum(label.startswith("sweep") for label in engines) == 10

@@ -6,8 +6,11 @@ import pytest
 from acx import linalg
 from acx.forms import BasisElement, CoefficientModel, Form, InconsistentModel
 from acx.lie import SHIFTS
-from acx.operators import FormComplex, block_at_weight, compose, shift
+from acx.linalg import ExactMatrix
+from acx.operators import FormComplex, compose, shift
 from acx.scalars import ONE, Scalar, ZERO
+
+from conftest import assert_sectors_decompose, sector_complexes
 
 
 def test_identity_suite_kt4(kt4_session):
@@ -71,20 +74,26 @@ def test_operator_blocks_respect_shifts(kt4_session):
                     assert m.rows == 0
 
 
+def _copies(m, k):
+    """The block-diagonal matrix of k copies of m."""
+    zero = ExactMatrix(m.rows, m.cols)
+    return ExactMatrix.vstack([ExactMatrix.hstack([m if i == j else zero for j in range(k)]) for i in range(k)])
+
+
 def test_zero_order_operators_are_weight_constant(kt4_session):
-    """mu and mubar carry no coefficient-derivative terms: every weight block
-    equals the invariant block."""
-    cx = kt4_session.complex(1)
+    """mu and mubar carry no coefficient-derivative terms: every sector block
+    is one copy of the invariant block per weight of the sector."""
     inv = kt4_session.complex(0)
-    zero_w = (0, 0)
+    sectors = sector_complexes(kt4_session, 1)
+    assert len(sectors) == 5
     for name in ("mu", "mubar"):
         for p in range(3):
             for q in range(3):
-                if not cx.valid_bidegree(p + SHIFTS[name][0], q + SHIFTS[name][1]):
+                if not inv.valid_bidegree(p + SHIFTS[name][0], q + SHIFTS[name][1]):
                     continue
-                ref = block_at_weight(inv, name, p, q, zero_w)
-                for w in cx.coefficients.weights():
-                    assert block_at_weight(cx, name, p, q, w) == ref
+                ref = inv.block(name, p, q)
+                for cx in sectors:
+                    assert cx.block(name, p, q) == _copies(ref, len(cx.coefficients.weights()))
 
 
 def test_dbar_on_functions_eigenvalue(kt4_session):
@@ -105,17 +114,9 @@ def test_dbar_on_functions_eigenvalue(kt4_session):
 
 
 def test_weight_blocks_decompose_full_matrices(kt4_session):
-    """Per-weight computation agrees with the whole-matrix computation."""
-    cx = kt4_session.complex(1)
-    for name in ("mu", "partial", "dbar", "mubar"):
-        for p in range(3):
-            for q in range(3):
-                whole = cx.block(name, p, q)
-                if whole.rows == 0:
-                    continue
-                blocks = [block_at_weight(cx, name, p, q, w) for w in cx.coefficients.weights()]
-                assert sum(linalg.rank(b) for b in blocks) == linalg.rank(whole)
-                assert sum(linalg.kernel(b).dim for b in blocks) == linalg.kernel(whole).dim
+    """Per-sector computation agrees with the whole-matrix computation."""
+    cells = [(p, q) for p in range(3) for q in range(3)]
+    assert_sectors_decompose(kt4_session, 1, ("mu", "partial", "dbar", "mubar"), cells)
 
 
 def test_conjugation_intertwines_mu_and_mubar(kt4_session):
