@@ -18,9 +18,9 @@ from .forms import BasisElement, Form
 from .lie import nijenhuis_rank
 from .linalg import ExactMatrix
 from .metric import Not4Manifold, exact_det
-from .operators import DIFFERENTIALS, FormComplex, compose, shift
+from .operators import DIFFERENTIALS, FormComplex, compose, failing_blocks
 from .cohomology import CohomologyEngine
-from .scalars import I, ONE, ZERO, Scalar, integer
+from .scalars import I, MINUS_ONE, ONE, ZERO, Scalar, integer
 
 MINUS_I = -I
 
@@ -85,41 +85,6 @@ def _verdict(ok: bool) -> str:
 # identity audits
 
 
-def _commutator(engine: CohomologyEngine, a: str, b: str, p: int, q: int, rows: int) -> ExactMatrix:
-    """[a, b] = ab - ba from the (p,q) block into a target block of the given size."""
-    acc = ExactMatrix(rows, engine.complex.dim(p, q))
-    ab = compose(engine.block, [a, b], p, q)
-    ba = compose(engine.block, [b, a], p, q)
-    if ab.rows:
-        acc = acc + ab
-    if ba.rows:
-        acc = acc - ba
-    return acc
-
-
-def _check_commutator(engine: CohomologyEngine, a: str, b: str, rhs) -> bool:
-    """[a, b] == rhs as exact block identities on every bidegree."""
-    cx = engine.complex
-    n = cx.n
-    (dap, daq), (dbp, dbq) = shift(a), shift(b)
-    for p in range(n + 1):
-        for q in range(n + 1):
-            target = (p + dap + dbp, q + daq + dbq)
-            if cx.dim(p, q) == 0 or not cx.valid_bidegree(*target):
-                continue
-            acc = _commutator(engine, a, b, p, q, cx.dim(*target))
-            if rhs is not None:
-                scalar, name = rhs
-                dp, dq = shift(name)
-                if (p + dp, q + dq) == target:
-                    m = engine.block(name, p, q)
-                    if m.rows:
-                        acc = acc - m.scale(scalar)
-            if not acc.is_zero():
-                return False
-    return True
-
-
 def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
     """Square-zero relations always; the metric commutators when d(omega) = 0."""
     items = []
@@ -145,6 +110,7 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
             )
         )
         return items
+    # [a, b] = c . rhs, as the identity ab - ba - c . rhs = 0
     commutators = [
         ("L", "mubar", None),
         ("L", "mu", None),
@@ -163,9 +129,14 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
         ("Lambda", "dbar", (MINUS_I, "partial*")),
         ("Lambda", "partial", (I, "dbar*")),
     ]
+    n = engine.n
     failures = []
     for a, b, rhs in commutators:
-        if not _check_commutator(engine, a, b, rhs):
+        terms = [(ONE, [a, b]), (MINUS_ONE, [b, a])]
+        if rhs is not None:
+            scalar, name = rhs
+            terms.append((-scalar, [name]))
+        if failing_blocks(engine.block, terms, n):
             failures.append(f"[{a},{b}]")
     items.append(
         AuditItem(
@@ -174,17 +145,9 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
             {"failing": failures} if failures else {"checked": len(commutators)},
         )
     )
-    # sl(2) normalization: [L, Lambda] = (p + q - n) id on every block
-    sl2_fail = []
-    cx = engine.complex
-    for p in range(cx.n + 1):
-        for q in range(cx.n + 1):
-            dim = cx.dim(p, q)
-            if dim == 0:
-                continue
-            expected = ExactMatrix.identity(dim).scale(integer(p + q - cx.n))
-            if _commutator(engine, "L", "Lambda", p, q, dim) != expected:
-                sl2_fail.append((p, q))
+    # sl(2) normalization: [L, Lambda] = H, the counting operator (p + q - n) id
+    sl2 = [(ONE, ["L", "Lambda"]), (MINUS_ONE, ["Lambda", "L"]), (MINUS_ONE, ["H"])]
+    sl2_fail = failing_blocks(engine.block, sl2, n)
     items.append(
         AuditItem(
             "lefschetz-sl2-commutator",
@@ -223,15 +186,12 @@ def audit_dualities(engine: CohomologyEngine) -> list[AuditItem]:
             {"table": {f"{p},{q}": v for (p, q), v in sorted(ell.items())}},
         )
     ]
+    # star takes (p,q) to (n-q, n-p): each harmonic space is built once, as a source and as a target
+    spaces = {cell: engine.harmonic_space(("dbar", "mu"), *cell) for cell in ell}
     star_fail = []
-    for p in range(n + 1):
-        for q in range(n + 1):
-            space = engine.harmonic_space(("dbar", "mu"), p, q)
-            if space.dim == 0:
-                continue
-            target = engine.harmonic_space(("dbar", "mu"), n - q, n - p)
-            if target.outside(space.rows @ h.star(p, q).transpose()):
-                star_fail.append((p, q))
+    for (p, q), space in spaces.items():
+        if space.dim and spaces[(n - q, n - p)].outside(space.rows @ h.star(p, q).transpose()):
+            star_fail.append((p, q))
     items.append(
         AuditItem(
             "star-preserves-harmonicity",

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from . import __version__
+from . import __version__, linalg
 from .audits import (
     AuditItem,
     NotDdcClosed as NotDdcClosedError,
@@ -39,9 +39,9 @@ from .lie import (
     nijenhuis_rank,
     validate_model,
 )
-from .linalg import NotContained
+from .linalg import ExactMatrix, NotContained
 from .metric import HermitianMetric, HermitianStructure, Not4Manifold, NotPositive
-from .operators import FormComplex
+from .operators import DIFFERENTIALS, FormComplex, compose
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, rational
 
 KNOWN_TASKS = ("validate", "diamond", "verify", "taming", "report")
@@ -127,6 +127,30 @@ def _exact(field: str, x) -> str:
     return str(x)
 
 
+def _exact_matrix(field: str, raw, rows: int, cols: int, parse, shape: str | None = None, real: bool = False) -> tuple:
+    """A rows x cols manifest matrix, each entry read by parse from its exact text.
+
+    A wrong number of rows is a ParseError naming field, with the message
+    shape; anything wrong in row r names field[r].  real refuses a row with a
+    non-real entry once the whole row has been read.
+    """
+    if not (isinstance(raw, list) and len(raw) == rows):
+        raise ParseError(field, shape or f"a {rows}x{cols} matrix is required")
+    out = []
+    for r, row in enumerate(raw):
+        name = f"{field}[{r}]"
+        if not (isinstance(row, list) and len(row) == cols):
+            raise ParseError(name, f"expected {cols} entries")
+        try:
+            parsed = tuple(parse(_exact(name, x)) for x in row)
+        except ValueError as exc:
+            raise ParseError(name, str(exc)) from None
+        if real and not all(x.is_real() for x in parsed):
+            raise ParseError(name, "entries must be rationals")
+        out.append(parsed)
+    return tuple(out)
+
+
 def _is_int(x) -> bool:
     """A JSON integer; true and false are not integers here, though Python's bool is an int."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -165,18 +189,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
     except ValueError as exc:
         raise ValidationError("LieAlgebraSpec", str(exc)) from None
 
-    j_rows = raw.get("J")
-    if not (isinstance(j_rows, list) and len(j_rows) == real_dim):
-        raise ParseError("J", f"a {real_dim}x{real_dim} matrix is required")
-    matrix = []
-    for r, row in enumerate(j_rows):
-        if not (isinstance(row, list) and len(row) == real_dim):
-            raise ParseError(f"J[{r}]", f"expected {real_dim} entries")
-        try:
-            matrix.append(tuple(parse_rational(_exact(f"J[{r}]", x)) for x in row))
-        except ValueError as exc:
-            raise ParseError(f"J[{r}]", str(exc)) from None
-    structure = AlmostComplexStructure(tuple(matrix))
+    structure = AlmostComplexStructure(_exact_matrix("J", raw.get("J"), real_dim, real_dim, parse_rational))
     if not structure.squares_to_minus_one():
         raise ValidationError("AlmostComplexStructure", "J^2 != -1")
 
@@ -184,17 +197,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
     if metric_rows is None:
         metric = HermitianMetric.identity(n)
     else:
-        if not (isinstance(metric_rows, list) and len(metric_rows) == n):
-            raise ParseError("metric", f"a {n}x{n} matrix is required")
-        rows = []
-        for r, row in enumerate(metric_rows):
-            if not (isinstance(row, list) and len(row) == n):
-                raise ParseError(f"metric[{r}]", f"expected {n} entries")
-            try:
-                rows.append(tuple(parse_scalar(_exact(f"metric[{r}]", x)) for x in row))
-            except ValueError as exc:
-                raise ParseError(f"metric[{r}]", str(exc)) from None
-        metric = HermitianMetric(tuple(rows))
+        metric = HermitianMetric(_exact_matrix("metric", metric_rows, n, n, parse_scalar))
         try:
             metric.validate()
         except NotPositive as exc:
@@ -210,25 +213,15 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         rank = coeff_raw.get("rank")
         if not _is_int(rank) or rank <= 0:
             raise ParseError("coefficients.rank", "a positive integer is required")
-        actions_raw = coeff_raw.get("actions")
-        if not (isinstance(actions_raw, list) and len(actions_raw) == real_dim):
-            raise ParseError("coefficients.actions", f"one length-{rank} row per frame vector is required")
-        actions = []
-        for r, row in enumerate(actions_raw):
-            if not (isinstance(row, list) and len(row) == rank):
-                raise ParseError(f"coefficients.actions[{r}]", f"expected {rank} entries")
-            try:
-                parsed = tuple(parse_scalar(_exact(f"coefficients.actions[{r}]", x)) for x in row)
-            except ValueError as exc:
-                raise ParseError(f"coefficients.actions[{r}]", str(exc)) from None
-            # a frame vector acts on e^{2 pi i w.t} by 2 pi i (row . w): the row must be real
-            if not all(x.is_real() for x in parsed):
-                raise ParseError(f"coefficients.actions[{r}]", "entries must be rationals")
-            actions.append(parsed)
+        # a frame vector acts on e^{2 pi i w.t} by 2 pi i (row . w): the row must be real
+        actions = _exact_matrix(
+            "coefficients.actions", coeff_raw.get("actions"), real_dim, rank, parse_scalar,
+            shape=f"one length-{rank} row per frame vector is required", real=True,
+        )
         truncation = coeff_raw.get("truncation", 0)
         if not _is_int(truncation) or truncation < 0:
             raise ParseError("coefficients.truncation", "a nonnegative integer is required")
-        coefficients = CoefficientModel("torus_fourier", rank, tuple(actions), truncation)
+        coefficients = CoefficientModel("torus_fourier", rank, actions, truncation)
     else:
         raise ParseError("coefficients.type", f"unknown coefficient model {kind!r}")
 
@@ -353,18 +346,26 @@ def psi_from_selector(session: Session, truncation, selector: str) -> Form:
     omega = engine.hermitian.omega
     if selector == "fundamental":
         return omega
-    real_11 = (cx.from_realified(vec, 1, 1) for vec in engine.real_subspace(1, 1).basis)
-    # the ddc-closed members of the real (1,1) basis, in basis order, found lazily
-    pure = (c for c in real_11 if cx.apply("partial", cx.apply("dbar", c)).is_zero())
+    # the real (1,1) basis in its rows, classified by two realified block products
+    basis = engine.real_subspace(1, 1).rows
+    ddc = linalg.realify(compose(engine.block, ["partial", "dbar"], 1, 1))
+    d = linalg.realify(ExactMatrix.vstack([cx.block(name, 1, 1) for name in DIFFERENTIALS]))
+    not_ddc_closed = {r for r, _ in (basis @ ddc.transpose()).entries}
+    not_closed = {r for r, _ in (basis @ d.transpose()).entries}
+    # the ddc-closed basis rows, in basis order
+    pure = [r for r in range(basis.rows) if r not in not_ddc_closed]
+
+    def form(r: int) -> Form:
+        return cx.from_realified([basis.entry(r, c) for c in range(basis.cols)], 1, 1)
+
     if selector == "perturbed":
         # the first one that is not d-closed; omega itself when there is none
-        candidate = next((c for c in pure if not cx.apply("d", c).is_zero()), None)
-        return omega if candidate is None else omega + candidate.scale(rational(1, 10))
+        candidate = next((r for r in pure if r in not_closed), None)
+        return omega if candidate is None else omega + form(candidate).scale(rational(1, 10))
     idx = _basis_index(selector)
-    pure = list(pure)
     if idx >= len(pure):
         raise ValidationError("TamingSelector", f"basis index {idx} out of range ({len(pure)} available)")
-    return pure[idx]
+    return form(pure[idx])
 
 
 # ---------------------------------------------------------------------------

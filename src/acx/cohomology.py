@@ -20,6 +20,7 @@ from .lie import SHIFTS
 from .linalg import ExactMatrix, Subspace
 from .metric import HermitianStructure, Not4Manifold
 from .operators import DIFFERENTIALS, FormComplex, compose
+from .scalars import integer
 
 
 class CohomologyEngine:
@@ -36,7 +37,12 @@ class CohomologyEngine:
     # -- generic block subspaces ------------------------------------------------
 
     def block(self, name: str, p: int, q: int) -> ExactMatrix:
-        """One operator from the (p,q) block: a differential, its adjoint `name*`, L or Lambda."""
+        """One operator from the (p,q) block: a differential, its adjoint `name*`, L, Lambda or H.
+
+        H is the counting operator (p + q - n) id of the Lefschetz sl(2).
+        """
+        if name == "H":
+            return ExactMatrix.identity(self.complex.dim(p, q)).scale(integer(p + q - self.n))
         if name == "L":
             return self.hermitian.lefschetz_block(p, q)
         if name == "Lambda":

@@ -168,18 +168,10 @@ def build_frame(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> Comp
             if structure.matrix[r][c]:
                 col[r] = col[r] - half * I * from_fraction(structure.matrix[r][c])
         columns.append(tuple(col))
-    if linalg.rank(ExactMatrix.from_rows(columns, dim)) != n:
+    # the pivots of the column matrix are its leftmost linearly independent columns
+    chosen, _ = linalg.rref(ExactMatrix.from_rows(columns, dim).transpose())
+    if len(chosen) != n:
         raise DegenerateJ("projector rank is not half the dimension")
-    # keep the leftmost projector columns that stay linearly independent
-    chosen: list[int] = []
-    probe: list[tuple[Scalar, ...]] = []
-    for c in range(dim):
-        trial = probe + [columns[c]]
-        if linalg.rank(ExactMatrix.from_rows(trial, dim)) == len(trial):
-            probe = trial
-            chosen.append(c)
-            if len(chosen) == n:
-                break
     z_vectors = tuple(columns[c] for c in chosen)
     # duality: invert the matrix whose columns are Z_1..Z_n, conj(Z_1)..conj(Z_n)
     entries = {}

@@ -25,17 +25,19 @@ from .forms import (
 )
 from .lie import SHIFTS, ComplexFrame, exterior_d_on_generators, split_d
 from .linalg import ExactMatrix
-from .scalars import I, ZERO, Scalar
+from .scalars import I, ONE, ZERO, Scalar
 
 DIFFERENTIALS = ("mu", "partial", "dbar", "mubar")
 
 
+# operators of the metric calculus that are not differentials; H is (p + q - n) id
+_METRIC_SHIFTS = {"L": (1, 1), "Lambda": (-1, -1), "H": (0, 0)}
+
+
 def shift(name: str) -> tuple[int, int]:
-    """Bidegree shift of a differential, its adjoint `name*`, L or Lambda."""
-    if name == "L":
-        return (1, 1)
-    if name == "Lambda":
-        return (-1, -1)
+    """Bidegree shift of a differential, its adjoint `name*`, L, Lambda or H."""
+    if name in _METRIC_SHIFTS:
+        return _METRIC_SHIFTS[name]
     if name.endswith("*"):
         dp, dq = SHIFTS[name[:-1]]
         return (-dp, -dq)
@@ -57,6 +59,34 @@ def compose(block: Callable[[str, int, int], ExactMatrix], names, p: int, q: int
         dp, dq = shift(name)
         p, q = p + dp, q + dq
     return mat
+
+
+def failing_blocks(block: Callable[[str, int, int], ExactMatrix], terms, n: int) -> list[tuple[int, int]]:
+    """The bidegrees (p,q) on which the sum of c . compose(block, chain, p, q) is nonzero.
+
+    terms is a list of (c, chain) with c a Scalar; this is the one test of an
+    operator identity "sum of chains = 0" on every block of the diamond.  A
+    chain that leaves the diamond counts as zero.  All chains must share one
+    bidegree shift, or the sum would add maps into different blocks.
+    """
+    shifts = {tuple(map(sum, zip(*map(shift, chain)))) for _, chain in terms}
+    if len(shifts) != 1:
+        raise ValueError(f"the chains of an identity must share one bidegree shift, not {sorted(shifts)}")
+    ((sp, sq),) = shifts
+    failing = []
+    for p in range(max(0, -sp), min(n, n - sp) + 1):
+        for q in range(max(0, -sq), min(n, n - sq) + 1):
+            acc = None
+            for c, chain in terms:
+                prod = compose(block, chain, p, q)
+                if prod.rows == 0:
+                    continue
+                if c != ONE:
+                    prod = prod.scale(c)
+                acc = prod if acc is None else acc + prod
+            if acc is not None and not acc.is_zero():
+                failing.append((p, q))
+    return failing
 
 
 class FormComplex:
@@ -315,20 +345,10 @@ class FormComplex:
             ("mubar.dbar+dbar.mubar", [("mubar", "dbar"), ("dbar", "mubar")]),
             ("mubar.mubar", [("mubar", "mubar")]),
         ]
-        report = []
-        for label, terms in relations:
-            failures = []
-            for p in range(self.n + 1):
-                for q in range(self.n + 1):
-                    acc = None
-                    for chain in terms:
-                        prod = compose(self.block, chain, p, q)
-                        if prod.rows == 0:
-                            continue
-                        acc = prod if acc is None else acc + prod
-                    if acc is not None and not acc.is_zero():
-                        failures.append((p, q))
-            report.append((label, tuple(failures)))
+        report = [
+            (label, tuple(failing_blocks(self.block, [(ONE, chain) for chain in chains], self.n)))
+            for label, chains in relations
+        ]
         # reconstruction: d, applied independently to each monomial, equals the
         # monomial's column in the four assembled component blocks
         recon_fail = []

@@ -46,6 +46,48 @@ def test_identities_audit_gates_on_closedness(kt4_session):
     assert got["square-zero-relations:mu.mu"] == "pass"
 
 
+def test_identity_audits_name_what_fails_when_L_is_doubled(kt4_session, monkeypatch):
+    """Doubling L (but not Lambda, which is built from the true L) breaks exactly the
+    commutators whose right side pairs L with an adjoint, and sl(2) off the middle blocks."""
+    from acx.cohomology import CohomologyEngine
+    from acx.scalars import integer
+
+    session_engine = kt4_session.engine(1)
+    engine = CohomologyEngine(session_engine.complex, session_engine.hermitian)
+    block = engine.block
+
+    def doubled_l(name, p, q):
+        m = block(name, p, q)
+        return m.scale(integer(2)) if name == "L" else m
+
+    monkeypatch.setattr(engine, "block", doubled_l)
+    got = {item.claim: item for item in audits.audit_identities(engine)}
+    assert got["symplectic-commutators"].status == "fail"
+    assert got["symplectic-commutators"].witness == {"failing": ["[L,mubar*]", "[L,mu*]", "[L,dbar*]", "[L,partial*]"]}
+    assert got["lefschetz-sl2-commutator"].status == "fail"
+    assert got["lefschetz-sl2-commutator"].witness == {
+        "failing_blocks": [[0, 0], [0, 1], [1, 0], [1, 2], [2, 1], [2, 2]]
+    }
+
+
+def test_dualities_audit_builds_each_harmonic_space_once(kt4_session, monkeypatch):
+    from acx.cli import run
+    from acx.cohomology import CohomologyEngine
+
+    calls = []
+    harmonic_space = CohomologyEngine.harmonic_space
+
+    def counting(engine, deltas, p, q):
+        calls.append((deltas, p, q))
+        return harmonic_space(engine, deltas, p, q)
+
+    monkeypatch.setattr(CohomologyEngine, "harmonic_space", counting)
+    payload, code = run("verify", kt4_session, {"truncations": "2"})
+    assert code == 0
+    assert {a["claim"]: a["status"] for a in payload["audits"]}["star-preserves-harmonicity"] == "pass"
+    assert len(calls) == len(set(calls)) == 9
+
+
 def test_dualities_audit(kt4_session, torus_session):
     for engine in (kt4_session.engine(0), kt4_session.engine(1), torus_session.engine()):
         got = statuses(audits.audit_dualities(engine))

@@ -5,9 +5,11 @@ built once per engine as a realified map on blocks, and solve_taming and the
 ddc descent audit are the one-column and many-column cases of one helper.
 The references below are the form-by-form constructions: the correction as
 four operator applications, the hand-expanded closedness system, a solve by
-elimination of [m | b], and the descent loop that corrects, differentiates
-and flattens one basis form at a time.  Certificates, obstruction
-functionals and descent witnesses must agree on every case.
+elimination of [m | b], the descent loop that corrects, differentiates and
+flattens one basis form at a time, and the taming selector that builds every
+real (1,1) basis form and tests it by operator applications.  Certificates,
+selected forms, obstruction functionals and descent witnesses must agree on
+every case.
 """
 
 import importlib.util
@@ -29,8 +31,8 @@ from acx.audits import (
 from acx.cli import Session, ValidationError, manifest_from_dict, psi_from_selector
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
-from acx.operators import compose
-from acx.scalars import ZERO
+from acx.operators import FormComplex, compose
+from acx.scalars import ZERO, rational
 
 from conftest import random_4d_session
 
@@ -225,3 +227,70 @@ def test_closed_and_well_defined_guards_can_fail(kt4_session, monkeypatch):
     monkeypatch.setattr(engine, "correction_map", lambda: next(maps))
     cert = solve_taming(engine, psi)
     assert cert.closed and not cert.well_defined
+
+
+def reference_psi_from_selector(session, truncation, selector):
+    """The Form-level selector: every real (1,1) basis vector becomes a form,
+    and operator applications on forms pick the ddc-closed and the non-closed ones."""
+    engine = session.engine(truncation)
+    cx = engine.complex
+    omega = engine.hermitian.omega
+    real_11 = [cx.from_realified(vec, 1, 1) for vec in engine.real_subspace(1, 1).basis]
+    pure = [c for c in real_11 if cx.apply("partial", cx.apply("dbar", c)).is_zero()]
+    if selector == "perturbed":
+        candidate = next((c for c in pure if not cx.apply("d", c).is_zero()), None)
+        return omega if candidate is None else omega + candidate.scale(rational(1, 10))
+    idx = int(selector.partition(":")[2])
+    if idx >= len(pure):
+        raise ValidationError("TamingSelector", f"basis index {idx} out of range ({len(pure)} available)")
+    return pure[idx]
+
+
+def _selection(select, session, n, selector):
+    try:
+        return "form", select(session, n, selector)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+def test_selector_matches_form_level_reference(kt4_session, torus_session, kodaira_session):
+    cases = [(f"kt4 N={n}", kt4_session, n) for n in range(3)]
+    cases += [("torus4", torus_session, None), ("kodaira", kodaira_session, None)]
+    rng = random.Random(4242)
+    cases += [(f"random4d-{k}", random_4d_session(rng), None) for k in range(4)]
+    for seed in (0, 101):
+        cases += [(f"sweep4d-{seed}-{k}", s, None) for k, s in enumerate(_sweep_four_dim_sessions(seed))]
+    perturbed = selected = 0
+    for label, session, n in cases:
+        omega = session.engine(n).hermitian.omega
+        got = psi_from_selector(session, n, "perturbed")
+        assert got == reference_psi_from_selector(session, n, "perturbed"), label
+        perturbed += got != omega
+        k = 0
+        while True:
+            # every basis:K up to and including the first one out of range
+            want = _selection(reference_psi_from_selector, session, n, f"basis:{k}")
+            assert _selection(psi_from_selector, session, n, f"basis:{k}") == want, (label, k)
+            if want[0] == "error":
+                break
+            k += 1
+        selected += k
+    # non-vacuity: some perturbations and some basis forms are really chosen
+    assert perturbed > 0 and selected > len(cases)
+
+
+def test_selector_applies_no_operator_to_forms(kt4_session, monkeypatch):
+    """Once the blocks exist, the selector reads them: it never applies an operator to a form."""
+    kt4_session.complex(2).identity_suite()
+    calls = []
+    apply = FormComplex.apply
+
+    def counting(cx, name, form):
+        calls.append(name)
+        return apply(cx, name, form)
+
+    monkeypatch.setattr(FormComplex, "apply", counting)
+    for selector in ("basis:0", "perturbed"):
+        psi = psi_from_selector(kt4_session, 2, selector)
+        assert psi != kt4_session.engine(2).hermitian.omega
+    assert calls == []
