@@ -17,7 +17,7 @@ from . import linalg
 from .forms import BasisElement, Form
 from .lie import nijenhuis_rank
 from .linalg import ExactMatrix
-from .metric import Not4Manifold, exact_det
+from .metric import HermitianMetric, Not4Manifold, NotPositive
 from .operators import DIFFERENTIALS, FormComplex, compose, failing_blocks
 from .cohomology import CohomologyEngine
 from .scalars import I, MINUS_ONE, ONE, ZERO, Scalar, integer
@@ -96,11 +96,7 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
                 witness={"failing_blocks": [list(b) for b in entry["failures"]]} if entry["failures"] else {},
             )
         )
-    h = engine.hermitian
-    if h is None:
-        items.append(AuditItem("symplectic-commutators", "not-applicable", {"reason": "no metric supplied"}))
-        return items
-    predicates = h.kahler_predicates()
+    predicates = engine.hermitian.kahler_predicates()
     if not predicates["almost_kahler"]:
         items.append(
             AuditItem(
@@ -161,8 +157,6 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
 def audit_dualities(engine: CohomologyEngine) -> list[AuditItem]:
     """Harmonic dimension symmetries and star-stability of harmonic spaces."""
     h = engine.hermitian
-    if h is None:
-        return [AuditItem("harmonic-dualities", "not-applicable", {"reason": "no metric supplied"})]
     if not h.kahler_predicates()["almost_kahler"]:
         return [
             AuditItem(
@@ -247,20 +241,18 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
         "hat01": engine.hat_h01(),
         "hat1": engine.hat_h1(),
         "b1": engine.de_rham(1),
+        "ell10": engine.ell(1, 0),
+        "ell01": engine.ell(0, 1),
+        "ell20": engine.ell(2, 0),
+        "ell02": engine.ell(0, 2),
     }
     chain_ok = (
         numbers["h10"] == numbers["ht10"]
         and numbers["ht10"] <= numbers["ht01"] <= numbers["hat01"] <= numbers["h01"]
+        and numbers["ell10"] == numbers["h10"]
+        and numbers["ell01"] <= numbers["ht01"]
+        and numbers["ell20"] == numbers["h20"] == numbers["ht20"] == numbers["ell02"] == numbers["h02"] <= numbers["ht02"]
     )
-    if engine.hermitian is not None:
-        numbers["ell10"] = engine.ell(1, 0)
-        numbers["ell01"] = engine.ell(0, 1)
-        numbers["ell20"] = engine.ell(2, 0)
-        numbers["ell02"] = engine.ell(0, 2)
-        chain_ok = chain_ok and numbers["ell10"] == numbers["h10"] and numbers["ell01"] <= numbers["ht01"]
-        chain_ok = chain_ok and (
-            numbers["ell20"] == numbers["h20"] == numbers["ht20"] == numbers["ell02"] == numbers["h02"] <= numbers["ht02"]
-        )
     items.append(AuditItem("hodge-number-chain", _verdict(chain_ok), dict(numbers)))
     betti_ok = 2 * numbers["ht10"] <= numbers["b1"] <= numbers["ht10"] + numbers["hat01"] <= numbers["ht10"] + numbers["h01"]
     witness = dict(numbers)
@@ -517,24 +509,19 @@ def _structural_guarantee(engine: CohomologyEngine, omega_prime: Form) -> dict:
     invariant_11 = all(not any(e.weight) for e in part11.coeffs)
     positive = False
     if invariant_11 and part11:
-        n = engine.n
-        rows = []
+        # omega' = (i/2) g_{k jbar} theta^k ^ tbar^j on its (1,1) part: g = -2i c
+        zero = (0,) * engine.complex.coefficients.rank
+        indices = range(1, engine.n + 1)
         minus_two_i = integer(-2) * I
-        for k in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                c = ZERO
-                for e, v in part11.coeffs.items():
-                    if e.holo == (k,) and e.anti == (j,):
-                        c = v
-                row.append(minus_two_i * c)
-            rows.append(row)
-        positive = True
-        for size in range(1, n + 1):
-            minor = exact_det([r[:size] for r in rows[:size]])
-            if not minor.is_real() or minor.re <= 0:
-                positive = False
-                break
+        g = tuple(
+            tuple(minus_two_i * part11.coeffs.get(BasisElement(zero, (k,), (j,)), ZERO) for j in indices)
+            for k in indices
+        )
+        try:
+            HermitianMetric(g).validate()
+            positive = True
+        except NotPositive:
+            pass
     return {
         "correction_is_20_plus_02": pure_correction,
         "one_one_part_invariant": invariant_11,

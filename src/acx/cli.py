@@ -15,11 +15,12 @@ import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 
 from . import __version__, linalg
 from .audits import (
     AuditItem,
-    NotDdcClosed as NotDdcClosedError,
+    NotDdcClosed,
     audit_4mfld_lemmas,
     audit_ddbar_images,
     audit_ddc_descent,
@@ -46,6 +47,10 @@ from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, ration
 
 KNOWN_TASKS = ("validate", "diamond", "verify", "taming", "report")
 
+# the largest truncated basis a run builds: (2N+1)^rank * 4^n monomials over all
+# bidegrees; kt4 (rank 2, n = 2) reaches it past N = 39
+MAX_BASIS_MONOMIALS = 100_000
+
 
 class ParseError(Exception):
     """Structured manifest parse failure with field provenance."""
@@ -61,6 +66,23 @@ class ValidationError(Exception):
     def __init__(self, invariant: str, message: str):
         super().__init__(f"{invariant}: {message}")
         self.invariant = invariant
+
+
+def check_basis_size(n: int, rank: int, truncation: int) -> None:
+    """Refuse a truncation whose basis has more than MAX_BASIS_MONOMIALS monomials, before building it.
+
+    The count (2N+1)^rank * 4^n is formed factor by factor and abandoned once
+    it passes the limit, so a huge N or rank costs no huge power.
+    """
+    size = 1
+    for factor in chain(repeat(4, n), repeat(2 * truncation + 1, rank)):
+        size *= factor
+        if size > MAX_BASIS_MONOMIALS:
+            raise ValidationError(
+                "Truncations",
+                f"truncation {truncation} gives more than {MAX_BASIS_MONOMIALS} basis monomials"
+                f" ((2N+1)^{rank} * 4^{n})",
+            )
 
 
 @dataclass
@@ -221,6 +243,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         truncation = coeff_raw.get("truncation", 0)
         if not _is_int(truncation) or truncation < 0:
             raise ParseError("coefficients.truncation", "a nonnegative integer is required")
+        check_basis_size(n, rank, truncation)
         coefficients = CoefficientModel("torus_fourier", rank, actions, truncation)
     else:
         raise ParseError("coefficients.type", f"unknown coefficient model {kind!r}")
@@ -325,8 +348,14 @@ def render_form(cx: FormComplex, form: Form) -> dict:
 
 
 def _natural(text: str) -> int | None:
+    """The value of a run of ASCII digits; None for anything else, or past Python's int-from-text digit limit."""
     text = text.strip()
-    return int(text) if re.fullmatch("[0-9]+", text) else None
+    if not re.fullmatch("[0-9]+", text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def _basis_index(selector: str) -> int | None:
@@ -404,11 +433,8 @@ def run(command: str, session: Session, flags: dict) -> tuple[dict, int]:
                 payload["certificates"] = []
         else:
             raise ValidationError("Command", f"unknown command {command!r}")
-    except (NotContained, InconsistentModel, DegenerateJ, NotPositive, Not4Manifold, ValidationError) as exc:
+    except (NotContained, InconsistentModel, DegenerateJ, NotPositive, Not4Manifold, NotDdcClosed, ValidationError) as exc:
         payload["fatal"] = {"type": type(exc).__name__, "detail": str(exc)}
-        exit_code = 2
-    except NotDdcClosedError as exc:
-        payload["fatal"] = {"type": "NotDdcClosed", "detail": str(exc)}
         exit_code = 2
     payload["timing"] = {"seconds": round(time.monotonic() - t0, 6)}
     return payload, exit_code
@@ -439,6 +465,8 @@ def check_flags(session: Session, flags: dict) -> dict:
         # witness detection reads the columns as a growing sequence of truncations
         if any(a >= b for a, b in zip(out["truncations"], out["truncations"][1:])):
             raise ValidationError("Truncations", f"{flags['truncations']!r} is not strictly increasing")
+        for t in out["truncations"]:
+            check_basis_size(session.frame.n, session.spec.coefficients.rank, t)
     if flags.get("bidegree") is not None:
         cell = [_natural(x) for x in str(flags["bidegree"]).split(",")]
         n = session.frame.n

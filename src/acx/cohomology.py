@@ -24,9 +24,9 @@ from .scalars import integer
 
 
 class CohomologyEngine:
-    """Dimension computations for one complex (and optional metric)."""
+    """Dimension computations for one complex and its metric."""
 
-    def __init__(self, complex_: FormComplex, hermitian: HermitianStructure | None = None):
+    def __init__(self, complex_: FormComplex, hermitian: HermitianStructure):
         self.complex = complex_
         self.hermitian = hermitian
         self.n = complex_.n
@@ -188,8 +188,6 @@ class CohomologyEngine:
 
     def _harmonic_system(self, deltas, p: int, q: int) -> ExactMatrix:
         """Each operator and its adjoint, stacked: the harmonic forms are its kernel."""
-        if self.hermitian is None:
-            raise ValueError("harmonic spaces require a metric")
         return self._stack(*([name] for delta in deltas for name in (delta, delta + "*")), p=p, q=q)
 
     def harmonic_space(self, deltas, p: int, q: int) -> Subspace:
@@ -336,8 +334,7 @@ def diamond_numbers(engine: CohomologyEngine) -> dict:
         for q in range(n + 1):
             out[("refined", (p, q))] = engine.refined_dolbeault(p, q)
             out[("spectral", (p, q))] = engine.dolbeault_cw(p, q)
-            if engine.hermitian is not None:
-                out[("harmonic", (p, q))] = engine.ell(p, q)
+            out[("harmonic", (p, q))] = engine.ell(p, q)
     for r in range(2 * n + 1):
         out[("betti", r)] = engine.de_rham(r)
     out[("scalar", "hat_h01")] = engine.hat_h01()

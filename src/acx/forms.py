@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Callable, Mapping, NamedTuple
 
-from .scalars import I, ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar
 
 
 class BasisElement(NamedTuple):
@@ -221,17 +221,6 @@ class CoefficientModel:
     def sectors(self) -> list[tuple[int, ...]]:
         """One representative w >= -w of each conjugation pair of weights."""
         return [w for w in self.weights() if w >= tuple(-x for x in w)]
-
-    def frame_eigenvalue(self, frame_index: int, weight: tuple[int, ...]) -> Scalar:
-        """Action of real frame vector e_{frame_index} (1-based) on mode e_w."""
-        if self.kind == "invariant":
-            return ZERO
-        row = self.actions[frame_index - 1]
-        acc = ZERO
-        for r, w in zip(row, weight):
-            if r and w:
-                acc = acc + r * as_scalar(w)
-        return I * acc
 
     def acting_frame_indices(self) -> list[int]:
         if self.kind == "invariant":

@@ -99,17 +99,6 @@ class AlmostComplexStructure:
                     return False
         return True
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            acc = ZERO
-            for j in range(n):
-                if self.matrix[i][j] and vec[j]:
-                    acc = acc + from_fraction(self.matrix[i][j]) * vec[j]
-            out[i] = acc
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ComplexFrame:

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from . import linalg
-from .forms import BasisElement, Form
+from .forms import BasisElement, CoefficientModel, Form, enumerate_basis, with_weight_rank
 from .lie import SHIFTS
 from .linalg import ExactMatrix
 from .operators import FormComplex
 from .scalars import I, ONE, ZERO, Scalar, integer, rational
 
 HALF_I = rational(1, 2) * I
+INVARIANT = CoefficientModel.invariant()
 
 
 class NotPositive(Exception):
@@ -104,23 +104,25 @@ def pointwise_metric(metric: HermitianMetric, rank: int) -> "PointwiseMetric":
 class PointwiseMetric:
     """The parts of a HermitianStructure that do not depend on the Fourier weight.
 
-    omega, the dual pairing, the volume form and the Gram and star matrices
-    on invariant monomials depend only on the metric and the torus rank, so
-    every complex of one metric (each truncation, each weight sector) shares
-    one instance through pointwise_metric.
+    omega, the dual pairing, the volume form and the Gram, star, L and Lambda
+    matrices on invariant monomials depend only on the metric and the torus
+    rank, so every complex of one metric (each truncation, each weight
+    sector) shares one instance through pointwise_metric.  A complex lifts
+    these matrices to its weights with FormComplex.lift.
     """
 
     def __init__(self, metric: HermitianMetric, rank: int):
         metric.validate()
         n = self.n = metric.n
-        zero_w = (0,) * rank
         coeffs = {}
         for k in range(n):
             for j in range(n):
                 g = metric.entries[k][j]
                 if g:
-                    coeffs[BasisElement(zero_w, (k + 1,), (j + 1,))] = HALF_I * g
-        omega = self.omega = Form(coeffs)
+                    coeffs[BasisElement((), (k + 1,), (j + 1,))] = HALF_I * g
+        # L wedges invariant monomials with the rank-0 omega; complexes see omega at weight zero
+        self._omega_invariant = Form(coeffs)
+        omega = self.omega = with_weight_rank(self._omega_invariant, rank)
         if omega.conjugate() != omega:
             raise NotPositive("fundamental form is not real")
         # dual pairing on (1,0)-forms: <theta^a, theta^b> = 2 (G^{-1})_{b a}
@@ -134,88 +136,100 @@ class PointwiseMetric:
         for k in range(2, n + 1):
             scale = scale * integer(k)
         self.volume = acc.scale(ONE / scale)
-        self.vol_elt = BasisElement(zero_w, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+        self.vol_elt = BasisElement((0,) * rank, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
         self.vol_coeff = self.volume.coeffs[self.vol_elt]
-        self._gram_cache: dict[tuple[int, int], list[list[Scalar]]] = {}
-        self._star_cache: dict[tuple[int, int], ExactMatrix] = {}
+        self._builders = {"gram": self._gram, "star": self._star, "L": self._lefschetz, "Lambda": self._lambda}
+        self._cache: dict[tuple[str, int, int], ExactMatrix] = {}
 
-    def _invariant_monomials(self, p: int, q: int):
-        holos = list(combinations(range(1, self.n + 1), p))
-        antis = list(combinations(range(1, self.n + 1), q))
-        return [(h, a) for h in holos for a in antis]
+    def invariant(self, name: str, p: int, q: int) -> ExactMatrix:
+        """The named pointwise operator (gram, star, L or Lambda) on invariant (p,q)-monomials, built once."""
+        key = (name, p, q)
+        if key not in self._cache:
+            self._cache[key] = self._builders[name](p, q)
+        return self._cache[key]
 
-    def gram_invariant(self, p: int, q: int) -> list[list[Scalar]]:
+    def gram_invariant(self, p: int, q: int) -> ExactMatrix:
+        return self.invariant("gram", p, q)
+
+    def star_invariant(self, p: int, q: int) -> ExactMatrix:
+        return self.invariant("star", p, q)
+
+    def _monomials(self, p: int, q: int) -> tuple[BasisElement, ...]:
+        return enumerate_basis(self.n, p, q, INVARIANT)
+
+    def _gram(self, p: int, q: int) -> ExactMatrix:
         """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q)."""
-        key = (p, q)
-        if key in self._gram_cache:
-            return self._gram_cache[key]
-        monos = self._invariant_monomials(p, q)
+        monos = self._monomials(p, q)
         h = self._h
 
         def det_sub(rows_idx, cols_idx, conj: bool) -> Scalar:
             rows = [[h[r - 1][c - 1].conj() if conj else h[r - 1][c - 1] for c in cols_idx] for r in rows_idx]
             return exact_det(rows)
 
-        gram = []
-        for (hi, ai) in monos:
-            row = []
-            for (hj, aj) in monos:
-                val = det_sub(hi, hj, False) * det_sub(ai, aj, True)
-                row.append(val)
-            gram.append(row)
-        self._gram_cache[key] = gram
-        return gram
+        return ExactMatrix.from_rows(
+            [[det_sub(x.holo, y.holo, False) * det_sub(x.anti, y.anti, True) for y in monos] for x in monos],
+            len(monos),
+        )
 
-    def star_invariant(self, p: int, q: int) -> ExactMatrix:
+    def _star(self, p: int, q: int) -> ExactMatrix:
         """Star on invariant (p,q)-monomials, solved from the wedge pairing.
 
         For sigma in A^{p,q} the image star(sigma) in A^{n-q,n-p} is pinned by
         phi ^ star(sigma) = <phi, conj(sigma)> dV for all phi in A^{q,p}.
         """
-        key = (p, q)
-        if key in self._star_cache:
-            return self._star_cache[key]
         n = self.n
-        src = self._invariant_monomials(p, q)
-        probe = self._invariant_monomials(q, p)
-        tgt = self._invariant_monomials(n - q, n - p)
+        src = self._monomials(p, q)
+        probe = self._monomials(q, p)
+        tgt = self._monomials(n - q, n - p)
         gram_qp = self.gram_invariant(q, p)
         probe_index = {m: i for i, m in enumerate(probe)}
         # wedge-pairing matrix W[phi, beta] = vol coefficient of phi ^ beta
         w_entries = {}
-        for ip, (ph, pa) in enumerate(probe):
-            for ib, (bh, ba) in enumerate(tgt):
-                left = Form.monomial(BasisElement((), ph, pa))
-                right = Form.monomial(BasisElement((), bh, ba))
-                prod = left.wedge(right)
+        for ip, phi in enumerate(probe):
+            for ib, beta in enumerate(tgt):
+                prod = Form.monomial(phi).wedge(Form.monomial(beta))
                 if prod:
-                    ((elt, coeff),) = list(prod.coeffs.items())
+                    ((_, coeff),) = list(prod.coeffs.items())
                     w_entries[(ip, ib)] = coeff
         w = ExactMatrix(len(probe), len(tgt), w_entries)
         rhs_list = []
-        for (sh, sa) in src:
-            conj_form = Form.monomial(BasisElement((), sh, sa)).conjugate()
-            ((celt, ccoeff),) = list(conj_form.coeffs.items())
-            rhs = []
-            for (ph, pa) in probe:
-                g = gram_qp[probe_index[(ph, pa)]][probe_index[(celt.holo, celt.anti)]]
-                rhs.append(g * ccoeff.conj() * self.vol_coeff)
-            rhs_list.append(rhs)
+        for sigma in src:
+            ((celt, ccoeff),) = list(Form.monomial(sigma).conjugate().coeffs.items())
+            col = probe_index[celt]
+            rhs_list.append([gram_qp.entry(probe_index[phi], col) * ccoeff.conj() * self.vol_coeff for phi in probe])
         cols = linalg.solve_many(w, rhs_list)
         if None in cols:
             raise NotPositive("wedge pairing is degenerate")
+        return ExactMatrix.from_rows(cols, len(tgt)).transpose()
+
+    def _lefschetz(self, p: int, q: int) -> ExactMatrix:
+        """L = omega ^ - from invariant (p,q) to (p+1,q+1)-monomials."""
+        src = self._monomials(p, q)
+        tgt = {m: i for i, m in enumerate(self._monomials(p + 1, q + 1))}
         entries = {}
-        for c, col in enumerate(cols):
-            for r, v in enumerate(col):
-                if v:
-                    entries[(r, c)] = v
-        mat = ExactMatrix(len(tgt), len(src), entries)
-        self._star_cache[key] = mat
-        return mat
+        for col, elt in enumerate(src):
+            for e, c in self._omega_invariant.wedge(Form.monomial(elt)).coeffs.items():
+                entries[(tgt[e], col)] = c
+        return ExactMatrix(len(tgt), len(src), entries)
+
+    def _lambda(self, p: int, q: int) -> ExactMatrix:
+        """Lambda = (-1)^(p+q) star L star from (p,q) to (p-1,q-1)."""
+        n = self.n
+        if p < 1 or q < 1:
+            return ExactMatrix(0, len(self._monomials(p, q)))
+        s_in = self.star_invariant(p, q)  # -> (n-q, n-p)
+        lef = self.invariant("L", n - q, n - p)  # -> (n-q+1, n-p+1)
+        s_out = self.star_invariant(n - q + 1, n - p + 1)  # -> (p-1, q-1)
+        mat = s_out @ lef @ s_in
+        return mat if (p + q) % 2 == 0 else -mat
 
 
 class HermitianStructure:
-    """Star, adjoints, Lefschetz pair and Laplacians for one metric."""
+    """Star, adjoints, Lefschetz pair and Laplacians for one metric.
+
+    Star, L, Lambda and the Gram pairing are pointwise: each block is the
+    lift of its PointwiseMetric matrix to the complex's weights.
+    """
 
     def __init__(self, complex_: FormComplex, metric: HermitianMetric):
         pointwise = pointwise_metric(metric, complex_.coefficients.rank)
@@ -226,59 +240,43 @@ class HermitianStructure:
         self.n = complex_.n
         self._pointwise = pointwise
         self.omega = pointwise.omega
-        self._star_full_cache: dict[tuple[int, int], ExactMatrix] = {}
+        self._lifts: dict[tuple[str, int, int], ExactMatrix] = {}
         self._adjoint_cache: dict[tuple[str, int, int], ExactMatrix] = {}
-        self._lefschetz_cache: dict[tuple[int, int], ExactMatrix] = {}
 
     @property
     def volume_form(self) -> Form:
         return self._pointwise.volume
 
+    def _lift(self, name: str, p: int, q: int) -> ExactMatrix:
+        """The named PointwiseMetric matrix on the (p,q) block, lifted once."""
+        key = (name, p, q)
+        if key not in self._lifts:
+            self._lifts[key] = self.complex.lift(self._pointwise.invariant(name, p, q))
+        return self._lifts[key]
+
     # -- inner products -----------------------------------------------------
 
-    def gram_invariant(self, p: int, q: int) -> list[list[Scalar]]:
+    def gram_invariant(self, p: int, q: int) -> ExactMatrix:
         """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q)."""
         return self._pointwise.gram_invariant(p, q)
 
     def inner(self, x, y, p: int, q: int) -> Scalar:
         """<x, y> summed over weights; distinct weights are orthogonal."""
-        gram = self.gram_invariant(p, q)
-        size = len(gram)
         total = ZERO
-        dim = self.complex.dim(p, q)
-        for off in range(0, dim, size):
-            for a in range(size):
-                xa = x[off + a]
-                if not xa:
-                    continue
-                for b in range(size):
-                    yb = y[off + b]
-                    if yb:
-                        total = total + xa * gram[a][b] * yb.conj()
+        for (a, b), g in self._lift("gram", p, q).entries.items():
+            if x[a] and y[b]:
+                total = total + x[a] * g * y[b].conj()
         return total
 
     # -- Hodge star -----------------------------------------------------------
 
     def star_invariant(self, p: int, q: int) -> ExactMatrix:
-        """Star on invariant (p,q)-monomials (see PointwiseMetric.star_invariant)."""
+        """Star on invariant (p,q)-monomials, solved from the wedge pairing (see PointwiseMetric)."""
         return self._pointwise.star_invariant(p, q)
 
     def star(self, p: int, q: int) -> ExactMatrix:
         """Star on the full truncated (p,q) block; pointwise, weight-preserving."""
-        key = (p, q)
-        if key in self._star_full_cache:
-            return self._star_full_cache[key]
-        inv = self.star_invariant(p, q)
-        copies = max(len(self.complex.coefficients.weights()), 1)
-        entries = {}
-        for w in range(copies):
-            ro = w * inv.rows
-            co = w * inv.cols
-            for (r, c), v in inv.entries.items():
-                entries[(r + ro, c + co)] = v
-        mat = ExactMatrix(inv.rows * copies, inv.cols * copies, entries)
-        self._star_full_cache[key] = mat
-        return mat
+        return self._lift("star", p, q)
 
     def apply_star(self, form: Form) -> Form:
         out = Form()
@@ -330,33 +328,11 @@ class HermitianStructure:
 
     def lefschetz_block(self, p: int, q: int) -> ExactMatrix:
         """L = omega ^ - from (p,q) to (p+1,q+1)."""
-        key = (p, q)
-        if key in self._lefschetz_cache:
-            return self._lefschetz_cache[key]
-        src = self.complex.basis(p, q)
-        if not self.complex.valid_bidegree(p + 1, q + 1):
-            mat = ExactMatrix(0, len(src))
-        else:
-            tgt_index = self.complex.index(p + 1, q + 1)
-            entries = {}
-            for col, elt in enumerate(src):
-                img = self.omega.wedge(Form.monomial(elt))
-                for e, c in img.coeffs.items():
-                    entries[(tgt_index[e], col)] = c
-            mat = ExactMatrix(self.complex.dim(p + 1, q + 1), len(src), entries)
-        self._lefschetz_cache[key] = mat
-        return mat
+        return self._lift("L", p, q)
 
     def lambda_block(self, p: int, q: int) -> ExactMatrix:
         """Lambda = star^{-1} L star from (p,q) to (p-1,q-1)."""
-        if not self.complex.valid_bidegree(p - 1, q - 1):
-            return ExactMatrix(0, self.complex.dim(p, q))
-        s_in = self.star(p, q)  # -> (n-q, n-p)
-        lef = self.lefschetz_block(self.n - q, self.n - p)  # -> (n-q+1, n-p+1)
-        s_out = self.star(self.n - q + 1, self.n - p + 1)  # -> (p-1, q-1)
-        sign = 1 if (p + q) % 2 == 0 else -1
-        mat = s_out @ lef @ s_in
-        return mat if sign == 1 else -mat
+        return self._lift("Lambda", p, q)
 
     # -- predicates and splittings ----------------------------------------------
 

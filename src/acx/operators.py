@@ -89,6 +89,15 @@ def failing_blocks(block: Callable[[str, int, int], ExactMatrix], terms, n: int)
     return failing
 
 
+def _dot(row, vec) -> Scalar:
+    """sum_k row[k] * vec[k] over the nonzero terms; vec may hold ints."""
+    acc = ZERO
+    for a, b in zip(row, vec):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
 class FormComplex:
     """The truncated bigraded complex of an invariant almost complex model."""
 
@@ -105,25 +114,14 @@ class FormComplex:
             for name in DIFFERENTIALS
         }
         self._gen_action["d"] = {g: with_weight_rank(f, rank) for g, f in diffs.items()}
-        self._z_eig: dict[tuple[int, ...], tuple[Scalar, ...]] = {}
-        self._zbar_eig: dict[tuple[int, ...], tuple[Scalar, ...]] = {}
-        for w in coefficients.weights():
-            z_eigs = []
-            zbar_eigs = []
-            for r in range(self.n):
-                zr = frame.z_vectors[r]
-                acc = ZERO
-                acc_bar = ZERO
-                for a, coord in enumerate(zr, start=1):
-                    if coord:
-                        lam = coefficients.frame_eigenvalue(a, w)
-                        if lam:
-                            acc = acc + coord * lam
-                            acc_bar = acc_bar + coord.conj() * lam
-                z_eigs.append(acc)
-                zbar_eigs.append(acc_bar)
-            self._z_eig[w] = tuple(z_eigs)
-            self._zbar_eig[w] = tuple(zbar_eigs)
+        # Z_r acts on the mode e_w by i (M w)_r and Zbar_r by i (Mbar w)_r, where
+        # M = Z . actions and Mbar = conj(Z) . actions are n x rank
+        columns = list(zip(*coefficients.actions))
+        m = [[_dot(z, col) for col in columns] for z in frame.z_vectors]
+        mbar = [[_dot([c.conj() for c in z], col) for col in columns] for z in frame.z_vectors]
+        weights = coefficients.weights()
+        self._z_eig = {w: tuple(I * _dot(row, w) for row in m) for w in weights}
+        self._zbar_eig = {w: tuple(I * _dot(row, w) for row in mbar) for w in weights}
         self._basis_cache: dict[tuple[int, int], tuple[BasisElement, ...]] = {}
         self._index_cache: dict[tuple[int, int], dict[BasisElement, int]] = {}
         self._block_cache: dict[tuple[str, int, int], ExactMatrix] = {}
@@ -187,32 +185,42 @@ class FormComplex:
         coords = [doubled[2 * j] + I * doubled[2 * j + 1] for j in range(self.dim(p, q))]
         return self.from_vector(coords, p, q)
 
+    def lift(self, inv: ExactMatrix) -> ExactMatrix:
+        """The block-diagonal copy of a matrix on invariant monomials, one copy per weight.
+
+        Every basis is weight-major (forms.enumerate_basis), so a pointwise
+        operator, one that acts on each Fourier mode alike, is this lift of its
+        matrix on the invariant monomials.
+        """
+        copies = len(self.coefficients.weights())
+        entries = {
+            (r + k * inv.rows, c + k * inv.cols): v for k in range(copies) for (r, c), v in inv.entries.items()
+        }
+        return ExactMatrix(inv.rows * copies, inv.cols * copies, entries)
+
     # -- operators on forms -------------------------------------------------
 
     def _coeff_action(self, name: str):
-        if name in ("mu", "mubar"):
-            return None
-        n = self.n
+        """w -> the coefficient terms of the named operator on the mode e_w; None for mu and mubar.
 
-        if name == "partial":
-            def act(w):
-                eig = self._z_eig[w]
-                return Form({BasisElement(w, (r + 1,), ()): eig[r] for r in range(n) if eig[r]})
-            return act
-        if name == "dbar":
-            def act(w):
-                eig = self._zbar_eig[w]
-                return Form({BasisElement(w, (), (r + 1,)): eig[r] for r in range(n) if eig[r]})
-            return act
-        if name == "d":
-            def act(w):
-                zeig = self._z_eig[w]
-                zbeig = self._zbar_eig[w]
-                out = {BasisElement(w, (r + 1,), ()): zeig[r] for r in range(n) if zeig[r]}
-                out.update({BasisElement(w, (), (r + 1,)): zbeig[r] for r in range(n) if zbeig[r]})
-                return Form(out)
-            return act
-        raise KeyError(name)
+        partial adds Z_r(e_w) theta^r, dbar adds Zbar_r(e_w) tbar^r, and d
+        adds both, theta terms first.
+        """
+        theta = (self._z_eig, lambda w, r: BasisElement(w, (r,), ()))
+        tbar = (self._zbar_eig, lambda w, r: BasisElement(w, (), (r,)))
+        terms = {"partial": [theta], "dbar": [tbar], "d": [theta, tbar]}.get(name)
+        if terms is None:
+            return None
+
+        def act(w):
+            out = {}
+            for eig, element in terms:
+                for r, v in enumerate(eig[w], start=1):
+                    if v:
+                        out[element(w, r)] = v
+            return Form(out)
+
+        return act
 
     def apply(self, name: str, form: Form) -> Form:
         """Apply one of mu, partial, dbar, mubar, d to a form."""

@@ -3,16 +3,27 @@ import json
 import pytest
 
 from acx.cli import (
+    MAX_BASIS_MONOMIALS,
     ParseError,
     Session,
     ValidationError,
     bundled_manifest_path,
+    check_basis_size,
     main,
     manifest_from_dict,
     parse_manifest,
     render_json,
     run,
 )
+from acx.operators import FormComplex
+
+
+def count_complexes(monkeypatch) -> list:
+    """A list that gets one entry per FormComplex constructed from now on."""
+    built = []
+    init = FormComplex.__init__
+    monkeypatch.setattr(FormComplex, "__init__", lambda cx, *args: built.append(1) or init(cx, *args))
+    return built
 
 
 def kt4_raw():
@@ -37,7 +48,7 @@ def test_manifest_roundtrip():
     assert again.as_dict() == spec.as_dict()
 
 
-def test_parse_errors(tmp_path, capsys):
+def test_parse_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(ParseError):
         parse_manifest("/nonexistent/path.json")
     raw = kt4_raw()
@@ -140,6 +151,17 @@ def test_parse_errors(tmp_path, capsys):
         assert main(["validate", str(path), "--format", "json"]) == 2
         fatal = json.loads(capsys.readouterr().out)["fatal"]
         assert fatal["type"] == "ParseError" and fatal["detail"].startswith(f"{path}:"), fatal
+    # a truncation whose basis passes the limit is refused at parse, before any complex is built
+    built = count_complexes(monkeypatch)
+    raw = kt4_raw()
+    raw["coefficients"]["truncation"] = 100000
+    with pytest.raises(ValidationError):
+        manifest_from_dict(raw)
+    path = tmp_path / "huge_truncation.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["diamond", str(path), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["fatal"]["type"] == "ValidationError"
+    assert not built
 
 def test_report_validates_the_model_once(monkeypatch, capsys):
     """Parse time and the report's validation section share one Jacobi d(d theta) check."""
@@ -275,11 +297,31 @@ def test_report_determinism(kt4_session):
         ["--truncations", "3,2,1,0"],
         ["--truncations", "1,1"],
         ["--truncations", "0,2,1"],
+        # past Python's int-from-text digit limit
+        ["--truncations", "9" * 5000],
+        ["--bidegree", "1," + "9" * 5000],
+        ["--psi", "basis:" + "9" * 5000],
+        # parseable, but the basis would pass MAX_BASIS_MONOMIALS
+        ["--truncations", "100000"],
+        ["--truncations", "0,1,40"],
     ],
 )
-def test_bad_flags_are_fatal(flags, capsys):
+def test_bad_flags_are_fatal(flags, capsys, monkeypatch):
+    built = count_complexes(monkeypatch)
     code = main(["diamond", bundled_manifest_path("kt4"), "--format", "json", *flags])
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.out)["fatal"]["type"] == "ValidationError"
     assert "Traceback" not in captured.err
+    assert not built
+
+
+def test_basis_size_limit():
+    """kt4 (rank 2, n = 2) has (2N+1)^2 * 16 monomials: N = 39 fits the limit, N = 40 does not."""
+    assert 79**2 * 16 <= MAX_BASIS_MONOMIALS < 81**2 * 16
+    check_basis_size(2, 2, 39)
+    with pytest.raises(ValidationError):
+        check_basis_size(2, 2, 40)
+    # the count stops at the first factor past the limit: no huge power is formed
+    with pytest.raises(ValidationError):
+        check_basis_size(2, 10**9, 10**4000)

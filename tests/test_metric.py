@@ -247,6 +247,13 @@ def test_weight_independent_parts_are_shared_across_sectors(kt4_session, monkeyp
     validated = []
     validate = HermitianMetric.validate
     monkeypatch.setattr(HermitianMetric, "validate", lambda g: validated.append(g) or validate(g))
+    # every build of an invariant L or Lambda, as (builder, p, q)
+    built = []
+    for name in ("_lefschetz", "_lambda"):
+        builder = getattr(PointwiseMetric, name)
+        monkeypatch.setattr(
+            PointwiseMetric, name, lambda pm, p, q, name=name, builder=builder: built.append((name, p, q)) or builder(pm, p, q)
+        )
     # a metric no other test builds, so nothing of it is cached yet
     metric = HermitianMetric(((integer(3), I), (-I, integer(2))))
     model = kt4_session.spec.coefficients
@@ -261,6 +268,13 @@ def test_weight_independent_parts_are_shared_across_sectors(kt4_session, monkeyp
         assert h.gram_invariant(1, 0) is first.gram_invariant(1, 0)
         assert h.star_invariant(1, 1) is first.star_invariant(1, 1)
     assert first.star_invariant(1, 1) == PointwiseMetric(metric, 2).star_invariant(1, 1)
+    # the invariant L and Lambda are built once for the metric and shared by every sector
+    for h in structures:
+        h.lefschetz_block(1, 1)
+        h.lambda_block(1, 1)
+        h.lambda_block(2, 1)
+        assert h._pointwise is first._pointwise
+    assert sorted(built) == [("_lambda", 1, 1), ("_lambda", 2, 1), ("_lefschetz", 1, 0), ("_lefschetz", 1, 1)]
 
 
 def test_star_pairing_positive_generic_metric(kt4_session):
