@@ -48,7 +48,7 @@ from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, ration
 KNOWN_TASKS = ("validate", "diamond", "verify", "taming", "report")
 
 # the largest truncated basis a run builds: (2N+1)^rank * 4^n monomials over all
-# bidegrees; kt4 (rank 2, n = 2) reaches it past N = 39
+# bidegrees; kt4 (rank 2, n = 2) reaches it past N = 39, an invariant model past real_dim 16
 MAX_BASIS_MONOMIALS = 100_000
 
 
@@ -69,19 +69,20 @@ class ValidationError(Exception):
 
 
 def check_basis_size(n: int, rank: int, truncation: int) -> None:
-    """Refuse a truncation whose basis has more than MAX_BASIS_MONOMIALS monomials, before building it.
+    """Refuse a basis of more than MAX_BASIS_MONOMIALS monomials, before building it.
 
     The count (2N+1)^rank * 4^n is formed factor by factor and abandoned once
-    it passes the limit, so a huge N or rank costs no huge power.
+    it passes the limit, so a huge N, rank or n costs no huge power.  At rank
+    0 this bounds the invariant basis, whose size real_dim alone fixes.
     """
     size = 1
     for factor in chain(repeat(4, n), repeat(2 * truncation + 1, rank)):
         size *= factor
         if size > MAX_BASIS_MONOMIALS:
+            what = f"truncation {truncation}" if rank else f"real_dim {2 * n}"
             raise ValidationError(
-                "Truncations",
-                f"truncation {truncation} gives more than {MAX_BASIS_MONOMIALS} basis monomials"
-                f" ((2N+1)^{rank} * 4^{n})",
+                "Truncations" if rank else "ManifoldSpec",
+                f"{what} gives more than {MAX_BASIS_MONOMIALS} basis monomials ((2N+1)^{rank} * 4^{n})",
             )
 
 
@@ -190,6 +191,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
     if real_dim % 2 != 0:
         raise ValidationError("AlmostComplexStructure", "real_dim must be even over Q(i)")
     n = real_dim // 2
+    check_basis_size(n, 0, 0)
 
     entries = []
     brackets = raw.get("brackets", [])

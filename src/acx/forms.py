@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -245,18 +245,14 @@ def enumerate_basis(n: int, p: int, q: int, model: CoefficientModel) -> tuple[Ba
 GenAction = Mapping[tuple[str, int], Form]
 
 
-def extend_derivation(
-    gen_action: GenAction,
-    coeff_action: Callable[[tuple[int, ...]], Form] | None,
-    form: Form,
-) -> Form:
+def extend_derivation(gen_action: GenAction, form: Form) -> Form:
     """Extend generator actions to an odd derivation of the full algebra.
 
     gen_action maps ('h', s) and ('a', s) to the image of theta^s and
-    tbar^s; coeff_action(w) is the image of the weight-w mode (None for the
-    zero-order operators).  The graded Leibniz rule fixes everything else.
-    Each image monomial is placed between the generator's neighbours by
-    wedge_elements and its coefficient multiplied by the form's once.
+    tbar^s; coefficients are constants, and the graded Leibniz rule fixes
+    everything else.  Each image monomial is placed between the generator's
+    neighbours by wedge_elements and its coefficient multiplied by the
+    form's once.
     """
     out: dict[BasisElement, Scalar] = {}
 
@@ -274,12 +270,6 @@ def extend_derivation(
     for elt, c in form.coeffs.items():
         w, holo, anti = elt
         zero = (0,) * len(w)
-        if coeff_action is not None and any(w):
-            rest = BasisElement(zero, holo, anti)
-            for e, v in coeff_action(w).coeffs.items():
-                sign, placed = wedge_elements(e, rest)
-                if sign:
-                    add(placed, v * c if sign == 1 else -(v * c))
         gens = [("h", s) for s in holo] + [("a", s) for s in anti]
         for t, g in enumerate(gens):
             action = gen_action.get(g)

@@ -4,7 +4,7 @@ From a real Lie algebra (rational structure constants) and a rational almost
 complex structure J, build the complexified (1,0)-frame and its dual coframe,
 derive the action of the exterior differential on coframe generators via
 d(alpha)(X, Y) = -alpha([X, Y]), split it into the four bidegree components,
-and read off the Nijenhuis coefficients.
+and read off the rank of the Nijenhuis tensor.
 """
 
 from __future__ import annotations
@@ -248,42 +248,6 @@ def split_d(differentials: dict[tuple[str, int], Form]) -> dict[str, dict[tuple[
     return out
 
 
-@dataclass(frozen=True)
-class NijenhuisData:
-    """Coefficients N^t_{jk}, antisymmetric in (j, k), 1-based indices."""
-
-    n: int
-    coefficients: tuple[tuple[tuple[int, int, int], Scalar], ...]
-
-    def coefficient(self, t: int, j: int, k: int) -> Scalar:
-        for (tt, jj, kk), v in self.coefficients:
-            if (tt, jj, kk) == (t, j, k):
-                return v
-            if (tt, jj, kk) == (t, k, j):
-                return -v
-        return ZERO
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-
-def nijenhuis(frame: ComplexFrame) -> NijenhuisData:
-    """Read N^t_{jk} off the (0,2)-components of the generator differentials.
-
-    Convention: mubar theta^t = (1/2) sum over ordered pairs (j, k) of
-    N^t_{jk} tbar^j ^ tbar^k, so the canonical-monomial coefficient at j < k
-    is exactly N^t_{jk}.
-    """
-    diffs = split_d(exterior_d_on_generators(frame))
-    coeffs = []
-    for t in range(1, frame.n + 1):
-        form = diffs["mubar"].get(("h", t), Form())
-        for elt, c in form.items():
-            j, k = elt.anti
-            coeffs.append(((t, j, k), c))
-    return NijenhuisData(frame.n, tuple(sorted(coeffs)))
-
-
 def nijenhuis_rank(frame: ComplexFrame) -> int:
     """Rank of mubar as a map from (1,0)-forms to (0,2)-forms."""
     diffs = split_d(exterior_d_on_generators(frame))
@@ -345,7 +309,7 @@ def validate_model(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> V
 
         failures = []
         for gen, dgen in diffs.items():
-            dd = extend_derivation(gen_action, None, dgen)
+            dd = extend_derivation(gen_action, dgen)
             if not dd.is_zero():
                 failures.append(gen)
         checks.append(

@@ -63,10 +63,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
-
     def entry(self, r: int, c: int) -> Scalar:
         return self.entries.get((r, c), ZERO)
 
@@ -311,9 +307,6 @@ class Subspace:
                     else:
                         work.pop(c, None)
         return bool(work)
-
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        return not self._escapes({c: v for c, v in enumerate(vec) if v})
 
     def outside(self, m: ExactMatrix) -> int:
         """The number of rows of m that do not lie in the subspace."""

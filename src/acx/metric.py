@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .forms import BasisElement, CoefficientModel, Form, enumerate_basis, with_weight_rank
+from .forms import BasisElement, Form, enumerate_basis, with_weight_rank
 from .lie import SHIFTS
 from .linalg import ExactMatrix
-from .operators import FormComplex
+from .operators import INVARIANT, FormComplex, invariant_matrix
 from .scalars import I, ONE, ZERO, Scalar, integer, rational
 
 HALF_I = rational(1, 2) * I
-INVARIANT = CoefficientModel.invariant()
 
 
 class NotPositive(Exception):
@@ -90,11 +89,6 @@ def _invert(rows) -> list[list[Scalar]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def fundamental_form(complex_: FormComplex, metric: HermitianMetric) -> Form:
-    """omega as a real nondegenerate invariant (1,1)-form."""
-    return pointwise_metric(metric, complex_.coefficients.rank).omega
-
-
 @lru_cache(maxsize=16)
 def pointwise_metric(metric: HermitianMetric, rank: int) -> "PointwiseMetric":
     """The PointwiseMetric of a metric on a model with `rank` torus directions, built once."""
@@ -104,7 +98,7 @@ def pointwise_metric(metric: HermitianMetric, rank: int) -> "PointwiseMetric":
 class PointwiseMetric:
     """The parts of a HermitianStructure that do not depend on the Fourier weight.
 
-    omega, the dual pairing, the volume form and the Gram, star, L and Lambda
+    omega, the dual pairing, the volume coefficient and the Gram, star, L and Lambda
     matrices on invariant monomials depend only on the metric and the torus
     rank, so every complex of one metric (each truncation, each weight
     sector) shares one instance through pointwise_metric.  A complex lifts
@@ -129,15 +123,14 @@ class PointwiseMetric:
         ginv = _invert([list(r) for r in metric.entries])
         two = integer(2)
         self._h = [[two * ginv[b][a] for b in range(n)] for a in range(n)]
-        acc = omega
-        for _ in range(n - 1):
-            acc = acc.wedge(omega)
+        # dV = omega^n / n!, one monomial; vol_coeff is its coefficient
+        top = self._omega_invariant
         scale = ONE
         for k in range(2, n + 1):
+            top = top.wedge(self._omega_invariant)
             scale = scale * integer(k)
-        self.volume = acc.scale(ONE / scale)
-        self.vol_elt = BasisElement((0,) * rank, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-        self.vol_coeff = self.volume.coeffs[self.vol_elt]
+        ((_, top_coeff),) = top.coeffs.items()
+        self.vol_coeff = top_coeff / scale
         self._builders = {"gram": self._gram, "star": self._star, "L": self._lefschetz, "Lambda": self._lambda}
         self._cache: dict[tuple[str, int, int], ExactMatrix] = {}
 
@@ -204,13 +197,8 @@ class PointwiseMetric:
 
     def _lefschetz(self, p: int, q: int) -> ExactMatrix:
         """L = omega ^ - from invariant (p,q) to (p+1,q+1)-monomials."""
-        src = self._monomials(p, q)
-        tgt = {m: i for i, m in enumerate(self._monomials(p + 1, q + 1))}
-        entries = {}
-        for col, elt in enumerate(src):
-            for e, c in self._omega_invariant.wedge(Form.monomial(elt)).coeffs.items():
-                entries[(tgt[e], col)] = c
-        return ExactMatrix(len(tgt), len(src), entries)
+        omega = self._omega_invariant
+        return invariant_matrix(self.n, lambda m: omega.wedge(Form.monomial(m)), p, q, p + 1, q + 1)
 
     def _lambda(self, p: int, q: int) -> ExactMatrix:
         """Lambda = (-1)^(p+q) star L star from (p,q) to (p-1,q-1)."""
@@ -242,10 +230,6 @@ class HermitianStructure:
         self.omega = pointwise.omega
         self._lifts: dict[tuple[str, int, int], ExactMatrix] = {}
         self._adjoint_cache: dict[tuple[str, int, int], ExactMatrix] = {}
-
-    @property
-    def volume_form(self) -> Form:
-        return self._pointwise.volume
 
     def _lift(self, name: str, p: int, q: int) -> ExactMatrix:
         """The named PointwiseMetric matrix on the (p,q) block, lifted once."""
@@ -334,34 +318,9 @@ class HermitianStructure:
         """Lambda = star^{-1} L star from (p,q) to (p-1,q-1)."""
         return self._lift("Lambda", p, q)
 
-    # -- predicates and splittings ----------------------------------------------
+    # -- predicates ---------------------------------------------------------------
 
     def kahler_predicates(self) -> dict:
         d_omega = self.complex.apply("d", self.omega)
         ddc = self.complex.apply("partial", self.complex.apply("dbar", self.omega))
         return {"almost_kahler": d_omega.is_zero(), "ddc_closed": ddc.is_zero()}
-
-    def asd_split(self):
-        """(+1, -1) eigenspaces of star on invariant 2-forms (dimension 4 only)."""
-        if self.n != 2:
-            raise Not4Manifold("self-dual splitting requested off dimension four")
-        blocks = [(2, 0), (1, 1), (0, 2)]
-        mats = {b: self.star_invariant(*b) for b in blocks}
-        dims = {b: mats[b].cols for b in blocks}
-        total = sum(dims.values())
-        entries = {}
-        off = 0
-        for b in blocks:
-            for (r, c), v in mats[b].entries.items():
-                entries[(off + r, off + c)] = v
-            off += dims[b]
-        star2 = ExactMatrix(total, total, entries)
-        ident = ExactMatrix.identity(total)
-        plus = linalg.kernel(star2 - ident)
-        minus = linalg.kernel(star2 + ident)
-        return plus, minus
-
-    def integral(self, form: Form) -> Scalar:
-        """Model-level integral: the volume coefficient of the weight-zero part."""
-        c = form.coeffs.get(self._pointwise.vol_elt, ZERO)
-        return c / self._pointwise.vol_coeff

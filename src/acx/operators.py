@@ -2,16 +2,18 @@
 
 A FormComplex bundles a complex frame with a coefficient model and exposes
 mu, partial, dbar, mubar, d and conjugation both as functions on forms and as
-per-bidegree block matrices over the truncated monomial basis.  The zero
-order operators carry no coefficient-derivative terms; partial adds Z_j(f)
-theta^j terms and dbar adds Zbar_j(f) tbar^j terms; every operator preserves
-the Fourier weight, and conjugation negates it, so the symmetric truncation
-|w_a| <= N is an honest subcomplex.
+per-bidegree block matrices over the truncated monomial basis.  On the mode
+e_w a differential is A + sum_r lambda_r(w) E_r: A is its matrix on
+invariant monomials, E_r is theta^r ^ for partial and tbar^r ^ for dbar, and
+lambda_r(w) is the eigenvalue of Z_r or Zbar_r on e_w; mu and mubar are the
+A term alone.  Every block is therefore a lift of per-frame invariant blocks,
+every operator preserves the Fourier weight, and conjugation negates it, so
+the symmetric truncation |w_a| <= N is an honest subcomplex.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .forms import (
@@ -21,7 +23,6 @@ from .forms import (
     InconsistentModel,
     enumerate_basis,
     extend_derivation,
-    with_weight_rank,
 )
 from .lie import SHIFTS, ComplexFrame, exterior_d_on_generators, split_d
 from .linalg import ExactMatrix
@@ -98,6 +99,76 @@ def _dot(row, vec) -> Scalar:
     return acc
 
 
+INVARIANT = CoefficientModel.invariant()
+
+
+def invariant_matrix(n: int, image: Callable[[BasisElement], Form], p: int, q: int, tp: int, tq: int) -> ExactMatrix:
+    """The matrix of a map from invariant (p,q)-monomials to invariant (tp,tq)-monomials.
+
+    image(m) is the Form the map sends the monomial m to.  A target off the
+    diamond gives zero rows and image is not called; an image component off
+    (tp,tq) is a bidegree fault and raises AssertionError.
+    """
+    src = enumerate_basis(n, p, q, INVARIANT)
+    tgt = {m: i for i, m in enumerate(enumerate_basis(n, tp, tq, INVARIANT))}
+    entries = {}
+    for col, elt in enumerate(src if tgt else ()):
+        for e, c in image(elt).coeffs.items():
+            if e.bidegree != (tp, tq):
+                raise AssertionError(f"the map from ({p},{q}) to ({tp},{tq}) hit {e.bidegree} on {elt}")
+            entries[(tgt[e], col)] = c
+    return ExactMatrix(len(tgt), len(src), entries)
+
+
+@lru_cache(maxsize=16)
+def frame_blocks(frame: ComplexFrame) -> "FrameBlocks":
+    """The FrameBlocks of a frame, built once; equal frames share them."""
+    return FrameBlocks(frame)
+
+
+class FrameBlocks:
+    """The differentials of one frame on invariant monomials.
+
+    block(name, p, q) is A, the Leibniz extension of the split structure
+    equations, and coefficient_blocks(name, p, q) are E_1..E_n, the wedge on
+    the left with theta^r (partial) or tbar^r (dbar).  They depend on the
+    frame alone, so every truncation and weight sector of it shares them
+    through frame_blocks.
+    """
+
+    def __init__(self, frame: ComplexFrame):
+        self.n = frame.n
+        self.structure = exterior_d_on_generators(frame)
+        self.parts = split_d(self.structure)
+        self._cache: dict[tuple[str, str, int, int], object] = {}
+
+    def block(self, name: str, p: int, q: int) -> ExactMatrix:
+        """A: the named differential on invariant (p,q)-monomials."""
+        key = ("A", name, p, q)
+        if key not in self._cache:
+            dp, dq = SHIFTS[name]
+            action = self.parts[name]
+            leibniz = lambda m: extend_derivation(action, Form.monomial(m))
+            self._cache[key] = invariant_matrix(self.n, leibniz, p, q, p + dp, q + dq)
+        return self._cache[key]
+
+    def coefficient_blocks(self, name: str, p: int, q: int) -> tuple[ExactMatrix, ...]:
+        """E_1..E_n of partial or dbar on invariant (p,q)-monomials; none for mu and mubar."""
+        if name not in ("partial", "dbar"):
+            return ()
+        key = ("E", name, p, q)
+        if key not in self._cache:
+            dp, dq = SHIFTS[name]
+            gens = [
+                Form.monomial(BasisElement((), (r,), ()) if name == "partial" else BasisElement((), (), (r,)))
+                for r in range(1, self.n + 1)
+            ]
+            self._cache[key] = tuple(
+                invariant_matrix(self.n, lambda m, g=g: g.wedge(Form.monomial(m)), p, q, p + dp, q + dq) for g in gens
+            )
+        return self._cache[key]
+
+
 class FormComplex:
     """The truncated bigraded complex of an invariant almost complex model."""
 
@@ -106,22 +177,15 @@ class FormComplex:
         self.coefficients = coefficients
         self.n = frame.n
         self._check_coefficients()
-        rank = coefficients.rank
-        diffs = exterior_d_on_generators(frame)
-        parts = split_d(diffs)
-        self._gen_action: dict[str, dict] = {
-            name: {g: with_weight_rank(f, rank) for g, f in parts[name].items()}
-            for name in DIFFERENTIALS
-        }
-        self._gen_action["d"] = {g: with_weight_rank(f, rank) for g, f in diffs.items()}
+        self._frame_blocks = frame_blocks(frame)
         # Z_r acts on the mode e_w by i (M w)_r and Zbar_r by i (Mbar w)_r, where
         # M = Z . actions and Mbar = conj(Z) . actions are n x rank
         columns = list(zip(*coefficients.actions))
         m = [[_dot(z, col) for col in columns] for z in frame.z_vectors]
         mbar = [[_dot([c.conj() for c in z], col) for col in columns] for z in frame.z_vectors]
-        weights = coefficients.weights()
-        self._z_eig = {w: tuple(I * _dot(row, w) for row in m) for w in weights}
-        self._zbar_eig = {w: tuple(I * _dot(row, w) for row in mbar) for w in weights}
+        self._weights = coefficients.weights()
+        self._z_eig = {w: tuple(I * _dot(row, w) for row in m) for w in self._weights}
+        self._zbar_eig = {w: tuple(I * _dot(row, w) for row in mbar) for w in self._weights}
         self._basis_cache: dict[tuple[int, int], tuple[BasisElement, ...]] = {}
         self._index_cache: dict[tuple[int, int], dict[BasisElement, int]] = {}
         self._block_cache: dict[tuple[str, int, int], ExactMatrix] = {}
@@ -185,75 +249,52 @@ class FormComplex:
         coords = [doubled[2 * j] + I * doubled[2 * j + 1] for j in range(self.dim(p, q))]
         return self.from_vector(coords, p, q)
 
-    def lift(self, inv: ExactMatrix) -> ExactMatrix:
+    def lift(self, inv: ExactMatrix, scales=None) -> ExactMatrix:
         """The block-diagonal copy of a matrix on invariant monomials, one copy per weight.
 
         Every basis is weight-major (forms.enumerate_basis), so a pointwise
         operator, one that acts on each Fourier mode alike, is this lift of its
-        matrix on the invariant monomials.
+        matrix on the invariant monomials.  With scales, the copy at the k-th
+        weight is multiplied by scales[k].
         """
-        copies = len(self.coefficients.weights())
-        entries = {
-            (r + k * inv.rows, c + k * inv.cols): v for k in range(copies) for (r, c), v in inv.entries.items()
-        }
-        return ExactMatrix(inv.rows * copies, inv.cols * copies, entries)
+        entries = {}
+        for k in range(len(self._weights)):
+            s = ONE if scales is None else scales[k]
+            if s:
+                for (r, c), v in inv.entries.items():
+                    entries[(r + k * inv.rows, c + k * inv.cols)] = v if scales is None else s * v
+        return ExactMatrix(inv.rows * len(self._weights), inv.cols * len(self._weights), entries)
 
-    # -- operators on forms -------------------------------------------------
-
-    def _coeff_action(self, name: str):
-        """w -> the coefficient terms of the named operator on the mode e_w; None for mu and mubar.
-
-        partial adds Z_r(e_w) theta^r, dbar adds Zbar_r(e_w) tbar^r, and d
-        adds both, theta terms first.
-        """
-        theta = (self._z_eig, lambda w, r: BasisElement(w, (r,), ()))
-        tbar = (self._zbar_eig, lambda w, r: BasisElement(w, (), (r,)))
-        terms = {"partial": [theta], "dbar": [tbar], "d": [theta, tbar]}.get(name)
-        if terms is None:
-            return None
-
-        def act(w):
-            out = {}
-            for eig, element in terms:
-                for r, v in enumerate(eig[w], start=1):
-                    if v:
-                        out[element(w, r)] = v
-            return Form(out)
-
-        return act
-
-    def apply(self, name: str, form: Form) -> Form:
-        """Apply one of mu, partial, dbar, mubar, d to a form."""
-        return extend_derivation(self._gen_action[name], self._coeff_action(name), form)
-
-    # -- operator blocks ----------------------------------------------------
+    # -- operators ----------------------------------------------------------
 
     def block(self, name: str, p: int, q: int) -> ExactMatrix:
-        """Matrix of the named operator from the (p,q) block to its target."""
+        """Matrix of the named differential from the (p,q) block to its target.
+
+        It is lift(A) plus, for partial and dbar, each E_r lifted with its copy
+        at weight w scaled by the eigenvalue of Z_r or Zbar_r on e_w.
+        """
         key = (name, p, q)
         if key in self._block_cache:
             return self._block_cache[key]
-        dp, dq = SHIFTS[name]
-        tp, tq = p + dp, q + dq
-        src = self.basis(p, q)
-        if not self.valid_bidegree(tp, tq):
-            mat = ExactMatrix(0, len(src))
-        else:
-            tgt_index = self.index(tp, tq)
-            entries = {}
-            for col, elt in enumerate(src):
-                img = self.apply(name, Form.monomial(elt))
-                for e, c in img.coeffs.items():
-                    if e.bidegree != (tp, tq):
-                        raise AssertionError(
-                            f"{name} violated its bidegree shift on {elt}: hit {e.bidegree}"
-                        )
-                    if e.weight != elt.weight:
-                        raise AssertionError(f"{name} failed to preserve the weight of {elt}")
-                    entries[(tgt_index[e], col)] = c
-            mat = ExactMatrix(self.dim(tp, tq), len(src), entries)
+        mat = self.lift(self._frame_blocks.block(name, p, q))
+        eig = self._z_eig if name == "partial" else self._zbar_eig
+        for r, e_r in enumerate(self._frame_blocks.coefficient_blocks(name, p, q)):
+            scales = [eig[w][r] for w in self._weights]
+            if any(scales):
+                mat = mat + self.lift(e_r, scales)
         self._block_cache[key] = mat
         return mat
+
+    def apply(self, name: str, form: Form) -> Form:
+        """Apply one of mu, partial, dbar, mubar, d to a form, through the blocks; d is the sum of the four."""
+        out = Form()
+        for p, q in form.bidegrees():
+            vec = self.to_vector(form.bidegree_part(p, q), p, q)
+            for part in DIFFERENTIALS if name == "d" else (name,):
+                dp, dq = SHIFTS[part]
+                if self.valid_bidegree(p + dp, q + dq):
+                    out = out + self.from_vector(self.block(part, p, q).apply(vec), p + dp, q + dq)
+        return out
 
     def conj_struct(self, p: int, q: int) -> ExactMatrix:
         """C-linear part of conjugation: (p,q) -> (q,p), weight-negating.
@@ -357,19 +398,20 @@ class FormComplex:
             (label, tuple(failing_blocks(self.block, [(ONE, chain) for chain in chains], self.n)))
             for label, chains in relations
         ]
-        # reconstruction: d, applied independently to each monomial, equals the
-        # monomial's column in the four assembled component blocks
+        # reconstruction: the Leibniz rule on the unsplit structure equations, applied
+        # to each invariant monomial, equals its column in the four invariant blocks
+        frame = self._frame_blocks
         recon_fail = []
         for p in range(self.n + 1):
             for q in range(self.n + 1):
                 columns: dict[int, dict[BasisElement, Scalar]] = {}
                 for name in DIFFERENTIALS:
                     dp, dq = SHIFTS[name]
-                    target = self.basis(p + dp, q + dq)
-                    for (r, c), v in self.block(name, p, q).entries.items():
+                    target = enumerate_basis(self.n, p + dp, q + dq, INVARIANT)
+                    for (r, c), v in frame.block(name, p, q).entries.items():
                         columns.setdefault(c, {})[target[r]] = v
-                for col, elt in enumerate(self.basis(p, q)):
-                    if self.apply("d", Form.monomial(elt)).coeffs != columns.get(col, {}):
+                for col, elt in enumerate(enumerate_basis(self.n, p, q, INVARIANT)):
+                    if extend_derivation(frame.structure, Form.monomial(elt)).coeffs != columns.get(col, {}):
                         recon_fail.append((p, q))
                         break
         report.append(("d=mu+partial+dbar+mubar", tuple(recon_fail)))

@@ -135,10 +135,6 @@ class Scalar:
     def conj(self) -> Scalar:
         return _exact(self._a, -self._b, self._d)
 
-    def abs2(self) -> Fraction:
-        """|s|^2, a nonnegative rational; zero iff s == 0."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 

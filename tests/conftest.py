@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 import sys
 from fractions import Fraction
@@ -8,9 +9,15 @@ import pytest
 
 from acx import linalg
 from acx.cli import Session, bundled_manifest_path, manifest_from_dict, parse_manifest
+from acx.linalg import ExactMatrix
 from acx.operators import FormComplex
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def contains(space, vec) -> bool:
+    """Whether the vector lies in the subspace."""
+    return space.outside(ExactMatrix.from_rows([vec], space.ambient_dim)) == 0
 
 
 def load_bench_module(name: str):
@@ -149,6 +156,51 @@ def random_4d_manifest(rng: random.Random) -> dict:
 
 def random_4d_session(rng: random.Random) -> Session:
     return Session(manifest_from_dict(random_4d_manifest(rng)))
+
+
+NON_UNIT_RATIONALS = [Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2, 3) if abs(Fraction(a, b)) != 1]
+
+
+def random_fourier_manifest(rng: random.Random, name: str, rank: int) -> dict:
+    """A bundled manifest with a seeded torus_fourier model at truncation 1.
+
+    A random maximal set of closed, pairwise commuting frame directions of the
+    algebra acts, each by a random row of non-unit rationals.
+    """
+    with open(bundled_manifest_path(name), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    algebra = parse_manifest(bundled_manifest_path(name)).algebra
+    table = algebra.bracket_table()
+    closed = [a for a in range(1, algebra.dim + 1) if algebra.coframe_is_closed(a)]
+    rng.shuffle(closed)
+    acting: list[int] = []
+    for a in closed:
+        if not any(table.get((min(a, b), max(a, b))) for b in acting):
+            acting.append(a)
+    actions = [
+        [str(rng.choice(NON_UNIT_RATIONALS)) if a in acting else "0" for _ in range(rank)]
+        for a in range(1, algebra.dim + 1)
+    ]
+    raw["name"] = f"{name}-fourier-rank{rank}"
+    raw["coefficients"] = {"type": "torus_fourier", "rank": rank, "actions": actions, "truncation": 1}
+    return raw
+
+
+@pytest.fixture(scope="session")
+def fourier_sessions() -> list[tuple[str, Session]]:
+    """(label, session) of seeded random torus_fourier models on kt4, torus4 and nil6 at ranks 1 and 2,
+    and kt4 with the degenerate action rows [[1, 0], [0, 0], [0, 0], [0, 0]], all at truncation 1."""
+    rng = random.Random(4242)
+    cases = []
+    for name in ("kt4", "torus4", "nil6"):
+        for rank in (1, 2):
+            raw = random_fourier_manifest(rng, name, rank)
+            cases.append((raw["name"], Session(manifest_from_dict(raw))))
+    with open(bundled_manifest_path("kt4"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["coefficients"]["actions"] = [["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]
+    cases.append(("kt4-degenerate", Session(manifest_from_dict(raw))))
+    return cases
 
 
 def sector_complexes(session: Session, truncation: int) -> list[FormComplex]:

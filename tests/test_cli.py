@@ -170,9 +170,9 @@ def test_report_validates_the_model_once(monkeypatch, capsys):
     calls = []
     extend = forms.extend_derivation
 
-    def counting_extend(gen_action, coeff_action, form):
+    def counting_extend(gen_action, form):
         calls.append(1)
-        return extend(gen_action, coeff_action, form)
+        return extend(gen_action, form)
 
     monkeypatch.setattr(forms, "extend_derivation", counting_extend)
     lie.validate_model.cache_clear()
@@ -180,6 +180,26 @@ def test_report_validates_the_model_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["validation"]["passed"]
     # one d(d theta) per coframe generator of the 4-dimensional model
     assert len(calls) == 4
+
+
+def test_diamond_extends_derivations_on_invariant_monomials_only(monkeypatch, capsys):
+    """The Leibniz rule runs on invariant monomials, once per frame: the number of
+    extend_derivation calls is the same for one truncation as for four."""
+    from acx import forms, lie, operators
+
+    calls = []
+    for module in (forms, operators):
+        extend = module.extend_derivation
+        monkeypatch.setattr(module, "extend_derivation", lambda *args, extend=extend: calls.append(1) or extend(*args))
+    counts = []
+    for truncations in ("0", "0,1,2,3"):
+        lie.validate_model.cache_clear()
+        operators.frame_blocks.cache_clear()
+        calls.clear()
+        assert main(["diamond", bundled_manifest_path("kt4"), "--truncations", truncations, "--format", "json"]) == 0
+        capsys.readouterr()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_validation_error_names_invariant():
@@ -313,6 +333,32 @@ def test_bad_flags_are_fatal(flags, capsys, monkeypatch):
     assert code == 2
     assert json.loads(captured.out)["fatal"]["type"] == "ValidationError"
     assert "Traceback" not in captured.err
+    assert not built
+
+
+def abelian_manifest(real_dim: int) -> dict:
+    """The abelian invariant model of this dimension with its standard J."""
+    j = [["0"] * real_dim for _ in range(real_dim)]
+    for k in range(0, real_dim, 2):
+        j[k][k + 1], j[k + 1][k] = "-1", "1"
+    return {"name": f"torus{real_dim}", "real_dim": real_dim, "brackets": [], "J": j, "tasks": []}
+
+
+def test_invariant_basis_is_bounded_at_parse(tmp_path, capsys, monkeypatch):
+    """4^(real_dim / 2) invariant monomials: real_dim 18 and 40 are refused before any complex is built."""
+    assert 4**8 <= MAX_BASIS_MONOMIALS < 4**9
+    check_basis_size(8, 0, 0)
+    built = count_complexes(monkeypatch)
+    for real_dim in (18, 40):
+        raw = abelian_manifest(real_dim)
+        with pytest.raises(ValidationError) as exc:
+            manifest_from_dict(raw)
+        assert f"real_dim {real_dim}" in str(exc.value)
+        path = tmp_path / f"torus{real_dim}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["diamond", str(path), "--format", "json"]) == 2
+        fatal = json.loads(capsys.readouterr().out)["fatal"]
+        assert fatal["type"] == "ValidationError" and "real_dim" in fatal["detail"], fatal
     assert not built
 
 

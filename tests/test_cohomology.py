@@ -10,7 +10,7 @@ from acx.lie import SHIFTS
 from acx.metric import Not4Manifold
 from acx.scalars import ONE, ZERO
 
-from conftest import assert_sectors_decompose, random_4d_session
+from conftest import assert_sectors_decompose, contains, random_4d_session
 
 # frozen regression baselines for the growing cells (derived by a per-weight
 # block analysis at N = 0 and locked to engine output afterwards)
@@ -60,7 +60,7 @@ def test_a_dol_examples(kt4_session):
     space = eng.a_dol(0, 1)
     assert space.dim == 1
     tbar1 = cx.to_vector(Form.monomial(BasisElement((0, 0), (), (1,))), 0, 1)
-    assert space.contains(tbar1)
+    assert contains(space, tbar1)
     # top bidegree: everything
     assert eng.a_dol(2, 2).dim == cx.dim(2, 2)
     # functions: both composite conditions vanish identically on the base torus
@@ -269,7 +269,7 @@ def test_mu_dbar_intersection_example(kt4_session):
     cx = eng.complex
     space = linalg.intersect([eng.op_kernel("mu", 0, 1), eng.op_kernel("dbar", 0, 1)])
     assert space.dim == 1
-    assert space.contains(cx.to_vector(Form.monomial(BasisElement((0, 0), (), (1,))), 0, 1))
+    assert contains(space, cx.to_vector(Form.monomial(BasisElement((0, 0), (), (1,))), 0, 1))
 
 
 # -- differential oracle: the per-operator kernel intersections and the

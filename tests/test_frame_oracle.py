@@ -1,9 +1,11 @@
 """Differential oracles for the frame-calculus layer.
 
 The structure equations are derived once per frame and derivations are
-extended monomial by monomial; the references below are the direct
-constructions: one bracket per (covector, pair) and Form arithmetic for each
-Leibniz term.  Both must give equal Forms on every case.
+extended monomial by monomial on invariant forms; the references below are
+the direct constructions: one bracket per (covector, pair) and Form
+arithmetic for each Leibniz term.  Both must give equal Forms on every case.
+The coefficient terms of partial and dbar on weighted forms have their own
+oracle in tests/test_lift_oracle.py.
 """
 
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 
 from acx import lie
 from acx.cli import Session, manifest_from_dict
-from acx.forms import BasisElement, Form, extend_derivation
+from acx.forms import Form, enumerate_basis, extend_derivation
 from acx.lie import (
     LieAlgebraSpec,
     build_frame,
@@ -21,10 +23,11 @@ from acx.lie import (
     nijenhuis_rank,
     validate_model,
 )
-from acx.operators import FormComplex
+from acx.operators import INVARIANT, FormComplex, frame_blocks
 from acx.scalars import ZERO, Scalar
 
 from conftest import random_4d_session
+from test_lift_oracle import ReferenceOperators, reference_leibniz
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 OPERATORS = ("mu", "partial", "dbar", "mubar", "d")
@@ -53,34 +56,6 @@ def reference_exterior_d(frame):
     return out
 
 
-def reference_extend_derivation(gen_action, coeff_action, form):
-    """The graded Leibniz rule in Form arithmetic, one wedge of Forms per term."""
-    out = Form()
-    for elt, c in form.coeffs.items():
-        w, holo, anti = elt
-        if coeff_action is not None and any(w):
-            df = coeff_action(w)
-            if df:
-                rest = Form.monomial(BasisElement(tuple(0 for _ in w), holo, anti))
-                out = out + df.wedge(rest).scale(c)
-        gens = [("h", s) for s in holo] + [("a", s) for s in anti]
-        for t, g in enumerate(gens):
-            action = gen_action.get(g)
-            if not action:
-                continue
-            if t < len(holo):
-                prefix = BasisElement(w, holo[:t], ())
-                suffix = BasisElement(tuple(0 for _ in w), holo[t + 1 :], anti)
-            else:
-                j = t - len(holo)
-                prefix = BasisElement(w, holo, anti[:j])
-                suffix = BasisElement(tuple(0 for _ in w), (), anti[j + 1 :])
-            sign = -1 if t % 2 else 1
-            term = Form.monomial(prefix).wedge(action).wedge(Form.monomial(suffix))
-            out = out + term.scale(c if sign == 1 else -c)
-    return out
-
-
 def _random_scalar(rng):
     return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
 
@@ -99,18 +74,19 @@ def _sweep_six_dim_sessions(seed):
 
 
 def _compare_complex(cx, rng):
-    """Compare every operator on every basis monomial and a few random combinations; count nonzero images."""
+    """Compare every operator on every invariant monomial and a few random combinations; count nonzero images."""
+    blocks = frame_blocks(cx.frame)
     nonzero = 0
     for name in OPERATORS:
-        action, coeff_action = cx._gen_action[name], cx._coeff_action(name)
+        action = blocks.structure if name == "d" else blocks.parts[name]
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
-                basis = list(cx.basis(p, q))
+                basis = list(enumerate_basis(cx.n, p, q, INVARIANT))
                 forms = [Form.monomial(e) for e in basis]
                 forms += [_random_combination(rng, basis) for _ in range(3)] if basis else []
                 for form in forms:
-                    got = extend_derivation(action, coeff_action, form)
-                    assert got == reference_extend_derivation(action, coeff_action, form), (name, p, q, form)
+                    got = extend_derivation(action, form)
+                    assert got == reference_leibniz(action, None, form), (name, p, q, form)
                     nonzero += not got.is_zero()
     return nonzero
 
@@ -149,11 +125,14 @@ def test_oracle_runs_the_coefficient_action(kt4_session):
     cx = kt4_session.complex(1)
     weighted = [e for e in cx.basis(0, 0) if any(e.weight)]
     assert weighted
-    act = cx._coeff_action("dbar")
+    act = ReferenceOperators(cx).coeff_action("dbar")
     assert any(not act(e.weight).is_zero() for e in weighted)
-    # on functions only the coefficient action contributes, so d of one is nonzero
+    assert any(not e_r.is_zero() for e_r in frame_blocks(cx.frame).coefficient_blocks("dbar", 0, 0))
+    # on functions only the coefficient terms contribute, so d of one is nonzero, while
+    # extend_derivation, which treats coefficients as constants, gives zero
     f = Form.monomial(weighted[0])
-    assert not extend_derivation(cx._gen_action["d"], cx._coeff_action("d"), f).is_zero()
+    assert not cx.apply("d", f).is_zero()
+    assert extend_derivation(frame_blocks(cx.frame).structure, f).is_zero()
 
 
 def test_structure_equations_are_derived_once_per_frame(nil6_session, monkeypatch):

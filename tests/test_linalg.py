@@ -27,6 +27,8 @@ from acx.linalg import (
 )
 from acx.scalars import I, MINUS_ONE, ONE, ZERO, Scalar, integer
 
+from conftest import contains
+
 
 def rand_scalar(rng, density=0.5):
     if rng.random() > density:
@@ -45,7 +47,7 @@ def rand_matrix(rng, rows, cols, density=0.4):
 
 
 def test_rank_examples():
-    assert rank(ExactMatrix.zeros(3, 3)) == 0
+    assert rank(ExactMatrix(3, 3)) == 0
     m = ExactMatrix.from_rows([[ONE, I], [I, MINUS_ONE]])
     assert rank(m) == 1
     assert rank(ExactMatrix.identity(4)) == 4
@@ -53,7 +55,7 @@ def test_rank_examples():
 
 def test_kernel_examples():
     assert kernel(ExactMatrix.identity(2)).dim == 0
-    assert kernel(ExactMatrix.zeros(2, 3)).dim == 3
+    assert kernel(ExactMatrix(2, 3)).dim == 3
     m = ExactMatrix.from_rows([[ONE, I], [I, MINUS_ONE]])
     k = kernel(m)
     assert k.dim == 1
@@ -63,7 +65,7 @@ def test_kernel_examples():
 
 def test_image_examples():
     assert image(ExactMatrix.identity(3)).dim == 3
-    assert image(ExactMatrix.zeros(3, 2)).dim == 0
+    assert image(ExactMatrix(3, 2)).dim == 0
 
 
 def test_rank_nullity_random():
@@ -90,7 +92,7 @@ def test_solve_roundtrip_random():
 
 
 def test_solve_unsolvable():
-    m = ExactMatrix.zeros(2, 2)
+    m = ExactMatrix(2, 2)
     assert solve(m, (ONE, ZERO)) is None
     assert solve(ExactMatrix.identity(3), (ONE, I, ZERO)) == (ONE, I, ZERO)
 
@@ -121,7 +123,7 @@ def test_intersect_examples_and_order():
         assert len(dims) == 1
         inter = intersect(spaces)
         for v in inter.basis:
-            assert all(s.contains(v) for s in spaces)
+            assert all(contains(s, v) for s in spaces)
 
 
 def test_intersect_ambient_mismatch():
@@ -151,7 +153,7 @@ def test_preimage():
     w = subspace_from_vectors(3, [(ONE, ZERO, ZERO)])
     pre = preimage(m, w)
     assert pre.dim == 1
-    assert pre.contains((ONE, ZERO))
+    assert contains(pre, (ONE, ZERO))
 
 
 def test_sum_spaces():
@@ -295,8 +297,8 @@ def oracle_matrices():
         m = fourier_block_matrix(rng, weights, 3, 8)
         yield f"fourier-{m.rows}x{m.cols}", m
         yield f"fourier-T-{m.cols}x{m.rows}", m.transpose()
-    yield "zero-3x70", ExactMatrix.zeros(3, 70)
-    yield "empty-0x5", ExactMatrix.zeros(0, 5)
+    yield "zero-3x70", ExactMatrix(3, 70)
+    yield "empty-0x5", ExactMatrix(0, 5)
 
 
 @pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in oracle_matrices()])
@@ -463,7 +465,7 @@ def check_spaces(spaces, *where):
             assert_same(intersect([a, b]), ref_intersect([ra, rb]), "intersect", *where)
             assert_same(sum_spaces([a, b]), ref_sum([ra, rb]), "sum", *where)
             assert outcome(quotient_dim, a, b) == outcome(ref_quotient_dim, ra, rb), where
-            assert [a.contains(v) for v in rb.basis] == [ra.contains(v) for v in rb.basis], where
+            assert [contains(a, v) for v in rb.basis] == [ra.contains(v) for v in rb.basis], where
     for order in itertools.permutations(range(len(spaces))):
         want = ref_intersect([refs[i] for i in order])
         assert_same(intersect([spaces[i] for i in order]), want, "intersect", order, *where)

@@ -7,10 +7,10 @@ from acx import linalg
 from acx.forms import BasisElement, CoefficientModel, Form, InconsistentModel
 from acx.lie import SHIFTS
 from acx.linalg import ExactMatrix
-from acx.operators import FormComplex, compose, failing_blocks, shift
+from acx.operators import FormComplex, FrameBlocks, compose, failing_blocks, shift
 from acx.scalars import MINUS_ONE, ONE, Scalar, ZERO
 
-from conftest import assert_sectors_decompose, sector_complexes
+from conftest import assert_sectors_decompose, contains, sector_complexes
 
 
 def test_identity_suite_kt4(kt4_session):
@@ -52,10 +52,14 @@ def test_identity_suite_runs_once_per_complex(kt4_session, monkeypatch):
 
 
 def test_reconstruction_identity_fails_on_a_corrupted_d(kodaira_session):
-    """d applied to monomials is checked against the assembled component blocks, so a wrong d shows."""
+    """The Leibniz rule on the unsplit structure equations is checked against the four
+    invariant blocks, so a wrong d shows."""
     cx = FormComplex(kodaira_session.frame, kodaira_session.spec.coefficients)
+    # a private FrameBlocks keeps the frame's shared one intact; its parts are split before the corruption
+    cx._frame_blocks = FrameBlocks(kodaira_session.frame)
+    structure = cx._frame_blocks.structure
     # d(theta^1) gains theta^1 ^ theta^2, which survives on every monomial holding theta^1 but not theta^2
-    cx._gen_action["d"][("h", 1)] = cx._gen_action["d"][("h", 1)] + Form.monomial(BasisElement((), (1, 2), ()))
+    structure[("h", 1)] = structure[("h", 1)] + Form.monomial(BasisElement((), (1, 2), ()))
     failures = {entry["identity"]: entry["failures"] for entry in cx.identity_suite()}
     assert failures.pop("d=mu+partial+dbar+mubar") == [(1, 0), (1, 1), (1, 2)]
     assert not any(failures.values())
@@ -117,6 +121,14 @@ def test_weight_blocks_decompose_full_matrices(kt4_session):
     """Per-sector computation agrees with the whole-matrix computation."""
     cells = [(p, q) for p in range(3) for q in range(3)]
     assert_sectors_decompose(kt4_session, 1, ("mu", "partial", "dbar", "mubar"), cells)
+
+
+def test_weight_blocks_decompose_on_random_fourier_models(fourier_sessions):
+    """The seeded torus_fourier models, degenerate action rows included, split into sectors like kt4."""
+    for _, session in fourier_sessions:
+        n = session.frame.n
+        cells = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+        assert_sectors_decompose(session, 1, ("mu", "partial", "dbar", "mubar"), cells)
 
 
 def test_conjugation_intertwines_mu_and_mubar(kt4_session):
@@ -193,7 +205,7 @@ def test_d_on_invariant_one_forms_kt4(kt4_session):
     tbar1 = total_vector(Form.monomial(BasisElement((0, 0), (), (1,))))
     real2 = total_vector(Form.monomial(BasisElement((0, 0), (2,), ())) + Form.monomial(BasisElement((0, 0), (), (2,))))
     for v in (theta1, tbar1, real2):
-        assert k.contains(v)
+        assert contains(k, v)
 
 
 def test_mubar_image_on_invariant_10_forms(kt4_session):
@@ -201,7 +213,7 @@ def test_mubar_image_on_invariant_10_forms(kt4_session):
     img = linalg.image(cx.block("mubar", 1, 0))
     assert img.dim == 1
     target = cx.to_vector(Form.monomial(BasisElement((0, 0), (), (1, 2))), 0, 2)
-    assert img.contains(target)
+    assert contains(img, target)
 
 
 def test_compose_equals_product_of_blocks(kt4_session):
