@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, repeat
+from math import comb
 
 from . import __version__, linalg
 from .audits import (
@@ -50,6 +51,10 @@ KNOWN_TASKS = ("validate", "diamond", "verify", "taming", "report")
 # the largest truncated basis a run builds: (2N+1)^rank * 4^n monomials over all
 # bidegrees; kt4 (rank 2, n = 2) reaches it past N = 39, an invariant model past real_dim 16
 MAX_BASIS_MONOMIALS = 100_000
+# the largest invariant bidegree block, C(n, n//2) * C(n, n - n//2) monomials: its Gram,
+# star and wedge-pairing matrices are dense, so their cost grows with its square;
+# 400 admits real_dim 12 and refuses real_dim 14 (1,225) and 16 (4,900)
+MAX_INVARIANT_BLOCK = 400
 
 
 class ParseError(Exception):
@@ -83,6 +88,21 @@ def check_basis_size(n: int, rank: int, truncation: int) -> None:
             raise ValidationError(
                 "Truncations" if rank else "ManifoldSpec",
                 f"{what} gives more than {MAX_BASIS_MONOMIALS} basis monomials ((2N+1)^{rank} * 4^{n})",
+            )
+
+
+def check_invariant_block(n: int) -> None:
+    """Refuse a model whose largest invariant bidegree block passes MAX_INVARIANT_BLOCK.
+
+    The middle block C(k, k//2) * C(k, k - k//2) grows with k, so the check
+    stops at the first k past the limit and a huge n costs no huge binomial.
+    """
+    for k in range(1, n + 1):
+        if comb(k, k // 2) * comb(k, k - k // 2) > MAX_INVARIANT_BLOCK:
+            raise ValidationError(
+                "ManifoldSpec",
+                f"real_dim {2 * n} gives an invariant bidegree block of more than {MAX_INVARIANT_BLOCK} "
+                "monomials (C(n, n//2) * C(n, n - n//2), n = real_dim / 2)",
             )
 
 
@@ -192,6 +212,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         raise ValidationError("AlmostComplexStructure", "real_dim must be even over Q(i)")
     n = real_dim // 2
     check_basis_size(n, 0, 0)
+    check_invariant_block(n)
 
     entries = []
     brackets = raw.get("brackets", [])

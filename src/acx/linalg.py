@@ -3,11 +3,13 @@
 Ranks, kernels, images, subspace intersections, quotient dimensions and
 linear solves for sparse matrices with Gaussian-rational entries.  All
 elimination uses leftmost-nonzero pivot selection with ties broken by lowest
-row index, so every reduced form (and therefore every reported dimension and
+row position, so every reduced form (and therefore every reported dimension and
 particular solution) is deterministic.  There is one elimination kernel,
-Gauss-Jordan on sparse rows ({column: entry} dicts): the matrices of a
-truncated complex are block-diagonal by Fourier weight, so a row update only
-touches the nonzero entries of the pivot row.  A subspace is held as the
+Gauss-Jordan on sparse rows ({column: entry} dicts) with a column -> rows
+index: the matrices of a truncated complex are block-diagonal by Fourier
+weight and a few percent dense, so the kernel finds pivots and the rows to
+update through the index and a row update only touches the nonzero entries
+of the pivot row.  A subspace is held as the
 reduced row echelon form of a basis, itself a sparse matrix, and every
 subspace operation eliminates such matrices stacked, transposed or multiplied.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, add_mul, sub_mul
 
 # there is no dense elimination path; the bench tracer still reads this name
 DENSE_COLUMN_LIMIT = 0
@@ -104,19 +106,26 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row: dict[int, list[tuple[int, Scalar]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Scalar] = {}
+        # row r of the product accumulates a * (row k of other) over the entries (r, k) of self
+        left: dict[int, list[tuple[int, Scalar]]] = {}
         for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                s = acc.get(key, ZERO) + a * b
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return ExactMatrix(self.rows, other.cols, acc)
+            left.setdefault(r, []).append((k, a))
+        right: dict[int, list[tuple[int, Scalar]]] = {}
+        for (k, c), b in other.entries.items():
+            right.setdefault(k, []).append((c, b))
+        entries: dict[tuple[int, int], Scalar] = {}
+        for r, terms in left.items():
+            acc: dict[int, Scalar] = {}
+            for k, a in terms:
+                for c, b in right.get(k, ()):
+                    s = add_mul(acc.get(c), a, b)
+                    if s is None:
+                        del acc[c]
+                    else:
+                        acc[c] = s
+            for c, v in acc.items():
+                entries[(r, c)] = v
+        return ExactMatrix(self.rows, other.cols, entries)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
@@ -219,43 +228,74 @@ def _rref_full(m: ExactMatrix, pivot_limit: int | None = None):
     the leftmost column with a nonzero entry at or below the current row,
     the lowest such row.  Returns (pivot columns, reduced pivot rows,
     nonzero leftover rows).
+
+    A column -> rows index keeps every step in proportion to the nonzeros:
+    only columns that hold a nonzero are visited, the pivot is the index row
+    of lowest current position, and only the rows the index lists are
+    updated.  Row operations never fill a column that starts out empty, so
+    the columns to visit are known up front.
     """
-    rows = m.row_dicts()
+    rows: list[dict[int, Scalar]] = [dict() for _ in range(m.rows)]
+    index: dict[int, set[int]] = {}
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+        if c in index:
+            index[c].add(r)
+        else:
+            index[c] = {r}
     limit = m.cols if pivot_limit is None else pivot_limit
+    nrows = len(rows)
+    # at[k] is the row now at position k; pos is its inverse
+    at = list(range(nrows))
+    pos = list(range(nrows))
     pivots: list[int] = []
     r = 0
-    nrows = len(rows)
-    for c in range(limit):
-        sel = None
-        for i in range(r, nrows):
-            if c in rows[i]:
-                sel = i
-                break
-        if sel is None:
+    for c in sorted(index):
+        if c >= limit or r == nrows:
+            break
+        holders = index[c]
+        sel = nrows
+        for i in holders:
+            k = pos[i]
+            if r <= k < sel:
+                sel = k
+        if sel == nrows:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        inv = prow[c].inverse()
-        if inv != ONE:
-            for k in list(prow):
-                prow[k] = prow[k] * inv
-        for i in range(nrows):
-            if i != r:
-                f = rows[i].get(c)
-                if f:
-                    tgt = rows[i]
-                    for k, v in prow.items():
-                        s = tgt.get(k, ZERO) - f * v
-                        if s:
-                            tgt[k] = s
-                        else:
-                            tgt.pop(k, None)
+        p = at[sel]
+        if sel != r:
+            q = at[r]
+            at[r], at[sel] = p, q
+            pos[p], pos[q] = r, sel
+        prow = rows[p]
+        lead = prow[c]
+        if lead != ONE:
+            inv = lead.inverse()
+            for k, v in prow.items():
+                prow[k] = v * inv
+        if len(holders) > 1:
+            # every other entry of the pivot row lies right of c, so fill-in lands in columns
+            # still to visit and index[c] is never read again
+            rest = [(k, v) for k, v in prow.items() if k != c]
+            for i in holders:
+                if i == p:
+                    continue
+                tgt = rows[i]
+                f = tgt.pop(c)
+                for k, v in rest:
+                    t = tgt.get(k)
+                    s = sub_mul(t, f, v)
+                    if s is None:
+                        del tgt[k]
+                        index[k].discard(i)
+                    else:
+                        tgt[k] = s
+                        if t is None:
+                            index[k].add(i)
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    leftover = [row for row in rows[r:] if row]
-    return pivots, rows[:r], leftover
+    reduced = [rows[at[k]] for k in range(r)]
+    leftover = [rows[at[k]] for k in range(r, nrows) if rows[at[k]]]
+    return pivots, reduced, leftover
 
 
 def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
@@ -301,11 +341,11 @@ class Subspace:
             f = work.get(p)
             if f:
                 for c, v in row.items():
-                    s = work.get(c, ZERO) - f * v
-                    if s:
-                        work[c] = s
+                    s = sub_mul(work.get(c), f, v)
+                    if s is None:
+                        del work[c]
                     else:
-                        work.pop(c, None)
+                        work[c] = s
         return bool(work)
 
     def outside(self, m: ExactMatrix) -> int:
@@ -351,14 +391,14 @@ def kernel(m: ExactMatrix) -> Subspace:
     free = [c for c in range(m.cols) if c not in pivot_set]
     if not free:
         return zero_space(m.cols)
-    # one vector per free column f: 1 at f, minus the f-column of the reduced rows at the pivots
-    entries = {}
-    for r, f in enumerate(free):
-        entries[(r, f)] = ONE
-        for i, p in enumerate(pivots):
-            coeff = red[i].get(f)
-            if coeff:
-                entries[(r, p)] = -coeff
+    # one vector per free column f: 1 at f, minus the f-column of the reduced rows at the pivots;
+    # every entry of a reduced row off its pivot lies in a free column
+    vectors: dict[int, dict[int, Scalar]] = {f: {f: ONE} for f in free}
+    for p, row in zip(pivots, red):
+        for f, coeff in row.items():
+            if f != p:
+                vectors[f][p] = -coeff
+    entries = {(r, c): v for r, vec in enumerate(vectors.values()) for c, v in vec.items()}
     return span(ExactMatrix(len(free), m.cols, entries))
 
 

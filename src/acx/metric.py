@@ -154,10 +154,15 @@ class PointwiseMetric:
         """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q)."""
         monos = self._monomials(p, q)
         h = self._h
+        minors: dict[tuple[tuple[int, ...], tuple[int, ...], bool], Scalar] = {}
 
         def det_sub(rows_idx, cols_idx, conj: bool) -> Scalar:
-            rows = [[h[r - 1][c - 1].conj() if conj else h[r - 1][c - 1] for c in cols_idx] for r in rows_idx]
-            return exact_det(rows)
+            """A minor of h (of conj h), computed once per Gram build: monomials share their index sets."""
+            key = (rows_idx, cols_idx, conj)
+            if key not in minors:
+                rows = [[h[r - 1][c - 1].conj() if conj else h[r - 1][c - 1] for c in cols_idx] for r in rows_idx]
+                minors[key] = exact_det(rows)
+            return minors[key]
 
         return ExactMatrix.from_rows(
             [[det_sub(x.holo, y.holo, False) * det_sub(x.anti, y.anti, True) for y in monos] for x in monos],

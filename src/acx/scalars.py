@@ -156,6 +156,38 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
+def _fused(t: Scalar | None, a: int, b: int, d: int) -> Scalar | None:
+    """t + (a + b*i)/d with the one gcd of _reduced; None stands for zero on both sides."""
+    if t is not None:
+        td = t._d
+        if td == d:
+            a += t._a
+            b += t._b
+        else:
+            a = t._a * d + a * td
+            b = t._b * d + b * td
+            d *= td
+    if not (a or b):
+        return None
+    return _reduced(a, b, d)
+
+
+def add_mul(t: Scalar | None, x: Scalar, y: Scalar) -> Scalar | None:
+    """t + x*y as one fused update with a single gcd.
+
+    A sparse accumulator passes t = None for an absent entry and gets None
+    back when the result is zero, so the entry can be dropped.
+    """
+    xa, xb, ya, yb = x._a, x._b, y._a, y._b
+    return _fused(t, xa * ya - xb * yb, xa * yb + xb * ya, x._d * y._d)
+
+
+def sub_mul(t: Scalar | None, x: Scalar, y: Scalar) -> Scalar | None:
+    """t - x*y, as add_mul."""
+    xa, xb, ya, yb = x._a, x._b, y._a, y._b
+    return _fused(t, xb * yb - xa * ya, -(xa * yb + xb * ya), x._d * y._d)
+
+
 ZERO = _exact(0, 0, 1)
 ONE = _exact(1, 0, 1)
 I = _exact(0, 1, 1)

@@ -1,14 +1,17 @@
 import json
+from math import comb
 
 import pytest
 
 from acx.cli import (
     MAX_BASIS_MONOMIALS,
+    MAX_INVARIANT_BLOCK,
     ParseError,
     Session,
     ValidationError,
     bundled_manifest_path,
     check_basis_size,
+    check_invariant_block,
     main,
     manifest_from_dict,
     parse_manifest,
@@ -360,6 +363,27 @@ def test_invariant_basis_is_bounded_at_parse(tmp_path, capsys, monkeypatch):
         fatal = json.loads(capsys.readouterr().out)["fatal"]
         assert fatal["type"] == "ValidationError" and "real_dim" in fatal["detail"], fatal
     assert not built
+
+
+def test_invariant_block_is_bounded_at_parse(tmp_path, capsys, monkeypatch):
+    """real_dim 12 (middle block 20 * 20) is accepted; 14 (35 * 35) and 16 (70 * 70) are refused before any complex is built."""
+    assert comb(6, 3) ** 2 <= MAX_INVARIANT_BLOCK < comb(7, 3) * comb(7, 4)
+    assert manifest_from_dict(abelian_manifest(12)).real_dim == 12
+    built = count_complexes(monkeypatch)
+    for real_dim in (14, 16):
+        raw = abelian_manifest(real_dim)
+        with pytest.raises(ValidationError) as exc:
+            manifest_from_dict(raw)
+        assert f"real_dim {real_dim}" in str(exc.value)
+        path = tmp_path / f"torus{real_dim}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["diamond", str(path), "--format", "json"]) == 2
+        fatal = json.loads(capsys.readouterr().out)["fatal"]
+        assert fatal["type"] == "ValidationError" and f"real_dim {real_dim}" in fatal["detail"], fatal
+    assert not built
+    # the check stops at the first dimension past the limit: no huge binomial is formed
+    with pytest.raises(ValidationError):
+        check_invariant_block(10**9)
 
 
 def test_basis_size_limit():

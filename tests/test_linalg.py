@@ -276,11 +276,11 @@ def low_rank_matrix(rng, rows, cols, rank_, density):
     return rand_matrix(rng, rows, rank_, density) @ rand_matrix(rng, rank_, cols, density)
 
 
-def fourier_block_matrix(rng, weights, block_rows, block_cols):
+def fourier_block_matrix(rng, weights, block_rows, block_cols, density=0.4, low_density=0.8):
     """Block-diagonal like an operator on a truncated complex: the block of weight w
     is A + w*B, with A of rank one, so the weight-zero block loses rank."""
-    a = low_rank_matrix(rng, block_rows, block_cols, 1, 0.8)
-    b = rand_matrix(rng, block_rows, block_cols, 0.4)
+    a = low_rank_matrix(rng, block_rows, block_cols, 1, low_density)
+    b = rand_matrix(rng, block_rows, block_cols, density)
     entries = {}
     for k, w in enumerate(weights):
         for (r, c), v in (a + b.scale(integer(w))).entries.items():
@@ -325,6 +325,159 @@ def test_oracle_covers_rank_deficiency_and_no_solution():
     assert solve(low, tuple(ONE for _ in range(low.rows))) is None
     fourier = matrices["fourier-27x72"]
     assert fourier.cols > 64 and rank(fourier) == 8 * 3 + 1
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the sparse Gauss-Jordan that scanned every row for every
+# column, and the product that accumulated into one (row, column)-keyed dict,
+# kept as the references for the column-indexed kernel and the row-accumulated
+# product
+
+
+def reference_sparse_rref_full(m, pivot_limit=None, events=None):
+    """events, if given, counts the entries filled in and cancelled off the pivot column."""
+    rows = m.row_dicts()
+    limit = m.cols if pivot_limit is None else pivot_limit
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(limit):
+        sel = None
+        for i in range(r, nrows):
+            if c in rows[i]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r]
+        inv = prow[c].inverse()
+        if inv != ONE:
+            for k in list(prow):
+                prow[k] = prow[k] * inv
+        for i in range(nrows):
+            if i != r:
+                f = rows[i].get(c)
+                if f:
+                    tgt = rows[i]
+                    for k, v in prow.items():
+                        if events is not None and k != c:
+                            if k not in tgt:
+                                events["fill"] += 1
+                            elif tgt[k] == f * v:
+                                events["cancel"] += 1
+                        s = tgt.get(k, ZERO) - f * v
+                        if s:
+                            tgt[k] = s
+                        else:
+                            tgt.pop(k, None)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    leftover = [row for row in rows[r:] if row]
+    return pivots, rows[:r], leftover
+
+
+def reference_matmul(a, b):
+    by_row = {}
+    for (r, c), v in b.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    acc = {}
+    for (r, k), x in a.entries.items():
+        for c, y in by_row.get(k, ()):
+            key = (r, c)
+            s = acc.get(key, ZERO) + x * y
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    return ExactMatrix(a.rows, b.cols, acc)
+
+
+def reference_kernel(m):
+    """The kernel basis read through red[i].get(f) for every pivot and free column."""
+    pivots, red, _ = reference_sparse_rref_full(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    entries = {}
+    for r, f in enumerate(free):
+        entries[(r, f)] = ONE
+        for i, p in enumerate(pivots):
+            coeff = red[i].get(f)
+            if coeff:
+                entries[(r, p)] = -coeff
+    _, reduced, _ = reference_sparse_rref_full(ExactMatrix(len(free), m.cols, entries))
+    return ExactMatrix(len(reduced), m.cols, {(r, c): v for r, row in enumerate(reduced) for c, v in row.items()})
+
+
+def ordered(rows):
+    """Rows with their key order, so a comparison pins the dicts bit for bit."""
+    return [list(row.items()) for row in rows]
+
+
+def spread_out(m):
+    """m with an all-zero row and column before, between and after its own."""
+    entries = {(2 * r + 1, 3 * c + 1): v for (r, c), v in m.entries.items()}
+    return ExactMatrix(2 * m.rows + 1, 3 * m.cols + 1, entries)
+
+
+def kernel_cases():
+    yield from oracle_matrices()
+    rng = random.Random(20261019)
+    for density in (0.02, 0.05, 0.1, 0.2, 0.4, 0.6):
+        m = fourier_block_matrix(rng, (-2, -1, 0, 1, 2), 4, 6, density, density)
+        yield f"fourier-{density}", m
+        yield f"fourier-T-{density}", m.transpose()
+        yield f"random-{density}", rand_matrix(rng, 14, 18, density)
+        yield f"low-rank-{density}", low_rank_matrix(rng, 16, 12, 5, density)
+    yield "spread-out", spread_out(rand_matrix(rng, 5, 6, 0.5))
+    yield "zero-rows-and-columns", ExactMatrix(4, 3)
+    yield "empty-0x6", ExactMatrix(0, 6)
+    yield "empty-6x0", ExactMatrix(6, 0)
+    yield "empty-0x0", ExactMatrix(0, 0)
+
+
+def solve_many_with_reference_kernel(m, rhs, reverse):
+    original = linalg._rref_full
+    linalg._rref_full = reference_sparse_rref_full
+    try:
+        return solve_many(m, rhs, reverse_pivots=reverse)
+    finally:
+        linalg._rref_full = original
+
+
+@pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in kernel_cases()])
+def test_column_indexed_kernel_matches_reference(name, m):
+    rng = random.Random(f"{name}-kernel")
+    for limit in sorted({None, 0, m.cols // 3, m.cols // 2, max(m.cols - 1, 0)}, key=lambda x: -1 if x is None else x):
+        pivots, reduced, leftover = linalg._rref_full(m, limit)
+        want = reference_sparse_rref_full(m, limit)
+        assert pivots == want[0], limit
+        assert ordered(reduced) == ordered(want[1]), limit
+        assert ordered(leftover) == ordered(want[2]), limit
+    got = kernel(m).rows
+    want = reference_kernel(m)
+    assert got == want and list(got.entries.items()) == list(want.entries.items())
+    for left, right in (
+        (m, rand_matrix(rng, m.cols, 7, 0.3)),
+        (rand_matrix(rng, 5, m.rows, 0.3), m),
+        (m.transpose(), m),
+        (m, m.conjugate().transpose()),
+    ):
+        assert left @ right == reference_matmul(left, right)
+    inside = m.apply(tuple(rand_scalar(rng, 0.6) for _ in range(m.cols)))
+    outside = tuple(rand_scalar(rng, 0.6) for _ in range(m.rows))
+    rhs = [inside, outside, tuple(ZERO for _ in range(m.rows))]
+    for reverse in (False, True):
+        assert solve_many(m, rhs, reverse) == solve_many_with_reference_kernel(m, rhs, reverse)
+
+
+def test_kernel_cases_fill_in_and_cancel():
+    """The cases make the column index grow by fill-in and shrink by cancellation off the pivot column."""
+    events = {"fill": 0, "cancel": 0}
+    for _, m in kernel_cases():
+        reference_sparse_rref_full(m, events=events)
+    assert events["fill"] >= 100 and events["cancel"] >= 20, events
 
 
 # ---------------------------------------------------------------------------

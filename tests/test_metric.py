@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from acx import linalg
+from acx import metric as metric_module
 from acx.forms import BasisElement, Form
 from acx.linalg import ExactMatrix
 from acx.metric import (
@@ -16,7 +18,7 @@ from acx.metric import (
 from acx.operators import FormComplex
 from acx.scalars import I, ONE, Scalar, ZERO, integer, rational
 
-from conftest import contains
+from conftest import contains, sweep_sessions
 
 HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
@@ -371,3 +373,70 @@ def test_almost_kahler_implies_ddc_closed_on_models(kt4_session, torus_session, 
         preds = session.engine(0 if session.spec.coefficients.kind != "invariant" else None).hermitian.kahler_predicates()
         if preds["almost_kahler"]:
             assert preds["ddc_closed"]
+
+
+# differential oracle: the Gram build that recomputed both metric minors for
+# every pair of monomials, kept as the reference for the per-build minor table
+
+
+def reference_gram(pm, p, q):
+    monos = pm._monomials(p, q)
+    h = pm._h
+
+    def det_sub(rows_idx, cols_idx, conj):
+        rows = [[h[r - 1][c - 1].conj() if conj else h[r - 1][c - 1] for c in cols_idx] for r in rows_idx]
+        return metric_module.exact_det(rows)
+
+    return ExactMatrix.from_rows(
+        [[det_sub(x.holo, y.holo, False) * det_sub(x.anti, y.anti, True) for y in monos] for x in monos],
+        len(monos),
+    )
+
+
+def generic_metric(n, rng):
+    """A Hermitian metric with complex off-diagonal entries, made positive by a dominant diagonal."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = integer(3 * n)
+        for j in range(k + 1, n):
+            g = Scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            rows[k][j], rows[j][k] = g, g.conj()
+    return HermitianMetric(tuple(tuple(r) for r in rows))
+
+
+def gram_metrics():
+    rng = random.Random(8)
+    yield "torus8-identity", HermitianMetric.identity(4)
+    yield "torus8-generic", generic_metric(4, rng)
+    for k, session in enumerate(sweep_sessions(101)):
+        if session.spec.real_dim == 6:
+            yield f"sweep101-{k}", session.spec.metric
+
+
+@pytest.mark.parametrize("name, metric", [pytest.param(name, m, id=name) for name, m in gram_metrics()])
+def test_gram_minor_table_matches_per_pair_gram(name, metric, monkeypatch):
+    """Each (rows, cols, conj) minor is computed once per Gram build: C(n,p)^2 + C(n,q)^2 top-level dets."""
+    pm = PointwiseMetric(metric, 0)
+    n = pm.n
+    calls = []
+    depth = [0]
+    exact_det = metric_module.exact_det
+
+    def counting(rows):
+        if not depth[0]:
+            calls.append(len(rows))
+        depth[0] += 1
+        try:
+            return exact_det(rows)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(metric_module, "exact_det", counting)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            calls.clear()
+            gram = pm._gram(p, q)
+            assert len(calls) == comb(n, p) ** 2 + comb(n, q) ** 2, (p, q)
+            calls.clear()
+            assert gram == reference_gram(pm, p, q), (p, q)
+            assert len(calls) == 2 * (comb(n, p) * comb(n, q)) ** 2
