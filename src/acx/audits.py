@@ -226,7 +226,7 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
         )
     )
     # conjugation matches the (2,0) and (0,2) dimensions
-    h20, h02 = engine.dolbeault_cw(2, 0), engine.dolbeault_cw(0, 2)
+    h20, h02 = linalg.quotient_dim(num20, den20), engine.dolbeault_cw(0, 2)
     items.append(AuditItem("conjugation-iso-(2,0)-(0,2)", _verdict(h20 == h02), {"h20": h20, "h02": h02}))
     # dimension chains
     numbers = {
@@ -363,12 +363,16 @@ def _correct(engine: CohomologyEngine, psi: ExactMatrix, reverse_pivots: bool = 
     """
     k02, k20, system = engine.correction_map()
     rhs = -(linalg.realify(engine.complex.block("dbar", 1, 1)) @ psi)
-    targets = [tuple(rhs.entry(r, j) for r in range(rhs.rows)) for j in range(rhs.cols)]
+    targets = [[ZERO] * rhs.rows for _ in range(rhs.cols)]
+    for (r, j), v in rhs.entries.items():
+        targets[j][r] = v
     solutions = linalg.solve_many(system, targets, reverse_pivots)
     for sol, target in zip(solutions, targets):
         if sol is None:
             raise NoSolution("closedness correction equation is inconsistent", _obstruction_functional(system, target))
-    u = ExactMatrix.from_rows(solutions, system.cols).transpose()
+    # solve_many pads each solution with the ZERO constant; the constructor drops any other zero
+    nonzeros = {(r, j): v for j, sol in enumerate(solutions) for r, v in enumerate(sol) if v is not ZERO}
+    u = ExactMatrix(system.cols, len(solutions), nonzeros)
     return solutions, ExactMatrix.vstack([k02 @ u, psi, k20 @ u])
 
 

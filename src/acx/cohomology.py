@@ -32,7 +32,15 @@ class CohomologyEngine:
         self.n = complex_.n
         self._adol_cache: dict[tuple[int, int], Subspace] = {}
         self._real_ddc: tuple[Subspace, Subspace] | None = None
+        self._hat: tuple[ExactMatrix, Subspace] | None = None
+        self._numbers: dict[tuple, int] = {}
         self._correction: tuple[ExactMatrix, ExactMatrix, ExactMatrix] | None = None
+
+    def _number(self, key: tuple, compute) -> int:
+        """A dimension of this engine, computed once: the diamond, the audits and the taming hypothesis share it."""
+        if key not in self._numbers:
+            self._numbers[key] = compute()
+        return self._numbers[key]
 
     # -- generic block subspaces ------------------------------------------------
 
@@ -99,8 +107,7 @@ class CohomologyEngine:
         return numerator, denominator
 
     def dolbeault_cw(self, p: int, q: int) -> int:
-        numerator, denominator = self.dolbeault_cw_parts(p, q)
-        return linalg.quotient_dim(numerator, denominator)
+        return self._number(("spectral", p, q), lambda: linalg.quotient_dim(*self.dolbeault_cw_parts(p, q)))
 
     # -- refined Dolbeault ------------------------------------------------------------
 
@@ -127,8 +134,7 @@ class CohomologyEngine:
         return numerator, denominator
 
     def refined_dolbeault(self, p: int, q: int) -> int:
-        numerator, denominator = self.refined_parts(p, q)
-        return linalg.quotient_dim(numerator, denominator)
+        return self._number(("refined", p, q), lambda: linalg.quotient_dim(*self.refined_parts(p, q)))
 
     # -- hat spaces -----------------------------------------------------------------------
 
@@ -142,6 +148,13 @@ class CohomologyEngine:
         s = ExactMatrix.vstack([s20, s02])
         return t, s
 
+    def _hat_system(self) -> tuple[ExactMatrix, Subspace]:
+        """[T | S] on pairs of 1-forms and its kernel, the pairs whose d is pure (1,1); built once."""
+        if self._hat is None:
+            phi = ExactMatrix.hstack(self._hat_maps())
+            self._hat = (phi, linalg.kernel(phi))
+        return self._hat
+
     def hat_h01_parts(self) -> tuple[Subspace, Subspace]:
         t, s = self._hat_maps()
         numerator = linalg.preimage(s, linalg.image(t))
@@ -149,8 +162,7 @@ class CohomologyEngine:
         return numerator, denominator
 
     def hat_h01(self) -> int:
-        numerator, denominator = self.hat_h01_parts()
-        return linalg.quotient_dim(numerator, denominator)
+        return self._number(("hat_h01",), lambda: linalg.quotient_dim(*self.hat_h01_parts()))
 
     def hat_h1(self, diagonal_potentials: bool = False) -> int:
         """dim of the paired kernel modulo potential pairs (partial f, dbar g).
@@ -158,9 +170,11 @@ class CohomologyEngine:
         diagonal_potentials switches the denominator to the one-function
         variant (f = g), exposed for comparison only.
         """
+        return self._number(("hat_h1", diagonal_potentials), lambda: self._hat_h1(diagonal_potentials))
+
+    def _hat_h1(self, diagonal_potentials: bool) -> int:
         # numerator: pairs (u1, u2) with T u1 + S u2 = 0, i.e. d(u1 + u2) is pure (1,1)
-        phi = ExactMatrix.hstack(self._hat_maps())
-        numerator = linalg.kernel(phi)
+        phi, numerator = self._hat_system()
         # denominator: (partial f, dbar g) pairs satisfying the same equations
         pf = self.complex.block("partial", 0, 0)
         dg = self.complex.block("dbar", 0, 0)
@@ -182,13 +196,26 @@ class CohomologyEngine:
 
     def exact_11(self) -> Subspace:
         """The d-exact pure (1,1)-forms: d of the 1-forms whose d has no (2,0) or (0,2) part."""
-        return linalg.map_subspace(self._d11(), linalg.kernel(ExactMatrix.hstack(self._hat_maps())))
+        return linalg.map_subspace(self._d11(), self._hat_system()[1])
 
     # -- harmonic intersections --------------------------------------------------------------
 
     def _harmonic_system(self, deltas, p: int, q: int) -> ExactMatrix:
-        """Each operator and its adjoint, stacked: the harmonic forms are its kernel."""
-        return self._stack(*([name] for delta in deltas for name in (delta, delta + "*")), p=p, q=q)
+        """Each operator and the Gram pairing of its adjoint, stacked: the harmonic forms are its kernel.
+
+        For delta into (p,q) from (p-dp, q-dq), <delta u, x> = u^T delta^T G conj(x)
+        with G the Gram matrix of (p,q), so ker delta^* = ker conj(delta^T G).  The
+        star-built delta^* is G_src^-1 times that block, which has the same kernel;
+        the block is left out when the source is off the diamond.
+        """
+        blocks = []
+        for delta in deltas:
+            blocks.append(self.complex.block(delta, p, q))
+            dp, dq = SHIFTS[delta]
+            if self.complex.valid_bidegree(p - dp, q - dq):
+                into = self.complex.block(delta, p - dp, q - dq)
+                blocks.append((into.transpose() @ self.hermitian.gram(p, q)).conjugate())
+        return ExactMatrix.vstack(blocks)
 
     def harmonic_space(self, deltas, p: int, q: int) -> Subspace:
         return linalg.kernel(self._harmonic_system(deltas, p, q))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Mapping, NamedTuple
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, add_mul, as_scalar, sub_mul
 
 
 class BasisElement(NamedTuple):
@@ -244,50 +244,94 @@ def enumerate_basis(n: int, p: int, q: int, model: CoefficientModel) -> tuple[Ba
 
 GenAction = Mapping[tuple[str, int], Form]
 
+# bit of the first antiholomorphic index in a monomial mask; real_dim <= 16 keeps indices below it
+_ANTI_BIT = 32
+# (weight, mask) -> BasisElement and generator image monomial -> placement, filled as they are met
+_DECODED: dict[tuple[tuple[int, ...], int], BasisElement] = {}
+_PLACEMENTS: dict[BasisElement, tuple] = {}
+
+
+def _mask(holo: tuple[int, ...], anti: tuple[int, ...]) -> int:
+    """A monomial's index sets as one int: holo index s is bit s, anti index s is bit s + 32."""
+    m = 0
+    for s in holo:
+        m |= 1 << s
+    for s in anti:
+        m |= 1 << (s + _ANTI_BIT)
+    return m
+
+
+def _decode(weight: tuple[int, ...], mask: int) -> BasisElement:
+    key = (weight, mask)
+    elt = _DECODED.get(key)
+    if elt is None:
+        bits = [s for s in range(mask.bit_length()) if mask >> s & 1]
+        elt = _DECODED[key] = BasisElement(
+            weight, tuple(s for s in bits if s < _ANTI_BIT), tuple(s - _ANTI_BIT for s in bits if s >= _ANTI_BIT)
+        )
+    return elt
+
+
+def _placement(e: BasisElement) -> tuple:
+    """A 2-form monomial as (mask, bits below a, bits below b, weight rank, shift), a < b its two bits.
+
+    shift is the monomial's weight, or None when it is zero.  Each monomial is encoded once per process.
+    """
+    out = _PLACEMENTS.get(e)
+    if out is None:
+        bits = e.holo + tuple(s + _ANTI_BIT for s in e.anti)
+        if len(bits) != 2:
+            raise ValueError(f"generator image {e} is not a 2-form")
+        low, high = 1 << bits[0], 1 << bits[1]
+        out = _PLACEMENTS[e] = (low | high, low - 1, high - 1, len(e.weight), e.weight if any(e.weight) else None)
+    return out
+
 
 def extend_derivation(gen_action: GenAction, form: Form) -> Form:
     """Extend generator actions to an odd derivation of the full algebra.
 
     gen_action maps ('h', s) and ('a', s) to the image of theta^s and
-    tbar^s; coefficients are constants, and the graded Leibniz rule fixes
-    everything else.  Each image monomial is placed between the generator's
-    neighbours by wedge_elements and its coefficient multiplied by the
-    form's once.
+    tbar^s, a 2-form; coefficients are constants, and the graded Leibniz rule
+    fixes everything else.  Monomials are bit masks whose bit order is the
+    theta^holo ^ tbar^anti order of BasisElement, so the term that replaces
+    generator bit g of m by the image bits a < b is (m ^ g) | e, and it dies
+    when the two overlap.  Its sign is (-1)^(k + i): k generators of m lie
+    below g, and i counts the inversions of sorting a and b into the rest
+    r = m ^ g, the prefix bits above a and above b plus the suffix bits below
+    a and below b.  The prefix holds k bits, so mod 2 its bits above a equal
+    k plus its bits below a, and k + i is k plus the bits of r below a plus
+    the bits of r below b.  The terms of each generator image are converted
+    once per call.
     """
-    out: dict[BasisElement, Scalar] = {}
-
-    def add(elt: BasisElement, val: Scalar) -> None:
-        s = out.get(elt)
-        if s is None:
-            out[elt] = val
-        else:
-            s = s + val
-            if s:
-                out[elt] = s
-            else:
-                del out[elt]
-
+    out: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    placements: dict[tuple[str, int], list] = {}
     for elt, c in form.coeffs.items():
         w, holo, anti = elt
-        zero = (0,) * len(w)
-        gens = [("h", s) for s in holo] + [("a", s) for s in anti]
-        for t, g in enumerate(gens):
-            action = gen_action.get(g)
-            if not action:
-                continue
-            if t < len(holo):
-                prefix = BasisElement(w, holo[:t], ())
-                suffix = BasisElement(zero, holo[t + 1 :], anti)
-            else:
-                j = t - len(holo)
-                prefix = BasisElement(w, holo, anti[:j])
-                suffix = BasisElement(zero, (), anti[j + 1 :])
-            parity = -1 if t % 2 else 1
-            for e, v in action.coeffs.items():
-                s1, left = wedge_elements(prefix, e)
-                if not s1:
+        m = _mask(holo, anti)
+        rank = len(w)
+        unit = c == ONE
+        acc = out.setdefault(w, {})
+        gens = [(("h", s), 1 << s) for s in holo] + [(("a", s), 1 << (s + _ANTI_BIT)) for s in anti]
+        for k, (gen, g) in enumerate(gens):
+            images = placements.get(gen)
+            if images is None:
+                action = gen_action.get(gen)
+                images = placements[gen] = [(*_placement(e), v) for e, v in action.coeffs.items()] if action else []
+            rest = m ^ g
+            for e, below_a, below_b, e_rank, shift, v in images:
+                if rest & e:
                     continue
-                s2, placed = wedge_elements(left, suffix)
-                if s2:
-                    add(placed, v * c if parity * s1 * s2 == 1 else -(v * c))
-    return Form(out)
+                if e_rank != rank:
+                    raise ValueError("wedge of forms with different weight ranks")
+                target = acc if shift is None else out.setdefault(tuple(x + y for x, y in zip(w, shift)), {})
+                key = rest | e
+                t = target.get(key)
+                if (k + (rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1:
+                    val = (-v if t is None else t - v) if unit else sub_mul(t, v, c)
+                else:
+                    val = (v if t is None else t + v) if unit else add_mul(t, v, c)
+                if val:
+                    target[key] = val
+                elif t is not None:
+                    del target[key]
+    return Form({_decode(w, key): v for w, acc in out.items() for key, v in acc.items()})

@@ -2,11 +2,12 @@
 
 The fundamental form is omega = (i/2) sum g_{k jbar} theta^k ^ tbar^j, so the
 identity matrix is the metric making the real frame orthonormal.  The Hodge
-star is computed from its defining wedge-pairing system, which keeps every
-entry in Q(i) for arbitrary rational Hermitian metrics -- no orthonormal
-frames, no square roots.  Adjoints follow the sign rule delta^* =
--star . conj(delta) . star; distinct Fourier weights are orthogonal with unit
-mass, so kernels computed per weight agree with the whole-matrix kernels.
+star is read from its defining wedge pairing, a signed permutation of
+complementary monomials, which keeps every entry in Q(i) for arbitrary
+rational Hermitian metrics -- no orthonormal frames, no square roots.
+Adjoints follow the sign rule delta^* = -star . conj(delta) . star; distinct
+Fourier weights are orthogonal with unit mass, so kernels computed per weight
+agree with the whole-matrix kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .forms import BasisElement, Form, enumerate_basis, with_weight_rank
+from .forms import BasisElement, Form, conjugate_element, enumerate_basis, wedge_elements, with_weight_rank
 from .lie import SHIFTS
 from .linalg import ExactMatrix
 from .operators import INVARIANT, FormComplex, invariant_matrix
@@ -170,35 +171,40 @@ class PointwiseMetric:
         )
 
     def _star(self, p: int, q: int) -> ExactMatrix:
-        """Star on invariant (p,q)-monomials, solved from the wedge pairing.
+        """Star on invariant (p,q)-monomials, read from the wedge pairing.
 
         For sigma in A^{p,q} the image star(sigma) in A^{n-q,n-p} is pinned by
-        phi ^ star(sigma) = <phi, conj(sigma)> dV for all phi in A^{q,p}.
+        phi ^ star(sigma) = <phi, conj(sigma)> dV for all phi in A^{q,p}.  A
+        probe phi pairs with one target monomial only, its complement in both
+        index sets, with sign +-1: the pairing is a signed permutation, so the
+        coordinate of star(sigma) at phi's complement is that sign times the
+        right-hand side <phi, conj(sigma)> times the volume coefficient.
         """
         n = self.n
+        indices = range(1, n + 1)
         src = self._monomials(p, q)
         probe = self._monomials(q, p)
-        tgt = self._monomials(n - q, n - p)
-        gram_qp = self.gram_invariant(q, p)
+        tgt_index = {m: i for i, m in enumerate(self._monomials(n - q, n - p))}
         probe_index = {m: i for i, m in enumerate(probe)}
-        # wedge-pairing matrix W[phi, beta] = vol coefficient of phi ^ beta
-        w_entries = {}
-        for ip, phi in enumerate(probe):
-            for ib, beta in enumerate(tgt):
-                prod = Form.monomial(phi).wedge(Form.monomial(beta))
-                if prod:
-                    ((_, coeff),) = list(prod.coeffs.items())
-                    w_entries[(ip, ib)] = coeff
-        w = ExactMatrix(len(probe), len(tgt), w_entries)
-        rhs_list = []
-        for sigma in src:
-            ((celt, ccoeff),) = list(Form.monomial(sigma).conjugate().coeffs.items())
-            col = probe_index[celt]
-            rhs_list.append([gram_qp.entry(probe_index[phi], col) * ccoeff.conj() * self.vol_coeff for phi in probe])
-        cols = linalg.solve_many(w, rhs_list)
-        if None in cols:
-            raise NotPositive("wedge pairing is degenerate")
-        return ExactMatrix.from_rows(cols, len(tgt)).transpose()
+        # per probe: (target row of its complement, sign of phi ^ complement)
+        pairing = []
+        for phi in probe:
+            holo = tuple(s for s in indices if s not in phi.holo)
+            beta = BasisElement((), holo, tuple(s for s in indices if s not in phi.anti))
+            sign, _ = wedge_elements(phi, beta)
+            pairing.append((tgt_index[beta], sign))
+        # the Gram column of each conj(sigma), read once
+        gram_columns: dict[int, list[tuple[int, Scalar]]] = {}
+        for (r, c), g in self.gram_invariant(q, p).entries.items():
+            gram_columns.setdefault(c, []).append((r, g))
+        entries = {}
+        for col, sigma in enumerate(src):
+            csign, celt = conjugate_element(sigma)
+            for ip, g in gram_columns.get(probe_index[celt], ()):
+                row, sign = pairing[ip]
+                v = g * self.vol_coeff
+                entries[(row, col)] = v if sign * csign == 1 else -v
+        return ExactMatrix(len(tgt_index), len(src), entries)
 
     def _lefschetz(self, p: int, q: int) -> ExactMatrix:
         """L = omega ^ - from invariant (p,q) to (p+1,q+1)-monomials."""
@@ -249,10 +255,14 @@ class HermitianStructure:
         """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q)."""
         return self._pointwise.gram_invariant(p, q)
 
+    def gram(self, p: int, q: int) -> ExactMatrix:
+        """The Gram matrix of the (p,q) block: <x, y> = x^T G conj(y); distinct weights are orthogonal."""
+        return self._lift("gram", p, q)
+
     def inner(self, x, y, p: int, q: int) -> Scalar:
         """<x, y> summed over weights; distinct weights are orthogonal."""
         total = ZERO
-        for (a, b), g in self._lift("gram", p, q).entries.items():
+        for (a, b), g in self.gram(p, q).entries.items():
             if x[a] and y[b]:
                 total = total + x[a] * g * y[b].conj()
         return total

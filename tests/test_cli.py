@@ -20,6 +20,8 @@ from acx.cli import (
 )
 from acx.operators import FormComplex
 
+from conftest import load_bench_module
+
 
 def count_complexes(monkeypatch) -> list:
     """A list that gets one entry per FormComplex constructed from now on."""
@@ -203,6 +205,72 @@ def test_diamond_extends_derivations_on_invariant_monomials_only(monkeypatch, ca
         capsys.readouterr()
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _sweep_manifest_path(tmp_path, k: int) -> str:
+    """The k-th model of the benchmark sweep at seed 0, written to a file."""
+    raw = load_bench_module("models").sweep_manifests(0, 3, 2)[k]
+    path = tmp_path / f"sweep-{k}.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+def test_diamond_builds_no_star_and_no_adjoint(tmp_path, monkeypatch, capsys):
+    """Harmonic systems pair each differential with the Gram matrix: no Hodge star, no adjoint block.
+
+    kt4 is almost Kaehler and the sweep's first model is not; verify, whose audits do use star
+    and adjoints, shows the counters see them.
+    """
+    from acx import lie, metric, operators
+
+    stars, adjoints = [], []
+    build_star = metric.PointwiseMetric._star
+    adjoint = metric.HermitianStructure.adjoint_block
+    monkeypatch.setattr(metric.PointwiseMetric, "_star", lambda pm, p, q: stars.append((p, q)) or build_star(pm, p, q))
+    monkeypatch.setattr(metric.HermitianStructure, "adjoint_block", lambda h, *a: adjoints.append(a) or adjoint(h, *a))
+    sweep = _sweep_manifest_path(tmp_path, 0)
+    for path, flags in ((bundled_manifest_path("kt4"), ["--truncations", "0,1"]), (sweep, [])):
+        lie.validate_model.cache_clear()
+        operators.frame_blocks.cache_clear()
+        metric.pointwise_metric.cache_clear()
+        assert main(["diamond", path, *flags, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["diamonds"]["tables"]["harmonic"]
+        assert not stars and not adjoints
+    metric.pointwise_metric.cache_clear()
+    assert main(["verify", bundled_manifest_path("kt4"), "--truncations", "0", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert stars and adjoints
+
+
+def test_engine_numbers_and_hat_kernel_are_built_once(tmp_path, monkeypatch, capsys):
+    """Within one engine each refined and spectral quotient is computed once, and the hat
+    system [T | S] once: the diamond, the audits and the taming hypothesis share them."""
+    from acx.cohomology import CohomologyEngine
+
+    calls = []
+
+    def counting(name):
+        method = getattr(CohomologyEngine, name)
+        return lambda eng, *a: calls.append((id(eng), name, a)) or method(eng, *a)
+
+    for name in ("refined_parts", "dolbeault_cw_parts", "_hat_maps"):
+        monkeypatch.setattr(CohomologyEngine, name, counting(name))
+    jobs = [
+        ["verify", bundled_manifest_path("kt4"), "--truncations", "2"],
+        ["report", _sweep_manifest_path(tmp_path, 3)],
+    ]
+    for job in jobs:
+        calls.clear()
+        assert main([*job, "--format", "json"]) == 0
+        capsys.readouterr()
+        refined = [c for c in calls if c[1] == "refined_parts"]
+        assert len(set(refined)) == len(refined) and any(c[2] == (1, 0) for c in refined)
+        # (2,0) is the one spectral cell the four-manifold audit reads through its parts
+        spectral = [c for c in calls if c[1] == "dolbeault_cw_parts" and c[2] != (2, 0)]
+        assert len(set(spectral)) == len(spectral)
+        # once for the hat system, once for hat_h01's parts
+        hat = [c for c in calls if c[1] == "_hat_maps"]
+        assert 0 < len(hat) <= 2 * len({c[0] for c in hat})
 
 
 def test_validation_error_names_invariant():

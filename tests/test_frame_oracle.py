@@ -15,7 +15,7 @@ from pathlib import Path
 
 from acx import lie
 from acx.cli import Session, manifest_from_dict
-from acx.forms import Form, enumerate_basis, extend_derivation
+from acx.forms import BasisElement, Form, enumerate_basis, extend_derivation
 from acx.lie import (
     LieAlgebraSpec,
     build_frame,
@@ -24,7 +24,7 @@ from acx.lie import (
     validate_model,
 )
 from acx.operators import INVARIANT, FormComplex, frame_blocks
-from acx.scalars import ZERO, Scalar
+from acx.scalars import ONE, ZERO, Scalar
 
 from conftest import random_4d_session
 from test_lift_oracle import ReferenceOperators, reference_leibniz
@@ -165,3 +165,53 @@ def test_structure_equations_are_derived_once_per_frame(nil6_session, monkeypatc
     assert not calls
     assert {g: dict(f.coeffs) for g, f in again.items()} == snapshot
 
+
+def _random_two_form(rng, n, rank, shifted):
+    """A dense random 2-form: each monomial of degree 2 gets a nonzero coefficient with probability 3/4.
+
+    With shifted, some monomials carry a nonzero weight of the given rank.
+    """
+    coeffs = {}
+    for p, q in ((2, 0), (1, 1), (0, 2)):
+        for e in enumerate_basis(n, p, q, INVARIANT):
+            if rng.random() < 0.75:
+                weight = (0,) * rank
+                if shifted and rng.random() < 0.3:
+                    weight = tuple(rng.randint(-2, 2) for _ in range(rank))
+                coeffs[BasisElement(weight, e.holo, e.anti)] = _random_scalar(rng) or ONE
+    return Form(coeffs)
+
+
+def _weighted_monomials(rng, n, rank, count):
+    """count random monomials of every bidegree, each at a random weight of the given rank."""
+    out = []
+    for p in range(n + 1):
+        for q in range(n + 1):
+            basis = list(enumerate_basis(n, p, q, INVARIANT))
+            for e in rng.sample(basis, min(count, len(basis))):
+                out.append(BasisElement(tuple(rng.randint(-3, 3) for _ in range(rank)), e.holo, e.anti))
+    return out
+
+
+def test_bitmask_leibniz_matches_reference_on_dense_random_images():
+    """extend_derivation against the Form-arithmetic Leibniz rule at n = 1..6, on dense random
+    generator images, weighted monomials (unit coefficient) and random weighted combinations."""
+    rng = random.Random(2024)
+    compared = nonzero = 0
+    for n in range(1, 7):
+        for rank, shifted in ((0, False), (2, False), (2, True)):
+            gens = [(kind, s) for kind in ("h", "a") for s in range(1, n + 1)]
+            action = {g: _random_two_form(rng, n, rank, shifted) for g in gens}
+            # one generator with no image, which the rule skips
+            action[rng.choice(gens)] = Form()
+            monomials = _weighted_monomials(rng, n, rank, 4 if n < 6 else 2)
+            forms = [Form.monomial(e) for e in monomials]
+            for _ in range(6):
+                picks = rng.sample(monomials, min(5, len(monomials)))
+                forms.append(Form({e: _random_scalar(rng) or ONE for e in picks}))
+            for form in forms:
+                got = extend_derivation(action, form)
+                assert got == reference_leibniz(action, None, form), (n, rank, shifted, form)
+                compared += 1
+                nonzero += not got.is_zero()
+    assert nonzero > compared // 2

@@ -6,7 +6,7 @@ import pytest
 
 from acx import linalg
 from acx import metric as metric_module
-from acx.forms import BasisElement, Form
+from acx.forms import BasisElement, Form, wedge_elements
 from acx.linalg import ExactMatrix
 from acx.metric import (
     HermitianMetric,
@@ -440,3 +440,62 @@ def test_gram_minor_table_matches_per_pair_gram(name, metric, monkeypatch):
             calls.clear()
             assert gram == reference_gram(pm, p, q), (p, q)
             assert len(calls) == 2 * (comb(n, p) * comb(n, q)) ** 2
+
+
+def reference_star(pm, p, q):
+    """Star on invariant (p,q)-monomials from the full wedge-pairing system.
+
+    W[phi, beta] is the volume coefficient of phi ^ beta over every probe phi in
+    A^{q,p} and target beta in A^{n-q,n-p}; each column of star solves W x =
+    <phi, conj(sigma)> dV.
+    """
+    n = pm.n
+    src = pm._monomials(p, q)
+    probe = pm._monomials(q, p)
+    tgt = pm._monomials(n - q, n - p)
+    gram_qp = pm.gram_invariant(q, p)
+    probe_index = {m: i for i, m in enumerate(probe)}
+    w_entries = {}
+    for ip, phi in enumerate(probe):
+        for ib, beta in enumerate(tgt):
+            sign, _ = wedge_elements(phi, beta)
+            if sign:
+                w_entries[(ip, ib)] = integer(sign)
+    w = ExactMatrix(len(probe), len(tgt), w_entries)
+    rhs_list = []
+    for sigma in src:
+        ((celt, ccoeff),) = list(Form.monomial(sigma).conjugate().coeffs.items())
+        col = probe_index[celt]
+        scale = ccoeff.conj() * pm.vol_coeff
+        rhs = [ZERO] * len(probe)
+        for (r, c), g in gram_qp.entries.items():
+            if c == col:
+                rhs[r] = g * scale
+        rhs_list.append(rhs)
+    cols = linalg.solve_many(w, rhs_list)
+    assert None not in cols
+    return ExactMatrix.from_rows(cols, len(tgt)).transpose()
+
+
+def star_metrics():
+    rng = random.Random(13)
+    for n in range(1, 7):
+        yield f"identity-n{n}", HermitianMetric.identity(n)
+    for n in range(2, 5):
+        yield f"generic-n{n}", generic_metric(n, rng)
+    for seed in (0, 101):
+        for k, session in enumerate(sweep_sessions(seed)):
+            yield f"sweep{seed}-{k}", session.spec.metric
+
+
+@pytest.mark.parametrize("name, metric", [pytest.param(name, m, id=name) for name, m in star_metrics()])
+def test_star_by_complementary_pairing_matches_the_pairing_solve(name, metric):
+    """Each probe pairs with its complement only, so star reads off the Gram right-hand side without a solve."""
+    pm = PointwiseMetric(metric, 0)
+    nonzero = 0
+    for p in range(pm.n + 1):
+        for q in range(pm.n + 1):
+            star = pm._star(p, q)
+            assert star == reference_star(pm, p, q), (p, q)
+            nonzero += len(star.entries)
+    assert nonzero >= 4 ** pm.n
