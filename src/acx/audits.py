@@ -212,7 +212,7 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
         )
     )
     # exact classes of bidegree (2,0) vanish in the spectral quotient
-    num20, den20 = engine.dolbeault_cw_parts(2, 0)
+    num20, den20 = engine.spectral_parts(2, 0)
     reachable = linalg.sum_spaces(
         [engine.op_image_into("partial", 2, 0), engine.op_image_into("mu", 2, 0)]
     )
@@ -226,7 +226,7 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
         )
     )
     # conjugation matches the (2,0) and (0,2) dimensions
-    h20, h02 = linalg.quotient_dim(num20, den20), engine.dolbeault_cw(0, 2)
+    h20, h02 = engine.dolbeault_cw(2, 0), engine.dolbeault_cw(0, 2)
     items.append(AuditItem("conjugation-iso-(2,0)-(0,2)", _verdict(h20 == h02), {"h20": h20, "h02": h02}))
     # dimension chains
     numbers = {
@@ -357,23 +357,18 @@ def _correct(engine: CohomologyEngine, psi: ExactMatrix, reverse_pivots: bool = 
 
     omega' = psi + K02 u + K20 u is d-closed iff its (1,2) part dbar psi +
     S u vanishes (its (2,1) part is the conjugate).  Returns the realified
-    (0,1)-forms u, one per column, and the corrected forms stacked in
-    total-degree-2 order [(0,2); (1,1); (2,0)].  Raises NoSolution with the
-    obstruction functional of the first inconsistent column.
+    (0,1)-forms u, one per column of a matrix, and the corrected forms
+    stacked in total-degree-2 order [(0,2); (1,1); (2,0)].  Raises
+    NoSolution with the obstruction functional of the first inconsistent
+    column.
     """
     k02, k20, system = engine.correction_map()
     rhs = -(linalg.realify(engine.complex.block("dbar", 1, 1)) @ psi)
-    targets = [[ZERO] * rhs.rows for _ in range(rhs.cols)]
-    for (r, j), v in rhs.entries.items():
-        targets[j][r] = v
-    solutions = linalg.solve_many(system, targets, reverse_pivots)
-    for sol, target in zip(solutions, targets):
-        if sol is None:
-            raise NoSolution("closedness correction equation is inconsistent", _obstruction_functional(system, target))
-    # solve_many pads each solution with the ZERO constant; the constructor drops any other zero
-    nonzeros = {(r, j): v for j, sol in enumerate(solutions) for r, v in enumerate(sol) if v is not ZERO}
-    u = ExactMatrix(system.cols, len(solutions), nonzeros)
-    return solutions, ExactMatrix.vstack([k02 @ u, psi, k20 @ u])
+    u, inconsistent = linalg.solve_many(system, rhs, reverse_pivots)
+    if inconsistent:
+        obstruction = _obstruction_functional(system, rhs, inconsistent[0])
+        raise NoSolution("closedness correction equation is inconsistent", obstruction)
+    return u, ExactMatrix.vstack([k02 @ u, psi, k20 @ u])
 
 
 def _closed(cx: FormComplex, omega: ExactMatrix) -> bool:
@@ -412,7 +407,7 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
     hypothesis = {"ht10": ht10, "ht01": ht01, "equal": ht10 == ht01}
 
     column = ExactMatrix.from_rows([linalg.realify_vector(coords)]).transpose()
-    (solution,), omega = _correct(engine, column)
+    u, omega = _correct(engine, column)
     omega_prime = _total_form(cx, [omega.entry(r, 0) for r in range(omega.rows)], 2)
     # well-definedness: a second solve under the reversed pivot order must
     # produce the same corrected form even when u itself differs
@@ -424,7 +419,7 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
         evidence = {"kind": "degenerate", "sample_point": [str(x) for x in exc.point]}
     return TamingCertificate(
         psi=psi,
-        u=cx.from_realified(solution, 0, 1),
+        u=cx.from_realified([u.entry(r, 0) for r in range(u.rows)], 0, 1),
         omega_prime=omega_prime,
         closed=_closed(cx, omega),
         well_defined=alt == omega,
@@ -433,16 +428,18 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
     )
 
 
-def _obstruction_functional(system: ExactMatrix, target) -> dict:
-    left_kernel = linalg.kernel(system.transpose())
-    for row in left_kernel.basis:
+def _obstruction_functional(system: ExactMatrix, rhs: ExactMatrix, j: int) -> dict:
+    """The first left-kernel vector of system that pairs nonzero with column j of rhs."""
+    target = {r: v for (r, c), v in rhs.entries.items() if c == j}
+    for row in linalg.kernel(system.transpose()).rows.row_dicts():
         pairing = ZERO
-        for a, b in zip(row, target):
-            if a and b:
+        for r, b in target.items():
+            a = row.get(r)
+            if a:
                 pairing = pairing + a * b
         if pairing:
             return {
-                "functional": [str(v) for v in row],
+                "functional": [str(row.get(r, ZERO)) for r in range(system.rows)],
                 "pairing": str(pairing),
             }
     return {"functional": [], "pairing": "0"}

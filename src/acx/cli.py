@@ -235,7 +235,7 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
         raise ValidationError("LieAlgebraSpec", str(exc)) from None
 
     structure = AlmostComplexStructure(_exact_matrix("J", raw.get("J"), real_dim, real_dim, parse_rational))
-    if not structure.squares_to_minus_one():
+    if not structure.squares_to_minus_one:
         raise ValidationError("AlmostComplexStructure", "J^2 != -1")
 
     metric_rows = raw.get("metric")

@@ -31,6 +31,7 @@ class CohomologyEngine:
         self.hermitian = hermitian
         self.n = complex_.n
         self._adol_cache: dict[tuple[int, int], Subspace] = {}
+        self._cw_cache: dict[tuple[int, int], tuple[Subspace, Subspace]] = {}
         self._real_ddc: tuple[Subspace, Subspace] | None = None
         self._hat: tuple[ExactMatrix, Subspace] | None = None
         self._numbers: dict[tuple, int] = {}
@@ -79,13 +80,13 @@ class CohomologyEngine:
 
     # -- de Rham ------------------------------------------------------------------
 
+    def _d_rank(self, r: int) -> int:
+        return self._number(("rank d", r), lambda: linalg.rank(self.complex.d_total(r)))
+
     def de_rham(self, r: int) -> int:
-        """dim ker(d on r-forms) - rank(d on (r-1)-forms)."""
-        d_r = self.complex.d_total(r)
-        kernel_dim = d_r.cols - linalg.rank(d_r)
-        if r == 0:
-            return kernel_dim
-        return kernel_dim - linalg.rank(self.complex.d_total(r - 1))
+        """dim ker(d on r-forms) - rank(d on (r-1)-forms); each rank is computed once."""
+        kernel_dim = self.complex.total_dim(r) - self._d_rank(r)
+        return kernel_dim if r == 0 else kernel_dim - self._d_rank(r - 1)
 
     # -- spectral (first page) Dolbeault -------------------------------------------
 
@@ -106,8 +107,15 @@ class CohomologyEngine:
             denominator = linalg.zero_space(self.complex.dim(p, q))
         return numerator, denominator
 
+    def spectral_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
+        """dolbeault_cw_parts, built once per engine: the diamond and the four-manifold audit share them."""
+        key = (p, q)
+        if key not in self._cw_cache:
+            self._cw_cache[key] = self.dolbeault_cw_parts(p, q)
+        return self._cw_cache[key]
+
     def dolbeault_cw(self, p: int, q: int) -> int:
-        return self._number(("spectral", p, q), lambda: linalg.quotient_dim(*self.dolbeault_cw_parts(p, q)))
+        return self._number(("spectral", p, q), lambda: linalg.quotient_dim(*self.spectral_parts(p, q)))
 
     # -- refined Dolbeault ------------------------------------------------------------
 
@@ -225,7 +233,7 @@ class CohomologyEngine:
         return system.cols - linalg.rank(system)
 
     def ell(self, p: int, q: int) -> int:
-        return self.harmonic_dim(("dbar", "mu"), p, q)
+        return self._number(("harmonic", p, q), lambda: self.harmonic_dim(("dbar", "mu"), p, q))
 
     # -- real structure ------------------------------------------------------------------------
 

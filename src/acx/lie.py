@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -65,14 +66,18 @@ class LieAlgebraSpec:
             out.setdefault((i, j), {})[k] = v
         return out
 
+    @cached_property
+    def _scalar_brackets(self) -> tuple[tuple[int, int, int, Scalar], ...]:
+        """The brackets with 0-based indices and Scalar constants, converted once."""
+        return tuple((i - 1, j - 1, k - 1, from_fraction(v)) for (i, j, k, v) in self.brackets)
+
     def bracket_complex(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Bilinear extension of the bracket to complexified vectors."""
         out = [ZERO] * self.dim
-        for (i, j, k, v) in self.brackets:
-            c = from_fraction(v)
-            a = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        for (i, j, k, c) in self._scalar_brackets:
+            a = x[i] * y[j] - x[j] * y[i]
             if a:
-                out[k - 1] = out[k - 1] + c * a
+                out[k] = out[k] + c * a
         return tuple(out)
 
     def coframe_is_closed(self, index: int) -> bool:
@@ -90,14 +95,24 @@ class AlmostComplexStructure:
     def dim(self) -> int:
         return len(self.matrix)
 
+    @cached_property
     def squares_to_minus_one(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                s = sum((self.matrix[i][k] * self.matrix[k][j] for k in range(n)), Fraction(0))
-                if s != (Fraction(-1) if i == j else Fraction(0)):
-                    return False
-        return True
+        """Whether J^2 = -1 exactly; evaluated once per structure, however many checks ask."""
+        return square_is_minus_identity(self.matrix)
+
+
+def square_is_minus_identity(matrix: Sequence[Sequence[Fraction]]) -> bool:
+    """J^2 = -1 in integer arithmetic: with J = A / D over a common denominator D, A^2 = -D^2."""
+    n = len(matrix)
+    den = lcm(*(x.denominator for row in matrix for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    minus_d2 = -den * den
+    for i in range(n):
+        row = a[i]
+        for j in range(n):
+            if sum(row[k] * a[k][j] for k in range(n)) != (minus_d2 if i == j else 0):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -144,7 +159,7 @@ def build_frame(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> Comp
         raise DegenerateJ(f"real dimension {dim} is odd")
     if structure.dim != dim:
         raise DegenerateJ("J size does not match the algebra dimension")
-    if not structure.squares_to_minus_one():
+    if not structure.squares_to_minus_one:
         raise DegenerateJ("J^2 != -1")
     n = dim // 2
     half = rational(1, 2)
@@ -172,16 +187,13 @@ def build_frame(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> Comp
             if w:
                 entries[(r, n + j)] = w
     frame_matrix = ExactMatrix(dim, dim, entries)
-    theta_rows = []
-    for j in range(n):
-        unit = [ZERO] * dim
-        # theta^j is row j of the inverse: solve M^T x = delta_j
-        unit[j] = ONE
-        row = linalg.solve(frame_matrix.transpose(), unit)
-        if row is None:
-            raise DegenerateJ("frame vectors are not independent")
-        theta_rows.append(tuple(row))
-    return ComplexFrame(spec, structure, z_vectors, tuple(theta_rows))
+    # theta^j is row j of the inverse: column j of the solution of M^T X = the first n unit columns
+    units = ExactMatrix(dim, n, {(j, j): ONE for j in range(n)})
+    inverse, inconsistent = linalg.solve_many(frame_matrix.transpose(), units)
+    if inconsistent:
+        raise DegenerateJ("frame vectors are not independent")
+    theta_rows = tuple(tuple(inverse.entry(r, j) for r in range(dim)) for j in range(n))
+    return ComplexFrame(spec, structure, z_vectors, theta_rows)
 
 
 def _pair_monomial(n: int, a: int, b: int) -> BasisElement:
@@ -298,7 +310,7 @@ def validate_model(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> V
     anti_ok = all(i < j for (i, j) in table)
     checks.append(ValidationCheck("bracket-antisymmetry", anti_ok, "stored pairs are ordered"))
 
-    j_ok = structure.dim == spec.dim and structure.squares_to_minus_one()
+    j_ok = structure.dim == spec.dim and structure.squares_to_minus_one
     checks.append(ValidationCheck("J-squares-to-minus-identity", j_ok, "exact matrix square"))
 
     if j_ok and spec.dim % 2 == 0:

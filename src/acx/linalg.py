@@ -466,44 +466,42 @@ def preimage(m: ExactMatrix, w: Subspace) -> Subspace:
     return span(combos.rows.leading_columns(m.cols))
 
 
-def solve_many(m: ExactMatrix, rhs_list: Sequence[Sequence[Scalar]], reverse_pivots: bool = False):
-    """Particular solutions of m x = b for many right-hand sides at once.
+def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -> tuple[ExactMatrix, list[int]]:
+    """Particular solutions of m x = b for every column b of rhs at once.
 
-    One elimination pass over the jointly augmented matrix; returns a list
-    with None for the inconsistent right-hand sides.  Free variables are set
-    to zero, so each solution is deterministic; reverse_pivots scans the
-    columns of m in reverse order, which generally gives a different
-    representative when the kernel is nonzero.
+    One elimination pass over the augmented matrix [m | rhs].  Returns
+    (x, inconsistent): column j of x solves for column j of rhs, and
+    inconsistent lists, ascending, the columns with no solution, whose x
+    column is zero.  Free variables are set to zero, so each solution is
+    deterministic; reverse_pivots scans the columns of m in reverse order,
+    which generally gives a different representative when the kernel is
+    nonzero.
     """
-    k = len(rhs_list)
-    last = m.cols - 1
+    if rhs.rows != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    width = m.cols
+    last = width - 1
     entries = {(r, last - c): v for (r, c), v in m.entries.items()} if reverse_pivots else dict(m.entries)
-    for j, b in enumerate(rhs_list):
-        if len(b) != m.rows:
-            raise ValueError("right-hand side length mismatch")
-        for r, val in enumerate(b):
-            if val:
-                entries[(r, m.cols + j)] = val
-    aug = ExactMatrix(m.rows, m.cols + k, entries)
-    pivots, reduced, leftover = _rref_full(aug, pivot_limit=m.cols)
-    bad = set()
-    for row in leftover:
-        for c in row:
-            bad.add(c - m.cols)
-    out = []
-    for j in range(k):
-        if j in bad:
-            out.append(None)
-            continue
-        x = [ZERO] * m.cols
-        for i, p in enumerate(pivots):
-            v = reduced[i].get(m.cols + j)
-            if v:
-                x[p] = v
-        out.append(tuple(reversed(x)) if reverse_pivots else tuple(x))
-    return out
+    for (r, j), v in rhs.entries.items():
+        entries[(r, width + j)] = v
+    pivots, reduced, leftover = _rref_full(ExactMatrix(m.rows, width + rhs.cols, entries), pivot_limit=width)
+    # a leftover row is zero on the columns of m, so its entries name inconsistent right-hand sides
+    inconsistent = sorted({c - width for row in leftover for c in row})
+    bad = set(inconsistent)
+    solutions = {}
+    for p, row in zip(pivots, reduced):
+        x = last - p if reverse_pivots else p
+        for c, v in row.items():
+            if c >= width and c - width not in bad:
+                solutions[(x, c - width)] = v
+    return ExactMatrix(width, rhs.cols, solutions), inconsistent
 
 
 def solve(m: ExactMatrix, b: Sequence[Scalar], reverse_pivots: bool = False):
-    """Some x with m x = b, or None when b is outside the image: solve_many on one column."""
-    return solve_many(m, [b], reverse_pivots)[0]
+    """Some x with m x = b as a dense tuple, or None when b is outside the image: solve_many on one column."""
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    x, inconsistent = solve_many(m, ExactMatrix(m.rows, 1, {(r, 0): v for r, v in enumerate(b)}), reverse_pivots)
+    if inconsistent:
+        return None
+    return tuple(x.entry(r, 0) for r in range(m.cols))

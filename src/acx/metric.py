@@ -76,18 +76,17 @@ def exact_det(rows) -> Scalar:
     return out
 
 
+def _minor(h, rows_idx, cols_idx) -> Scalar:
+    """The minor of h on 1-based row and column index sets."""
+    return exact_det([[h[r - 1][c - 1] for c in cols_idx] for r in rows_idx])
+
+
 def _invert(rows) -> list[list[Scalar]]:
     n = len(rows)
-    entries = {}
-    for r in range(n):
-        for c in range(n):
-            if rows[r][c]:
-                entries[(r, c)] = rows[r][c]
-    m = ExactMatrix(n, n, entries)
-    cols = linalg.solve_many(m, [[ONE if i == j else ZERO for i in range(n)] for j in range(n)])
-    if None in cols:
+    inverse, singular = linalg.solve_many(ExactMatrix.from_rows(rows, n), ExactMatrix.identity(n))
+    if singular:
         raise NotPositive("metric matrix is singular")
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [[inverse.entry(i, j) for j in range(n)] for i in range(n)]
 
 
 @lru_cache(maxsize=16)
@@ -152,23 +151,37 @@ class PointwiseMetric:
         return enumerate_basis(self.n, p, q, INVARIANT)
 
     def _gram(self, p: int, q: int) -> ExactMatrix:
-        """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q)."""
+        """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q).
+
+        The entry of x and y is the holo minor of h times the anti minor of
+        conj h on their index sets; the anti minors are read only against a
+        nonzero holo minor.
+        """
         monos = self._monomials(p, q)
         h = self._h
-        minors: dict[tuple[tuple[int, ...], tuple[int, ...], bool], Scalar] = {}
-
-        def det_sub(rows_idx, cols_idx, conj: bool) -> Scalar:
-            """A minor of h (of conj h), computed once per Gram build: monomials share their index sets."""
-            key = (rows_idx, cols_idx, conj)
-            if key not in minors:
-                rows = [[h[r - 1][c - 1].conj() if conj else h[r - 1][c - 1] for c in cols_idx] for r in rows_idx]
-                minors[key] = exact_det(rows)
-            return minors[key]
-
-        return ExactMatrix.from_rows(
-            [[det_sub(x.holo, y.holo, False) * det_sub(x.anti, y.anti, True) for y in monos] for x in monos],
-            len(monos),
-        )
+        hbar = [[v.conj() for v in row] for row in h]
+        by_holo: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        for i, x in enumerate(monos):
+            by_holo.setdefault(x.holo, []).append((i, x.anti))
+        antis = sorted({x.anti for x in monos})
+        anti_minors = {}
+        for a in antis:
+            for b in antis:
+                v = _minor(hbar, a, b)
+                if v:
+                    anti_minors[(a, b)] = v
+        entries = {}
+        for a, rows in by_holo.items():
+            for b, cols in by_holo.items():
+                holo = _minor(h, a, b)
+                if not holo:
+                    continue
+                for r, x in rows:
+                    for c, y in cols:
+                        anti = anti_minors.get((x, y))
+                        if anti:
+                            entries[(r, c)] = holo * anti
+        return ExactMatrix(len(monos), len(monos), dict(sorted(entries.items())))
 
     def _star(self, p: int, q: int) -> ExactMatrix:
         """Star on invariant (p,q)-monomials, read from the wedge pairing.

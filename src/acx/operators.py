@@ -13,6 +13,7 @@ the symmetric truncation |w_a| <= N is an honest subcomplex.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -29,6 +30,17 @@ from .linalg import ExactMatrix
 from .scalars import I, ONE, ZERO, Scalar
 
 DIFFERENTIALS = ("mu", "partial", "dbar", "mubar")
+
+# the seven bidegree components of d^2 = 0, keyed by the common bidegree shift of their chains
+SQUARE_ZERO_RELATIONS = {
+    (4, -2): "mu.mu",
+    (3, -1): "mu.partial+partial.mu",
+    (2, 0): "mu.dbar+dbar.mu+partial.partial",
+    (1, 1): "mu.mubar+partial.dbar+dbar.partial+mubar.mu",
+    (0, 2): "mubar.partial+partial.mubar+dbar.dbar",
+    (-1, 3): "mubar.dbar+dbar.mubar",
+    (-2, 4): "mubar.mubar",
+}
 
 
 # operators of the metric calculus that are not differentials; H is (p + q - n) id
@@ -130,10 +142,10 @@ class FrameBlocks:
     """The differentials of one frame on invariant monomials.
 
     block(name, p, q) is A, the Leibniz extension of the split structure
-    equations, and coefficient_blocks(name, p, q) are E_1..E_n, the wedge on
-    the left with theta^r (partial) or tbar^r (dbar).  They depend on the
-    frame alone, so every truncation and weight sector of it shares them
-    through frame_blocks.
+    equations, and coefficient_block(name, p, q, r) is E_r, the wedge on the
+    left with theta^r (partial) or tbar^r (dbar).  They depend on the frame
+    alone, so every truncation and weight sector of it shares them through
+    frame_blocks.
     """
 
     def __init__(self, frame: ComplexFrame):
@@ -152,20 +164,13 @@ class FrameBlocks:
             self._cache[key] = invariant_matrix(self.n, leibniz, p, q, p + dp, q + dq)
         return self._cache[key]
 
-    def coefficient_blocks(self, name: str, p: int, q: int) -> tuple[ExactMatrix, ...]:
-        """E_1..E_n of partial or dbar on invariant (p,q)-monomials; none for mu and mubar."""
-        if name not in ("partial", "dbar"):
-            return ()
-        key = ("E", name, p, q)
+    def coefficient_block(self, name: str, p: int, q: int, r: int) -> ExactMatrix:
+        """E_r of partial or dbar on invariant (p,q)-monomials, r = 1..n, built on first use."""
+        key = ("E", name, p, q, r)
         if key not in self._cache:
             dp, dq = SHIFTS[name]
-            gens = [
-                Form.monomial(BasisElement((), (r,), ()) if name == "partial" else BasisElement((), (), (r,)))
-                for r in range(1, self.n + 1)
-            ]
-            self._cache[key] = tuple(
-                invariant_matrix(self.n, lambda m, g=g: g.wedge(Form.monomial(m)), p, q, p + dp, q + dq) for g in gens
-            )
+            gen = Form.monomial(BasisElement((), (r,), ()) if name == "partial" else BasisElement((), (), (r,)))
+            self._cache[key] = invariant_matrix(self.n, lambda m: gen.wedge(Form.monomial(m)), p, q, p + dp, q + dq)
         return self._cache[key]
 
 
@@ -186,10 +191,16 @@ class FormComplex:
         self._weights = coefficients.weights()
         self._z_eig = {w: tuple(I * _dot(row, w) for row in m) for w in self._weights}
         self._zbar_eig = {w: tuple(I * _dot(row, w) for row in mbar) for w in self._weights}
+        # the directions r = 1..n whose eigenvalue is nonzero at some weight: only their E_r are built
+        self._acting = {
+            name: [r for r in range(1, self.n + 1) if any(eig[w][r - 1] for w in self._weights)]
+            for name, eig in (("partial", self._z_eig), ("dbar", self._zbar_eig))
+        }
         self._basis_cache: dict[tuple[int, int], tuple[BasisElement, ...]] = {}
         self._index_cache: dict[tuple[int, int], dict[BasisElement, int]] = {}
         self._block_cache: dict[tuple[str, int, int], ExactMatrix] = {}
         self._conj_cache: dict[tuple[int, int], ExactMatrix] = {}
+        self._total_cache: dict[int, ExactMatrix] = {}
 
     def _check_coefficients(self) -> None:
         model = self.coefficients
@@ -271,17 +282,17 @@ class FormComplex:
         """Matrix of the named differential from the (p,q) block to its target.
 
         It is lift(A) plus, for partial and dbar, each E_r lifted with its copy
-        at weight w scaled by the eigenvalue of Z_r or Zbar_r on e_w.
+        at weight w scaled by the eigenvalue of Z_r or Zbar_r on e_w; a
+        direction whose eigenvalue vanishes at every weight adds nothing.
         """
         key = (name, p, q)
         if key in self._block_cache:
             return self._block_cache[key]
         mat = self.lift(self._frame_blocks.block(name, p, q))
         eig = self._z_eig if name == "partial" else self._zbar_eig
-        for r, e_r in enumerate(self._frame_blocks.coefficient_blocks(name, p, q)):
-            scales = [eig[w][r] for w in self._weights]
-            if any(scales):
-                mat = mat + self.lift(e_r, scales)
+        for r in self._acting.get(name, ()):
+            scales = [eig[w][r - 1] for w in self._weights]
+            mat = mat + self.lift(self._frame_blocks.coefficient_block(name, p, q, r), scales)
         self._block_cache[key] = mat
         return mat
 
@@ -348,7 +359,9 @@ class FormComplex:
         return out
 
     def d_total(self, r: int) -> ExactMatrix:
-        """Full exterior differential from degree r to degree r+1."""
+        """Full exterior differential from degree r to degree r+1, assembled once."""
+        if r in self._total_cache:
+            return self._total_cache[r]
         src_off = self.total_offsets(r)
         tgt_off = self.total_offsets(r + 1)
         entries = {}
@@ -362,7 +375,9 @@ class FormComplex:
                 to = tgt_off[(tp, tq)]
                 for (rr, cc), v in blk.entries.items():
                     entries[(rr + to, cc + so)] = v
-        return ExactMatrix(self.total_dim(r + 1), self.total_dim(r), entries)
+        mat = ExactMatrix(self.total_dim(r + 1), self.total_dim(r), entries)
+        self._total_cache[r] = mat
+        return mat
 
     # -- identity suite ---------------------------------------------------------
 
@@ -381,23 +396,26 @@ class FormComplex:
 
     @cached_property
     def _identity_failures(self) -> tuple[tuple[str, tuple], ...]:
-        """(identity, failing blocks) for every identity of identity_suite."""
-        relations = [
-            ("mu.mu", [("mu", "mu")]),
-            ("mu.partial+partial.mu", [("mu", "partial"), ("partial", "mu")]),
-            ("mu.dbar+dbar.mu+partial.partial", [("mu", "dbar"), ("dbar", "mu"), ("partial", "partial")]),
-            (
-                "mu.mubar+partial.dbar+dbar.partial+mubar.mu",
-                [("mu", "mubar"), ("partial", "dbar"), ("dbar", "partial"), ("mubar", "mu")],
-            ),
-            ("mubar.partial+partial.mubar+dbar.dbar", [("mubar", "partial"), ("partial", "mubar"), ("dbar", "dbar")]),
-            ("mubar.dbar+dbar.mubar", [("mubar", "dbar"), ("dbar", "mubar")]),
-            ("mubar.mubar", [("mubar", "mubar")]),
-        ]
-        report = [
-            (label, tuple(failing_blocks(self.block, [(ONE, chain) for chain in chains], self.n)))
-            for label, chains in relations
-        ]
+        """(identity, failing blocks) for every identity of identity_suite.
+
+        The seven relations are read off the products d_total(r+1) . d_total(r):
+        their (p,q) -> (p',q') block is the sum of the chains a.b with shift
+        (p'-p, q'-q), which is one relation's sum on the (p,q) block, and the
+        seven shifts are distinct.  A nonzero entry therefore fails its
+        relation at (p,q), and degree r at d.d.
+        """
+        failing: dict[tuple[int, int], set[tuple[int, int]]] = {s: set() for s in SQUARE_ZERO_RELATIONS}
+        dd_fail = []
+        for r in range(2 * self.n):
+            product = self.d_total(r + 1) @ self.d_total(r)
+            if product.is_zero():
+                continue
+            dd_fail.append(r)
+            src_block, tgt_block = self._block_locator(r), self._block_locator(r + 2)
+            for row, col in product.entries:
+                (p, q), (tp, tq) = src_block(col), tgt_block(row)
+                failing[(tp - p, tq - q)].add((p, q))
+        report = [(label, tuple(sorted(failing[s]))) for s, label in SQUARE_ZERO_RELATIONS.items()]
         # reconstruction: the Leibniz rule on the unsplit structure equations, applied
         # to each invariant monomial, equals its column in the four invariant blocks
         frame = self._frame_blocks
@@ -415,9 +433,11 @@ class FormComplex:
                         recon_fail.append((p, q))
                         break
         report.append(("d=mu+partial+dbar+mubar", tuple(recon_fail)))
-        dd_fail = []
-        for r in range(2 * self.n):
-            if not (self.d_total(r + 1) @ self.d_total(r)).is_zero():
-                dd_fail.append(r)
         report.append(("d.d", tuple(dd_fail)))
         return tuple(report)
+
+    def _block_locator(self, r: int) -> Callable[[int], tuple[int, int]]:
+        """The bidegree (p,q) of a total-degree-r coordinate."""
+        offsets = self.total_offsets(r)
+        blocks, starts = list(offsets), list(offsets.values())
+        return lambda i: blocks[bisect_right(starts, i) - 1]

@@ -127,7 +127,7 @@ def test_oracle_runs_the_coefficient_action(kt4_session):
     assert weighted
     act = ReferenceOperators(cx).coeff_action("dbar")
     assert any(not act(e.weight).is_zero() for e in weighted)
-    assert any(not e_r.is_zero() for e_r in frame_blocks(cx.frame).coefficient_blocks("dbar", 0, 0))
+    assert any(not frame_blocks(cx.frame).coefficient_block("dbar", 0, 0, r).is_zero() for r in range(1, cx.n + 1))
     # on functions only the coefficient terms contribute, so d of one is nonzero, while
     # extend_derivation, which treats coefficients as constants, gives zero
     f = Form.monomial(weighted[0])

@@ -462,7 +462,7 @@ def reference_star(pm, p, q):
             if sign:
                 w_entries[(ip, ib)] = integer(sign)
     w = ExactMatrix(len(probe), len(tgt), w_entries)
-    rhs_list = []
+    rhs_cols = []
     for sigma in src:
         ((celt, ccoeff),) = list(Form.monomial(sigma).conjugate().coeffs.items())
         col = probe_index[celt]
@@ -471,10 +471,10 @@ def reference_star(pm, p, q):
         for (r, c), g in gram_qp.entries.items():
             if c == col:
                 rhs[r] = g * scale
-        rhs_list.append(rhs)
-    cols = linalg.solve_many(w, rhs_list)
-    assert None not in cols
-    return ExactMatrix.from_rows(cols, len(tgt)).transpose()
+        rhs_cols.append(rhs)
+    star, inconsistent = linalg.solve_many(w, ExactMatrix.from_rows(rhs_cols, len(probe)).transpose())
+    assert not inconsistent
+    return star
 
 
 def star_metrics():

@@ -85,7 +85,10 @@ def reference_solve_taming(engine, psi):
     target = _realified_target(cx, psi)
     solution = reference_solve(system, target)
     if solution is None:
-        raise NoSolution("closedness correction equation is inconsistent", _obstruction_functional(system, target))
+        raise NoSolution(
+            "closedness correction equation is inconsistent",
+            _obstruction_functional(system, _columns(len(target), [target]), 0),
+        )
     u = cx.from_realified(solution, 0, 1)
     omega_prime = psi + reference_correction(cx, u)
     u_alt = cx.from_realified(reference_solve(system, target, reverse_pivots=True), 0, 1)
