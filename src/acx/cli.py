@@ -33,17 +33,10 @@ from .audits import (
 )
 from .cohomology import CohomologyEngine, compute_diamond, diamond_numbers
 from .forms import CoefficientModel, Form, InconsistentModel
-from .lie import (
-    AlmostComplexStructure,
-    DegenerateJ,
-    LieAlgebraSpec,
-    build_frame,
-    nijenhuis_rank,
-    validate_model,
-)
+from .lie import AlmostComplexStructure, DegenerateJ, LieAlgebraSpec, build_frame, validate_model
 from .linalg import ExactMatrix, NotContained
 from .metric import HermitianMetric, HermitianStructure, Not4Manifold, NotPositive
-from .operators import DIFFERENTIALS, FormComplex, compose
+from .operators import DIFFERENTIALS, FormComplex, compose, nijenhuis_rank
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, rational
 
 KNOWN_TASKS = ("validate", "diamond", "verify", "taming", "report")

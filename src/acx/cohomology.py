@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Iterable
 
 from . import linalg
@@ -20,7 +21,22 @@ from .lie import SHIFTS
 from .linalg import ExactMatrix, Subspace
 from .metric import HermitianStructure, Not4Manifold
 from .operators import DIFFERENTIALS, FormComplex, compose
-from .scalars import integer
+
+
+def once_per_engine(method):
+    """An engine method computed once per argument tuple, in the engine's one memo.
+
+    The diamond, the audits and the taming pipeline share the values; a dropped engine drops its memo.
+    """
+
+    @wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return cached
 
 
 class CohomologyEngine:
@@ -30,28 +46,12 @@ class CohomologyEngine:
         self.complex = complex_
         self.hermitian = hermitian
         self.n = complex_.n
-        self._adol_cache: dict[tuple[int, int], Subspace] = {}
-        self._cw_cache: dict[tuple[int, int], tuple[Subspace, Subspace]] = {}
-        self._real_ddc: tuple[Subspace, Subspace] | None = None
-        self._hat: tuple[ExactMatrix, Subspace] | None = None
-        self._numbers: dict[tuple, int] = {}
-        self._correction: tuple[ExactMatrix, ExactMatrix, ExactMatrix] | None = None
-
-    def _number(self, key: tuple, compute) -> int:
-        """A dimension of this engine, computed once: the diamond, the audits and the taming hypothesis share it."""
-        if key not in self._numbers:
-            self._numbers[key] = compute()
-        return self._numbers[key]
+        self._memo: dict[tuple, object] = {}
 
     # -- generic block subspaces ------------------------------------------------
 
     def block(self, name: str, p: int, q: int) -> ExactMatrix:
-        """One operator from the (p,q) block: a differential, its adjoint `name*`, L, Lambda or H.
-
-        H is the counting operator (p + q - n) id of the Lefschetz sl(2).
-        """
-        if name == "H":
-            return ExactMatrix.identity(self.complex.dim(p, q)).scale(integer(p + q - self.n))
+        """One operator from the (p,q) block: a differential, its adjoint `name*`, L or Lambda."""
         if name == "L":
             return self.hermitian.lefschetz_block(p, q)
         if name == "Lambda":
@@ -63,12 +63,9 @@ class CohomologyEngine:
     def op_kernel(self, name: str, p: int, q: int) -> Subspace:
         return linalg.kernel(self.complex.block(name, p, q))
 
-    def _stack(self, *chains, p: int, q: int) -> ExactMatrix:
-        """Operator chains on the (p,q) block, stacked: their common kernel is its kernel."""
-        return ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains])
-
     def _kernel_of(self, *chains, p: int, q: int) -> Subspace:
-        return linalg.kernel(self._stack(*chains, p=p, q=q))
+        """The common kernel of operator chains on the (p,q) block: the kernel of their stack."""
+        return linalg.kernel(ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains]))
 
     def op_image_into(self, name: str, p: int, q: int) -> Subspace:
         """Image of the named operator inside the (p,q) block."""
@@ -80,8 +77,9 @@ class CohomologyEngine:
 
     # -- de Rham ------------------------------------------------------------------
 
+    @once_per_engine
     def _d_rank(self, r: int) -> int:
-        return self._number(("rank d", r), lambda: linalg.rank(self.complex.d_total(r)))
+        return linalg.rank(self.complex.d_total(r))
 
     def de_rham(self, r: int) -> int:
         """dim ker(d on r-forms) - rank(d on (r-1)-forms); each rank is computed once."""
@@ -107,28 +105,25 @@ class CohomologyEngine:
             denominator = linalg.zero_space(self.complex.dim(p, q))
         return numerator, denominator
 
+    @once_per_engine
     def spectral_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
         """dolbeault_cw_parts, built once per engine: the diamond and the four-manifold audit share them."""
-        key = (p, q)
-        if key not in self._cw_cache:
-            self._cw_cache[key] = self.dolbeault_cw_parts(p, q)
-        return self._cw_cache[key]
+        return self.dolbeault_cw_parts(p, q)
 
+    @once_per_engine
     def dolbeault_cw(self, p: int, q: int) -> int:
-        return self._number(("spectral", p, q), lambda: linalg.quotient_dim(*self.spectral_parts(p, q)))
+        return linalg.quotient_dim(*self.spectral_parts(p, q))
 
     # -- refined Dolbeault ------------------------------------------------------------
 
+    @once_per_engine
     def a_dol(self, p: int, q: int) -> Subspace:
         """ker(mu) ^ ker(mubar) ^ ker(dbar^2) ^ ker(mu dbar) inside (p,q).
 
         The composite (dbar + mu) dbar vanishes iff both summands do, because
         they land in different bidegrees.
         """
-        key = (p, q)
-        if key not in self._adol_cache:
-            self._adol_cache[key] = self._kernel_of(["mu"], ["mubar"], ["dbar", "dbar"], ["mu", "dbar"], p=p, q=q)
-        return self._adol_cache[key]
+        return self._kernel_of(["mu"], ["mubar"], ["dbar", "dbar"], ["mu", "dbar"], p=p, q=q)
 
     def refined_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
         # ker(dbar) ^ A_Dol: on ker(dbar) the composites dbar^2 and mu dbar vanish
@@ -141,8 +136,9 @@ class CohomologyEngine:
             denominator = linalg.map_subspace(dbar, below)
         return numerator, denominator
 
+    @once_per_engine
     def refined_dolbeault(self, p: int, q: int) -> int:
-        return self._number(("refined", p, q), lambda: linalg.quotient_dim(*self.refined_parts(p, q)))
+        return linalg.quotient_dim(*self.refined_parts(p, q))
 
     # -- hat spaces -----------------------------------------------------------------------
 
@@ -156,12 +152,11 @@ class CohomologyEngine:
         s = ExactMatrix.vstack([s20, s02])
         return t, s
 
+    @once_per_engine
     def _hat_system(self) -> tuple[ExactMatrix, Subspace]:
-        """[T | S] on pairs of 1-forms and its kernel, the pairs whose d is pure (1,1); built once."""
-        if self._hat is None:
-            phi = ExactMatrix.hstack(self._hat_maps())
-            self._hat = (phi, linalg.kernel(phi))
-        return self._hat
+        """[T | S] on pairs of 1-forms and its kernel, the pairs whose d is pure (1,1)."""
+        phi = ExactMatrix.hstack(self._hat_maps())
+        return phi, linalg.kernel(phi)
 
     def hat_h01_parts(self) -> tuple[Subspace, Subspace]:
         t, s = self._hat_maps()
@@ -169,8 +164,9 @@ class CohomologyEngine:
         denominator = self.op_image_into("dbar", 0, 1)
         return numerator, denominator
 
+    @once_per_engine
     def hat_h01(self) -> int:
-        return self._number(("hat_h01",), lambda: linalg.quotient_dim(*self.hat_h01_parts()))
+        return linalg.quotient_dim(*self.hat_h01_parts())
 
     def hat_h1(self, diagonal_potentials: bool = False) -> int:
         """dim of the paired kernel modulo potential pairs (partial f, dbar g).
@@ -178,8 +174,9 @@ class CohomologyEngine:
         diagonal_potentials switches the denominator to the one-function
         variant (f = g), exposed for comparison only.
         """
-        return self._number(("hat_h1", diagonal_potentials), lambda: self._hat_h1(diagonal_potentials))
+        return self._hat_h1(diagonal_potentials)
 
+    @once_per_engine
     def _hat_h1(self, diagonal_potentials: bool) -> int:
         # numerator: pairs (u1, u2) with T u1 + S u2 = 0, i.e. d(u1 + u2) is pure (1,1)
         phi, numerator = self._hat_system()
@@ -232,8 +229,9 @@ class CohomologyEngine:
         system = self._harmonic_system(deltas, p, q)
         return system.cols - linalg.rank(system)
 
+    @once_per_engine
     def ell(self, p: int, q: int) -> int:
-        return self._number(("harmonic", p, q), lambda: self.harmonic_dim(("dbar", "mu"), p, q))
+        return self.harmonic_dim(("dbar", "mu"), p, q)
 
     # -- real structure ------------------------------------------------------------------------
 
@@ -254,22 +252,22 @@ class CohomologyEngine:
             raise ValueError("real subspaces live on conjugation-stable blocks only")
         return linalg.kernel(self._real_constraint(self.complex.conj_struct(p, q)))
 
+    @once_per_engine
     def real_ddc_parts(self) -> tuple[Subspace, Subspace]:
-        """The real ddc quotient in doubled coordinates, built once per engine.
+        """The real ddc quotient in doubled coordinates.
 
         Numerator: ker(del dbar) on real (1,1)-forms; denominator: the image
         of d^{1,1} on real 1-forms.
         """
-        if self._real_ddc is None:
-            ddc = linalg.realify(compose(self.block, ["partial", "dbar"], 1, 1))
-            real = self._real_constraint(self.complex.conj_struct(1, 1))
-            numerator = linalg.kernel(ExactMatrix.vstack([ddc, real]))
-            denominator = linalg.map_subspace(linalg.realify(self._d11()), self.real_one_forms())
-            self._real_ddc = (numerator, denominator)
-        return self._real_ddc
+        ddc = linalg.realify(compose(self.block, ["partial", "dbar"], 1, 1))
+        real = self._real_constraint(self.complex.conj_struct(1, 1))
+        numerator = linalg.kernel(ExactMatrix.vstack([ddc, real]))
+        denominator = linalg.map_subspace(linalg.realify(self._d11()), self.real_one_forms())
+        return numerator, denominator
 
+    @once_per_engine
     def correction_map(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-        """The taming correction u -> dbar u + partial ubar + mu u + mubar ubar, built once.
+        """The taming correction u -> dbar u + partial ubar + mu u + mubar ubar.
 
         Returns (K02, K20, S) on realified (0,1)-forms u.  K02 and K20 give
         the (0,2) and (2,0) parts of the correction; ubar = C01 . conj(u), so
@@ -277,15 +275,13 @@ class CohomologyEngine:
         system, the (1,2) rows of d . K: partial on the (0,2) part plus mubar
         on the (2,0) part.
         """
-        if self._correction is None:
-            cx = self.complex
-            c01 = cx.conj_struct(0, 1)
-            flip = linalg.conjugation_flip(cx.dim(0, 1))
-            k02 = linalg.realify(cx.block("dbar", 0, 1)) + linalg.realify(cx.block("mubar", 1, 0) @ c01) @ flip
-            k20 = linalg.realify(cx.block("mu", 0, 1)) + linalg.realify(cx.block("partial", 1, 0) @ c01) @ flip
-            system = linalg.realify(cx.block("partial", 0, 2)) @ k02 + linalg.realify(cx.block("mubar", 2, 0)) @ k20
-            self._correction = (k02, k20, system)
-        return self._correction
+        cx = self.complex
+        c01 = cx.conj_struct(0, 1)
+        flip = linalg.conjugation_flip(cx.dim(0, 1))
+        k02 = linalg.realify(cx.block("dbar", 0, 1)) + linalg.realify(cx.block("mubar", 1, 0) @ c01) @ flip
+        k20 = linalg.realify(cx.block("mu", 0, 1)) + linalg.realify(cx.block("partial", 1, 0) @ c01) @ flip
+        system = linalg.realify(cx.block("partial", 0, 2)) @ k02 + linalg.realify(cx.block("mubar", 2, 0)) @ k20
+        return k02, k20, system
 
     def special_11_quotients(self) -> dict:
         """The de Rham, del-delbar-potential and ddc quotients in bidegree (1,1)."""

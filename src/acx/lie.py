@@ -3,8 +3,8 @@
 From a real Lie algebra (rational structure constants) and a rational almost
 complex structure J, build the complexified (1,0)-frame and its dual coframe,
 derive the action of the exterior differential on coframe generators via
-d(alpha)(X, Y) = -alpha([X, Y]), split it into the four bidegree components,
-and read off the rank of the Nijenhuis tensor.
+d(alpha)(X, Y) = -alpha([X, Y]) and split it into the four bidegree
+components.
 """
 
 from __future__ import annotations
@@ -258,20 +258,6 @@ def split_d(differentials: dict[tuple[str, int], Form]) -> dict[str, dict[tuple[
             if part:
                 out[op][gen] = part
     return out
-
-
-def nijenhuis_rank(frame: ComplexFrame) -> int:
-    """Rank of mubar as a map from (1,0)-forms to (0,2)-forms."""
-    diffs = split_d(exterior_d_on_generators(frame))
-    n = frame.n
-    targets = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    index = {t: i for i, t in enumerate(targets)}
-    entries = {}
-    for s in range(1, n + 1):
-        form = diffs["mubar"].get(("h", s), Form())
-        for elt, c in form.items():
-            entries[(index[elt.anti], s - 1)] = c
-    return linalg.rank(ExactMatrix(len(targets), n, entries))
 
 
 @dataclass(frozen=True)

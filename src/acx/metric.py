@@ -13,7 +13,7 @@ agree with the whole-matrix kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .forms import BasisElement, Form, conjugate_element, enumerate_basis, wedge_elements, with_weight_rank
@@ -349,6 +349,11 @@ class HermitianStructure:
     # -- predicates ---------------------------------------------------------------
 
     def kahler_predicates(self) -> dict:
+        """Whether d(omega) and partial dbar omega vanish; evaluated once per structure, a fresh dict per call."""
+        return dict(self._kahler_predicates)
+
+    @cached_property
+    def _kahler_predicates(self) -> dict:
         d_omega = self.complex.apply("d", self.omega)
         ddc = self.complex.apply("partial", self.complex.apply("dbar", self.omega))
         return {"almost_kahler": d_omega.is_zero(), "ddc_closed": ddc.is_zero()}

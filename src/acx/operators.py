@@ -17,6 +17,7 @@ from bisect import bisect_right
 from functools import cached_property, lru_cache
 from typing import Callable
 
+from . import linalg
 from .forms import (
     BasisElement,
     CoefficientModel,
@@ -42,19 +43,16 @@ SQUARE_ZERO_RELATIONS = {
     (-2, 4): "mubar.mubar",
 }
 
-
-# operators of the metric calculus that are not differentials; H is (p + q - n) id
-_METRIC_SHIFTS = {"L": (1, 1), "Lambda": (-1, -1), "H": (0, 0)}
+# d = mu + partial + dbar + mubar as the terms of FormComplex.total
+D_TERMS = tuple((ONE, name) for name in DIFFERENTIALS)
 
 
 def shift(name: str) -> tuple[int, int]:
-    """Bidegree shift of a differential, its adjoint `name*`, L, Lambda or H."""
-    if name in _METRIC_SHIFTS:
-        return _METRIC_SHIFTS[name]
+    """Bidegree shift of a differential, its adjoint `name*`, L or Lambda."""
     if name.endswith("*"):
         dp, dq = SHIFTS[name[:-1]]
         return (-dp, -dq)
-    return SHIFTS[name]
+    return {"L": (1, 1), "Lambda": (-1, -1)}.get(name) or SHIFTS[name]
 
 
 def compose(block: Callable[[str, int, int], ExactMatrix], names, p: int, q: int) -> ExactMatrix:
@@ -72,34 +70,6 @@ def compose(block: Callable[[str, int, int], ExactMatrix], names, p: int, q: int
         dp, dq = shift(name)
         p, q = p + dp, q + dq
     return mat
-
-
-def failing_blocks(block: Callable[[str, int, int], ExactMatrix], terms, n: int) -> list[tuple[int, int]]:
-    """The bidegrees (p,q) on which the sum of c . compose(block, chain, p, q) is nonzero.
-
-    terms is a list of (c, chain) with c a Scalar; this is the one test of an
-    operator identity "sum of chains = 0" on every block of the diamond.  A
-    chain that leaves the diamond counts as zero.  All chains must share one
-    bidegree shift, or the sum would add maps into different blocks.
-    """
-    shifts = {tuple(map(sum, zip(*map(shift, chain)))) for _, chain in terms}
-    if len(shifts) != 1:
-        raise ValueError(f"the chains of an identity must share one bidegree shift, not {sorted(shifts)}")
-    ((sp, sq),) = shifts
-    failing = []
-    for p in range(max(0, -sp), min(n, n - sp) + 1):
-        for q in range(max(0, -sq), min(n, n - sq) + 1):
-            acc = None
-            for c, chain in terms:
-                prod = compose(block, chain, p, q)
-                if prod.rows == 0:
-                    continue
-                if c != ONE:
-                    prod = prod.scale(c)
-                acc = prod if acc is None else acc + prod
-            if acc is not None and not acc.is_zero():
-                failing.append((p, q))
-    return failing
 
 
 def _dot(row, vec) -> Scalar:
@@ -136,6 +106,11 @@ def invariant_matrix(n: int, image: Callable[[BasisElement], Form], p: int, q: i
 def frame_blocks(frame: ComplexFrame) -> "FrameBlocks":
     """The FrameBlocks of a frame, built once; equal frames share them."""
     return FrameBlocks(frame)
+
+
+def nijenhuis_rank(frame: ComplexFrame) -> int:
+    """Rank of mubar as a map from (1,0)-forms to (0,2)-forms."""
+    return linalg.rank(frame_blocks(frame).block("mubar", 1, 0))
 
 
 class FrameBlocks:
@@ -358,26 +333,58 @@ class FormComplex:
             off += self.dim(p, q)
         return out
 
+    def total(self, block: Callable[[str, int, int], ExactMatrix], terms, r: int) -> ExactMatrix:
+        """The map sum_k c_k name_k from degree r, assembled from block(name, p, q) on each (p,q) of degree r.
+
+        terms is a sequence of (c, name) with c a Scalar; the names share one
+        total degree shift and have distinct bidegree shifts, so each block of
+        the sum is one term.  A term whose target is off the diamond adds nothing.
+        """
+        k = sum(shift(terms[0][1]))
+        tgt_off = self.total_offsets(r + k)
+        entries = {}
+        for (p, q), so in self.total_offsets(r).items():
+            for c, name in terms:
+                dp, dq = shift(name)
+                to = tgt_off.get((p + dp, q + dq))
+                if to is None:
+                    continue
+                unit = c == ONE
+                for (rr, cc), v in block(name, p, q).entries.items():
+                    entries[(rr + to, cc + so)] = v if unit else c * v
+        return ExactMatrix(self.total_dim(r + k), self.total_dim(r), entries)
+
     def d_total(self, r: int) -> ExactMatrix:
         """Full exterior differential from degree r to degree r+1, assembled once."""
-        if r in self._total_cache:
-            return self._total_cache[r]
-        src_off = self.total_offsets(r)
-        tgt_off = self.total_offsets(r + 1)
-        entries = {}
-        for (p, q), so in src_off.items():
-            for name in DIFFERENTIALS:
-                dp, dq = SHIFTS[name]
-                tp, tq = p + dp, q + dq
-                if (tp, tq) not in tgt_off:
-                    continue
-                blk = self.block(name, p, q)
-                to = tgt_off[(tp, tq)]
-                for (rr, cc), v in blk.entries.items():
-                    entries[(rr + to, cc + so)] = v
-        mat = ExactMatrix(self.total_dim(r + 1), self.total_dim(r), entries)
-        self._total_cache[r] = mat
-        return mat
+        if r not in self._total_cache:
+            self._total_cache[r] = self.total(self.block, D_TERMS, r)
+        return self._total_cache[r]
+
+    def read_off(self, relations: dict, sides) -> dict[str, tuple[tuple[int, int], ...]]:
+        """The failing source blocks of each part of an identity, read off its total-degree sides.
+
+        sides yields (r, lhs, rhs): the identity lhs = rhs of maps from degree
+        r to degree r + k.  relations maps each bidegree shift (all of total
+        degree k) to the label of the part of the identity with that shift.
+        The (p,q) -> (p',q') block of a side is the part of shift (p'-p, q'-q)
+        on the (p,q) block, so an entry where the sides differ fails that part
+        at (p,q).  This is the one evaluator of every operator identity.
+        """
+        k = sum(next(iter(relations)))
+        failing: dict[tuple[int, int], set[tuple[int, int]]] = {s: set() for s in relations}
+        for r, lhs, rhs in sides:
+            left, right = lhs.entries, rhs.entries
+            if left == right:
+                continue
+            src, tgt = self.total_offsets(r), self.total_offsets(r + k)
+            src_blocks, src_starts = list(src), list(src.values())
+            tgt_blocks, tgt_starts = list(tgt), list(tgt.values())
+            for row, col in left.keys() | right.keys():
+                if left.get((row, col)) != right.get((row, col)):
+                    p, q = src_blocks[bisect_right(src_starts, col) - 1]
+                    tp, tq = tgt_blocks[bisect_right(tgt_starts, row) - 1]
+                    failing[(tp - p, tq - q)].add((p, q))
+        return {label: tuple(sorted(failing[s])) for s, label in relations.items()}
 
     # -- identity suite ---------------------------------------------------------
 
@@ -398,24 +405,16 @@ class FormComplex:
     def _identity_failures(self) -> tuple[tuple[str, tuple], ...]:
         """(identity, failing blocks) for every identity of identity_suite.
 
-        The seven relations are read off the products d_total(r+1) . d_total(r):
-        their (p,q) -> (p',q') block is the sum of the chains a.b with shift
-        (p'-p, q'-q), which is one relation's sum on the (p,q) block, and the
-        seven shifts are distinct.  A nonzero entry therefore fails its
-        relation at (p,q), and degree r at d.d.
+        The seven relations are read off d_total(r+1) . d_total(r) = 0
+        (read_off; the seven shifts are distinct), and d.d fails in the degrees
+        of their failing blocks.
         """
-        failing: dict[tuple[int, int], set[tuple[int, int]]] = {s: set() for s in SQUARE_ZERO_RELATIONS}
-        dd_fail = []
+        sides = []
         for r in range(2 * self.n):
             product = self.d_total(r + 1) @ self.d_total(r)
-            if product.is_zero():
-                continue
-            dd_fail.append(r)
-            src_block, tgt_block = self._block_locator(r), self._block_locator(r + 2)
-            for row, col in product.entries:
-                (p, q), (tp, tq) = src_block(col), tgt_block(row)
-                failing[(tp - p, tq - q)].add((p, q))
-        report = [(label, tuple(sorted(failing[s]))) for s, label in SQUARE_ZERO_RELATIONS.items()]
+            sides.append((r, product, ExactMatrix(product.rows, product.cols)))
+        report = list(self.read_off(SQUARE_ZERO_RELATIONS, sides).items())
+        dd_fail = tuple(sorted({p + q for _, blocks in report for p, q in blocks}))
         # reconstruction: the Leibniz rule on the unsplit structure equations, applied
         # to each invariant monomial, equals its column in the four invariant blocks
         frame = self._frame_blocks
@@ -433,11 +432,5 @@ class FormComplex:
                         recon_fail.append((p, q))
                         break
         report.append(("d=mu+partial+dbar+mubar", tuple(recon_fail)))
-        report.append(("d.d", tuple(dd_fail)))
+        report.append(("d.d", dd_fail))
         return tuple(report)
-
-    def _block_locator(self, r: int) -> Callable[[int], tuple[int, int]]:
-        """The bidegree (p,q) of a total-degree-r coordinate."""
-        offsets = self.total_offsets(r)
-        blocks, starts = list(offsets), list(offsets.values())
-        return lambda i: blocks[bisect_right(starts, i) - 1]

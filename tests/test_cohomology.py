@@ -1,16 +1,18 @@
+import json
 import random
 
 import pytest
 
 from acx import linalg
-from acx.cli import Session, run
+from acx.audits import audit_identities
+from acx.cli import Session, bundled_manifest_path, manifest_from_dict, run
 from acx.cohomology import compute_diamond, diamond_numbers
 from acx.forms import BasisElement, Form
 from acx.lie import SHIFTS
 from acx.metric import Not4Manifold
 from acx.scalars import ONE, ZERO
 
-from conftest import assert_sectors_decompose, contains, random_4d_session
+from conftest import assert_sectors_decompose, contains, random_4d_session, sweep_sessions
 
 # frozen regression baselines for the growing cells (derived by a per-weight
 # block analysis at N = 0 and locked to engine output afterwards)
@@ -370,3 +372,39 @@ def test_rank_first_harmonic_dim_matches_harmonic_space(oracle_engines):
                 for deltas in (("dbar", "mu"), ("partial",)):
                     want = eng.harmonic_space(deltas, p, q).dim
                     assert eng.harmonic_dim(deltas, p, q) == want, (label, deltas, p, q)
+
+
+# dolbeault_cw_parts divides by (im dbar ^ ker mubar) + im mubar; the first page
+# H(H_mubar, dbar) of Cirici-Wilson divides by dbar(ker mubar) + im mubar, which
+# lies in the numerator: mubar dbar x = -dbar mubar x = 0 and dbar dbar x = -mubar partial x
+# for x in ker mubar.  Both reproducers pass once the denominator is the latter.
+SPECTRAL_DENOMINATOR = "the spectral denominator is (im dbar ^ ker mubar) + im mubar, not dbar(ker mubar) + im mubar"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SPECTRAL_DENOMINATOR)
+def test_spectral_sums_bound_the_betti_numbers(kt4_session, nil6_session):
+    """sum_{p+q=k} h^{p,q} >= b_k, the Frolicher-type bound of the first page."""
+    engines = [("kt4 N=0", kt4_session.engine(0)), ("nil6", nil6_session.engine())]
+    engines += [(f"sweep0 {k}", s.engine()) for k, s in enumerate(sweep_sessions(0)) if s.frame.n == 3]
+    violations = []
+    for label, engine in engines:
+        n = engine.n
+        for k in range(2 * n + 1):
+            spectral = sum(engine.dolbeault_cw(p, k - p) for p in range(max(0, k - n), min(n, k) + 1))
+            if spectral < engine.de_rham(k):
+                violations.append((label, k, spectral, engine.de_rham(k)))
+    assert not violations
+
+
+@pytest.mark.xfail(strict=True, raises=linalg.NotContained, reason=SPECTRAL_DENOMINATOR)
+def test_spectral_numbers_of_kt4_with_j_swapped():
+    """kt4 with J e1 = e3, J e2 = e4 is a valid model: its identity audits pass, but its
+    spectral denominator escapes the numerator at (1,1) and (2,1)."""
+    with open(bundled_manifest_path("kt4"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["J"] = [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    engine = Session(manifest_from_dict(raw)).engine()
+    assert all(item.status == "pass" for item in audit_identities(engine))
+    for p in range(3):
+        for q in range(3):
+            engine.dolbeault_cw(p, q)

@@ -9,10 +9,10 @@ from acx.lie import (
     LieAlgebraSpec,
     build_frame,
     exterior_d_on_generators,
-    nijenhuis_rank,
     split_d,
     validate_model,
 )
+from acx.operators import nijenhuis_rank
 from acx.scalars import ZERO, Scalar, rational
 
 HALF = Fraction(1, 2)

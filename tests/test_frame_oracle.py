@@ -9,24 +9,25 @@ oracle in tests/test_lift_oracle.py.
 """
 
 import importlib.util
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from acx import lie
-from acx.cli import Session, manifest_from_dict
+from acx import lie, linalg
+from acx.cli import Session, bundled_manifest_path, manifest_from_dict
 from acx.forms import BasisElement, Form, enumerate_basis, extend_derivation
 from acx.lie import (
     LieAlgebraSpec,
     build_frame,
     exterior_d_on_generators,
-    nijenhuis_rank,
     validate_model,
 )
-from acx.operators import INVARIANT, FormComplex, frame_blocks
+from acx.operators import INVARIANT, FormComplex, frame_blocks, nijenhuis_rank
+from acx.linalg import ExactMatrix
 from acx.scalars import ONE, ZERO, Scalar
 
-from conftest import random_4d_session
+from conftest import random_4d_session, sweep_sessions
 from test_lift_oracle import ReferenceOperators, reference_leibniz
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -54,6 +55,19 @@ def reference_exterior_d(frame):
                         coeffs[lie._pair_monomial(n, a, b)] = -val
             out[(kind, s)] = Form(coeffs)
     return out
+
+
+def reference_nijenhuis_rank(frame):
+    """Rank of mubar on (1,0)-forms, from a hand-indexed matrix of the split structure equations."""
+    diffs = lie.split_d(exterior_d_on_generators(frame))
+    n = frame.n
+    targets = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    index = {t: i for i, t in enumerate(targets)}
+    entries = {}
+    for s in range(1, n + 1):
+        for elt, c in diffs["mubar"].get(("h", s), Form()).items():
+            entries[(index[elt.anti], s - 1)] = c
+    return linalg.rank(ExactMatrix(len(targets), n, entries))
 
 
 def _random_scalar(rng):
@@ -215,3 +229,17 @@ def test_bitmask_leibniz_matches_reference_on_dense_random_images():
                 compared += 1
                 nonzero += not got.is_zero()
     assert nonzero > compared // 2
+
+
+def test_nijenhuis_rank_matches_reference(kt4_session, torus_session, nil6_session, kodaira_session):
+    sessions = [kt4_session, torus_session, nil6_session, kodaira_session]
+    for seed in (0, 101, 7, 13):
+        sessions += sweep_sessions(seed)
+    # kt4 with J e1 = e3, J e2 = e4
+    with open(bundled_manifest_path("kt4"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["J"] = [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    sessions.append(Session(manifest_from_dict(raw)))
+    ranks = [nijenhuis_rank(s.frame) for s in sessions]
+    assert ranks == [reference_nijenhuis_rank(s.frame) for s in sessions]
+    assert ranks[:4] == [1, 0, 3, 0] and max(ranks[4:]) > 0

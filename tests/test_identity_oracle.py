@@ -1,23 +1,132 @@
-"""Differential oracle for the square-zero identity suite.
+"""Differential oracle for the operator identities.
 
 FormComplex.identity_suite reads the seven bidegree parts of d^2 = 0 off one
-product d_total(r+1) . d_total(r) per degree.  The evaluation it replaced is
-kept here as the reference: each relation as a sum of chains checked on every
+product d_total(r+1) . d_total(r) per degree, and audits.audit_identities
+reads the sixteen symplectic commutators and [L, Lambda] = H off products of
+total-degree operators the same way.  The evaluation they replaced is kept
+here as the reference: each identity as a sum of chains checked on every
 block with failing_blocks, and total d.d checked on a separately assembled
 exterior differential.  The two must agree on every label, every failing
 block (in order) and every failing degree, on working complexes and on
-complexes broken on purpose.
+complexes and engines broken on purpose.
 """
 
 import random
 
-from acx import lie, linalg, operators
+import pytest
+
+from acx import audits, cohomology, lie, linalg, operators
+from acx.audits import IDENTITY_TERMS, SYMPLECTIC_COMMUTATORS, audit_identities
 from acx.cli import Session, bundled_manifest_path, manifest_from_dict, parse_manifest
+from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
-from acx.operators import DIFFERENTIALS, SQUARE_ZERO_RELATIONS, FormComplex, FrameBlocks, failing_blocks, shift
-from acx.scalars import ONE, rational
+from acx.metric import HermitianStructure
+from acx.operators import DIFFERENTIALS, SQUARE_ZERO_RELATIONS, FormComplex, FrameBlocks, compose, shift
+from acx.scalars import I, MINUS_ONE, ONE, integer, rational
 
 from conftest import random_fourier_manifest
+
+MINUS_I = -I
+
+
+def reference_shift(name):
+    """shift, plus the counting operator H of the Lefschetz sl(2), which preserves bidegree."""
+    return (0, 0) if name == "H" else shift(name)
+
+
+def reference_block(engine):
+    """engine.block, read at call time, plus H = (p + q - n) id on the (p,q) block."""
+
+    def block(name, p, q):
+        if name == "H":
+            return ExactMatrix.identity(engine.complex.dim(p, q)).scale(integer(p + q - engine.n))
+        return engine.block(name, p, q)
+
+    return block
+
+
+def failing_blocks(block, terms, n):
+    """The bidegrees (p,q) on which the sum of c . compose(block, chain, p, q) is nonzero.
+
+    terms is a list of (c, chain) with c a Scalar; a chain that leaves the
+    diamond counts as zero.  All chains must share one bidegree shift, or the
+    sum would add maps into different blocks.
+    """
+    shifts = {tuple(map(sum, zip(*map(reference_shift, chain)))) for _, chain in terms}
+    if len(shifts) != 1:
+        raise ValueError(f"the chains of an identity must share one bidegree shift, not {sorted(shifts)}")
+    ((sp, sq),) = shifts
+    failing = []
+    for p in range(max(0, -sp), min(n, n - sp) + 1):
+        for q in range(max(0, -sq), min(n, n - sq) + 1):
+            acc = None
+            for c, chain in terms:
+                # H preserves bidegree and appears alone; compose knows only the operators of acx
+                prod = block("H", p, q) if chain == ["H"] else compose(block, chain, p, q)
+                if prod.rows == 0:
+                    continue
+                if c != ONE:
+                    prod = prod.scale(c)
+                acc = prod if acc is None else acc + prod
+            if acc is not None and not acc.is_zero():
+                failing.append((p, q))
+    return failing
+
+
+# [a, b] = c . rhs, one row per commutator, in the order of the families of audits.SYMPLECTIC_COMMUTATORS
+REFERENCE_COMMUTATORS = [
+    ("L", "mubar", None),
+    ("L", "mu", None),
+    ("L", "dbar", None),
+    ("L", "partial", None),
+    ("Lambda", "mubar*", None),
+    ("Lambda", "mu*", None),
+    ("Lambda", "dbar*", None),
+    ("Lambda", "partial*", None),
+    ("L", "mubar*", (I, "mu")),
+    ("L", "mu*", (MINUS_I, "mubar")),
+    ("L", "dbar*", (MINUS_I, "partial")),
+    ("L", "partial*", (I, "dbar")),
+    ("Lambda", "mubar", (I, "mu*")),
+    ("Lambda", "mu", (MINUS_I, "mubar*")),
+    ("Lambda", "dbar", (MINUS_I, "partial*")),
+    ("Lambda", "partial", (I, "dbar*")),
+]
+
+
+def reference_metric_audits(engine):
+    """{claim: (status, witness)} of the commutator and sl(2) audits, each identity checked per block."""
+    if not engine.hermitian.kahler_predicates()["almost_kahler"]:
+        return {"symplectic-commutators": ("not-applicable", {"reason": "fundamental form is not closed"})}
+    block = reference_block(engine)
+    failures = []
+    for a, b, rhs in REFERENCE_COMMUTATORS:
+        terms = [(ONE, [a, b]), (MINUS_ONE, [b, a])]
+        if rhs is not None:
+            scalar, name = rhs
+            terms.append((-scalar, [name]))
+        if failing_blocks(block, terms, engine.n):
+            failures.append(f"[{a},{b}]")
+    sl2 = failing_blocks(block, [(ONE, ["L", "Lambda"]), (MINUS_ONE, ["Lambda", "L"]), (MINUS_ONE, ["H"])], engine.n)
+    return {
+        "symplectic-commutators": (
+            "fail" if failures else "pass",
+            {"failing": failures} if failures else {"checked": len(REFERENCE_COMMUTATORS)},
+        ),
+        "lefschetz-sl2-commutator": (
+            "fail" if sl2 else "pass",
+            {"failing_blocks": [list(b) for b in sl2]} if sl2 else {},
+        ),
+    }
+
+
+def metric_audits(engine):
+    return {
+        item.claim: (item.status, item.witness)
+        for item in audit_identities(engine)
+        if not item.claim.startswith("square-zero-relations:")
+    }
+
 
 RECONSTRUCTION = "d=mu+partial+dbar+mubar"
 
@@ -59,6 +168,20 @@ def test_relations_are_keyed_by_the_shift_of_their_chains():
         for chain in label.split("+"):
             a, b = chain.split(".")
             assert (shift(a)[0] + shift(b)[0], shift(a)[1] + shift(b)[1]) == s, label
+    # each commutator [a, b] of a family is keyed by shift(a) + shift(b), and the family's
+    # right-hand side has one term of each key
+    labels = []
+    for a, family, rhs, table in SYMPLECTIC_COMMUTATORS:
+        names = sorted(name for _, name in IDENTITY_TERMS[family])
+        assert sorted(label[len(a) + 2 : -1] for label in table.values()) == names, table
+        for s, label in table.items():
+            b = label[len(a) + 2 : -1]
+            assert (shift(a)[0] + shift(b)[0], shift(a)[1] + shift(b)[1]) == s, label
+        if rhs is not None:
+            assert sorted(shift(name) for _, name in IDENTITY_TERMS[rhs]) == sorted(table)
+        labels += table.values()
+    assert labels == [f"[{a},{b}]" for a, b, _ in REFERENCE_COMMUTATORS]
+    assert len({s for *_, table in SYMPLECTIC_COMMUTATORS for s in table}) == 16
 
 
 def test_suite_matches_reference_on_bundled_manifests():
@@ -101,6 +224,102 @@ def _broken(session, rng, truncation=None):
     return (name, p, q, entry), cx
 
 
+def test_metric_audits_match_reference_on_bundled_manifests(kt4_session, torus_session, nil6_session):
+    engines = [(f"kt4 N={n}", kt4_session.engine(n)) for n in range(4)]
+    engines += [("torus4", torus_session.engine()), ("nil6", nil6_session.engine())]
+    for label, engine in engines:
+        assert metric_audits(engine) == reference_metric_audits(engine), label
+
+
+def test_metric_audits_match_reference_on_oracle_engines(oracle_engines):
+    for label, engine in oracle_engines:
+        assert metric_audits(engine) == reference_metric_audits(engine), label
+
+
+def test_metric_audits_match_reference_on_random_fourier_models():
+    rng = random.Random(1515)
+    for name in ("kt4", "torus4", "nil6"):
+        for rank in (1, 2):
+            engine = Session(manifest_from_dict(random_fourier_manifest(rng, name, rank))).engine()
+            assert metric_audits(engine) == reference_metric_audits(engine), (name, rank)
+
+
+def _patched_engine(session, truncation, patch):
+    """A fresh engine on the session's complex and metric whose block is patch(name, p, q, true block)."""
+    base = session.engine(truncation)
+    engine = CohomologyEngine(base.complex, base.hermitian)
+    block = engine.block
+    engine.block = lambda name, p, q: patch(name, p, q, block(name, p, q))
+    return engine
+
+
+def _perturbed_engine(session, truncation, rng, names):
+    """A fresh engine whose block of one operator of names has one entry perturbed."""
+    engine = session.engine(truncation)
+    n = engine.n
+    keys = [
+        (name, p, q)
+        for name in names
+        for p in range(n + 1)
+        for q in range(n + 1)
+        if engine.block(name, p, q).rows and engine.block(name, p, q).cols
+    ]
+    key = rng.choice(keys)
+    blk = engine.block(*key)
+    entry = (rng.randrange(blk.rows), rng.randrange(blk.cols))
+    bump = ExactMatrix(blk.rows, blk.cols, {entry: rational(rng.randint(1, 5), 2)})
+    return (*key, entry), _patched_engine(session, truncation, lambda name, p, q, m: m + bump if (name, p, q) == key else m)
+
+
+def test_broken_engines_report_the_reference_failures(kt4_session, torus_session):
+    rng = random.Random(1515)
+    adjoints = tuple(name + "*" for name in DIFFERENTIALS)
+    detected = 0
+    for session, truncation in ((kt4_session, 1), (kt4_session, 2), (torus_session, None)):
+        engine = _patched_engine(session, truncation, lambda name, p, q, m: m.scale(integer(2)) if name == "L" else m)
+        got = metric_audits(engine)
+        assert got == reference_metric_audits(engine), ("L doubled", truncation)
+        assert got["lefschetz-sl2-commutator"][0] == "fail"
+        for names in (("Lambda",), adjoints):
+            for _ in range(3):
+                what, engine = _perturbed_engine(session, truncation, rng, names)
+                got = metric_audits(engine)
+                assert got == reference_metric_audits(engine), what
+                detected += "fail" in (got["symplectic-commutators"][0], got["lefschetz-sl2-commutator"][0])
+    assert detected == 18
+
+
+def test_audit_identities_makes_no_compose_call(kt4_session, monkeypatch):
+    cx = FormComplex(kt4_session.frame, kt4_session.spec.coefficients.with_truncation(1))
+    engine = CohomologyEngine(cx, HermitianStructure(cx, kt4_session.spec.metric))
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("audit_identities composed a chain of blocks")
+
+    for module in (operators, audits, cohomology):
+        monkeypatch.setattr(module, "compose", no_chains)
+    items = audit_identities(engine)
+    assert {"symplectic-commutators", "lefschetz-sl2-commutator"} <= {item.claim for item in items}
+    assert all(item.status == "pass" for item in items)
+
+
+def test_failing_blocks_names_every_nonzero_block(kt4_session):
+    eng = kt4_session.engine(1)
+    n = eng.n
+    # partial . dbar alone is not an identity: it fails where it is a nonzero map
+    lone = [(p, q) for p in range(n) for q in range(n) if not compose(eng.block, ["partial", "dbar"], p, q).is_zero()]
+    assert lone and failing_blocks(eng.block, [(ONE, ["partial", "dbar"])], n) == lone
+    assert reference_shift("H") == (0, 0)
+
+
+def test_failing_blocks_rejects_chains_of_mixed_shifts(kt4_session):
+    eng = kt4_session.engine(1)
+    with pytest.raises(ValueError):
+        failing_blocks(eng.block, [(ONE, ["mu", "dbar"]), (ONE, ["partial", "dbar"])], eng.n)
+    with pytest.raises(ValueError):
+        failing_blocks(eng.block, [(ONE, ["L", "Lambda"]), (MINUS_ONE, ["L"])], eng.n)
+
+
 def test_broken_complexes_report_the_reference_failures(kt4_session, nil6_session, kodaira_session):
     rng = random.Random(2026)
     detected = 0
@@ -134,7 +353,6 @@ def test_invariant_suite_does_2n_total_products_and_no_chain_products(nil6_sessi
 
     monkeypatch.setattr(linalg.ExactMatrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(operators, "compose", no_chains)
-    monkeypatch.setattr(operators, "failing_blocks", no_chains)
     assert all(e["passed"] for e in cx.identity_suite())
     assert products == [(cx.total_dim(r + 2), cx.total_dim(r + 1), cx.total_dim(r)) for r in range(2 * cx.n)]
 

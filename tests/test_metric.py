@@ -358,6 +358,21 @@ def test_kahler_predicates(kt4_session, torus_session, kodaira_session):
     assert preds["ddc_closed"] is True
 
 
+def test_kahler_predicates_are_evaluated_once_per_structure(kt4_session, monkeypatch):
+    cx = kt4_session.complex(1)
+    h = HermitianStructure(cx, kt4_session.spec.metric)
+    calls = []
+    apply = FormComplex.apply
+    monkeypatch.setattr(FormComplex, "apply", lambda self, name, form: calls.append(name) or apply(self, name, form))
+    first = h.kahler_predicates()
+    assert first == {"almost_kahler": True, "ddc_closed": True} and calls
+    calls.clear()
+    # what a caller does to its dict must not reach the next caller
+    first["almost_kahler"] = False
+    assert h.kahler_predicates() == {"almost_kahler": True, "ddc_closed": True}
+    assert not calls
+
+
 def test_non_closed_metric_predicate(kt4_session):
     """An off-diagonal positive metric on kt4 loses closedness of omega."""
     cx = kt4_session.complex(0)

@@ -7,8 +7,8 @@ from acx import linalg
 from acx.forms import BasisElement, CoefficientModel, Form, InconsistentModel
 from acx.lie import SHIFTS
 from acx.linalg import ExactMatrix
-from acx.operators import FormComplex, FrameBlocks, compose, failing_blocks, shift
-from acx.scalars import MINUS_ONE, ONE, Scalar, ZERO
+from acx.operators import FormComplex, FrameBlocks, compose, shift
+from acx.scalars import ONE, Scalar, ZERO
 
 from conftest import assert_sectors_decompose, contains, sector_complexes
 
@@ -245,20 +245,3 @@ def test_compose_shifts_of_adjoints_and_lefschetz(kt4_session):
     assert compose(eng.block, ["dbar", "dbar*"], 1, 1) == cx.block("dbar", 1, 0) @ h.adjoint_block("dbar", 1, 1)
     assert compose(eng.block, ["dbar*", "dbar"], 1, 1) == h.adjoint_block("dbar", 1, 2) @ cx.block("dbar", 1, 1)
     assert compose(eng.block, ["L", "mubar*"], 0, 2) == h.lefschetz_block(1, 0) @ h.adjoint_block("mubar", 0, 2)
-
-
-def test_failing_blocks_names_every_nonzero_block(kt4_session):
-    eng = kt4_session.engine(1)
-    n = eng.n
-    # partial . dbar alone is not an identity: it fails where it is a nonzero map
-    lone = [(p, q) for p in range(n) for q in range(n) if not compose(eng.block, ["partial", "dbar"], p, q).is_zero()]
-    assert lone and failing_blocks(eng.block, [(ONE, ["partial", "dbar"])], n) == lone
-    assert shift("H") == (0, 0)
-
-
-def test_failing_blocks_rejects_chains_of_mixed_shifts(kt4_session):
-    eng = kt4_session.engine(1)
-    with pytest.raises(ValueError):
-        failing_blocks(eng.block, [(ONE, ["mu", "dbar"]), (ONE, ["partial", "dbar"])], eng.n)
-    with pytest.raises(ValueError):
-        failing_blocks(eng.block, [(ONE, ["L", "Lambda"]), (MINUS_ONE, ["L"])], eng.n)
