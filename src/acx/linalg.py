@@ -9,15 +9,15 @@ Gauss-Jordan on sparse rows ({column: entry} dicts) with a column -> rows
 index: the matrices of a truncated complex are block-diagonal by Fourier
 weight and a few percent dense, so the kernel finds pivots and the rows to
 update through the index and a row update only touches the nonzero entries
-of the pivot row.  A subspace is held as the
-reduced row echelon form of a basis, itself a sparse matrix, and every
-subspace operation eliminates such matrices stacked, transposed or multiplied.
+of the pivot row.  A rank is its forward pass alone.  A subspace is held by
+a presentation, a constraint matrix (its kernel) or a generator matrix (its
+column span), and completed only as far as it is read: a dimension is a
+count or a rank, a containment is one product, and the canonical reduced
+rows are built only for callers that read coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar, add_mul, sub_mul
@@ -51,6 +51,13 @@ class ExactMatrix:
                     self.entries[(r, c)] = v
 
     @classmethod
+    def unchecked(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
+        """A matrix that owns entries, all nonzero and inside rows x cols: for results derived from checked matrices."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
+
+    @classmethod
     def from_rows(cls, rowvecs: Sequence[Sequence[Scalar]], cols: int | None = None) -> "ExactMatrix":
         nrows = len(rowvecs)
         ncols = cols if cols is not None else (len(rowvecs[0]) if rowvecs else 0)
@@ -75,18 +82,18 @@ class ExactMatrix:
         return rows
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        return ExactMatrix.unchecked(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, {rc: v.conj() for rc, v in self.entries.items()})
+        return ExactMatrix.unchecked(self.rows, self.cols, {rc: v.conj() for rc, v in self.entries.items()})
 
     def scale(self, a: Scalar) -> "ExactMatrix":
         if not a:
             return ExactMatrix(self.rows, self.cols)
-        return ExactMatrix(self.rows, self.cols, {rc: a * v for rc, v in self.entries.items()})
+        return ExactMatrix.unchecked(self.rows, self.cols, {rc: a * v for rc, v in self.entries.items()})
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, {rc: -v for rc, v in self.entries.items()})
+        return ExactMatrix.unchecked(self.rows, self.cols, {rc: -v for rc, v in self.entries.items()})
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -98,7 +105,7 @@ class ExactMatrix:
                 entries[rc] = s
             else:
                 entries.pop(rc, None)
-        return ExactMatrix(self.rows, self.cols, entries)
+        return ExactMatrix.unchecked(self.rows, self.cols, entries)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
@@ -106,6 +113,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if not (self.entries and other.entries):
+            return ExactMatrix.unchecked(self.rows, other.cols, {})
         # row r of the product accumulates a * (row k of other) over the entries (r, k) of self
         left: dict[int, list[tuple[int, Scalar]]] = {}
         for (r, k), a in self.entries.items():
@@ -125,7 +134,7 @@ class ExactMatrix:
                         acc[c] = s
             for c, v in acc.items():
                 entries[(r, c)] = v
-        return ExactMatrix(self.rows, other.cols, entries)
+        return ExactMatrix.unchecked(self.rows, other.cols, entries)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
@@ -138,7 +147,7 @@ class ExactMatrix:
 
     def leading_columns(self, k: int) -> "ExactMatrix":
         """The first k columns."""
-        return ExactMatrix(self.rows, k, {(r, c): v for (r, c), v in self.entries.items() if c < k})
+        return ExactMatrix.unchecked(self.rows, k, {(r, c): v for (r, c), v in self.entries.items() if c < k})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -167,7 +176,7 @@ class ExactMatrix:
             for (r, c), v in b.entries.items():
                 entries[(r + off, c)] = v
             off += b.rows
-        return ExactMatrix(off, cols, entries)
+        return ExactMatrix.unchecked(off, cols, entries)
 
     @staticmethod
     def hstack(blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
@@ -182,7 +191,7 @@ class ExactMatrix:
             for (r, c), v in b.entries.items():
                 entries[(r, c + off)] = v
             off += b.cols
-        return ExactMatrix(rows, off, entries)
+        return ExactMatrix.unchecked(rows, off, entries)
 
 
 def realify(m: ExactMatrix) -> ExactMatrix:
@@ -201,7 +210,7 @@ def realify(m: ExactMatrix) -> ExactMatrix:
         if v:
             entries[(2 * r, 2 * c + 1)] = -v
             entries[(2 * r + 1, 2 * c)] = v
-    return ExactMatrix(2 * m.rows, 2 * m.cols, entries)
+    return ExactMatrix.unchecked(2 * m.rows, 2 * m.cols, entries)
 
 
 def conjugation_flip(n: int) -> ExactMatrix:
@@ -221,13 +230,16 @@ def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
 # elimination
 
 
-def _rref_full(m: ExactMatrix, pivot_limit: int | None = None):
+def _rref_full(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
     """Gauss-Jordan on the sparse rows of m.
 
     Pivots are searched in the first pivot_limit columns (all by default):
     the leftmost column with a nonzero entry at or below the current row,
     the lowest such row.  Returns (pivot columns, reduced pivot rows,
-    nonzero leftover rows).
+    nonzero leftover rows).  forward runs the forward pass only: pivot rows
+    are neither scaled nor used on the rows above them, so they come out in
+    echelon form, not reduced, while the pivots, which only the rows below
+    decide, are the same.
 
     A column -> rows index keeps every step in proportion to the nonzeros:
     only columns that hold a nonzero are visited, the pivot is the index row
@@ -268,7 +280,8 @@ def _rref_full(m: ExactMatrix, pivot_limit: int | None = None):
             pos[p], pos[q] = r, sel
         prow = rows[p]
         lead = prow[c]
-        if lead != ONE:
+        divide = forward and lead != ONE
+        if lead != ONE and not forward:
             inv = lead.inverse()
             for k, v in prow.items():
                 prow[k] = v * inv
@@ -277,10 +290,10 @@ def _rref_full(m: ExactMatrix, pivot_limit: int | None = None):
             # still to visit and index[c] is never read again
             rest = [(k, v) for k, v in prow.items() if k != c]
             for i in holders:
-                if i == p:
+                if i == p or (forward and pos[i] < r):
                     continue
                 tgt = rows[i]
-                f = tgt.pop(c)
+                f = tgt.pop(c) / lead if divide else tgt.pop(c)
                 for k, v in rest:
                     t = tgt.get(k)
                     s = sub_mul(t, f, v)
@@ -308,58 +321,107 @@ def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
 # subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of Q(i)^n, held as the reduced row echelon form of a basis.
+def null_basis(m: ExactMatrix) -> ExactMatrix:
+    """A basis of ker(m) as the columns of a cols x nullity matrix, from one rref.
 
-    `rows` is that form as a dim x n matrix.  The reduced echelon form is
-    canonical, so equality of subspaces is plain matrix comparison.
+    One vector per free column f: 1 at f, minus the f-column of the reduced
+    rows at the pivots; every entry of a reduced row off its pivot lies in a
+    free column.
+    """
+    pivots, red = rref(m)
+    pivot_set = set(pivots)
+    vectors: dict[int, dict[int, Scalar]] = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
+    for p, row in zip(pivots, red):
+        for f, coeff in row.items():
+            if f != p:
+                vectors[f][p] = -coeff
+    entries = {(c, j): v for j, vec in enumerate(vectors.values()) for c, v in vec.items()}
+    return ExactMatrix.unchecked(m.cols, len(vectors), entries)
+
+
+class Subspace:
+    """A subspace of Q(i)^n, held by a presentation that is completed only as far as it is read.
+
+    The presentation is a constraint matrix C (the subspace is ker C), a
+    generator matrix G (the subspace is the column span of G), the
+    canonical reduced rows, or several of these.  A missing C or G costs one
+    elimination: G is a null basis of C, C is the annihilator of G (a null
+    basis of G^T, transposed).  `dim` is a count when G is a basis and a
+    rank otherwise; containment is one product, C @ G = 0.  `rows`, the
+    reduced row echelon form of a basis, is canonical and built only when
+    it (or `basis`) is read.
     """
 
-    rows: ExactMatrix
+    __slots__ = ("ambient_dim", "_constraint", "_generators", "_rows", "_dim")
+
+    def __init__(self, *, constraint=None, generators=None, rows=None, dim=None):
+        held = constraint if constraint is not None else rows
+        self.ambient_dim = held.cols if held is not None else generators.rows
+        self._constraint, self._generators, self._rows = constraint, generators, rows
+        self._dim = rows.rows if rows is not None else dim
 
     @property
-    def ambient_dim(self) -> int:
-        return self.rows.cols
+    def constraint(self) -> ExactMatrix:
+        if self._constraint is None:
+            self._constraint = null_basis(self.generators.transpose()).transpose()
+            self._dim = self.ambient_dim - self._constraint.rows
+        return self._constraint
+
+    @property
+    def generators(self) -> ExactMatrix:
+        if self._generators is None:
+            if self._rows is not None:
+                self._generators = self._rows.transpose()
+            else:
+                self._generators = null_basis(self._constraint)
+                self._dim = self._generators.cols
+        return self._generators
 
     @property
     def dim(self) -> int:
-        return self.rows.rows
+        if self._dim is None:
+            if self._generators is not None:
+                self._dim = rank(self._generators)
+            else:
+                self._dim = self.ambient_dim - rank(self._constraint)
+        return self._dim
+
+    @property
+    def rows(self) -> ExactMatrix:
+        """The reduced row echelon form of a basis, as a dim x n matrix."""
+        if self._rows is None:
+            _, reduced = rref(self.generators.transpose())
+            entries = {(r, c): v for r, row in enumerate(reduced) for c, v in row.items()}
+            self._rows = ExactMatrix.unchecked(len(reduced), self.ambient_dim, entries)
+            self._dim = len(reduced)
+        return self._rows
 
     @property
     def basis(self) -> tuple[tuple[Scalar, ...], ...]:
         """The reduced rows as dense vectors, for callers that render or read coordinates."""
         return tuple(tuple(row.get(c, ZERO) for c in range(self.ambient_dim)) for row in self.rows.row_dicts())
 
-    @cached_property
-    def _pivot_rows(self) -> list[tuple[int, dict[int, Scalar]]]:
-        return [(min(row), row) for row in self.rows.row_dicts()]
-
-    def _escapes(self, work: dict[int, Scalar]) -> bool:
-        """Reduce the sparse vector work against the pivot rows, in place; True if a remainder is left."""
-        for p, row in self._pivot_rows:
-            f = work.get(p)
-            if f:
-                for c, v in row.items():
-                    s = sub_mul(work.get(c), f, v)
-                    if s is None:
-                        del work[c]
-                    else:
-                        work[c] = s
-        return bool(work)
-
     def outside(self, m: ExactMatrix) -> int:
         """The number of rows of m that do not lie in the subspace."""
         if m.cols != self.ambient_dim:
             raise AmbientMismatch(f"{m.cols} != {self.ambient_dim}")
-        return sum(self._escapes(row) for row in m.row_dicts())
+        return len({r for r, _ in (m @ self.constraint.transpose()).entries})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (
+            self.ambient_dim == other.ambient_dim
+            and self.dim == other.dim
+            and (self.constraint @ other.generators).is_zero()
+        )
+
+    __hash__ = None
 
 
 def span(m: ExactMatrix) -> Subspace:
     """The row space of m."""
-    _, reduced = rref(m)
-    entries = {(r, c): v for r, row in enumerate(reduced) for c, v in row.items()}
-    return Subspace(ExactMatrix(len(reduced), m.cols, entries))
+    return Subspace(generators=m.transpose())
 
 
 def subspace_from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> Subspace:
@@ -372,46 +434,34 @@ def subspace_from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]])
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(ExactMatrix.identity(n))
+    return Subspace(constraint=ExactMatrix(0, n), rows=ExactMatrix.identity(n))
 
 
 def zero_space(n: int) -> Subspace:
-    return Subspace(ExactMatrix(0, n))
+    return Subspace(constraint=ExactMatrix.identity(n), rows=ExactMatrix(0, n))
 
 
 def rank(m: ExactMatrix) -> int:
-    pivots, _ = rref(m)
-    return len(pivots)
+    """The number of pivots, from the forward pass of the elimination."""
+    return len(_rref_full(m, forward=True)[0]) if m.entries else 0
 
 
 def kernel(m: ExactMatrix) -> Subspace:
-    """Basis of ker(m); dim = cols - rank(m)."""
-    pivots, red = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    if not free:
-        return zero_space(m.cols)
-    # one vector per free column f: 1 at f, minus the f-column of the reduced rows at the pivots;
-    # every entry of a reduced row off its pivot lies in a free column
-    vectors: dict[int, dict[int, Scalar]] = {f: {f: ONE} for f in free}
-    for p, row in zip(pivots, red):
-        for f, coeff in row.items():
-            if f != p:
-                vectors[f][p] = -coeff
-    entries = {(r, c): v for r, vec in enumerate(vectors.values()) for c, v in vec.items()}
-    return span(ExactMatrix(len(free), m.cols, entries))
+    """ker(m): constraint m, generators its null basis; dim = cols - rank(m)."""
+    generators = null_basis(m)
+    return Subspace(constraint=m, generators=generators, dim=generators.cols)
 
 
 def image(m: ExactMatrix) -> Subspace:
-    """Canonical basis of the column space of m."""
-    return span(m.transpose())
+    """The column space of m."""
+    return Subspace(generators=m)
 
 
 def map_subspace(m: ExactMatrix, s: Subspace) -> Subspace:
     """Image of the subspace s under m."""
     if s.ambient_dim != m.cols:
         raise AmbientMismatch(f"{s.ambient_dim} != {m.cols}")
-    return span(s.rows @ m.transpose())
+    return Subspace(generators=m @ s.generators)
 
 
 def _check_ambient(spaces: Sequence[Subspace]) -> None:
@@ -423,47 +473,45 @@ def _check_ambient(spaces: Sequence[Subspace]) -> None:
 
 
 def intersect(spaces: Sequence[Subspace]) -> Subspace:
-    """Intersection of finitely many subspaces of one ambient space."""
+    """Intersection of finitely many subspaces of one ambient space.
+
+    When every space holds a constraint it is the stacked constraints.
+    Otherwise, with G the generators of the first space held without one,
+    it is G @ null_basis(the others' constraints @ G), so no annihilator of
+    G is built; when G is a basis, so is the result.
+    """
     spaces = list(spaces)
     _check_ambient(spaces)
-    acc = spaces[0]
-    for s in spaces[1:]:
-        acc = _intersect_pair(acc, s)
-    return acc
-
-
-def _intersect_pair(a: Subspace, b: Subspace) -> Subspace:
-    n = a.ambient_dim
-    if a.dim == n or b.dim == 0:
-        return b
-    if b.dim == n or a.dim == 0:
-        return a
-    # u A = v B: the kernel of [A^T | -B^T], read through its u block
-    combos = kernel(ExactMatrix.hstack([a.rows.transpose(), -b.rows.transpose()]))
-    return span(combos.rows.leading_columns(a.dim) @ a.rows)
+    if len(spaces) == 1:
+        return spaces[0]
+    k = next((k for k, s in enumerate(spaces) if s._constraint is None), None)
+    if k is None:
+        return Subspace(constraint=ExactMatrix.vstack([s.constraint for s in spaces]))
+    g = spaces[k].generators
+    null = null_basis(ExactMatrix.vstack([s.constraint for j, s in enumerate(spaces) if j != k]) @ g)
+    return Subspace(generators=g @ null, dim=null.cols if spaces[k]._dim == g.cols else None)
 
 
 def sum_spaces(spaces: Sequence[Subspace]) -> Subspace:
     spaces = list(spaces)
     _check_ambient(spaces)
-    return span(ExactMatrix.vstack([s.rows for s in spaces]))
+    return Subspace(generators=ExactMatrix.hstack([s.generators for s in spaces]))
 
 
 def quotient_dim(num: Subspace, den: Subspace) -> int:
-    """dim(num/den); raises NotContained if den is not inside num."""
-    if num.outside(den.rows):
+    """dim(num/den); raises NotContained unless den lies inside num: num.constraint @ den.generators = 0."""
+    if num.ambient_dim != den.ambient_dim:
+        raise AmbientMismatch(f"{den.ambient_dim} != {num.ambient_dim}")
+    if not (num.constraint @ den.generators).is_zero():
         raise NotContained("denominator vector escapes the numerator subspace")
     return num.dim - den.dim
 
 
 def preimage(m: ExactMatrix, w: Subspace) -> Subspace:
-    """{x : m x in w}: the x block of the kernel of [m | -W^T]."""
+    """{x : m x in w}: the kernel of w's constraint composed with m."""
     if w.ambient_dim != m.rows:
         raise AmbientMismatch(f"{w.ambient_dim} != {m.rows}")
-    if w.dim == m.rows:
-        return full_space(m.cols)
-    combos = kernel(ExactMatrix.hstack([m, -w.rows.transpose()]))
-    return span(combos.rows.leading_columns(m.cols))
+    return Subspace(constraint=w.constraint @ m)
 
 
 def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -> tuple[ExactMatrix, list[int]]:
@@ -484,7 +532,7 @@ def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -
     entries = {(r, last - c): v for (r, c), v in m.entries.items()} if reverse_pivots else dict(m.entries)
     for (r, j), v in rhs.entries.items():
         entries[(r, width + j)] = v
-    pivots, reduced, leftover = _rref_full(ExactMatrix(m.rows, width + rhs.cols, entries), pivot_limit=width)
+    pivots, reduced, leftover = _rref_full(ExactMatrix.unchecked(m.rows, width + rhs.cols, entries), pivot_limit=width)
     # a leftover row is zero on the columns of m, so its entries name inconsistent right-hand sides
     inconsistent = sorted({c - width for row in leftover for c in row})
     bad = set(inconsistent)
@@ -494,7 +542,7 @@ def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -
         for c, v in row.items():
             if c >= width and c - width not in bad:
                 solutions[(x, c - width)] = v
-    return ExactMatrix(width, rhs.cols, solutions), inconsistent
+    return ExactMatrix.unchecked(width, rhs.cols, solutions), inconsistent
 
 
 def solve(m: ExactMatrix, b: Sequence[Scalar], reverse_pivots: bool = False):

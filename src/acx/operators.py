@@ -249,7 +249,7 @@ class FormComplex:
             if s:
                 for (r, c), v in inv.entries.items():
                     entries[(r + k * inv.rows, c + k * inv.cols)] = v if scales is None else s * v
-        return ExactMatrix(inv.rows * len(self._weights), inv.cols * len(self._weights), entries)
+        return ExactMatrix.unchecked(inv.rows * len(self._weights), inv.cols * len(self._weights), entries)
 
     # -- operators ----------------------------------------------------------
 
@@ -336,7 +336,7 @@ class FormComplex:
     def total(self, block: Callable[[str, int, int], ExactMatrix], terms, r: int) -> ExactMatrix:
         """The map sum_k c_k name_k from degree r, assembled from block(name, p, q) on each (p,q) of degree r.
 
-        terms is a sequence of (c, name) with c a Scalar; the names share one
+        terms is a sequence of (c, name) with c a nonzero Scalar; the names share one
         total degree shift and have distinct bidegree shifts, so each block of
         the sum is one term.  A term whose target is off the diamond adds nothing.
         """
@@ -352,7 +352,7 @@ class FormComplex:
                 unit = c == ONE
                 for (rr, cc), v in block(name, p, q).entries.items():
                     entries[(rr + to, cc + so)] = v if unit else c * v
-        return ExactMatrix(self.total_dim(r + k), self.total_dim(r), entries)
+        return ExactMatrix.unchecked(self.total_dim(r + k), self.total_dim(r), entries)
 
     def d_total(self, r: int) -> ExactMatrix:
         """Full exterior differential from degree r to degree r+1, assembled once."""

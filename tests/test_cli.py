@@ -364,6 +364,19 @@ def test_cli_main_json_fatal(tmp_path, capsys):
     assert json.loads(out)["fatal"]["type"] == "ParseError"
 
 
+def test_diamond_guard_fires_on_kt4_with_j_swapped(tmp_path, capsys):
+    """kt4 with J e1 = e3, J e2 = e4 at truncation 1: the spectral containment guard stops
+    diamond with the NotContained fatal, and verify completes."""
+    raw = kt4_raw()
+    raw["J"] = [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    path = tmp_path / "kt4-j-swapped.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["diamond", str(path), "--truncations", "1", "--format", "json"]) == 2
+    fatal = json.loads(capsys.readouterr().out)["fatal"]
+    assert fatal == {"type": "NotContained", "detail": "denominator vector escapes the numerator subspace"}
+    assert main(["verify", str(path), "--truncations", "1", "--format", "json"]) == 0
+
+
 def test_report_determinism(kt4_session):
     """Two runs produce byte-identical machine output, timing aside."""
     flags = {"truncations": "0,1"}

@@ -10,6 +10,7 @@ from acx.linalg import (
     AmbientMismatch,
     ExactMatrix,
     NotContained,
+    Subspace,
     full_space,
     image,
     intersect,
@@ -168,6 +169,16 @@ def test_sum_spaces():
     e1 = subspace_from_vectors(3, [(ONE, ZERO, ZERO)])
     e2 = subspace_from_vectors(3, [(ZERO, ONE, ZERO)])
     assert sum_spaces([e1, e2]).dim == 2
+
+
+def test_outside_counts_rows():
+    """Rows, not violated constraints: e2, e3 and e2 + e3 leave the line of e1, which has two constraints."""
+    line = subspace_from_vectors(3, [(ONE, ZERO, ZERO)])
+    m = ExactMatrix.from_rows([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, ONE], [I, ZERO, ZERO]])
+    assert line.constraint.rows == 2
+    assert line.outside(m) == 3
+    with pytest.raises(AmbientMismatch):
+        line.outside(ExactMatrix.identity(2))
 
 
 def test_subspace_equality_is_canonical():
@@ -490,7 +501,8 @@ def test_kernel_cases_fill_in_and_cancel():
 
 # ---------------------------------------------------------------------------
 # differential oracle: the dense-tuple Subspace and its operations, which the
-# canonical sparse reduced-row matrix replaced, kept as the reference
+# canonical sparse reduced-row matrix and then the constraint and generator
+# presentations replaced, kept as the reference
 
 
 @dataclass(frozen=True)
@@ -613,19 +625,47 @@ def outcome(quotient, num, den):
         return "NotContained"
 
 
+FORMS = ("as built", "constraint", "generators", "rows")
+
+
+def held(s, form):
+    """s, or a fresh copy of it held by its constraint only, its generators only or its
+    reduced rows only; a copy fills itself in as it is read."""
+    if form == "as built":
+        return s
+    return Subspace(**{form: getattr(s, form)})
+
+
+def held_forms(s):
+    return [(form, held(s, form)) for form in FORMS]
+
+
+def form_pairs():
+    """Forms of an operand pair: each operand in each of its forms while the other is as built."""
+    return [(form, "as built") for form in FORMS] + [("as built", form) for form in FORMS[1:]]
+
+
 def check_spaces(spaces, *where):
-    """Every subspace operation on these spaces of one ambient space against the reference."""
+    """Every subspace operation on these spaces of one ambient space against the reference,
+    with each operand held in each of its forms."""
     refs = [as_ref(s) for s in spaces]
     for s, r in zip(spaces, refs):
         assert_same(s, r, *where)
+        for form, copy in held_forms(s):
+            assert (copy.ambient_dim, copy.dim) == (r.ambient_dim, r.dim), (form, *where)
+            assert s == copy, (form, *where)
     for i, (a, ra) in enumerate(zip(spaces, refs)):
         for j, (b, rb) in enumerate(zip(spaces, refs)):
             if i == j:
                 continue
-            assert (a == b) == (ra == rb), where
-            assert_same(intersect([a, b]), ref_intersect([ra, rb]), "intersect", *where)
-            assert_same(sum_spaces([a, b]), ref_sum([ra, rb]), "sum", *where)
-            assert outcome(quotient_dim, a, b) == outcome(ref_quotient_dim, ra, rb), where
+            want_quotient = outcome(ref_quotient_dim, ra, rb)
+            want_intersect, want_sum = ref_intersect([ra, rb]), ref_sum([ra, rb])
+            for fa, fb in form_pairs():
+                forms = (fa, fb, *where)
+                assert (held(a, fa) == held(b, fb)) == (ra == rb), forms
+                assert_same(intersect([held(a, fa), held(b, fb)]), want_intersect, "intersect", *forms)
+                assert_same(sum_spaces([held(a, fa), held(b, fb)]), want_sum, "sum", *forms)
+                assert outcome(quotient_dim, held(a, fa), held(b, fb)) == want_quotient, forms
             assert [contains(a, v) for v in rb.basis] == [ra.contains(v) for v in rb.basis], where
     for order in itertools.permutations(range(len(spaces))):
         want = ref_intersect([refs[i] for i in order])
@@ -633,13 +673,18 @@ def check_spaces(spaces, *where):
 
 
 def check_matrix(m, sources, targets, *where):
-    """kernel, image, map_subspace and preimage of one matrix against the reference."""
+    """kernel, image, map_subspace and preimage of one matrix against the reference,
+    with each source and target held in each of its forms."""
     assert_same(kernel(m), ref_kernel(m), "kernel", *where)
     assert_same(image(m), ref_image(m), "image", *where)
     for s in sources:
-        assert_same(linalg.map_subspace(m, s), ref_map(m, as_ref(s)), "map", *where)
+        want = ref_map(m, as_ref(s))
+        for form, copy in held_forms(s):
+            assert_same(linalg.map_subspace(m, copy), want, "map", form, *where)
     for w in targets:
-        assert_same(preimage(m, w), ref_preimage(m, as_ref(w)), "preimage", *where)
+        want = ref_preimage(m, as_ref(w))
+        for form, copy in held_forms(w):
+            assert_same(preimage(m, copy), want, "preimage", form, *where)
 
 
 def check_pair(num, den, *where):
@@ -696,8 +741,127 @@ def test_subspace_oracle_is_not_vacuous(oracle_engines):
     kt4 = engines["kt4 N=2"]
     num, den = kt4.real_ddc_parts()
     assert 0 < den.dim < num.dim
-    with pytest.raises(NotContained):
-        quotient_dim(den, num)
+    for fn, fd in form_pairs():
+        with pytest.raises(NotContained):
+            quotient_dim(held(den, fd), held(num, fn))
+        assert quotient_dim(held(num, fn), held(den, fd)) == num.dim - den.dim, (fn, fd)
     num, den = kt4.refined_parts(1, 1)
     assert 0 < den.dim < num.dim < kt4.complex.dim(1, 1)
     assert sum(label.startswith("sweep") for label in engines) == 10
+
+
+# ---------------------------------------------------------------------------
+# the presentation's costs: one rref a kernel, one product a guard, a forward pass a rank
+
+
+@pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in kernel_cases()])
+def test_forward_rank_counts_the_pivots_of_rref(name, m):
+    pivots, _ = linalg.rref(m)
+    assert linalg._rref_full(m, forward=True)[0] == pivots
+    assert rank(m) == len(pivots)
+
+
+def count_calls(monkeypatch, owner, attr):
+    """A list that gets the arguments of every call of owner.attr from now on."""
+    calls = []
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    return calls
+
+
+def test_kernel_is_one_rref(monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "rref")
+    for name, m in kernel_cases():
+        nullity = m.cols - len(linalg.rref(m)[0])
+        calls.clear()
+        k = kernel(m)
+        assert len(calls) == 1 and (k.dim, k.ambient_dim) == (nullity, m.cols), name
+
+
+def test_quotient_guard_is_one_product(monkeypatch):
+    """quotient_dim multiplies num's constraint by den's generators once and reduces no vector."""
+    rng = random.Random(41)
+    a = rand_matrix(rng, 3, 9, 0.5)
+    num = kernel(a)
+    den = kernel(ExactMatrix.vstack([a, rand_matrix(rng, 2, 9, 0.5)]))
+    # the per-vector reduction the guard once ran, counted wherever it still exists
+    escapes = []
+    reduce = getattr(linalg.Subspace, "_escapes", None)
+    monkeypatch.setattr(linalg.Subspace, "_escapes", lambda s, work: escapes.append(work) or reduce(s, work), raising=False)
+    products = count_calls(monkeypatch, ExactMatrix, "__matmul__")
+    eliminations = count_calls(monkeypatch, linalg, "_rref_full")
+    assert quotient_dim(num, den) == 9 - rank(a) - den.dim
+    assert len(products) == 1 and not escapes
+    eliminations.clear()
+    with pytest.raises(NotContained):
+        quotient_dim(den, num)
+    assert len(products) == 2 and not escapes and not eliminations
+
+
+# ---------------------------------------------------------------------------
+# matrices derived from checked ones skip the entry checks; each must hold only
+# nonzero entries inside its shape, as the checked constructor would keep them
+
+
+def rechecked(m):
+    return ExactMatrix(m.rows, m.cols, dict(m.entries))
+
+
+def derived_matrices(m, rng):
+    other = rand_matrix(rng, m.rows, m.cols, 0.3)
+    yield "transpose", m.transpose()
+    yield "conjugate", m.conjugate()
+    yield "scale", m.scale(rand_scalar(rng, 1.0) or ONE)
+    yield "scale-zero", m.scale(ZERO)
+    yield "neg", -m
+    yield "add", m + other
+    yield "add-cancelling", m + (-m)
+    yield "sub", m - other
+    yield "matmul", m @ rand_matrix(rng, m.cols, 4, 0.4)
+    yield "matmul-left", rand_matrix(rng, 3, m.rows, 0.4) @ m
+    yield "gram", m.conjugate().transpose() @ m
+    yield "vstack", ExactMatrix.vstack([m, other])
+    yield "hstack", ExactMatrix.hstack([m, other])
+    yield "leading-columns", m.leading_columns(m.cols // 2)
+    yield "realify", realify(m)
+    yield "realify-parts", realify(m + m.conjugate()) + realify(m - m.conjugate())
+    yield "null-basis", linalg.null_basis(m)
+    yield "kernel-rows", kernel(m).rows
+    yield "span-rows", linalg.span(m).rows
+    yield "annihilator", image(m).constraint
+    rhs = m @ rand_matrix(rng, m.cols, 2, 0.6)
+    yield "solve-many", solve_many(m, ExactMatrix.hstack([rhs, rand_matrix(rng, m.rows, 2, 0.6)]))[0]
+    yield "solve-many-reversed", solve_many(m, rhs, reverse_pivots=True)[0]
+
+
+@pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in kernel_cases()])
+def test_derived_matrices_hold_only_checked_entries(name, m):
+    rng = random.Random(f"{name}-derived")
+    for op, result in derived_matrices(m, rng):
+        assert result == rechecked(result), op
+
+
+def test_derived_matrices_of_random_shapes_hold_only_checked_entries():
+    rng = random.Random(20261020)
+    for _ in range(25):
+        m = rand_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), rng.choice((0.2, 0.5, 0.9)))
+        for op, result in derived_matrices(m, rng):
+            assert result == rechecked(result), op
+
+
+def test_lifts_and_totals_hold_only_checked_entries(kt4_session):
+    from acx.audits import IDENTITY_TERMS
+
+    engine = kt4_session.engine(2)
+    cx = engine.complex
+    weights = len(cx._weights)
+    rng = random.Random(7)
+    for p, q in ((0, 0), (1, 0), (1, 1), (2, 1)):
+        inv = cx._frame_blocks.block("dbar", p, q)
+        scales = [rand_scalar(rng, 0.5) for _ in range(weights)]
+        for lifted in (cx.lift(inv), cx.lift(inv, scales), cx.lift(inv, [ZERO] * weights)):
+            assert lifted == rechecked(lifted), (p, q)
+    for r in range(5):
+        for terms in IDENTITY_TERMS.values():
+            total = cx.total(engine.block, terms, r)
+            assert total == rechecked(total), r
