@@ -67,8 +67,12 @@ class CohomologyEngine:
         """The common kernel of operator chains on the (p,q) block: the kernel of their stack."""
         return linalg.kernel(ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains]))
 
+    @once_per_engine
     def op_image_into(self, name: str, p: int, q: int) -> Subspace:
-        """Image of the named operator inside the (p,q) block."""
+        """Image of the named operator inside the (p,q) block.
+
+        Built once per engine, so the rank and annihilator it completes are shared by every reader.
+        """
         dp, dq = SHIFTS[name]
         sp, sq = p - dp, q - dq
         if not self.complex.valid_bidegree(sp, sq):
@@ -240,7 +244,7 @@ class CohomologyEngine:
 
         Its kernel is the real (conjugation-fixed) vectors.
         """
-        conj_real = linalg.realify(c) @ linalg.conjugation_flip(c.cols)
+        conj_real = linalg.realify(None, c)
         return conj_real - ExactMatrix.identity(conj_real.rows)
 
     def real_subspace(self, p: int, q: int) -> Subspace:
@@ -271,16 +275,18 @@ class CohomologyEngine:
 
         Returns (K02, K20, S) on realified (0,1)-forms u.  K02 and K20 give
         the (0,2) and (2,0) parts of the correction; ubar = C01 . conj(u), so
-        each ubar term is realify(op @ C01) @ flip.  S is the closedness
+        each ubar term is the antilinear part op @ C01.  S is the closedness
         system, the (1,2) rows of d . K: partial on the (0,2) part plus mubar
-        on the (2,0) part.
+        on the (2,0) part.  Every map is composed over Q(i) and realified once.
         """
         cx = self.complex
         c01 = cx.conj_struct(0, 1)
-        flip = linalg.conjugation_flip(cx.dim(0, 1))
-        k02 = linalg.realify(cx.block("dbar", 0, 1)) + linalg.realify(cx.block("mubar", 1, 0) @ c01) @ flip
-        k20 = linalg.realify(cx.block("mu", 0, 1)) + linalg.realify(cx.block("partial", 1, 0) @ c01) @ flip
-        system = linalg.realify(cx.block("partial", 0, 2)) @ k02 + linalg.realify(cx.block("mubar", 2, 0)) @ k20
+        dbar, mu = cx.block("dbar", 0, 1), cx.block("mu", 0, 1)
+        mubar_c, partial_c = cx.block("mubar", 1, 0) @ c01, cx.block("partial", 1, 0) @ c01
+        partial, mubar = cx.block("partial", 0, 2), cx.block("mubar", 2, 0)
+        k02 = linalg.realify(dbar, mubar_c)
+        k20 = linalg.realify(mu, partial_c)
+        system = linalg.realify(partial @ dbar + mubar @ mu, partial @ mubar_c + mubar @ partial_c)
         return k02, k20, system
 
     def special_11_quotients(self) -> dict:

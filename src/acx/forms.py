@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
+from math import gcd
 from typing import Mapping, NamedTuple
 
-from .scalars import ONE, ZERO, Scalar, add_mul, as_scalar, sub_mul
+from .scalars import ONE, ZERO, Scalar, as_scalar, reduced
 
 
 class BasisElement(NamedTuple):
@@ -287,7 +288,26 @@ def _placement(e: BasisElement) -> tuple:
     return out
 
 
-def extend_derivation(gen_action: GenAction, form: Form) -> Form:
+def _term(e: BasisElement, v: Scalar) -> tuple:
+    """A generator image term: the placement of e, then v and -v as triples."""
+    a, b, d = v.triple
+    return (*_placement(e), (a, b, d), (-a, -b, d))
+
+
+class GeneratorImages:
+    """A snapshot of generator actions with every image term converted for extend_derivation.
+
+    Pass one in place of the mapping when the same images are extended over
+    many forms, so the terms are converted once and not once per call.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, gen_action: GenAction):
+        self.terms = {gen: [_term(e, v) for e, v in image.coeffs.items()] for gen, image in gen_action.items()}
+
+
+def extend_derivation(gen_action: GenAction | GeneratorImages, form: Form) -> Form:
     """Extend generator actions to an odd derivation of the full algebra.
 
     gen_action maps ('h', s) and ('a', s) to the image of theta^s and
@@ -301,37 +321,56 @@ def extend_derivation(gen_action: GenAction, form: Form) -> Form:
     a and below b.  The prefix holds k bits, so mod 2 its bits above a equal
     k plus its bits below a, and k + i is k plus the bits of r below a plus
     the bits of r below b.  The terms of each generator image are converted
-    once per call.
+    once per call, or once for all calls when gen_action is GeneratorImages.
+    Coefficients are accumulated as unreduced (a, b, d) triples, with a gcd
+    only where two terms meet over different denominators, and each
+    coefficient of the result is reduced once.
     """
-    out: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    out: dict[tuple[int, ...], dict[int, tuple[int, int, int]]] = {}
     placements: dict[tuple[str, int], list] = {}
+    if isinstance(gen_action, GeneratorImages):
+        placements, gen_action = dict(gen_action.terms), {}
     for elt, c in form.coeffs.items():
         w, holo, anti = elt
         m = _mask(holo, anti)
         rank = len(w)
-        unit = c == ONE
+        ca, cb, cd = c.triple
+        unit = ca == 1 and not cb and cd == 1
         acc = out.setdefault(w, {})
         gens = [(("h", s), 1 << s) for s in holo] + [(("a", s), 1 << (s + _ANTI_BIT)) for s in anti]
         for k, (gen, g) in enumerate(gens):
             images = placements.get(gen)
             if images is None:
                 action = gen_action.get(gen)
-                images = placements[gen] = [(*_placement(e), v) for e, v in action.coeffs.items()] if action else []
+                images = placements[gen] = [_term(e, v) for e, v in action.coeffs.items()] if action else []
             rest = m ^ g
-            for e, below_a, below_b, e_rank, shift, v in images:
+            for e, below_a, below_b, e_rank, shift, plus, minus in images:
                 if rest & e:
                     continue
                 if e_rank != rank:
                     raise ValueError("wedge of forms with different weight ranks")
                 target = acc if shift is None else out.setdefault(tuple(x + y for x, y in zip(w, shift)), {})
+                odd = (k + (rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1
+                if unit:
+                    p = minus if odd else plus
+                else:
+                    va, vb, vd = plus
+                    pa, pb = va * ca - vb * cb, va * cb + vb * ca
+                    p = (-pa, -pb, vd * cd) if odd else (pa, pb, vd * cd)
                 key = rest | e
                 t = target.get(key)
-                if (k + (rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1:
-                    val = (-v if t is None else t - v) if unit else sub_mul(t, v, c)
+                if t is None:
+                    target[key] = p
                 else:
-                    val = (v if t is None else t + v) if unit else add_mul(t, v, c)
-                if val:
-                    target[key] = val
-                elif t is not None:
-                    del target[key]
-    return Form({_decode(w, key): v for w, acc in out.items() for key, v in acc.items()})
+                    # scalars.add_triples, inlined
+                    ta, tb, td = t
+                    pa, pb, pd = p
+                    if td == pd:
+                        target[key] = (ta + pa, tb + pb, td)
+                    else:
+                        h = gcd(td, pd)
+                        mt, mp = pd // h, td // h
+                        target[key] = (ta * mt + pa * mp, tb * mt + pb * mp, td * mt)
+    return Form(
+        {_decode(w, key): reduced(a, b, d) for w, acc in out.items() for key, (a, b, d) in acc.items() if a or b}
+    )

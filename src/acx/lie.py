@@ -18,7 +18,7 @@ from typing import Sequence
 from . import linalg
 from .forms import BasisElement, Form
 from .linalg import ExactMatrix
-from .scalars import I, ONE, ZERO, Scalar, from_fraction, rational
+from .scalars import I, ONE, ZERO, Scalar, add_triples, from_fraction, rational, reduced
 
 OPERATOR_NAMES = ("mu", "partial", "dbar", "mubar")
 
@@ -67,18 +67,34 @@ class LieAlgebraSpec:
         return out
 
     @cached_property
-    def _scalar_brackets(self) -> tuple[tuple[int, int, int, Scalar], ...]:
-        """The brackets with 0-based indices and Scalar constants, converted once."""
-        return tuple((i - 1, j - 1, k - 1, from_fraction(v)) for (i, j, k, v) in self.brackets)
+    def _int_brackets(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """The brackets with 0-based indices and each constant as numerator, denominator; converted once."""
+        return tuple((i - 1, j - 1, k - 1, v.numerator, v.denominator) for (i, j, k, v) in self.brackets)
 
     def bracket_complex(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Bilinear extension of the bracket to complexified vectors."""
-        out = [ZERO] * self.dim
-        for (i, j, k, c) in self._scalar_brackets:
-            a = x[i] * y[j] - x[j] * y[i]
-            if a:
-                out[k] = out[k] + c * a
-        return tuple(out)
+        """Bilinear extension of the bracket to complexified vectors.
+
+        Each coordinate accumulates c (x_i y_j - x_j y_i) on unreduced (a, b, d) triples and is reduced once.
+        """
+        xt = [v.triple for v in x]
+        yt = [v.triple for v in y]
+        out: list = [None] * self.dim
+        for (i, j, k, cn, cd) in self._int_brackets:
+            xa, xb, xd = xt[i]
+            ya, yb, yd = yt[j]
+            ua, ub, ud = xt[j]
+            wa, wb, wd = yt[i]
+            pa, pb, pd = xa * ya - xb * yb, xa * yb + xb * ya, xd * yd
+            qa, qb, qd = ua * wa - ub * wb, ua * wb + ub * wa, ud * wd
+            if pd == qd:
+                a, b, d = pa - qa, pb - qb, pd
+            else:
+                a, b, d = pa * qd - qa * pd, pb * qd - qb * pd, pd * qd
+            if not (a or b):
+                continue
+            term = (a * cn, b * cn, d * cd)
+            out[k] = term if out[k] is None else add_triples(out[k], term)
+        return tuple(ZERO if t is None else reduced(*t) for t in out)
 
     def coframe_is_closed(self, index: int) -> bool:
         """Whether d e^index = 0, i.e. e_index never appears as a bracket target."""
@@ -217,27 +233,31 @@ def _structure_equations(frame: ComplexFrame) -> tuple[tuple[tuple[str, int], tu
     """(generator, ((monomial, coefficient), ...)) of d on every coframe generator.
 
     d(phi)(W_a, W_b) = -phi([W_a, W_b]): each bracket of a pair a < b of
-    complex frame vectors is computed once and paired with all 2n covectors.
+    complex frame vectors is computed once and paired with all 2n covectors;
+    each pairing accumulates on unreduced (a, b, d) triples and is reduced once.
     """
     n = frame.n
     dim = 2 * n
     vectors = [frame.complex_frame_vector(a) for a in range(dim)]
     gens = [(kind, s) for kind in ("h", "a") for s in range(1, n + 1)]
-    covectors = [frame.covector(kind, s) for kind, s in gens]
+    covectors = [[v.triple for v in frame.covector(kind, s)] for kind, s in gens]
     terms: list[list] = [[] for _ in gens]
     for a in range(dim):
         for b in range(a + 1, dim):
-            bracket = frame.algebra.bracket_complex(vectors[a], vectors[b])
-            if not any(bracket):
+            bracket = [(k, x.triple) for k, x in enumerate(frame.algebra.bracket_complex(vectors[a], vectors[b])) if x]
+            if not bracket:
                 continue
             mono = _pair_monomial(n, a, b)
             for cov, out in zip(covectors, terms):
-                val = ZERO
-                for coord, x in zip(cov, bracket):
-                    if coord and x:
-                        val = val + coord * x
-                if val:
-                    out.append((mono, -val))
+                acc = None
+                for k, (xa, xb, xd) in bracket:
+                    ca, cb, cd = cov[k]
+                    if not (ca or cb):
+                        continue
+                    term = (ca * xa - cb * xb, ca * xb + cb * xa, cd * xd)
+                    acc = term if acc is None else add_triples(acc, term)
+                if acc is not None and (acc[0] or acc[1]):
+                    out.append((mono, reduced(-acc[0], -acc[1], acc[2])))
     return tuple((gen, tuple(out)) for gen, out in zip(gens, terms))
 
 
@@ -302,9 +322,9 @@ def validate_model(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> V
     if j_ok and spec.dim % 2 == 0:
         frame = build_frame(spec, structure)
         diffs = exterior_d_on_generators(frame)
-        gen_action = dict(diffs)
-        from .forms import extend_derivation
+        from .forms import GeneratorImages, extend_derivation
 
+        gen_action = GeneratorImages(diffs)
         failures = []
         for gen, dgen in diffs.items():
             dd = extend_derivation(gen_action, dgen)

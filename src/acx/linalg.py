@@ -14,13 +14,23 @@ a presentation, a constraint matrix (its kernel) or a generator matrix (its
 column span), and completed only as far as it is read: a dimension is a
 count or a rank, a containment is one product, and the canonical reduced
 rows are built only for callers that read coordinates.
+
+Products and elimination run on the (a, b, d) int triples of the scalars
+(see scalars.py), not on Scalar objects.  A product accumulates each output
+row unreduced, with a gcd only where two terms meet over different
+denominators, and reduces each result entry once; the row view of a
+factor (its entries grouped by row, as triples) is built once per matrix
+and kept for later products.  Elimination keeps its rows as
+canonical triples and builds Scalars only for the rows it returns, so a
+rank builds none.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, add_mul, sub_mul
+from .scalars import ONE, ZERO, Scalar, canonical, reduced
 
 # there is no dense elimination path; the bench tracer still reads this name
 DENSE_COLUMN_LIMIT = 0
@@ -35,14 +45,18 @@ class NotContained(Exception):
 
 
 class ExactMatrix:
-    """Sparse matrix over Q(i); absent entries are zero."""
+    """Sparse matrix over Q(i); absent entries are zero.
 
-    __slots__ = ("rows", "cols", "entries")
+    The entries are not changed after construction: a product keeps a view of them (_row_view).
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_view")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         self.rows = rows
         self.cols = cols
         self.entries = {}
+        self._view = None
         if entries:
             for (r, c), v in entries.items():
                 if v:
@@ -54,7 +68,7 @@ class ExactMatrix:
     def unchecked(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
         """A matrix that owns entries, all nonzero and inside rows x cols: for results derived from checked matrices."""
         m = object.__new__(cls)
-        m.rows, m.cols, m.entries = rows, cols, entries
+        m.rows, m.cols, m.entries, m._view = rows, cols, entries, None
         return m
 
     @classmethod
@@ -110,30 +124,57 @@ class ExactMatrix:
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
 
+    def _row_view(self) -> dict[int, list[tuple[int, int, int, int]]]:
+        """{r: [(c, a, b, d), ...]}: the entries of each row as (column, triple).
+
+        Built on the first product the matrix enters and kept for the next: a matrix is often a
+        factor of several products (the totals of an identity audit).
+        """
+        view = self._view
+        if view is None:
+            view = self._view = {}
+            for (r, c), v in self.entries.items():
+                a, b, d = v.triple
+                if r in view:
+                    view[r].append((c, a, b, d))
+                else:
+                    view[r] = [(c, a, b, d)]
+        return view
+
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if not (self.entries and other.entries):
             return ExactMatrix.unchecked(self.rows, other.cols, {})
-        # row r of the product accumulates a * (row k of other) over the entries (r, k) of self
-        left: dict[int, list[tuple[int, Scalar]]] = {}
-        for (r, k), a in self.entries.items():
-            left.setdefault(r, []).append((k, a))
-        right: dict[int, list[tuple[int, Scalar]]] = {}
-        for (k, c), b in other.entries.items():
-            right.setdefault(k, []).append((c, b))
+        # row r of the product accumulates x * (row k of other) over the entries x = (r, k) of self,
+        # on unreduced triples (scalars.add_triples, inlined): a gcd only where two terms meet over
+        # different denominators, and one reduction per nonzero result entry
+        right = other._row_view()
         entries: dict[tuple[int, int], Scalar] = {}
-        for r, terms in left.items():
-            acc: dict[int, Scalar] = {}
-            for k, a in terms:
-                for c, b in right.get(k, ()):
-                    s = add_mul(acc.get(c), a, b)
-                    if s is None:
-                        del acc[c]
+        for r, terms in self._row_view().items():
+            acc: dict[int, tuple[int, int, int]] = {}
+            for k, xa, xb, xd in terms:
+                row = right.get(k)
+                if row is None:
+                    continue
+                for c, ya, yb, yd in row:
+                    pa = xa * ya - xb * yb
+                    pb = xa * yb + xb * ya
+                    pd = xd * yd
+                    t = acc.get(c)
+                    if t is None:
+                        acc[c] = (pa, pb, pd)
                     else:
-                        acc[c] = s
-            for c, v in acc.items():
-                entries[(r, c)] = v
+                        ta, tb, td = t
+                        if td == pd:
+                            acc[c] = (ta + pa, tb + pb, td)
+                        else:
+                            g = gcd(td, pd)
+                            u, w = pd // g, td // g
+                            acc[c] = (ta * u + pa * w, tb * u + pb * w, td * u)
+            for c, (a, b, d) in acc.items():
+                if a or b:
+                    entries[(r, c)] = reduced(a, b, d)
         return ExactMatrix.unchecked(self.rows, other.cols, entries)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -194,28 +235,38 @@ class ExactMatrix:
         return ExactMatrix.unchecked(rows, off, entries)
 
 
-def realify(m: ExactMatrix) -> ExactMatrix:
-    """Double a Q(i)-matrix into the rational matrix acting on (Re, Im) pairs.
+def realify(m: ExactMatrix | None, antilinear: ExactMatrix | None = None) -> ExactMatrix:
+    """The rational matrix, on (Re, Im) pairs, of the R-linear map u -> m u + antilinear conj(u).
 
-    Coordinate x_j = a_j + i*b_j becomes the pair (a_j, b_j); a matrix entry
-    u + i*v becomes the 2x2 block [[u, -v], [v, u]].  R-linear maps built from
-    compositions with complex conjugation stay honest matrices in this form.
+    Coordinate x_j = a_j + i*b_j becomes the pair (a_j, b_j); an entry u + i*v
+    of m becomes the 2x2 block [[u, -v], [v, u]], and one of antilinear the
+    block [[u, v], [v, -u]], which also conjugates its input.  So maps built
+    from compositions with complex conjugation are realified once, as honest
+    matrices.  Either part may be None; the other sets the shape.
     """
     entries: dict[tuple[int, int], Scalar] = {}
-    for (r, c), s in m.entries.items():
-        u, v = s.real_part(), s.imag_part()
-        if u:
-            entries[(2 * r, 2 * c)] = u
-            entries[(2 * r + 1, 2 * c + 1)] = u
-        if v:
-            entries[(2 * r, 2 * c + 1)] = -v
-            entries[(2 * r + 1, 2 * c)] = v
-    return ExactMatrix.unchecked(2 * m.rows, 2 * m.cols, entries)
-
-
-def conjugation_flip(n: int) -> ExactMatrix:
-    """diag(1, -1, 1, -1, ...) of size 2n: complex conjugation on realified coordinates."""
-    return ExactMatrix(2 * n, 2 * n, {(k, k): ONE if k % 2 == 0 else -ONE for k in range(2 * n)})
+    if m is not None:
+        for (r, c), s in m.entries.items():
+            u, v = s.real_part(), s.imag_part()
+            if u:
+                entries[(2 * r, 2 * c)] = u
+                entries[(2 * r + 1, 2 * c + 1)] = u
+            if v:
+                entries[(2 * r, 2 * c + 1)] = -v
+                entries[(2 * r + 1, 2 * c)] = v
+    if antilinear is not None:
+        for (r, c), s in antilinear.entries.items():
+            u, v = s.real_part(), s.imag_part()
+            r2, c2 = 2 * r, 2 * c
+            for rc, x in (((r2, c2), u), ((r2 + 1, c2 + 1), -u), ((r2, c2 + 1), v), ((r2 + 1, c2), v)):
+                if x:
+                    x = entries.get(rc, ZERO) + x
+                    if x:
+                        entries[rc] = x
+                    else:
+                        del entries[rc]
+    shape = m if m is not None else antilinear
+    return ExactMatrix.unchecked(2 * shape.rows, 2 * shape.cols, entries)
 
 
 def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -230,27 +281,30 @@ def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
 # elimination
 
 
-def _rref_full(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
-    """Gauss-Jordan on the sparse rows of m.
+def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
+    """Gauss-Jordan on the sparse rows of m, held as canonical (a, b, d) triples.
 
     Pivots are searched in the first pivot_limit columns (all by default):
     the leftmost column with a nonzero entry at or below the current row,
-    the lowest such row.  Returns (pivot columns, reduced pivot rows,
-    nonzero leftover rows).  forward runs the forward pass only: pivot rows
-    are neither scaled nor used on the rows above them, so they come out in
-    echelon form, not reduced, while the pivots, which only the rows below
-    decide, are the same.
+    the lowest such row.  Returns (pivot columns, rows, at, r): rows are the
+    {column: triple} dicts of m after elimination, at[k] the index of the
+    row now at position k and r the number of pivots.  forward runs the
+    forward pass only: pivot rows are neither scaled nor used on the rows
+    above them, so they come out in echelon form, not reduced, while the
+    pivots, which only the rows below decide, are the same.
 
     A column -> rows index keeps every step in proportion to the nonzeros:
     only columns that hold a nonzero are visited, the pivot is the index row
     of lowest current position, and only the rows the index lists are
     updated.  Row operations never fill a column that starts out empty, so
-    the columns to visit are known up front.
+    the columns to visit are known up front.  Pivot scaling and row updates
+    are int arithmetic with at most one gcd per entry written; no Scalar is
+    built.
     """
-    rows: list[dict[int, Scalar]] = [dict() for _ in range(m.rows)]
+    rows: list[dict[int, tuple[int, int, int]]] = [dict() for _ in range(m.rows)]
     index: dict[int, set[int]] = {}
     for (r, c), v in m.entries.items():
-        rows[r][c] = v
+        rows[r][c] = v.triple
         if c in index:
             index[c].add(r)
         else:
@@ -279,42 +333,88 @@ def _rref_full(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
             at[r], at[sel] = p, q
             pos[p], pos[q] = r, sel
         prow = rows[p]
-        lead = prow[c]
-        divide = forward and lead != ONE
-        if lead != ONE and not forward:
-            inv = lead.inverse()
-            for k, v in prow.items():
-                prow[k] = v * inv
+        la, lb, ld = prow[c]
+        # x / lead = x * ld * conj(lead) / n
+        n = la * la + lb * lb
+        unit = la == 1 and not lb and ld == 1
+        divide = forward and not unit
+        if not (unit or forward):
+            # the inverse, reduced once: (ia + ib*i)/id
+            ia, ib, id_ = la * ld, -lb * ld, n
+            g = gcd(ia, ib, id_)
+            ia, ib, id_ = ia // g, ib // g, id_ // g
+            for k, (va, vb, vd) in prow.items():
+                a, b, d = va * ia - vb * ib, va * ib + vb * ia, vd * id_
+                g = gcd(a, b, d)
+                prow[k] = (a // g, b // g, d // g)
         if len(holders) > 1:
             # every other entry of the pivot row lies right of c, so fill-in lands in columns
             # still to visit and index[c] is never read again
-            rest = [(k, v) for k, v in prow.items() if k != c]
+            rest = [(k, va, vb, vd) for k, (va, vb, vd) in prow.items() if k != c]
             for i in holders:
                 if i == p or (forward and pos[i] < r):
                     continue
                 tgt = rows[i]
-                f = tgt.pop(c) / lead if divide else tgt.pop(c)
-                for k, v in rest:
+                fa, fb, fd = tgt.pop(c)
+                if divide:
+                    a, b, d = (fa * la + fb * lb) * ld, (fb * la - fa * lb) * ld, fd * n
+                    g = gcd(a, b, d)
+                    fa, fb, fd = a // g, b // g, d // g
+                # tgt[k] -= f * v
+                for k, va, vb, vd in rest:
+                    a = fb * vb - fa * va
+                    b = -(fa * vb + fb * va)
+                    d = fd * vd
                     t = tgt.get(k)
-                    s = sub_mul(t, f, v)
-                    if s is None:
-                        del tgt[k]
-                        index[k].discard(i)
-                    else:
-                        tgt[k] = s
-                        if t is None:
-                            index[k].add(i)
+                    if t is not None:
+                        ta, tb, td = t
+                        if td == d:
+                            a += ta
+                            b += tb
+                        else:
+                            a = ta * d + a * td
+                            b = tb * d + b * td
+                            d *= td
+                        if not (a or b):
+                            del tgt[k]
+                            index[k].discard(i)
+                            continue
+                    if d != 1:
+                        g = gcd(a, b, d)
+                        if g != 1:
+                            a //= g
+                            b //= g
+                            d //= g
+                    tgt[k] = (a, b, d)
+                    if t is None:
+                        index[k].add(i)
         pivots.append(c)
         r += 1
-    reduced = [rows[at[k]] for k in range(r)]
-    leftover = [rows[at[k]] for k in range(r, nrows) if rows[at[k]]]
-    return pivots, reduced, leftover
+    return pivots, rows, at, r
+
+
+def _scalar_rows(rows: Iterable[dict[int, tuple[int, int, int]]]) -> list[dict[int, Scalar]]:
+    """Rows of canonical triples as rows of Scalars, the key order kept."""
+    return [{k: canonical(a, b, d) for k, (a, b, d) in row.items()} for row in rows]
+
+
+def _rref_full(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
+    """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as Scalar dicts."""
+    pivots, rows, at, r = _eliminate(m, pivot_limit, forward)
+    pivot_rows = _scalar_rows(rows[at[k]] for k in range(r))
+    leftover = _scalar_rows(rows[at[k]] for k in range(r, len(rows)) if rows[at[k]])
+    return pivots, pivot_rows, leftover
 
 
 def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
-    """Reduced row echelon form; returns (pivot columns, nonzero reduced rows)."""
-    pivots, reduced, _ = _rref_full(m)
-    return pivots, reduced
+    """Reduced row echelon form; returns (pivot columns, nonzero reduced rows).
+
+    A matrix with no entries is not eliminated.
+    """
+    if not m.entries:
+        return [], []
+    pivots, pivot_rows, _ = _rref_full(m)
+    return pivots, pivot_rows
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +490,10 @@ class Subspace:
     def rows(self) -> ExactMatrix:
         """The reduced row echelon form of a basis, as a dim x n matrix."""
         if self._rows is None:
-            _, reduced = rref(self.generators.transpose())
-            entries = {(r, c): v for r, row in enumerate(reduced) for c, v in row.items()}
-            self._rows = ExactMatrix.unchecked(len(reduced), self.ambient_dim, entries)
-            self._dim = len(reduced)
+            _, red = rref(self.generators.transpose())
+            entries = {(r, c): v for r, row in enumerate(red) for c, v in row.items()}
+            self._rows = ExactMatrix.unchecked(len(red), self.ambient_dim, entries)
+            self._dim = len(red)
         return self._rows
 
     @property
@@ -443,7 +543,7 @@ def zero_space(n: int) -> Subspace:
 
 def rank(m: ExactMatrix) -> int:
     """The number of pivots, from the forward pass of the elimination."""
-    return len(_rref_full(m, forward=True)[0]) if m.entries else 0
+    return len(_eliminate(m, forward=True)[0]) if m.entries else 0
 
 
 def kernel(m: ExactMatrix) -> Subspace:
@@ -532,12 +632,12 @@ def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -
     entries = {(r, last - c): v for (r, c), v in m.entries.items()} if reverse_pivots else dict(m.entries)
     for (r, j), v in rhs.entries.items():
         entries[(r, width + j)] = v
-    pivots, reduced, leftover = _rref_full(ExactMatrix.unchecked(m.rows, width + rhs.cols, entries), pivot_limit=width)
+    pivots, red, leftover = _rref_full(ExactMatrix.unchecked(m.rows, width + rhs.cols, entries), pivot_limit=width)
     # a leftover row is zero on the columns of m, so its entries name inconsistent right-hand sides
     inconsistent = sorted({c - width for row in leftover for c in row})
     bad = set(inconsistent)
     solutions = {}
-    for p, row in zip(pivots, reduced):
+    for p, row in zip(pivots, red):
         x = last - p if reverse_pivots else p
         for c, v in row.items():
             if c >= width and c - width not in bad:

@@ -22,6 +22,7 @@ from .forms import (
     BasisElement,
     CoefficientModel,
     Form,
+    GeneratorImages,
     InconsistentModel,
     enumerate_basis,
     extend_derivation,
@@ -134,9 +135,16 @@ class FrameBlocks:
         key = ("A", name, p, q)
         if key not in self._cache:
             dp, dq = SHIFTS[name]
-            action = self.parts[name]
+            action = self.images(name)
             leibniz = lambda m: extend_derivation(action, Form.monomial(m))
             self._cache[key] = invariant_matrix(self.n, leibniz, p, q, p + dp, q + dq)
+        return self._cache[key]
+
+    def images(self, name: str) -> GeneratorImages:
+        """The split structure equations of one differential ("d" for all of them), converted once."""
+        key = ("images", name)
+        if key not in self._cache:
+            self._cache[key] = GeneratorImages(self.structure if name == "d" else self.parts[name])
         return self._cache[key]
 
     def coefficient_block(self, name: str, p: int, q: int, r: int) -> ExactMatrix:
@@ -428,7 +436,7 @@ class FormComplex:
                     for (r, c), v in frame.block(name, p, q).entries.items():
                         columns.setdefault(c, {})[target[r]] = v
                 for col, elt in enumerate(enumerate_basis(self.n, p, q, INVARIANT)):
-                    if extend_derivation(frame.structure, Form.monomial(elt)).coeffs != columns.get(col, {}):
+                    if extend_derivation(frame.images("d"), Form.monomial(elt)).coeffs != columns.get(col, {}):
                         recon_fail.append((p, q))
                         break
         report.append(("d=mu+partial+dbar+mubar", tuple(recon_fail)))

@@ -11,6 +11,13 @@ and gcd(a, b, d) = 1, so zero is (0, 0, 1).  Canonical values make equality
 and hashing plain comparisons of the triple.  Arithmetic stays on ints with
 at most one gcd per result; `Fraction` appears only at the edges (parsing and
 the `re`/`im` views).
+
+The triple is also the working form of the hot loops elsewhere (products
+and elimination in linalg, the Leibniz rule in forms, the structure
+equations in lie): they read `Scalar.triple`, accumulate on ints (the sum
+of `add_triples`, inlined where it runs per flop), and turn each result
+entry into a Scalar once with `reduced` (or `canonical`, for a triple they
+keep canonical).
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from math import gcd
 _new = object.__new__
 
 
-def _reduced(a: int, b: int, d: int) -> Scalar:
-    """The canonical scalar (a + b*i)/d, for d > 0."""
+def reduced(a: int, b: int, d: int) -> Scalar:
+    """The canonical scalar (a + b*i)/d, for d > 0: one gcd unless d = 1."""
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
@@ -37,8 +44,19 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     return s
 
 
-def _exact(a: int, b: int, d: int) -> Scalar:
-    """(a + b*i)/d, already canonical."""
+def add_triples(t: tuple[int, int, int], u: tuple[int, int, int]) -> tuple[int, int, int]:
+    """t + u on unreduced triples, over the lcm of the denominators: a gcd only when they differ."""
+    ta, tb, td = t
+    ua, ub, ud = u
+    if td == ud:
+        return (ta + ua, tb + ub, td)
+    g = gcd(td, ud)
+    mt, mu = ud // g, td // g
+    return (ta * mt + ua * mu, tb * mt + ub * mu, td * mt)
+
+
+def canonical(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i)/d for a triple already canonical, as the kernels keep their rows: no gcd is taken."""
     s = _new(Scalar)
     s._a = a
     s._b = b
@@ -66,6 +84,11 @@ class Scalar:
         self._d = d
 
     @property
+    def triple(self) -> tuple[int, int, int]:
+        """(a, b, d) with self = (a + b*i)/d, canonical."""
+        return (self._a, self._b, self._d)
+
+    @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
 
@@ -75,19 +98,19 @@ class Scalar:
 
     def real_part(self) -> Scalar:
         """Re(s) as a real scalar."""
-        return _reduced(self._a, 0, self._d)
+        return reduced(self._a, 0, self._d)
 
     def imag_part(self) -> Scalar:
         """Im(s) as a real scalar."""
-        return _reduced(self._b, 0, self._d)
+        return reduced(self._b, 0, self._d)
 
     def __add__(self, other: Scalar) -> Scalar:
         if other.__class__ is not Scalar:
             other = as_scalar(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
-        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
+            return reduced(self._a + other._a, self._b + other._b, d1)
+        return reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -96,17 +119,17 @@ class Scalar:
             other = as_scalar(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
-        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+            return reduced(self._a - other._a, self._b - other._b, d1)
+        return reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __neg__(self) -> Scalar:
-        return _exact(-self._a, -self._b, self._d)
+        return canonical(-self._a, -self._b, self._d)
 
     def __mul__(self, other: Scalar) -> Scalar:
         if other.__class__ is not Scalar:
             other = as_scalar(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
+        return reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -119,7 +142,7 @@ class Scalar:
             raise ZeroDivisionError("division by zero in Q(i)")
         d2 = other._d
         # x / y = x * conj(y) * d2 / (a2^2 + b2^2)
-        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
+        return reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __pow__(self, k: int) -> Scalar:
         if k < 0:
@@ -133,7 +156,7 @@ class Scalar:
         return ONE / self
 
     def conj(self) -> Scalar:
-        return _exact(self._a, -self._b, self._d)
+        return canonical(self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
@@ -156,46 +179,14 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
-def _fused(t: Scalar | None, a: int, b: int, d: int) -> Scalar | None:
-    """t + (a + b*i)/d with the one gcd of _reduced; None stands for zero on both sides."""
-    if t is not None:
-        td = t._d
-        if td == d:
-            a += t._a
-            b += t._b
-        else:
-            a = t._a * d + a * td
-            b = t._b * d + b * td
-            d *= td
-    if not (a or b):
-        return None
-    return _reduced(a, b, d)
-
-
-def add_mul(t: Scalar | None, x: Scalar, y: Scalar) -> Scalar | None:
-    """t + x*y as one fused update with a single gcd.
-
-    A sparse accumulator passes t = None for an absent entry and gets None
-    back when the result is zero, so the entry can be dropped.
-    """
-    xa, xb, ya, yb = x._a, x._b, y._a, y._b
-    return _fused(t, xa * ya - xb * yb, xa * yb + xb * ya, x._d * y._d)
-
-
-def sub_mul(t: Scalar | None, x: Scalar, y: Scalar) -> Scalar | None:
-    """t - x*y, as add_mul."""
-    xa, xb, ya, yb = x._a, x._b, y._a, y._b
-    return _fused(t, xb * yb - xa * ya, -(xa * yb + xb * ya), x._d * y._d)
-
-
-ZERO = _exact(0, 0, 1)
-ONE = _exact(1, 0, 1)
-I = _exact(0, 1, 1)
-MINUS_ONE = _exact(-1, 0, 1)
+ZERO = canonical(0, 0, 1)
+ONE = canonical(1, 0, 1)
+I = canonical(0, 1, 1)
+MINUS_ONE = canonical(-1, 0, 1)
 
 
 def integer(k: int) -> Scalar:
-    return _exact(k, 0, 1)
+    return canonical(k, 0, 1)
 
 
 def rational(p: int, q: int = 1) -> Scalar:
@@ -203,14 +194,14 @@ def rational(p: int, q: int = 1) -> Scalar:
 
 
 def from_fraction(x: Fraction) -> Scalar:
-    return _exact(x.numerator, 0, x.denominator)
+    return canonical(x.numerator, 0, x.denominator)
 
 
 def as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     if isinstance(x, int):
-        return _exact(int(x), 0, 1)
+        return canonical(int(x), 0, 1)
     if isinstance(x, Fraction):
         return from_fraction(x)
     raise TypeError(f"cannot coerce {x!r} into Q(i)")

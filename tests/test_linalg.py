@@ -196,7 +196,12 @@ def test_realify_respects_products():
     rhs = realify(m).apply(realify_vector(x))
     assert lhs == rhs
     conj_x = tuple(v.conj() for v in x)
-    assert linalg.conjugation_flip(4).apply(realify_vector(x)) == realify_vector(conj_x)
+    assert realify(None, ExactMatrix.identity(4)).apply(realify_vector(x)) == realify_vector(conj_x)
+    m2 = rand_matrix(rng, 3, 4, 0.8)
+    # the antilinear part is applied to conj(x) and summed with the linear part
+    want = tuple(u + v for u, v in zip(m.apply(x), m2.apply(conj_x)))
+    assert realify(m, m2).apply(realify_vector(x)) == realify_vector(want)
+    assert realify(m, -m) == realify(m) + realify(None, -m) and realify(None, m2).rows == 6
 
 
 # ---------------------------------------------------------------------------

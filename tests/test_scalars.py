@@ -14,13 +14,13 @@ from acx.scalars import (
     ONE,
     ZERO,
     Scalar,
-    add_mul,
+    add_triples,
     format_scalar,
     integer,
     parse_rational,
     parse_scalar,
     rational,
-    sub_mul,
+    reduced,
 )
 
 
@@ -225,48 +225,22 @@ def test_binary_operations_match_reference():
                 assert hash(x) == hash(y)
 
 
-def fused_cases():
-    """(t, x, y) triples: None and present accumulators, equal and unequal denominators, 200-bit parts."""
+def test_triple_sums_and_reduction_match_reference():
+    """add_triples of unreduced triples, reduced once, is the sum; reduced gives the canonical triple."""
     pairs = oracle_pairs(90)
-    rng = random.Random(12)
-    for x, _ in pairs:
-        for y, _ in rng.sample(pairs, 6):
-            p = x * y
-            yield None, x, y
-            yield p, x, y  # t - x*y cancels exactly
-            yield -p, x, y  # t + x*y cancels exactly
-            yield p + rational(rng.randint(-5, 5), 1) * Scalar(Fraction(1, p._d), 0), x, y  # same denominator as x*y
-            yield rng.choice(pairs)[0], x, y
-
-
-def triple(s):
-    return (s._a, s._b, s._d)
-
-
-def test_fused_updates_match_separate_operations():
-    seen = {"none": 0, "cancel": 0, "same_d": 0, "other_d": 0}
-    bits = 0
-    for t, x, y in fused_cases():
-        acc = ZERO if t is None else t
-        for fused, want in ((add_mul(t, x, y), acc + x * y), (sub_mul(t, x, y), acc - x * y)):
-            if want:
-                assert fused is not None and canonical(fused)
-                assert triple(fused) == triple(want) and hash(fused) == hash(want)
-            else:
-                assert fused is None
-        if t is None:
-            seen["none"] += 1
-        elif not (t - x * y) or not (t + x * y):
-            seen["cancel"] += 1
-        elif t._d == x._d * y._d:
-            seen["same_d"] += 1
-        else:
-            seen["other_d"] += 1
-        bits = max(bits, *(abs(v).bit_length() for v in (*triple(x), *triple(y))))
-    assert all(seen.values()), seen
-    assert bits >= 200
-    # a zero factor leaves the accumulator as it is
-    assert add_mul(None, ZERO, I) is None and sub_mul(ONE, I, ZERO) == ONE
+    rng = random.Random(13)
+    unequal = 0
+    for x, rx in pairs:
+        for y, ry in rng.sample(pairs, 8):
+            k = rng.randint(1, 6)
+            # the same values with a common factor k left in: unreduced triples
+            xt = tuple(v * k for v in x.triple)
+            yt = tuple(v * (k + 1) for v in y.triple)
+            total = reduced(*add_triples(xt, yt))
+            assert same(total, rx + ry) and canonical(total)
+            assert reduced(*xt) == x and reduced(*xt).triple == x.triple
+            unequal += xt[2] != yt[2]
+    assert unequal > 100
 
 
 def test_equal_values_from_different_paths_are_identical():

@@ -32,12 +32,27 @@ from acx.cli import Session, ValidationError, manifest_from_dict, psi_from_selec
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
 from acx.operators import FormComplex, compose
-from acx.scalars import ZERO, rational
+from acx.scalars import ONE, ZERO, rational
 
 from conftest import random_4d_session
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SELECTORS = ("fundamental", "perturbed", "basis:0", "basis:1", "basis:2")
+
+
+def conjugation_flip(n):
+    """diag(1, -1, 1, -1, ...) of size 2n: complex conjugation on realified coordinates."""
+    return ExactMatrix(2 * n, 2 * n, {(k, k): ONE if k % 2 == 0 else -ONE for k in range(2 * n)})
+
+
+def reference_correction_map(cx):
+    """(K02, K20, S) from realified blocks: each ubar term is realify(op @ C01) @ flip, and S multiplies realified K."""
+    c01 = cx.conj_struct(0, 1)
+    flip = conjugation_flip(cx.dim(0, 1))
+    k02 = linalg.realify(cx.block("dbar", 0, 1)) + linalg.realify(cx.block("mubar", 1, 0) @ c01) @ flip
+    k20 = linalg.realify(cx.block("mu", 0, 1)) + linalg.realify(cx.block("partial", 1, 0) @ c01) @ flip
+    system = linalg.realify(cx.block("partial", 0, 2)) @ k02 + linalg.realify(cx.block("mubar", 2, 0)) @ k20
+    return k02, k20, system
 
 
 def reference_correction(cx, u):
@@ -50,7 +65,7 @@ def reference_closedness_system(cx):
     linear = compose(cx.block, ["partial", "dbar"], 0, 1) + compose(cx.block, ["mubar", "mu"], 0, 1)
     conjugated = compose(cx.block, ["mubar", "partial"], 1, 0) + compose(cx.block, ["partial", "mubar"], 1, 0)
     c01 = cx.conj_struct(0, 1)
-    return linalg.realify(linear) + linalg.realify(conjugated @ c01) @ linalg.conjugation_flip(cx.dim(0, 1))
+    return linalg.realify(linear) + linalg.realify(conjugated @ c01) @ conjugation_flip(cx.dim(0, 1))
 
 
 def reference_solve(m, b, reverse_pivots=False):
@@ -182,6 +197,21 @@ def test_closedness_system_is_the_12_rows_of_d_after_the_correction(kt4_session,
     for label, session, n in cases:
         engine = session.engine(n)
         assert engine.correction_map()[2] == reference_closedness_system(engine.complex), label
+
+
+def test_correction_map_matches_realified_products(kt4_session, kodaira_session):
+    """K02, K20 and S, composed over Q(i) and realified once, equal the realified products entry for entry."""
+    antilinear = 0
+    for label, session, n in _oracle_cases(kt4_session, kodaira_session):
+        cx = session.engine(n).complex
+        got = CohomologyEngine(cx, session.engine(n).hermitian).correction_map()
+        want = reference_correction_map(cx)
+        for name, g, w in zip(("K02", "K20", "S"), got, want):
+            assert (g.rows, g.cols) == (w.rows, w.cols), (label, name)
+            assert g.entries == w.entries, (label, name)
+        antilinear += not (cx.block("mubar", 1, 0) @ cx.conj_struct(0, 1)).is_zero()
+    # non-vacuity: the conjugated terms are present on some models
+    assert antilinear > 0
 
 
 def test_taming_and_descent_match_reference(kt4_session, kodaira_session):
