@@ -137,12 +137,15 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
     totals: dict[tuple[str, int], ExactMatrix] = {}
 
     def total(group: str, r: int) -> ExactMatrix:
-        """A group of IDENTITY_TERMS from degree r, or H, the counting operator r - n; built once."""
+        """A group of IDENTITY_TERMS from degree r, or H, the counting operator r - n; built once.
+
+        A group enters several products, so it keeps its row view.
+        """
         if (group, r) not in totals:
             if group == "H":
                 totals[(group, r)] = ExactMatrix.identity(cx.total_dim(r)).scale(integer(r - n))
             else:
-                totals[(group, r)] = cx.total(engine.block, IDENTITY_TERMS[group], r)
+                totals[(group, r)] = cx.total(engine.block, IDENTITY_TERMS[group], r).keep_row_view()
         return totals[(group, r)]
 
     def read_commutator(a: str, b: str, rhs: str | None, table: dict) -> dict:

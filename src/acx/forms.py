@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from math import gcd
 from typing import Mapping, NamedTuple
 
-from .scalars import ONE, ZERO, Scalar, as_scalar, reduced
+from .scalars import ONE, ZERO, Scalar, add_triples, as_scalar, reduced
 
 
 class BasisElement(NamedTuple):
@@ -320,16 +319,16 @@ def extend_derivation(gen_action: GenAction | GeneratorImages, form: Form) -> Fo
     r = m ^ g, the prefix bits above a and above b plus the suffix bits below
     a and below b.  The prefix holds k bits, so mod 2 its bits above a equal
     k plus its bits below a, and k + i is k plus the bits of r below a plus
-    the bits of r below b.  The terms of each generator image are converted
-    once per call, or once for all calls when gen_action is GeneratorImages.
+    the bits of r below b.  A mapping gen_action is converted to
+    GeneratorImages on each call; pass GeneratorImages to convert it once.
     Coefficients are accumulated as unreduced (a, b, d) triples, with a gcd
     only where two terms meet over different denominators, and each
     coefficient of the result is reduced once.
     """
+    if not isinstance(gen_action, GeneratorImages):
+        gen_action = GeneratorImages(gen_action)
+    placements = gen_action.terms
     out: dict[tuple[int, ...], dict[int, tuple[int, int, int]]] = {}
-    placements: dict[tuple[str, int], list] = {}
-    if isinstance(gen_action, GeneratorImages):
-        placements, gen_action = dict(gen_action.terms), {}
     for elt, c in form.coeffs.items():
         w, holo, anti = elt
         m = _mask(holo, anti)
@@ -339,12 +338,8 @@ def extend_derivation(gen_action: GenAction | GeneratorImages, form: Form) -> Fo
         acc = out.setdefault(w, {})
         gens = [(("h", s), 1 << s) for s in holo] + [(("a", s), 1 << (s + _ANTI_BIT)) for s in anti]
         for k, (gen, g) in enumerate(gens):
-            images = placements.get(gen)
-            if images is None:
-                action = gen_action.get(gen)
-                images = placements[gen] = [_term(e, v) for e, v in action.coeffs.items()] if action else []
             rest = m ^ g
-            for e, below_a, below_b, e_rank, shift, plus, minus in images:
+            for e, below_a, below_b, e_rank, shift, plus, minus in placements.get(gen, ()):
                 if rest & e:
                     continue
                 if e_rank != rank:
@@ -359,18 +354,7 @@ def extend_derivation(gen_action: GenAction | GeneratorImages, form: Form) -> Fo
                     p = (-pa, -pb, vd * cd) if odd else (pa, pb, vd * cd)
                 key = rest | e
                 t = target.get(key)
-                if t is None:
-                    target[key] = p
-                else:
-                    # scalars.add_triples, inlined
-                    ta, tb, td = t
-                    pa, pb, pd = p
-                    if td == pd:
-                        target[key] = (ta + pa, tb + pb, td)
-                    else:
-                        h = gcd(td, pd)
-                        mt, mp = pd // h, td // h
-                        target[key] = (ta * mt + pa * mp, tb * mt + pb * mp, td * mt)
+                target[key] = p if t is None else add_triples(t, p)
     return Form(
         {_decode(w, key): reduced(a, b, d) for w, acc in out.items() for key, (a, b, d) in acc.items() if a or b}
     )

@@ -84,12 +84,9 @@ class LieAlgebraSpec:
             ya, yb, yd = yt[j]
             ua, ub, ud = xt[j]
             wa, wb, wd = yt[i]
-            pa, pb, pd = xa * ya - xb * yb, xa * yb + xb * ya, xd * yd
-            qa, qb, qd = ua * wa - ub * wb, ua * wb + ub * wa, ud * wd
-            if pd == qd:
-                a, b, d = pa - qa, pb - qb, pd
-            else:
-                a, b, d = pa * qd - qa * pd, pb * qd - qb * pd, pd * qd
+            x_i_y_j = (xa * ya - xb * yb, xa * yb + xb * ya, xd * yd)
+            minus_x_j_y_i = (ub * wb - ua * wa, -(ua * wb + ub * wa), ud * wd)
+            a, b, d = add_triples(x_i_y_j, minus_x_j_y_i)
             if not (a or b):
                 continue
             term = (a * cn, b * cn, d * cd)

@@ -19,8 +19,9 @@ Products and elimination run on the (a, b, d) int triples of the scalars
 (see scalars.py), not on Scalar objects.  A product accumulates each output
 row unreduced, with a gcd only where two terms meet over different
 denominators, and reduces each result entry once; the row view of a
-factor (its entries grouped by row, as triples) is built once per matrix
-and kept for later products.  Elimination keeps its rows as
+factor (its entries grouped by row, as triples) is built per product, or
+once for a matrix marked with keep_row_view, which keeps it for every
+product it enters.  Elimination keeps its rows as
 canonical triples and builds Scalars only for the rows it returns, so a
 rank builds none.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, canonical, reduced
+from .scalars import ONE, ZERO, Scalar, add_triples, canonical, reduced
 
 # there is no dense elimination path; the bench tracer still reads this name
 DENSE_COLUMN_LIMIT = 0
@@ -47,7 +48,8 @@ class NotContained(Exception):
 class ExactMatrix:
     """Sparse matrix over Q(i); absent entries are zero.
 
-    The entries are not changed after construction: a product keeps a view of them (_row_view).
+    The entries are not changed after construction, since a matrix marked by keep_row_view keeps a
+    view of them in _view ({} until its first product builds it; None for any other matrix).
     """
 
     __slots__ = ("rows", "cols", "entries", "_view")
@@ -124,22 +126,30 @@ class ExactMatrix:
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
 
-    def _row_view(self) -> dict[int, list[tuple[int, int, int, int]]]:
-        """{r: [(c, a, b, d), ...]}: the entries of each row as (column, triple).
+    def keep_row_view(self) -> "ExactMatrix":
+        """Keep the row view that the first product of self builds for its later products; returns self.
 
-        Built on the first product the matrix enters and kept for the next: a matrix is often a
-        factor of several products (the totals of an identity audit).
+        For a matrix that is a factor of several products (the totals of an identity audit): the
+        view of any other factor is built per product and dies with it.
         """
+        self._view = {}
+        return self
+
+    def _row_view(self) -> dict[int, list[tuple[int, int, int, int]]]:
+        """{r: [(c, a, b, d), ...]}: the entries of each row as (column, triple); only for a matrix with entries."""
         view = self._view
-        if view is None:
-            view = self._view = {}
-            for (r, c), v in self.entries.items():
-                a, b, d = v.triple
-                if r in view:
-                    view[r].append((c, a, b, d))
-                else:
-                    view[r] = [(c, a, b, d)]
-        return view
+        if view:
+            return view
+        built: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (r, c), v in self.entries.items():
+            a, b, d = v.triple
+            if r in built:
+                built[r].append((c, a, b, d))
+            else:
+                built[r] = [(c, a, b, d)]
+        if view is not None:
+            self._view = built
+        return built
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -147,8 +157,9 @@ class ExactMatrix:
         if not (self.entries and other.entries):
             return ExactMatrix.unchecked(self.rows, other.cols, {})
         # row r of the product accumulates x * (row k of other) over the entries x = (r, k) of self,
-        # on unreduced triples (scalars.add_triples, inlined): a gcd only where two terms meet over
-        # different denominators, and one reduction per nonzero result entry
+        # on unreduced triples: a gcd only where two terms meet over different denominators, and one
+        # reduction per nonzero result entry (scalars.add_triples, inlined: a call per flop makes the
+        # random-rational sweep about 9% slower)
         right = other._row_view()
         entries: dict[tuple[int, int], Scalar] = {}
         for r, terms in self._row_view().items():
@@ -298,8 +309,8 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
     of lowest current position, and only the rows the index lists are
     updated.  Row operations never fill a column that starts out empty, so
     the columns to visit are known up front.  Pivot scaling and row updates
-    are int arithmetic with at most one gcd per entry written; no Scalar is
-    built.
+    are int arithmetic with at most one gcd per entry written, two where a
+    row update meets a different denominator; no Scalar is built.
     """
     rows: list[dict[int, tuple[int, int, int]]] = [dict() for _ in range(m.rows)]
     index: dict[int, set[int]] = {}
@@ -367,14 +378,7 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
                     d = fd * vd
                     t = tgt.get(k)
                     if t is not None:
-                        ta, tb, td = t
-                        if td == d:
-                            a += ta
-                            b += tb
-                        else:
-                            a = ta * d + a * td
-                            b = tb * d + b * td
-                            d *= td
+                        a, b, d = add_triples(t, (a, b, d))
                         if not (a or b):
                             del tgt[k]
                             index[k].discard(i)

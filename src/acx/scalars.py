@@ -15,9 +15,9 @@ the `re`/`im` views).
 The triple is also the working form of the hot loops elsewhere (products
 and elimination in linalg, the Leibniz rule in forms, the structure
 equations in lie): they read `Scalar.triple`, accumulate on ints (the sum
-of `add_triples`, inlined where it runs per flop), and turn each result
-entry into a Scalar once with `reduced` (or `canonical`, for a triple they
-keep canonical).
+of `add_triples`, inlined only in the product, where a call per flop
+costs measurably), and turn each result entry into a Scalar once with
+`reduced` (or `canonical`, for a triple they keep canonical).
 """
 
 from __future__ import annotations

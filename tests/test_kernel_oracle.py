@@ -311,10 +311,17 @@ def test_products_match_reference(name, m):
         assert_same_matrix(left @ m, reference_matmul(left, m), name, kind)
     assert_same_matrix(m.transpose() @ m, reference_matmul(m.transpose(), m), name)
     assert_same_matrix(m @ m.conjugate().transpose(), reference_matmul(m, m.conjugate().transpose()), name)
-    # the same right operand in a second product reads its cached row view
+    # factors that keep their row views give the same products, every time; others keep none
     right = sparse(rng, m.cols, 4, 0.5)
-    first = m @ right
-    assert_same_matrix(first, m @ right, name)
+    want = reference_matmul(m, right)
+    assert_same_matrix(m @ right, want, name)
+    assert right._view is None and m._view is None
+    kept = ExactMatrix.unchecked(m.rows, m.cols, dict(m.entries)).keep_row_view()
+    right.keep_row_view()
+    assert_same_matrix(kept @ right, want, name)
+    if m.entries and right.entries:
+        assert right._view and kept._view
+    assert_same_matrix(kept @ right, want, name)
     assert_same_matrix(-m @ right, reference_matmul(-m, right), name)
 
 
