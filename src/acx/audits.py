@@ -388,7 +388,7 @@ def _correct(engine: CohomologyEngine, psi: ExactMatrix, reverse_pivots: bool = 
     column.
     """
     k02, k20, system = engine.correction_map()
-    rhs = -(linalg.realify(engine.complex.block("dbar", 1, 1)) @ psi)
+    rhs = -(engine.realified_block("dbar", 1, 1) @ psi)
     u, inconsistent = linalg.solve_many(system, rhs, reverse_pivots)
     if inconsistent:
         obstruction = _obstruction_functional(system, rhs, inconsistent[0])
@@ -398,7 +398,7 @@ def _correct(engine: CohomologyEngine, psi: ExactMatrix, reverse_pivots: bool = 
 
 def _closed(cx: FormComplex, omega: ExactMatrix) -> bool:
     """d of every realified degree-2 form in the columns of omega is exactly zero."""
-    return (linalg.realify(cx.d_total(2)) @ omega).is_zero()
+    return (cx.d_total(2) @ linalg.complexify(omega)).is_zero()
 
 
 def _total_form(cx: FormComplex, vec, r: int) -> Form:

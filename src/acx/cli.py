@@ -14,7 +14,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain, repeat
 from math import comb
 
@@ -288,11 +287,6 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
     return spec
 
 
-def bundled_manifest_path(name: str) -> str:
-    ref = resources.files("acx").joinpath("manifests").joinpath(f"{name}.json")
-    return str(ref)
-
-
 class Session:
     """One parsed manifest plus cached engines per truncation."""
 
@@ -301,7 +295,7 @@ class Session:
         self.frame = build_frame(spec.algebra, spec.structure)
         self._complexes: dict[object, FormComplex] = {}
         self._engines: dict[object, CohomologyEngine] = {}
-        self._sector_numbers: dict[tuple[int, ...], dict] = {}
+        self._shell_numbers: dict[int, dict] = {}
 
     def truncation_label(self, truncation: int | None) -> str:
         if self.spec.coefficients.kind == "invariant":
@@ -334,19 +328,19 @@ class Session:
             return [None]
         return [self.spec.coefficients.truncation]
 
-    def sector_numbers(self, w: tuple[int, ...]) -> dict:
-        """diamond_numbers of the sector {w, -w}, cached; the sector's engine is dropped.
+    def shell_numbers(self, s: int) -> dict:
+        """diamond_numbers of the weights with max |w_a| = s, cached; the shell's engine is dropped.
 
-        An invariant model is one sector: its session engine, whose blocks later stages reuse.
+        An invariant model is the one shell 0: its session engine, whose blocks later stages reuse.
         """
-        if w not in self._sector_numbers:
+        if s not in self._shell_numbers:
             if self.spec.coefficients.kind == "invariant":
                 engine = self.engine()
             else:
-                cx = FormComplex(self.frame, self.spec.coefficients.with_sector(w))
+                cx = FormComplex(self.frame, self.spec.coefficients.shell(s))
                 engine = CohomologyEngine(cx, HermitianStructure(cx, self.spec.metric))
-            self._sector_numbers[w] = diamond_numbers(engine)
-        return self._sector_numbers[w]
+            self._shell_numbers[s] = diamond_numbers(engine)
+        return self._shell_numbers[s]
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +488,8 @@ def check_flags(session: Session, flags: dict) -> dict:
 
 
 def _run_diamond(session: Session, flags: dict) -> dict:
-    model = session.spec.coefficients
-    columns = [
-        (session.truncation_label(t), map(session.sector_numbers, model.with_truncation(t).sectors()))
-        for t in flags["truncations"]
-    ]
+    # column N sums shells 0..N; an invariant model's one truncation, None, is shell 0
+    columns = [(session.truncation_label(t), map(session.shell_numbers, range((t or 0) + 1))) for t in flags["truncations"]]
     out = compute_diamond(columns).as_dict()
     if flags.get("bidegree"):
         p, q = flags["bidegree"]

@@ -270,6 +270,11 @@ class CohomologyEngine:
         return numerator, denominator
 
     @once_per_engine
+    def realified_block(self, name: str, p: int, q: int) -> ExactMatrix:
+        """One block on (Re, Im) pairs, for the R-linear taming systems."""
+        return linalg.realify(self.complex.block(name, p, q))
+
+    @once_per_engine
     def correction_map(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
         """The taming correction u -> dbar u + partial ubar + mu u + mubar ubar.
 
@@ -387,7 +392,7 @@ def diamond_numbers(engine: CohomologyEngine) -> dict:
 def compute_diamond(columns: Iterable[tuple[str, Iterable[dict]]]) -> HodgeDiamond:
     """One column per (label, parts): the sum of the parts' diamond_numbers.
 
-    A part is a weight sector or a whole complex; every number adds over direct sums.
+    A part is a truncation shell or a whole complex; every number adds over direct sums.
     """
     columns = list(columns)
     diamond = HodgeDiamond(labels=tuple(label for label, _ in columns))

@@ -187,15 +187,17 @@ class CoefficientModel:
     i * (row . w); the 2*pi of the underlying torus derivative is absorbed
     into this convention so eigenvalues stay in Q(i).  Truncation keeps all
     weights with |w_a| <= N, a box closed under every weight-preserving
-    operator and under conjugation.  Restricted to the sector of w, only the
-    weights {w, -w} are kept; that pair is closed under the same operations.
+    operator and under conjugation.  When set, `kept` restricts the model to
+    those weights, a set closed under negation; its complex is a direct
+    summand of the box's, so dimensions add.  The box of truncation N is the
+    disjoint union of the shells max |w_a| = s for s = 0..N (`shell`).
     """
 
     kind: str  # "invariant" | "torus_fourier"
     rank: int = 0
     actions: tuple[tuple[Scalar, ...], ...] = ()
     truncation: int = 0
-    sector: tuple[int, ...] | None = None
+    kept: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def invariant(cls) -> "CoefficientModel":
@@ -206,21 +208,18 @@ class CoefficientModel:
             return self
         return CoefficientModel(self.kind, self.rank, self.actions, n)
 
-    def with_sector(self, w: tuple[int, ...]) -> "CoefficientModel":
-        """The model restricted to the weights {w, -w}, at the truncation of w."""
-        return replace(self, truncation=max(map(abs, w)), sector=w)
+    def shell(self, s: int) -> "CoefficientModel":
+        """The model at truncation s that keeps only the weights with max |w_a| = s."""
+        box = self.with_truncation(s)
+        return replace(box, kept=tuple(w for w in box.weights() if max(map(abs, w)) == s))
 
     def weights(self) -> list[tuple[int, ...]]:
         if self.kind == "invariant":
             return [()]
-        if self.sector is not None:
-            return sorted({self.sector, tuple(-x for x in self.sector)})
+        if self.kept is not None:
+            return list(self.kept)
         n = self.truncation
         return sorted(product(range(-n, n + 1), repeat=self.rank))
-
-    def sectors(self) -> list[tuple[int, ...]]:
-        """One representative w >= -w of each conjugation pair of weights."""
-        return [w for w in self.weights() if w >= tuple(-x for x in w)]
 
     def acting_frame_indices(self) -> list[int]:
         if self.kind == "invariant":

@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, add_triples, canonical, reduced
+from .scalars import I, ONE, ZERO, Scalar, add_triples, canonical, reduced
 
 # there is no dense elimination path; the bench tracer still reads this name
 DENSE_COLUMN_LIMIT = 0
@@ -197,10 +197,6 @@ class ExactMatrix:
                 out[r] = out[r] + v * vec[c]
         return tuple(out)
 
-    def leading_columns(self, k: int) -> "ExactMatrix":
-        """The first k columns."""
-        return ExactMatrix.unchecked(self.rows, k, {(r, c): v for (r, c), v in self.entries.items() if c < k})
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -286,6 +282,14 @@ def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         out.append(s.real_part())
         out.append(s.imag_part())
     return tuple(out)
+
+
+def complexify(m: ExactMatrix) -> ExactMatrix:
+    """The complex columns whose (Re, Im) pairs are the row pairs of a real matrix: realify_vector undone."""
+    entries: dict[tuple[int, int], Scalar] = {}
+    for (r, c), v in m.entries.items():
+        entries[(r // 2, c)] = entries.get((r // 2, c), ZERO) + (I * v if r % 2 else v)
+    return ExactMatrix.unchecked(m.rows // 2, m.cols, entries)
 
 
 # ---------------------------------------------------------------------------

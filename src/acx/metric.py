@@ -100,8 +100,8 @@ class PointwiseMetric:
 
     omega, the dual pairing, the volume coefficient and the Gram, star, L and Lambda
     matrices on invariant monomials depend only on the metric and the torus
-    rank, so every complex of one metric (each truncation, each weight
-    sector) shares one instance through pointwise_metric.  A complex lifts
+    rank, so every complex of one metric (each truncation, each truncation
+    shell) shares one instance through pointwise_metric.  A complex lifts
     these matrices to its weights with FormComplex.lift.
     """
 

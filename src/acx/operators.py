@@ -120,7 +120,7 @@ class FrameBlocks:
     block(name, p, q) is A, the Leibniz extension of the split structure
     equations, and coefficient_block(name, p, q, r) is E_r, the wedge on the
     left with theta^r (partial) or tbar^r (dbar).  They depend on the frame
-    alone, so every truncation and weight sector of it shares them through
+    alone, so every truncation and truncation shell of it shares them through
     frame_blocks.
     """
 

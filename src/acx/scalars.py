@@ -182,7 +182,6 @@ class Scalar:
 ZERO = canonical(0, 0, 1)
 ONE = canonical(1, 0, 1)
 I = canonical(0, 1, 1)
-MINUS_ONE = canonical(-1, 0, 1)
 
 
 def integer(k: int) -> Scalar:

@@ -2,17 +2,26 @@ import importlib.util
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from acx import linalg
-from acx.cli import Session, bundled_manifest_path, manifest_from_dict, parse_manifest
+from acx.cli import Session, manifest_from_dict, parse_manifest
+from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
+from acx.metric import HermitianStructure
 from acx.operators import FormComplex
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+MANIFESTS = Path(__file__).resolve().parents[1] / "src" / "acx" / "manifests"
+
+
+def bundled_manifest_path(name: str) -> str:
+    """The path of a manifest shipped with the package."""
+    return str(MANIFESTS / f"{name}.json")
 
 
 def contains(space, vec) -> bool:
@@ -203,10 +212,26 @@ def fourier_sessions() -> list[tuple[str, Session]]:
     return cases
 
 
+def sectors(model) -> list[tuple[int, ...]]:
+    """One representative w >= -w of each conjugation pair of the model's weights."""
+    return [w for w in model.weights() if w >= tuple(-x for x in w)]
+
+
+def sector_model(model, w: tuple[int, ...]):
+    """The model restricted to the sector {w, -w}, at the truncation of w."""
+    return replace(model, truncation=max(map(abs, w)), kept=tuple(sorted({w, tuple(-x for x in w)})))
+
+
+def engine_on(session: Session, model) -> CohomologyEngine:
+    """A fresh engine on the session's frame and metric, over the weights of this model."""
+    cx = FormComplex(session.frame, model)
+    return CohomologyEngine(cx, HermitianStructure(cx, session.spec.metric))
+
+
 def sector_complexes(session: Session, truncation: int) -> list[FormComplex]:
     """One complex per weight sector {w, -w} of the session's model at this truncation."""
     model = session.spec.coefficients.with_truncation(truncation)
-    return [FormComplex(session.frame, model.with_sector(w)) for w in model.sectors()]
+    return [FormComplex(session.frame, sector_model(model, w)) for w in sectors(model)]
 
 
 def assert_sectors_decompose(session: Session, truncation: int, names, cells) -> None:

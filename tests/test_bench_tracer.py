@@ -5,7 +5,7 @@ import json
 from acx import cli, cohomology, linalg
 from acx.linalg import ExactMatrix
 
-from conftest import load_bench_module
+from conftest import bundled_manifest_path, load_bench_module
 
 
 def test_tracer_installs_on_every_traced_name():
@@ -28,7 +28,7 @@ def test_tracer_reads_a_traced_report(capsys):
     tracer = tracer_module.Tracer()
     try:
         tracer_module.install(tracer)
-        code = cli.main(["report", cli.bundled_manifest_path("kt4"), "--truncations", "1", "--format", "json"])
+        code = cli.main(["report", bundled_manifest_path("kt4"), "--truncations", "1", "--format", "json"])
     finally:
         tracer.unpatch()
     assert code == 0 and json.loads(capsys.readouterr().out)["audits"]

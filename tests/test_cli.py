@@ -9,7 +9,6 @@ from acx.cli import (
     ParseError,
     Session,
     ValidationError,
-    bundled_manifest_path,
     check_basis_size,
     check_invariant_block,
     main,
@@ -20,7 +19,7 @@ from acx.cli import (
 )
 from acx.operators import FormComplex
 
-from conftest import load_bench_module
+from conftest import bundled_manifest_path, load_bench_module
 
 
 def count_complexes(monkeypatch) -> list:

@@ -5,14 +5,23 @@ import pytest
 
 from acx import linalg
 from acx.audits import audit_identities
-from acx.cli import Session, bundled_manifest_path, manifest_from_dict, run
+from acx.cli import Session, manifest_from_dict, run
 from acx.cohomology import compute_diamond, diamond_numbers
 from acx.forms import BasisElement, Form
 from acx.lie import SHIFTS
 from acx.metric import Not4Manifold
 from acx.scalars import ONE, ZERO
 
-from conftest import assert_sectors_decompose, contains, random_4d_session, sweep_sessions
+from conftest import (
+    assert_sectors_decompose,
+    bundled_manifest_path,
+    contains,
+    engine_on,
+    random_4d_session,
+    sector_model,
+    sectors,
+    sweep_sessions,
+)
 
 # frozen regression baselines for the growing cells (derived by a per-weight
 # block analysis at N = 0 and locked to engine output afterwards)
@@ -217,36 +226,55 @@ def test_diamond_needs_three_points_for_witness(kt4_session):
 
 
 def test_sector_diamond_equals_whole_complex(kt4_session):
-    """Summing the {w, -w} sectors reproduces every table, Betti number, scalar and witness."""
+    """Summing the {w, -w} sectors (the reference) and the shells (`diamond`) reproduces every table,
+    Betti number, scalar and witness of the whole complexes."""
+    whole = whole_complex_diamond(kt4_session, range(3)).as_dict()
     payload, code = run("diamond", Session(kt4_session.spec), {"truncations": "0,1,2"})
     assert code == 0
-    assert payload["diamonds"] == whole_complex_diamond(kt4_session, range(3)).as_dict()
+    assert payload["diamonds"] == whole
+    columns = []
+    for t in range(3):
+        model = kt4_session.spec.coefficients.with_truncation(t)
+        parts = [diamond_numbers(engine_on(kt4_session, sector_model(model, w))) for w in sectors(model)]
+        columns.append((kt4_session.truncation_label(t), parts))
+    assert compute_diamond(columns).as_dict() == whole
 
 
-def test_sector_numbers_do_not_depend_on_truncation(kt4_session):
+def test_shell_numbers_do_not_depend_on_truncation(kt4_session):
     reached = {}
-    sectors = kt4_session.spec.coefficients.with_truncation(1).sectors()
     for n in (1, 2):
         session = Session(kt4_session.spec)
         run("diamond", session, {"truncations": str(n)})
-        reached[n] = {w: session.sector_numbers(w) for w in sectors}
+        reached[n] = {s: session.shell_numbers(s) for s in (0, 1)}
     assert reached[1] == reached[2]
 
 
 def test_sector_count(kt4_session):
+    """The reference's sectors: one per conjugation pair of the box's weights."""
     model = kt4_session.spec.coefficients
     for n in range(4):
-        assert len(model.with_truncation(n).sectors()) == ((2 * n + 1) ** 2 + 1) // 2
-    assert model.with_truncation(0).sectors() == [(0, 0)]
+        assert len(sectors(model.with_truncation(n))) == ((2 * n + 1) ** 2 + 1) // 2
+    assert sectors(model.with_truncation(0)) == [(0, 0)]
 
 
-def test_invariant_diamond_is_one_sector(torus_session, nil6_session):
+def test_shells_partition_the_box(kt4_session):
+    """Shells 0..N split the box of truncation N into sets closed under negation, 8s weights in shell s > 0."""
+    model = kt4_session.spec.coefficients
+    for n in range(5):
+        shells = [model.shell(s) for s in range(n + 1)]
+        assert sorted(w for shell in shells for w in shell.weights()) == model.with_truncation(n).weights()
+        for s, shell in enumerate(shells):
+            assert shell.truncation == s and len(shell.weights()) == max(1, 8 * s)
+            assert {tuple(-x for x in w) for w in shell.weights()} == set(shell.weights())
+
+
+def test_invariant_diamond_is_one_shell(torus_session, nil6_session):
     for base in (torus_session, nil6_session):
         session = Session(base.spec)
         payload, code = run("diamond", session, {})
         assert code == 0
         assert payload["diamonds"] == whole_complex_diamond(base, [None]).as_dict()
-        assert base.spec.coefficients.sectors() == [()]
+        assert list(session._shell_numbers) == [0] and sectors(base.spec.coefficients) == [()]
         # the diamond ran on the session's own engine, whose blocks later stages reuse
         assert session.engine().complex._block_cache
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from acx import lie, linalg
-from acx.cli import Session, bundled_manifest_path, manifest_from_dict
+from acx.cli import Session, manifest_from_dict
 from acx.forms import BasisElement, Form, enumerate_basis, extend_derivation
 from acx.lie import (
     LieAlgebraSpec,
@@ -27,7 +27,7 @@ from acx.operators import INVARIANT, FormComplex, frame_blocks, nijenhuis_rank
 from acx.linalg import ExactMatrix
 from acx.scalars import ONE, ZERO, Scalar
 
-from conftest import random_4d_session, sweep_sessions
+from conftest import bundled_manifest_path, random_4d_session, sweep_sessions
 from test_lift_oracle import ReferenceOperators, reference_leibniz
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

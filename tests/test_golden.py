@@ -15,7 +15,7 @@ import pytest
 
 from acx import cli
 
-from conftest import load_bench_module
+from conftest import bundled_manifest_path, load_bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -42,7 +42,7 @@ GOLDEN_FLAGS = {"torus4": [], "nil6": [], "kt4": ["--truncations", "0,1,2,3"]}
 
 @pytest.mark.parametrize("name", list(GOLDEN_FLAGS))
 def test_report_matches_golden(name, capsys):
-    code = cli.main(["report", cli.bundled_manifest_path(name), *GOLDEN_FLAGS[name], "--format", "json"])
+    code = cli.main(["report", bundled_manifest_path(name), *GOLDEN_FLAGS[name], "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     payload.pop("timing")

@@ -17,14 +17,14 @@ import pytest
 
 from acx import audits, cohomology, lie, linalg, operators
 from acx.audits import IDENTITY_TERMS, SYMPLECTIC_COMMUTATORS, audit_identities
-from acx.cli import Session, bundled_manifest_path, manifest_from_dict, parse_manifest
+from acx.cli import Session, manifest_from_dict, parse_manifest
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
 from acx.metric import HermitianStructure
 from acx.operators import DIFFERENTIALS, SQUARE_ZERO_RELATIONS, FormComplex, FrameBlocks, compose, shift
-from acx.scalars import I, MINUS_ONE, ONE, integer, rational
+from acx.scalars import I, ONE, integer, rational
 
-from conftest import random_fourier_manifest
+from conftest import bundled_manifest_path, random_fourier_manifest
 
 MINUS_I = -I
 
@@ -101,13 +101,13 @@ def reference_metric_audits(engine):
     block = reference_block(engine)
     failures = []
     for a, b, rhs in REFERENCE_COMMUTATORS:
-        terms = [(ONE, [a, b]), (MINUS_ONE, [b, a])]
+        terms = [(ONE, [a, b]), (-ONE, [b, a])]
         if rhs is not None:
             scalar, name = rhs
             terms.append((-scalar, [name]))
         if failing_blocks(block, terms, engine.n):
             failures.append(f"[{a},{b}]")
-    sl2 = failing_blocks(block, [(ONE, ["L", "Lambda"]), (MINUS_ONE, ["Lambda", "L"]), (MINUS_ONE, ["H"])], engine.n)
+    sl2 = failing_blocks(block, [(ONE, ["L", "Lambda"]), (-ONE, ["Lambda", "L"]), (-ONE, ["H"])], engine.n)
     return {
         "symplectic-commutators": (
             "fail" if failures else "pass",
@@ -317,7 +317,7 @@ def test_failing_blocks_rejects_chains_of_mixed_shifts(kt4_session):
     with pytest.raises(ValueError):
         failing_blocks(eng.block, [(ONE, ["mu", "dbar"]), (ONE, ["partial", "dbar"])], eng.n)
     with pytest.raises(ValueError):
-        failing_blocks(eng.block, [(ONE, ["L", "Lambda"]), (MINUS_ONE, ["L"])], eng.n)
+        failing_blocks(eng.block, [(ONE, ["L", "Lambda"]), (-ONE, ["L"])], eng.n)
 
 
 def test_broken_complexes_report_the_reference_failures(kt4_session, nil6_session, kodaira_session):

@@ -201,7 +201,7 @@ def test_blocks_match_reference_on_oracle_engines(oracle_engines):
 def test_blocks_match_reference_on_kt4_sectors(kt4_session):
     """Every sector {w, -w} of kt4 at N = 3, which holds the sectors of N = 0..2."""
     for cx in sector_complexes(kt4_session, 3):
-        assert_blocks_match(f"kt4 sector {cx.coefficients.sector}", cx)
+        assert_blocks_match(f"kt4 sector {cx.coefficients.kept}", cx)
 
 
 def test_blocks_match_reference_on_random_fourier_models(fourier_sessions):
@@ -213,7 +213,7 @@ def test_blocks_match_reference_on_random_fourier_models(fourier_sessions):
         assert not cx.block("dbar", 0, 0).is_zero(), label
         assert assert_blocks_match(label, cx) > 0, label
         for sector in sector_complexes(session, 1):
-            assert_blocks_match(f"{label} sector {sector.coefficients.sector}", sector)
+            assert_blocks_match(f"{label} sector {sector.coefficients.kept}", sector)
 
 
 def test_apply_matches_reference_on_weighted_forms(kt4_session, fourier_sessions):
@@ -263,7 +263,7 @@ def test_lifts_match_references_on_kt4_sectors(kt4_session):
     generic = HermitianMetric(((integer(2), third_i), (-third_i, ONE)))
     for metric in (kt4_session.spec.metric, generic):
         for cx in sector_complexes(kt4_session, 3):
-            assert_lifts_match(f"kt4 sector {cx.coefficients.sector}", HermitianStructure(cx, metric), rng)
+            assert_lifts_match(f"kt4 sector {cx.coefficients.kept}", HermitianStructure(cx, metric), rng)
 
 
 def test_lift_places_one_copy_per_weight(kt4_session):

@@ -279,10 +279,8 @@ def test_weight_independent_parts_are_shared_across_sectors(kt4_session, monkeyp
     # a metric no other test builds, so nothing of it is cached yet
     metric = HermitianMetric(((integer(3), I), (-I, integer(2))))
     model = kt4_session.spec.coefficients
-    structures = [
-        HermitianStructure(FormComplex(kt4_session.frame, model.with_sector(w)), metric)
-        for w in ((0, 0), (1, 0), (1, -1))
-    ]
+    # the truncation shells 0, 1, 2, each a union of sectors {w, -w}
+    structures = [HermitianStructure(FormComplex(kt4_session.frame, model.shell(s)), metric) for s in range(3)]
     assert validated == [metric]
     first, *rest = structures
     for h in rest:

@@ -10,7 +10,6 @@ from acx import linalg
 from acx.linalg import ExactMatrix
 from acx.scalars import (
     I,
-    MINUS_ONE,
     ONE,
     ZERO,
     Scalar,
@@ -31,7 +30,7 @@ def test_field_basics():
     assert a * b == b * a
     assert (a * b) / b == a
     assert ONE / I == -I
-    assert I * I == MINUS_ONE
+    assert I * I == integer(-1)
 
 
 def test_conjugation_involution_and_abs2():
@@ -52,7 +51,7 @@ def test_division_by_zero():
 
 def test_pow():
     assert I ** 0 == ONE
-    assert I ** 2 == MINUS_ONE
+    assert I ** 2 == integer(-1)
     assert I ** 3 == -I
     assert integer(2) ** -1 == rational(1, 2)
 

@@ -23,6 +23,8 @@ from acx.audits import (
     NoSolution,
     NotDdcClosed,
     TamingCertificate,
+    _closed,
+    _correct,
     _obstruction_functional,
     audit_ddc_descent,
     check_nondegenerate,
@@ -53,6 +55,11 @@ def reference_correction_map(cx):
     k20 = linalg.realify(cx.block("mu", 0, 1)) + linalg.realify(cx.block("partial", 1, 0) @ c01) @ flip
     system = linalg.realify(cx.block("partial", 0, 2)) @ k02 + linalg.realify(cx.block("mubar", 2, 0)) @ k20
     return k02, k20, system
+
+
+def reference_closed(cx, omega):
+    """d of the realified degree-2 forms in the columns of omega, through the realified d_total(2)."""
+    return (linalg.realify(cx.d_total(2)) @ omega).is_zero()
 
 
 def reference_correction(cx, u):
@@ -260,6 +267,49 @@ def test_closed_and_well_defined_guards_can_fail(kt4_session, monkeypatch):
     monkeypatch.setattr(engine, "correction_map", lambda: next(maps))
     cert = solve_taming(engine, psi)
     assert cert.closed and not cert.well_defined
+
+
+def test_closed_check_matches_realified_reference(kt4_session, kodaira_session, monkeypatch):
+    """_closed applies d_total(2) to complexified columns; on the descent's corrected columns, under the
+    engine's correction map (certified) and under one missing a term (not closed), it agrees with the
+    realified product column by column."""
+    verdicts = set()
+    for label, session, n in _oracle_cases(kt4_session, kodaira_session):
+        engine = session.engine(n)
+        cx = engine.complex
+        num_real, _ = engine.real_ddc_parts()
+        if not num_real.dim:
+            continue
+        psi = num_real.rows.transpose()
+        fresh = CohomologyEngine(cx, engine.hermitian)
+        for maps in (engine.correction_map(), _drop_mubar_term(fresh)):
+            monkeypatch.setattr(fresh, "correction_map", lambda maps=maps: maps)
+            try:
+                _, omega = _correct(fresh, psi)
+            except NoSolution:
+                continue
+            assert _closed(cx, omega) == reference_closed(cx, omega), label
+            for j in range(omega.cols):
+                column = ExactMatrix(omega.rows, 1, {(r, 0): v for (r, c), v in omega.entries.items() if c == j})
+                got = _closed(cx, column)
+                assert got == reference_closed(cx, column), label
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_correction_target_realifies_dbar_once_per_engine(kt4_session, monkeypatch):
+    """Both pivot orders of solve_taming, and a second solve, share one realified dbar(1,1) block."""
+    session_engine = kt4_session.engine(1)
+    engine = CohomologyEngine(session_engine.complex, session_engine.hermitian)
+    psi = psi_from_selector(kt4_session, 1, "perturbed")
+    dbar = engine.complex.block("dbar", 1, 1)
+    realified = []
+    realify = linalg.realify
+    monkeypatch.setattr(linalg, "realify", lambda m, *rest: realified.append(m is dbar) or realify(m, *rest))
+    first, second = solve_taming(engine, psi), solve_taming(engine, psi)
+    assert first.closed and first == second
+    assert sum(realified) == 1
+    assert engine.realified_block("dbar", 1, 1) == realify(dbar)
 
 
 def reference_psi_from_selector(session, truncation, selector):
