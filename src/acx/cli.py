@@ -432,6 +432,9 @@ def run(command: str, session: Session, flags: dict) -> tuple[dict, int]:
             payload["validation"] = _run_validate(session)
             payload["audits"] = _run_verify(session, flags)
         elif command == "taming":
+            if len(flags["truncations"]) > 1:
+                # a certificate is for one complex; report's taming stage reads the first column
+                raise ValidationError("Truncations", f"taming certifies one truncation, not {flags['truncations']!r}")
             payload["certificates"] = _run_taming(session, flags)
         elif command == "report":
             payload["validation"] = _run_validate(session)

@@ -1,7 +1,9 @@
 """Every cohomology dimension of the model, from assembled operator blocks.
 
-All quotients are computed as exact subspace dimensions over Q(i) (or over Q
-after realification where a real structure is required).  The containments
+All quotients are computed as exact subspace dimensions over Q(i).  Matrices
+are realified over Q only where a real basis is consumed (the ddc-descent
+audit and the taming pipeline); a real dimension is a complex rank when
+conjugation preserves the spaces, as for the real ddc quotient.  The containments
 that make each quotient well defined are asserted; a violation raises
 NotContained and is treated as a fatal model diagnostic rather than clamped.
 Everything here is model-level: dimensions refer to the invariant complex,
@@ -258,10 +260,11 @@ class CohomologyEngine:
 
     @once_per_engine
     def real_ddc_parts(self) -> tuple[Subspace, Subspace]:
-        """The real ddc quotient in doubled coordinates.
+        """The real ddc quotient in doubled coordinates, for the audits that consume a real basis.
 
         Numerator: ker(del dbar) on real (1,1)-forms; denominator: the image
-        of d^{1,1} on real 1-forms.
+        of d^{1,1} on real 1-forms.  Its dimension is read off complex ranks
+        in special_11_quotients, which builds none of this.
         """
         ddc = linalg.realify(compose(self.block, ["partial", "dbar"], 1, 1))
         real = self._real_constraint(self.complex.conj_struct(1, 1))
@@ -295,7 +298,16 @@ class CohomologyEngine:
         return k02, k20, system
 
     def special_11_quotients(self) -> dict:
-        """The de Rham, del-delbar-potential and ddc quotients in bidegree (1,1)."""
+        """The de Rham, del-delbar-potential and ddc quotients in bidegree (1,1).
+
+        The real ddc quotient is read off complex ranks, with no real basis.  In
+        dimension four d^2 = 0 gives dbar del = -del dbar on (1,1), so conjugation
+        maps ker(del dbar) onto itself and its real part has real dimension
+        dim_C ker(del dbar).  d^{1,1} = [dbar on (1,0) | del on (0,1)] commutes
+        with conjugation, so its image of real 1-forms has real dimension
+        rank_C d^{1,1}.  Real 1-forms span A^1 over C, so the real containment
+        holds iff del dbar . d^{1,1} = 0, the one complex guard product.
+        """
         if self.n != 2:
             raise Not4Manifold("the (1,1) special quotients are four-dimensional constructions")
         # numerator: d-closed pure (1,1) forms
@@ -305,7 +317,8 @@ class CohomologyEngine:
         pure_potentials = self._kernel_of(["mu", "dbar"], ["mubar", "partial"], p=0, q=0)
         pdbar = compose(self.block, ["partial", "dbar"], 0, 0)
         h11_bc = linalg.quotient_dim(closed, linalg.map_subspace(pdbar, pure_potentials))
-        h11_ddc_real = linalg.quotient_dim(*self.real_ddc_parts())
+        ddc = compose(self.block, ["partial", "dbar"], 1, 1)
+        h11_ddc_real = linalg.quotient_dim(Subspace(constraint=ddc), linalg.image(self._d11()))
         return {"h11_dR": h11_dr, "h11_BC": h11_bc, "h11_ddc_real": h11_ddc_real}
 
     def real_one_forms(self) -> Subspace:

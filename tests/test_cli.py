@@ -418,6 +418,15 @@ def test_bad_flags_are_fatal(flags, capsys, monkeypatch):
     assert not built
 
 
+def test_taming_with_several_truncations_is_fatal(capsys, monkeypatch):
+    """A certificate is for one truncation: `taming` refuses a list before any complex is built."""
+    built = count_complexes(monkeypatch)
+    assert main(["taming", bundled_manifest_path("kt4"), "--truncations", "1,2", "--format", "json"]) == 2
+    fatal = json.loads(capsys.readouterr().out)["fatal"]
+    assert fatal["type"] == "ValidationError" and "one truncation" in fatal["detail"], fatal
+    assert not built
+
+
 def abelian_manifest(real_dim: int) -> dict:
     """The abelian invariant model of this dimension with its standard J."""
     j = [["0"] * real_dim for _ in range(real_dim)]

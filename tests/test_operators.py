@@ -10,7 +10,7 @@ from acx.linalg import ExactMatrix
 from acx.operators import FormComplex, FrameBlocks, compose, shift
 from acx.scalars import ONE, Scalar, ZERO
 
-from conftest import assert_sectors_decompose, contains, sector_complexes
+from conftest import assert_sectors_decompose, contains, random_4d_session, sector_complexes
 
 
 def test_identity_suite_kt4(kt4_session):
@@ -131,17 +131,23 @@ def test_weight_blocks_decompose_on_random_fourier_models(fourier_sessions):
         assert_sectors_decompose(session, 1, ("mu", "partial", "dbar", "mubar"), cells)
 
 
-def test_conjugation_intertwines_mu_and_mubar(kt4_session):
-    """conj . mu . conj = mubar as block maps."""
-    cx = kt4_session.complex(1)
-    for p in range(3):
-        for q in range(3):
-            twisted = cx.conj_twisted_block("mu", p, q)
-            direct = cx.block("mubar", p, q)
-            if direct.rows == 0:
-                assert twisted.rows == 0 or twisted.is_zero()
-            else:
-                assert twisted == direct
+def test_conjugation_intertwines_each_differential_with_its_conjugate(kt4_session, fourier_sessions):
+    """conj . D . conj = Dbar for D = mu, partial, dbar, mubar, on kt4 N=1, the 4-dim Fourier models and random 4-dim models."""
+    conjugate = {"mu": "mubar", "partial": "dbar", "dbar": "partial", "mubar": "mu"}
+    rng = random.Random(4242)
+    complexes = [kt4_session.complex(1)]
+    complexes += [s.complex() for _, s in fourier_sessions if s.frame.n == 2]
+    complexes += [random_4d_session(rng).complex() for _ in range(4)]
+    for cx in complexes:
+        for name, bar in conjugate.items():
+            for p in range(3):
+                for q in range(3):
+                    twisted = cx.conj_twisted_block(name, p, q)
+                    direct = cx.block(bar, p, q)
+                    if direct.rows == 0:
+                        assert twisted.rows == 0 or twisted.is_zero()
+                    else:
+                        assert twisted == direct, (cx.coefficients, name, p, q)
 
 
 def test_reconstruction_and_bidegree_purity(kt4_session):
