@@ -237,7 +237,7 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
         )
     )
     # exact classes of bidegree (2,0) vanish in the spectral quotient
-    num20, den20 = engine.spectral_parts(2, 0)
+    num20, den20 = engine.dolbeault_cw_parts(2, 0)
     reachable = linalg.sum_spaces(
         [engine.op_image_into("partial", 2, 0), engine.op_image_into("mu", 2, 0)]
     )

@@ -35,7 +35,7 @@ from .forms import CoefficientModel, Form, InconsistentModel
 from .lie import AlmostComplexStructure, DegenerateJ, LieAlgebraSpec, build_frame, validate_model
 from .linalg import ExactMatrix, NotContained
 from .metric import HermitianMetric, HermitianStructure, Not4Manifold, NotPositive
-from .operators import DIFFERENTIALS, FormComplex, compose, nijenhuis_rank
+from .operators import DIFFERENTIALS, FormComplex, compose, memoized, nijenhuis_rank
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, rational
 
 KNOWN_TASKS = ("validate", "diamond", "verify", "taming", "report")
@@ -288,14 +288,11 @@ def manifest_from_dict(raw: dict) -> ManifoldSpec:
 
 
 class Session:
-    """One parsed manifest plus cached engines per truncation."""
+    """One parsed manifest plus its engines, one per coefficient model."""
 
     def __init__(self, spec: ManifoldSpec):
         self.spec = spec
         self.frame = build_frame(spec.algebra, spec.structure)
-        self._complexes: dict[object, FormComplex] = {}
-        self._engines: dict[object, CohomologyEngine] = {}
-        self._shell_numbers: dict[int, dict] = {}
 
     def truncation_label(self, truncation: int | None) -> str:
         if self.spec.coefficients.kind == "invariant":
@@ -305,42 +302,35 @@ class Session:
         return f"N={truncation}"
 
     def complex(self, truncation: int | None = None) -> FormComplex:
-        key = self.truncation_label(truncation)
-        if key not in self._complexes:
-            model = self.spec.coefficients
-            if model.kind != "invariant":
-                model = model.with_truncation(
-                    model.truncation if truncation is None else truncation
-                )
-            self._complexes[key] = FormComplex(self.frame, model)
-        return self._complexes[key]
+        return self.engine(truncation).complex
 
     def engine(self, truncation: int | None = None) -> CohomologyEngine:
-        key = self.truncation_label(truncation)
-        if key not in self._engines:
-            cx = self.complex(truncation)
-            hermitian = HermitianStructure(cx, self.spec.metric)
-            self._engines[key] = CohomologyEngine(cx, hermitian)
-        return self._engines[key]
+        """The engine at a truncation, None for the manifest's; equal models share one engine."""
+        model = self.spec.coefficients
+        return self._engine(model if truncation is None else model.with_truncation(truncation))
+
+    @memoized
+    def _engine(self, model: CoefficientModel) -> CohomologyEngine:
+        return self._new_engine(model)
+
+    def _new_engine(self, model: CoefficientModel) -> CohomologyEngine:
+        cx = FormComplex(self.frame, model)
+        return CohomologyEngine(cx, HermitianStructure(cx, self.spec.metric))
 
     def default_truncations(self) -> list[int | None]:
         if self.spec.coefficients.kind == "invariant":
             return [None]
         return [self.spec.coefficients.truncation]
 
+    @memoized
     def shell_numbers(self, s: int) -> dict:
-        """diamond_numbers of the weights with max |w_a| = s, cached; the shell's engine is dropped.
+        """diamond_numbers of the weights with max |w_a| = s, computed once; the shell's engine is dropped.
 
         An invariant model is the one shell 0: its session engine, whose blocks later stages reuse.
         """
-        if s not in self._shell_numbers:
-            if self.spec.coefficients.kind == "invariant":
-                engine = self.engine()
-            else:
-                cx = FormComplex(self.frame, self.spec.coefficients.shell(s))
-                engine = CohomologyEngine(cx, HermitianStructure(cx, self.spec.metric))
-            self._shell_numbers[s] = diamond_numbers(engine)
-        return self._shell_numbers[s]
+        if self.spec.coefficients.kind == "invariant":
+            return diamond_numbers(self.engine())
+        return diamond_numbers(self._new_engine(self.spec.coefficients.shell(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,40 +15,27 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import wraps
 from typing import Iterable
 
 from . import linalg
 from .lie import SHIFTS
 from .linalg import ExactMatrix, Subspace
 from .metric import HermitianStructure, Not4Manifold
-from .operators import DIFFERENTIALS, FormComplex, compose
-
-
-def once_per_engine(method):
-    """An engine method computed once per argument tuple, in the engine's one memo.
-
-    The diamond, the audits and the taming pipeline share the values; a dropped engine drops its memo.
-    """
-
-    @wraps(method)
-    def cached(self, *args):
-        key = (method.__name__, *args)
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
-
-    return cached
+from .operators import DIFFERENTIALS, FormComplex, compose, memoized
 
 
 class CohomologyEngine:
-    """Dimension computations for one complex and its metric."""
+    """Dimension computations for one complex and its metric.
+
+    Each @memoized method is computed once per engine and argument tuple, so
+    the diamond, the audits and the taming pipeline share its values; a
+    dropped engine drops them.
+    """
 
     def __init__(self, complex_: FormComplex, hermitian: HermitianStructure):
         self.complex = complex_
         self.hermitian = hermitian
         self.n = complex_.n
-        self._memo: dict[tuple, object] = {}
 
     # -- generic block subspaces ------------------------------------------------
 
@@ -69,7 +56,7 @@ class CohomologyEngine:
         """The common kernel of operator chains on the (p,q) block: the kernel of their stack."""
         return linalg.kernel(ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains]))
 
-    @once_per_engine
+    @memoized
     def op_image_into(self, name: str, p: int, q: int) -> Subspace:
         """Image of the named operator inside the (p,q) block.
 
@@ -83,7 +70,7 @@ class CohomologyEngine:
 
     # -- de Rham ------------------------------------------------------------------
 
-    @once_per_engine
+    @memoized
     def _d_rank(self, r: int) -> int:
         return linalg.rank(self.complex.d_total(r))
 
@@ -94,7 +81,9 @@ class CohomologyEngine:
 
     # -- spectral (first page) Dolbeault -------------------------------------------
 
+    @memoized
     def dolbeault_cw_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
+        """The spectral quotient's parts; the diamond and the four-manifold audit share them."""
         ker_mubar = self.op_kernel("mubar", p, q)
         in_kernel = linalg.preimage(self.complex.block("dbar", p, q), self.op_image_into("mubar", p, q + 1))
         numerator = linalg.intersect([ker_mubar, in_kernel])
@@ -111,18 +100,13 @@ class CohomologyEngine:
             denominator = linalg.zero_space(self.complex.dim(p, q))
         return numerator, denominator
 
-    @once_per_engine
-    def spectral_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
-        """dolbeault_cw_parts, built once per engine: the diamond and the four-manifold audit share them."""
-        return self.dolbeault_cw_parts(p, q)
-
-    @once_per_engine
+    @memoized
     def dolbeault_cw(self, p: int, q: int) -> int:
-        return linalg.quotient_dim(*self.spectral_parts(p, q))
+        return linalg.quotient_dim(*self.dolbeault_cw_parts(p, q))
 
     # -- refined Dolbeault ------------------------------------------------------------
 
-    @once_per_engine
+    @memoized
     def a_dol(self, p: int, q: int) -> Subspace:
         """ker(mu) ^ ker(mubar) ^ ker(dbar^2) ^ ker(mu dbar) inside (p,q).
 
@@ -142,7 +126,7 @@ class CohomologyEngine:
             denominator = linalg.map_subspace(dbar, below)
         return numerator, denominator
 
-    @once_per_engine
+    @memoized
     def refined_dolbeault(self, p: int, q: int) -> int:
         return linalg.quotient_dim(*self.refined_parts(p, q))
 
@@ -158,7 +142,7 @@ class CohomologyEngine:
         s = ExactMatrix.vstack([s20, s02])
         return t, s
 
-    @once_per_engine
+    @memoized
     def _hat_system(self) -> tuple[ExactMatrix, Subspace]:
         """[T | S] on pairs of 1-forms and its kernel, the pairs whose d is pure (1,1)."""
         phi = ExactMatrix.hstack(self._hat_maps())
@@ -170,7 +154,7 @@ class CohomologyEngine:
         denominator = self.op_image_into("dbar", 0, 1)
         return numerator, denominator
 
-    @once_per_engine
+    @memoized
     def hat_h01(self) -> int:
         return linalg.quotient_dim(*self.hat_h01_parts())
 
@@ -182,7 +166,7 @@ class CohomologyEngine:
         """
         return self._hat_h1(diagonal_potentials)
 
-    @once_per_engine
+    @memoized
     def _hat_h1(self, diagonal_potentials: bool) -> int:
         # numerator: pairs (u1, u2) with T u1 + S u2 = 0, i.e. d(u1 + u2) is pure (1,1)
         phi, numerator = self._hat_system()
@@ -235,7 +219,7 @@ class CohomologyEngine:
         system = self._harmonic_system(deltas, p, q)
         return system.cols - linalg.rank(system)
 
-    @once_per_engine
+    @memoized
     def ell(self, p: int, q: int) -> int:
         return self.harmonic_dim(("dbar", "mu"), p, q)
 
@@ -258,7 +242,7 @@ class CohomologyEngine:
             raise ValueError("real subspaces live on conjugation-stable blocks only")
         return linalg.kernel(self._real_constraint(self.complex.conj_struct(p, q)))
 
-    @once_per_engine
+    @memoized
     def real_ddc_parts(self) -> tuple[Subspace, Subspace]:
         """The real ddc quotient in doubled coordinates, for the audits that consume a real basis.
 
@@ -272,12 +256,12 @@ class CohomologyEngine:
         denominator = linalg.map_subspace(linalg.realify(self._d11()), self.real_one_forms())
         return numerator, denominator
 
-    @once_per_engine
+    @memoized
     def realified_block(self, name: str, p: int, q: int) -> ExactMatrix:
         """One block on (Re, Im) pairs, for the R-linear taming systems."""
         return linalg.realify(self.complex.block(name, p, q))
 
-    @once_per_engine
+    @memoized
     def correction_map(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
         """The taming correction u -> dbar u + partial ubar + mu u + mubar ubar.
 

@@ -81,10 +81,6 @@ class Form:
                     self.coeffs[k] = v
 
     @classmethod
-    def zero(cls) -> "Form":
-        return cls()
-
-    @classmethod
     def monomial(cls, element: BasisElement, coeff: Scalar = ONE) -> "Form":
         return cls({element: coeff})
 

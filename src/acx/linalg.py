@@ -527,22 +527,13 @@ class Subspace:
     __hash__ = None
 
 
-def span(m: ExactMatrix) -> Subspace:
-    """The row space of m."""
-    return Subspace(generators=m.transpose())
-
-
 def subspace_from_vectors(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> Subspace:
     rows = []
     for v in vectors:
         if len(v) != ambient_dim:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
         rows.append(v)
-    return span(ExactMatrix.from_rows(rows, ambient_dim))
-
-
-def full_space(n: int) -> Subspace:
-    return Subspace(constraint=ExactMatrix(0, n), rows=ExactMatrix.identity(n))
+    return Subspace(generators=ExactMatrix.from_rows(rows, ambient_dim).transpose())
 
 
 def zero_space(n: int) -> Subspace:

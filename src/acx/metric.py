@@ -19,7 +19,7 @@ from . import linalg
 from .forms import BasisElement, Form, conjugate_element, enumerate_basis, wedge_elements, with_weight_rank
 from .lie import SHIFTS
 from .linalg import ExactMatrix
-from .operators import INVARIANT, FormComplex, invariant_matrix
+from .operators import INVARIANT, FormComplex, invariant_matrix, memoized
 from .scalars import I, ONE, ZERO, Scalar, integer, rational
 
 HALF_I = rational(1, 2) * I
@@ -132,14 +132,11 @@ class PointwiseMetric:
         ((_, top_coeff),) = top.coeffs.items()
         self.vol_coeff = top_coeff / scale
         self._builders = {"gram": self._gram, "star": self._star, "L": self._lefschetz, "Lambda": self._lambda}
-        self._cache: dict[tuple[str, int, int], ExactMatrix] = {}
 
+    @memoized
     def invariant(self, name: str, p: int, q: int) -> ExactMatrix:
         """The named pointwise operator (gram, star, L or Lambda) on invariant (p,q)-monomials, built once."""
-        key = (name, p, q)
-        if key not in self._cache:
-            self._cache[key] = self._builders[name](p, q)
-        return self._cache[key]
+        return self._builders[name](p, q)
 
     def gram_invariant(self, p: int, q: int) -> ExactMatrix:
         return self.invariant("gram", p, q)
@@ -252,15 +249,11 @@ class HermitianStructure:
         self.n = complex_.n
         self._pointwise = pointwise
         self.omega = pointwise.omega
-        self._lifts: dict[tuple[str, int, int], ExactMatrix] = {}
-        self._adjoint_cache: dict[tuple[str, int, int], ExactMatrix] = {}
 
+    @memoized
     def _lift(self, name: str, p: int, q: int) -> ExactMatrix:
         """The named PointwiseMetric matrix on the (p,q) block, lifted once."""
-        key = (name, p, q)
-        if key not in self._lifts:
-            self._lifts[key] = self.complex.lift(self._pointwise.invariant(name, p, q))
-        return self._lifts[key]
+        return self.complex.lift(self._pointwise.invariant(name, p, q))
 
     # -- inner products -----------------------------------------------------
 
@@ -301,23 +294,18 @@ class HermitianStructure:
 
     # -- adjoints and Laplacians ----------------------------------------------
 
+    @memoized
     def adjoint_block(self, name: str, p: int, q: int) -> ExactMatrix:
-        """delta^* = -star . (conj delta conj) . star on the (p,q) block."""
-        key = (name, p, q)
-        if key in self._adjoint_cache:
-            return self._adjoint_cache[key]
+        """delta^* = -star . (conj delta conj) . star on the (p,q) block, built once."""
         dp, dq = SHIFTS[name]
         tp, tq = p - dp, q - dq
         if not self.complex.valid_bidegree(tp, tq):
-            mat = ExactMatrix(0, self.complex.dim(p, q))
-        else:
-            # the whole star path is valid exactly when the target block is
-            s_in = self.star(p, q)  # (p,q) -> (n-q, n-p)
-            twisted = self.complex.conj_twisted_block(name, self.n - q, self.n - p)
-            s_out = self.star(self.n - q + dq, self.n - p + dp)  # -> (p-dp, q-dq)
-            mat = -(s_out @ twisted @ s_in)
-        self._adjoint_cache[key] = mat
-        return mat
+            return ExactMatrix(0, self.complex.dim(p, q))
+        # the whole star path is valid exactly when the target block is
+        s_in = self.star(p, q)  # (p,q) -> (n-q, n-p)
+        twisted = self.complex.conj_twisted_block(name, self.n - q, self.n - p)
+        s_out = self.star(self.n - q + dq, self.n - p + dp)  # -> (p-dp, q-dq)
+        return -(s_out @ twisted @ s_in)
 
     def laplacian_block(self, name: str, p: int, q: int) -> ExactMatrix:
         """delta delta^* + delta^* delta on the (p,q) block."""

@@ -14,7 +14,7 @@ the symmetric truncation |w_a| <= N is an honest subcomplex.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Callable
 
 from . import linalg
@@ -85,6 +85,27 @@ def _dot(row, vec) -> Scalar:
 INVARIANT = CoefficientModel.invariant()
 
 
+def memoized(method):
+    """A method computed once per object and positional argument tuple.
+
+    The values are kept in the object's `_<method>_cache` dict, keyed by the
+    argument tuple, so a dropped object drops its values.  Blocks, engine
+    numbers and shell diamonds share this one memo.
+    """
+    attr = f"_{method.__name__}_cache"
+
+    @wraps(method)
+    def cached(self, *args):
+        memo = vars(self).get(attr)
+        if memo is None:
+            memo = vars(self)[attr] = {}
+        if args not in memo:
+            memo[args] = method(self, *args)
+        return memo[args]
+
+    return cached
+
+
 def invariant_matrix(n: int, image: Callable[[BasisElement], Form], p: int, q: int, tp: int, tq: int) -> ExactMatrix:
     """The matrix of a map from invariant (p,q)-monomials to invariant (tp,tq)-monomials.
 
@@ -128,33 +149,26 @@ class FrameBlocks:
         self.n = frame.n
         self.structure = exterior_d_on_generators(frame)
         self.parts = split_d(self.structure)
-        self._cache: dict[tuple[str, str, int, int], object] = {}
 
+    @memoized
     def block(self, name: str, p: int, q: int) -> ExactMatrix:
         """A: the named differential on invariant (p,q)-monomials."""
-        key = ("A", name, p, q)
-        if key not in self._cache:
-            dp, dq = SHIFTS[name]
-            action = self.images(name)
-            leibniz = lambda m: extend_derivation(action, Form.monomial(m))
-            self._cache[key] = invariant_matrix(self.n, leibniz, p, q, p + dp, q + dq)
-        return self._cache[key]
+        dp, dq = SHIFTS[name]
+        action = self.images(name)
+        leibniz = lambda m: extend_derivation(action, Form.monomial(m))
+        return invariant_matrix(self.n, leibniz, p, q, p + dp, q + dq)
 
+    @memoized
     def images(self, name: str) -> GeneratorImages:
         """The split structure equations of one differential ("d" for all of them), converted once."""
-        key = ("images", name)
-        if key not in self._cache:
-            self._cache[key] = GeneratorImages(self.structure if name == "d" else self.parts[name])
-        return self._cache[key]
+        return GeneratorImages(self.structure if name == "d" else self.parts[name])
 
+    @memoized
     def coefficient_block(self, name: str, p: int, q: int, r: int) -> ExactMatrix:
         """E_r of partial or dbar on invariant (p,q)-monomials, r = 1..n, built on first use."""
-        key = ("E", name, p, q, r)
-        if key not in self._cache:
-            dp, dq = SHIFTS[name]
-            gen = Form.monomial(BasisElement((), (r,), ()) if name == "partial" else BasisElement((), (), (r,)))
-            self._cache[key] = invariant_matrix(self.n, lambda m: gen.wedge(Form.monomial(m)), p, q, p + dp, q + dq)
-        return self._cache[key]
+        dp, dq = SHIFTS[name]
+        gen = Form.monomial(BasisElement((), (r,), ()) if name == "partial" else BasisElement((), (), (r,)))
+        return invariant_matrix(self.n, lambda m: gen.wedge(Form.monomial(m)), p, q, p + dp, q + dq)
 
 
 class FormComplex:
@@ -179,11 +193,8 @@ class FormComplex:
             name: [r for r in range(1, self.n + 1) if any(eig[w][r - 1] for w in self._weights)]
             for name, eig in (("partial", self._z_eig), ("dbar", self._zbar_eig))
         }
-        self._basis_cache: dict[tuple[int, int], tuple[BasisElement, ...]] = {}
-        self._index_cache: dict[tuple[int, int], dict[BasisElement, int]] = {}
+        # block's memo, keyed (name, p, q), exists before the first block is built
         self._block_cache: dict[tuple[str, int, int], ExactMatrix] = {}
-        self._conj_cache: dict[tuple[int, int], ExactMatrix] = {}
-        self._total_cache: dict[int, ExactMatrix] = {}
 
     def _check_coefficients(self) -> None:
         model = self.coefficients
@@ -210,17 +221,13 @@ class FormComplex:
     def valid_bidegree(self, p: int, q: int) -> bool:
         return 0 <= p <= self.n and 0 <= q <= self.n
 
+    @memoized
     def basis(self, p: int, q: int) -> tuple[BasisElement, ...]:
-        key = (p, q)
-        if key not in self._basis_cache:
-            self._basis_cache[key] = enumerate_basis(self.n, p, q, self.coefficients)
-        return self._basis_cache[key]
+        return enumerate_basis(self.n, p, q, self.coefficients)
 
+    @memoized
     def index(self, p: int, q: int) -> dict[BasisElement, int]:
-        key = (p, q)
-        if key not in self._index_cache:
-            self._index_cache[key] = {e: i for i, e in enumerate(self.basis(p, q))}
-        return self._index_cache[key]
+        return {e: i for i, e in enumerate(self.basis(p, q))}
 
     def dim(self, p: int, q: int) -> int:
         return len(self.basis(p, q))
@@ -261,6 +268,7 @@ class FormComplex:
 
     # -- operators ----------------------------------------------------------
 
+    @memoized
     def block(self, name: str, p: int, q: int) -> ExactMatrix:
         """Matrix of the named differential from the (p,q) block to its target.
 
@@ -268,15 +276,11 @@ class FormComplex:
         at weight w scaled by the eigenvalue of Z_r or Zbar_r on e_w; a
         direction whose eigenvalue vanishes at every weight adds nothing.
         """
-        key = (name, p, q)
-        if key in self._block_cache:
-            return self._block_cache[key]
         mat = self.lift(self._frame_blocks.block(name, p, q))
         eig = self._z_eig if name == "partial" else self._zbar_eig
         for r in self._acting.get(name, ()):
             scales = [eig[w][r - 1] for w in self._weights]
             mat = mat + self.lift(self._frame_blocks.coefficient_block(name, p, q, r), scales)
-        self._block_cache[key] = mat
         return mat
 
     def apply(self, name: str, form: Form) -> Form:
@@ -290,15 +294,13 @@ class FormComplex:
                     out = out + self.from_vector(self.block(part, p, q).apply(vec), p + dp, q + dq)
         return out
 
+    @memoized
     def conj_struct(self, p: int, q: int) -> ExactMatrix:
         """C-linear part of conjugation: (p,q) -> (q,p), weight-negating.
 
         Conjugation itself is x -> C . conj(x) in coordinates, with C the
         real signed permutation returned here.
         """
-        key = (p, q)
-        if key in self._conj_cache:
-            return self._conj_cache[key]
         src = self.basis(p, q)
         tgt_index = self.index(q, p)
         entries = {}
@@ -306,9 +308,7 @@ class FormComplex:
             img = Form.monomial(elt).conjugate()
             ((e, c),) = list(img.coeffs.items())
             entries[(tgt_index[e], col)] = c
-        mat = ExactMatrix(self.dim(q, p), len(src), entries)
-        self._conj_cache[key] = mat
-        return mat
+        return ExactMatrix(self.dim(q, p), len(src), entries)
 
     def conj_twisted_block(self, name: str, p: int, q: int) -> ExactMatrix:
         """Matrix of conj . op . conj on the (p,q) block.
@@ -362,11 +362,10 @@ class FormComplex:
                     entries[(rr + to, cc + so)] = v if unit else c * v
         return ExactMatrix.unchecked(self.total_dim(r + k), self.total_dim(r), entries)
 
+    @memoized
     def d_total(self, r: int) -> ExactMatrix:
         """Full exterior differential from degree r to degree r+1, assembled once."""
-        if r not in self._total_cache:
-            self._total_cache[r] = self.total(self.block, D_TERMS, r)
-        return self._total_cache[r]
+        return self.total(self.block, D_TERMS, r)
 
     def read_off(self, relations: dict, sides) -> dict[str, tuple[tuple[int, int], ...]]:
         """The failing source blocks of each part of an identity, read off its total-degree sides.

@@ -283,7 +283,7 @@ def test_taming_obstruction_on_integrable_structure(kodaira_session):
 def test_check_nondegenerate_zero_form(kt4_session):
     eng = kt4_session.engine(0)
     with pytest.raises(DegenerateAtSample):
-        check_nondegenerate(eng, Form.zero().__class__({}))
+        check_nondegenerate(eng, Form())
 
 
 def test_check_nondegenerate_omega(kt4_session):

@@ -274,7 +274,7 @@ def test_invariant_diamond_is_one_shell(torus_session, nil6_session):
         payload, code = run("diamond", session, {})
         assert code == 0
         assert payload["diamonds"] == whole_complex_diamond(base, [None]).as_dict()
-        assert list(session._shell_numbers) == [0] and sectors(base.spec.coefficients) == [()]
+        assert list(session._shell_numbers_cache) == [(0,)] and sectors(base.spec.coefficients) == [()]
         # the diamond ran on the session's own engine, whose blocks later stages reuse
         assert session.engine().complex._block_cache
 
@@ -306,10 +306,6 @@ def test_mu_dbar_intersection_example(kt4_session):
 # unit-block extraction that the kernel-of-a-stack constructions replaced
 
 
-def _ref_kernel(m):
-    return linalg.kernel(m) if m.rows else linalg.full_space(m.cols)
-
-
 def _ref_product(cx, outer, inner, p, q):
     """outer . inner on the (p,q) block, None when the chain leaves the diamond."""
     dp, dq = SHIFTS[inner]
@@ -321,7 +317,7 @@ def _ref_product(cx, outer, inner, p, q):
 
 def _ref_a_dol(eng, p, q):
     cx = eng.complex
-    pieces = [_ref_kernel(cx.block("mu", p, q)), _ref_kernel(cx.block("mubar", p, q))]
+    pieces = [linalg.kernel(cx.block("mu", p, q)), linalg.kernel(cx.block("mubar", p, q))]
     for outer in ("dbar", "mu"):
         m = _ref_product(cx, outer, "dbar", p, q)
         if m is not None:
@@ -333,7 +329,7 @@ def _ref_harmonic_space(eng, deltas, p, q):
     cx = eng.complex
     pieces = []
     for name in deltas:
-        pieces.append(_ref_kernel(cx.block(name, p, q)))
+        pieces.append(linalg.kernel(cx.block(name, p, q)))
         adj = eng.hermitian.adjoint_block(name, p, q)
         if adj.rows:
             pieces.append(linalg.kernel(adj))
@@ -367,7 +363,7 @@ def test_stacked_kernels_equal_kernel_intersections(oracle_engines):
             for q in range(eng.n + 1):
                 a_dol = _ref_a_dol(eng, p, q)
                 assert eng.a_dol(p, q) == a_dol, (label, p, q)
-                numerator = linalg.intersect([_ref_kernel(cx.block("dbar", p, q)), a_dol])
+                numerator = linalg.intersect([linalg.kernel(cx.block("dbar", p, q)), a_dol])
                 assert eng.refined_parts(p, q)[0] == numerator, (label, p, q)
                 for deltas in (("dbar", "mu"), ("partial",)):
                     want = _ref_harmonic_space(eng, deltas, p, q)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from acx import linalg
-from acx.cli import Session, main, manifest_from_dict
+from acx.cli import Session, main, manifest_from_dict, run
 from acx.linalg import NotContained
 from acx.operators import FormComplex
 
@@ -97,3 +97,24 @@ def test_diamond_realifies_nothing(capsys, monkeypatch):
     assert main(["diamond", bundled_manifest_path("torus4"), "--format", "json"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_ddc_guard_fires_when_the_acting_directions_span_no_j_plane(fourier_sessions):
+    """kt4's own J with the torus acting along e1 and e3, which span no J-invariant plane (J e1 = e2).
+
+    At truncation 1 the ddc guard fires in `diamond`, and `verify` fails the three
+    claims that read the real ddc quotient.  This pins the behaviour that ROADMAP
+    item 3's hypothesis has to account for; it asserts no lemma.
+    """
+    sessions = dict(fourier_sessions)
+    for label in ("kt4-fourier-rank1", "kt4-fourier-rank2"):
+        session = sessions[label]
+        model = session.spec.coefficients
+        assert model.truncation == 1 and model.acting_frame_indices() == [1, 3], label
+        payload, code = run("diamond", session, {})
+        assert code == 2 and payload["fatal"]["type"] == "NotContained", (label, payload.get("fatal"))
+        payload, code = run("verify", session, {})
+        assert code == 0, label
+        failing = {a["claim"] for a in payload["audits"] if a["status"] == "fail"}
+        want = {"ddbar-annihilates-first-order-images", "generalized-ddbar-lemma", "ddc-descent-injective"}
+        assert failing == want, (label, failing)

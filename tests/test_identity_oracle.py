@@ -366,12 +366,12 @@ def test_coefficient_blocks_are_built_only_for_acting_directions(nil6_session, k
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
                 cx.block(name, p, q)
-    assert not any(key[0] == "E" for key in cx._frame_blocks._cache)
+    assert not vars(cx._frame_blocks).get("_coefficient_block_cache")
     # on kt4 only Z_1 and Zbar_1 act on the coefficients: E_2 is never built
     cx = FormComplex(kt4_session.frame, kt4_session.spec.coefficients.with_truncation(1))
     cx._frame_blocks = FrameBlocks(kt4_session.frame)
     assert all(e["passed"] for e in cx.identity_suite())
-    assert {(key[1], key[4]) for key in cx._frame_blocks._cache if key[0] == "E"} == {("partial", 1), ("dbar", 1)}
+    assert {(key[0], key[3]) for key in cx._frame_blocks._coefficient_block_cache} == {("partial", 1), ("dbar", 1)}
 
 
 def test_one_parse_evaluates_j_squared_once(monkeypatch):
