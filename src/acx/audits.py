@@ -108,12 +108,19 @@ IDENTITY_TERMS = {
 }
 
 
+def failure_list(failures) -> list:
+    """Failures of identity_suite as JSON values: [p, q] for a block, the degree r for d.d."""
+    return [b if isinstance(b, int) else list(b) for b in failures]
+
+
 def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
     """Square-zero relations always; the metric commutators and sl(2) when d(omega) = 0.
 
     Every identity is read off its two sides as total-degree maps
     (FormComplex.read_off), each operator sum assembled once per degree from
-    engine.block.
+    engine.block.  This audits the engine it is given, on all of its weights;
+    cli.Session.identity_engine names the N <= 1 engine whose audit decides a
+    truncation.
     """
     items = []
     for entry in engine.complex.identity_suite():
@@ -121,7 +128,7 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
             AuditItem(
                 claim=f"square-zero-relations:{entry['identity']}",
                 status=_verdict(entry["passed"]),
-                witness={"failing_blocks": [list(b) for b in entry["failures"]]} if entry["failures"] else {},
+                witness={"failing_blocks": failure_list(entry["failures"])} if entry["failures"] else {},
             )
         )
     if not engine.hermitian.kahler_predicates()["almost_kahler"]:

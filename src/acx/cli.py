@@ -29,6 +29,7 @@ from .audits import (
     audit_identities,
     audit_maximal_nijenhuis,
     audit_taming,
+    failure_list,
 )
 from .cohomology import CohomologyEngine, compute_diamond, diamond_numbers
 from .forms import CoefficientModel, Form, InconsistentModel
@@ -70,10 +71,12 @@ def check_basis_size(n: int, rank: int, truncation: int) -> None:
 
     The count (2N+1)^rank * 4^n is formed factor by factor and abandoned once
     it passes the limit, so a huge N, rank or n costs no huge power.  At rank
-    0 this bounds the invariant basis, whose size real_dim alone fixes.
+    0 this bounds the invariant basis, whose size real_dim alone fixes.  Past
+    MAX_BASIS_MONOMIALS.bit_length() factors of 4 the count has passed the
+    limit, so n is cut there: repeat refuses a count past the C ssize_t range.
     """
     size = 1
-    for factor in chain(repeat(4, n), repeat(2 * truncation + 1, rank)):
+    for factor in chain(repeat(4, min(n, MAX_BASIS_MONOMIALS.bit_length())), repeat(2 * truncation + 1, rank)):
         size *= factor
         if size > MAX_BASIS_MONOMIALS:
             what = f"truncation {truncation}" if rank else f"real_dim {2 * n}"
@@ -309,6 +312,30 @@ class Session:
         model = self.spec.coefficients
         return self._engine(model if truncation is None else model.with_truncation(truncation))
 
+    def identity_engine(self, truncation: int | None = None) -> CohomologyEngine:
+        """The engine whose operator identities decide those at a truncation: engine(min(N, 1)).
+
+        Every block at weight w is A + sum_r lambda_r(w) E_r on invariant
+        monomials, with lambda_r(w) = i (M w)_r linear in w; an adjoint brings
+        in conj(lambda), still linear in the real w, and star, L, Lambda and
+        the Gram pairing are weight-free lifts.  So, block by block, each side
+        of an identity is a matrix polynomial in w of degree at most 2 in each
+        coordinate: 2 for d.d, 1 for the [L, d*] and [Lambda, d] families, 0
+        for [L, Lambda] = H.  A polynomial of degree at most 2 in each variable
+        that vanishes on {-1, 0, 1}^rank is zero (tensor Lagrange
+        interpolation), so at any N >= 1 the (shift, source block) pairs where
+        the two sides differ somewhere in the box are those of the N = 1 box,
+        which is what read_off reports.  The gate d(omega) = 0 of the metric
+        identities reads omega, of weight zero, the same on every box.  At
+        N = 0 only the constant term counts, and an invariant model has one
+        engine.
+        """
+        if self.spec.coefficients.kind == "invariant":
+            return self.engine()
+        if truncation is None:
+            truncation = self.spec.coefficients.truncation
+        return self.engine(min(truncation, 1))
+
     @memoized
     def _engine(self, model: CoefficientModel) -> CohomologyEngine:
         return self._new_engine(model)
@@ -445,10 +472,9 @@ def run(command: str, session: Session, flags: dict) -> tuple[dict, int]:
 
 def _run_validate(session: Session) -> dict:
     report = validate_model(session.spec.algebra, session.spec.structure).as_dict()
-    cx = session.complex(session.default_truncations()[0])
-    suite = cx.identity_suite()
+    suite = session.identity_engine().complex.identity_suite()
     report["identity_suite"] = [
-        {"identity": e["identity"], "passed": e["passed"], "failures": [list(b) for b in e["failures"]]}
+        {"identity": e["identity"], "passed": e["passed"], "failures": failure_list(e["failures"])}
         for e in suite
     ]
     report["nijenhuis_rank"] = nijenhuis_rank(session.frame)
@@ -495,11 +521,15 @@ def _run_diamond(session: Session, flags: dict) -> dict:
 
 def _run_verify(session: Session, flags: dict) -> list[dict]:
     items: list[AuditItem] = []
+    # the identity audits of each deciding engine, computed once; every truncation gets its own witness dicts
+    identities: dict[CohomologyEngine, list[AuditItem]] = {}
     for t in flags["truncations"]:
         engine = session.engine(t)
         label = session.truncation_label(t)
-        scoped: list[AuditItem] = []
-        scoped.extend(audit_identities(engine))
+        deciding = session.identity_engine(t)
+        if deciding not in identities:
+            identities[deciding] = audit_identities(deciding)
+        scoped = [AuditItem(item.claim, item.status, dict(item.witness)) for item in identities[deciding]]
         scoped.extend(audit_dualities(engine))
         scoped.extend(audit_maximal_nijenhuis(engine))
         if engine.n == 2:

@@ -445,12 +445,16 @@ def abelian_manifest(real_dim: int) -> dict:
 
 
 def test_invariant_basis_is_bounded_at_parse(tmp_path, capsys, monkeypatch):
-    """4^(real_dim / 2) invariant monomials: real_dim 18 and 40 are refused before any complex is built."""
+    """4^(real_dim / 2) invariant monomials: real_dim 18 and 40 are refused before any complex is built.
+
+    So are 2^62 and 10^30, whose n = real_dim / 2 is past the C ssize_t range:
+    the count is refused before J, here a 4 x 4 matrix, is read.
+    """
     assert 4**8 <= MAX_BASIS_MONOMIALS < 4**9
     check_basis_size(8, 0, 0)
     built = count_complexes(monkeypatch)
-    for real_dim in (18, 40):
-        raw = abelian_manifest(real_dim)
+    for real_dim in (18, 40, 2**62, 10**30):
+        raw = abelian_manifest(real_dim) if real_dim <= 40 else {**abelian_manifest(4), "real_dim": real_dim}
         with pytest.raises(ValidationError) as exc:
             manifest_from_dict(raw)
         assert f"real_dim {real_dim}" in str(exc.value)

@@ -13,6 +13,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from acx import linalg
 from acx.cli import Session, main, manifest_from_dict, run
 from acx.linalg import NotContained
@@ -102,15 +104,22 @@ def test_diamond_realifies_nothing(capsys, monkeypatch):
 def test_ddc_guard_fires_when_the_acting_directions_span_no_j_plane(fourier_sessions):
     """kt4's own J with the torus acting along e1 and e3, which span no J-invariant plane (J e1 = e2).
 
-    At truncation 1 the ddc guard fires in `diamond`, and `verify` fails the three
-    claims that read the real ddc quotient.  This pins the behaviour that ROADMAP
-    item 3's hypothesis has to account for; it asserts no lemma.
+    At truncation 1 both the spectral guard (`dolbeault_cw`) and the ddc guard
+    (`special_11_quotients`, and the realified reference of the ddc quotient)
+    raise NotContained.  `diamond` reads the spectral numbers first, so its
+    fatal is the spectral guard's.  `verify` fails the three claims that read
+    the real ddc quotient.  This pins the behaviour that ROADMAP item 3's
+    hypothesis has to account for; it asserts no lemma.
     """
     sessions = dict(fourier_sessions)
     for label in ("kt4-fourier-rank1", "kt4-fourier-rank2"):
         session = sessions[label]
         model = session.spec.coefficients
         assert model.truncation == 1 and model.acting_frame_indices() == [1, 3], label
+        engine = session.engine()
+        with pytest.raises(NotContained):
+            engine.dolbeault_cw(1, 1)
+        assert both_ways(engine) == (NotContained, NotContained), label
         payload, code = run("diamond", session, {})
         assert code == 2 and payload["fatal"]["type"] == "NotContained", (label, payload.get("fatal"))
         payload, code = run("verify", session, {})

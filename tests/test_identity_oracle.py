@@ -12,12 +12,13 @@ complexes and engines broken on purpose.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from acx import audits, cohomology, lie, linalg, operators
+from acx import audits, cli, cohomology, lie, linalg, operators
 from acx.audits import IDENTITY_TERMS, SYMPLECTIC_COMMUTATORS, audit_identities
-from acx.cli import Session, manifest_from_dict, parse_manifest
+from acx.cli import Session, manifest_from_dict, parse_manifest, run
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
 from acx.metric import HermitianStructure
@@ -384,3 +385,128 @@ def test_one_parse_evaluates_j_squared_once(monkeypatch):
     # build_frame still checks J, and still returns a fresh frame
     assert lie.build_frame(spec.algebra, spec.structure) is not session.frame
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the N <= 1 box decides every identity (Session.identity_engine)
+
+
+IDENTITY_CLAIMS = ("square-zero-relations:", "symplectic-commutators", "lefschetz-sl2-commutator")
+
+
+def _scaled_partial_coefficients(monkeypatch):
+    """E_r of partial doubled, E_r of dbar kept: the eigenvalues of Z_r doubled, those of Zbar_r not.
+
+    Doubling both would be the model with doubled actions, a valid complex.
+    """
+    coefficient_block = FrameBlocks.coefficient_block
+
+    def doubled(self, name, p, q, r):
+        blk = coefficient_block(self, name, p, q, r)
+        return blk.scale(integer(2)) if name == "partial" else blk
+
+    monkeypatch.setattr(FrameBlocks, "coefficient_block", doubled)
+
+
+def _swapped_eigenvalues(monkeypatch):
+    """Z_r acts by the eigenvalues of Zbar_r and back; the actions are real, so the acting directions stay."""
+    init = FormComplex.__init__
+
+    def swapped(self, *args):
+        init(self, *args)
+        self._z_eig, self._zbar_eig = self._zbar_eig, self._z_eig
+
+    monkeypatch.setattr(FormComplex, "__init__", swapped)
+
+
+def _doubled_lefschetz(monkeypatch):
+    """L = 2 omega ^ -, Lambda kept."""
+    lefschetz_block = HermitianStructure.lefschetz_block
+    monkeypatch.setattr(HermitianStructure, "lefschetz_block", lambda self, p, q: lefschetz_block(self, p, q).scale(integer(2)))
+
+
+# every mutation keeps each block polynomial in the weight, of the same degrees
+WHOLE_SESSION_MUTATIONS = {
+    "none": lambda monkeypatch: None,
+    "partial E_r doubled": _scaled_partial_coefficients,
+    "eigenvalues swapped": _swapped_eigenvalues,
+    "L doubled": _doubled_lefschetz,
+}
+
+
+def _rendered_suite(cx):
+    """identity_suite as validate renders it."""
+    return [
+        {"identity": e["identity"], "passed": e["passed"], "failures": audits.failure_list(e["failures"])}
+        for e in cx.identity_suite()
+    ]
+
+
+def test_identities_read_off_the_n1_box_match_the_whole_box(kt4_session, fourier_sessions, monkeypatch):
+    """verify's identity items at N = 2 and 3, and validate's suite at a manifest truncation of 3,
+    are read off the N = 1 box; they equal audit_identities and identity_suite on the whole box.
+
+    Each case runs on a fresh session of the model under each whole-session
+    mutation, so the mutation reaches every block the session builds.
+    Together the mutations fail square-zero, the commutators and sl(2).
+    """
+    failing = set()
+    for mutation, mutate in WHOLE_SESSION_MUTATIONS.items():
+        with monkeypatch.context() as patch:
+            mutate(patch)
+            for label, fixture in [("kt4", kt4_session)] + list(fourier_sessions):
+                session = Session(fixture.spec)
+                for truncation in (2, 3):
+                    payload, code = run("verify", session, {"truncations": str(truncation)})
+                    assert code == 0, (mutation, label, payload.get("fatal"))
+                    got = [a for a in payload["audits"] if a["claim"].startswith(IDENTITY_CLAIMS)]
+                    tag = {"truncation": f"N={truncation}"}
+                    want = [
+                        {**item.as_dict(), "witness": {**item.witness, **tag}}
+                        for item in audit_identities(session.engine(truncation))
+                    ]
+                    assert got == want, (mutation, label, truncation)
+                    suite = [
+                        {
+                            "claim": f"square-zero-relations:{e['identity']}",
+                            "status": "pass" if e["passed"] else "fail",
+                            "witness": {**({"failing_blocks": e["failures"]} if e["failures"] else {}), **tag},
+                        }
+                        for e in _rendered_suite(session.complex(truncation))
+                    ]
+                    assert got[: len(suite)] == suite, (mutation, label, truncation)
+                    failing |= {a["claim"].split(":")[0] for a in got if a["status"] == "fail"}
+                spec = replace(fixture.spec, coefficients=fixture.spec.coefficients.with_truncation(3))
+                payload, code = run("validate", Session(spec), {})
+                assert payload["validation"]["identity_suite"] == _rendered_suite(session.complex(3)), (mutation, label)
+    assert failing == {"square-zero-relations", "symplectic-commutators", "lefschetz-sl2-commutator"}
+
+
+def test_verify_audits_the_identities_once_per_deciding_engine(kt4_session, monkeypatch):
+    """--truncations 0,1,2,3 audits engine(0) and engine(1) once each; N = 1, 2 and 3 get their own copies."""
+    session = Session(kt4_session.spec)
+    audited = []
+    monkeypatch.setattr(cli, "audit_identities", lambda engine: audited.append(engine) or audit_identities(engine))
+    payload, code = run("verify", session, {"truncations": "0,1,2,3"})
+    assert code == 0
+    assert audited == [session.engine(0), session.engine(1)]
+    by_label = {}
+    for a in payload["audits"]:
+        if a["claim"] == "lefschetz-sl2-commutator":
+            by_label[a["witness"]["truncation"]] = a
+    assert list(by_label) == ["N=0", "N=1", "N=2", "N=3"]
+    two, three = by_label["N=2"], by_label["N=3"]
+    assert two is not three and two["witness"] is not three["witness"]
+    assert {k: v for k, v in two["witness"].items() if k != "truncation"} == {
+        k: v for k, v in three["witness"].items() if k != "truncation"
+    }
+
+
+def test_verify_builds_no_adjoint_or_lefschetz_block_at_its_truncation(kt4_session):
+    """After verify --truncations 3 the identities came off engine(1): engine(3) holds no adjoint, L or Lambda block."""
+    session = Session(kt4_session.spec)
+    assert run("verify", session, {"truncations": "3"})[1] == 0
+    hermitian = vars(session.engine(3).hermitian)
+    assert not hermitian.get("_adjoint_block_cache")
+    assert not {key[0] for key in hermitian.get("_lift_cache", {})} & {"L", "Lambda"}
+    assert vars(session.engine(1).hermitian).get("_adjoint_block_cache")
