@@ -402,12 +402,14 @@ def psi_from_selector(session: Session, truncation, selector: str) -> Form:
     omega = engine.hermitian.omega
     if selector == "fundamental":
         return omega
-    # the real (1,1) basis in its rows, classified by two realified block products
+    # the real (1,1) basis in its rows, classified by two complex block products on its columns:
+    # column r of block @ complexify(basis^T) is zero iff the realified block kills row r
     basis = engine.real_subspace(1, 1).rows
-    ddc = linalg.realify(compose(engine.block, ["partial", "dbar"], 1, 1))
-    d = linalg.realify(ExactMatrix.vstack([cx.block(name, 1, 1) for name in DIFFERENTIALS]))
-    not_ddc_closed = {r for r, _ in (basis @ ddc.transpose()).entries}
-    not_closed = {r for r, _ in (basis @ d.transpose()).entries}
+    columns = linalg.complexify(basis.transpose())
+    ddc = compose(engine.block, ["partial", "dbar"], 1, 1)
+    d = ExactMatrix.vstack([cx.block(name, 1, 1) for name in DIFFERENTIALS])
+    not_ddc_closed = {r for _, r in (ddc @ columns).entries}
+    not_closed = {r for _, r in (d @ columns).entries}
     # the ddc-closed basis rows, in basis order
     pure = [r for r in range(basis.rows) if r not in not_ddc_closed]
 

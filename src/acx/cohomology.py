@@ -1,9 +1,11 @@
 """Every cohomology dimension of the model, from assembled operator blocks.
 
 All quotients are computed as exact subspace dimensions over Q(i).  Matrices
-are realified over Q only where a real basis is consumed (the ddc-descent
-audit and the taming pipeline); a real dimension is a complex rank when
-conjugation preserves the spaces, as for the real ddc quotient.  The containments
+are realified over Q only in the taming correction system and where a
+certificate prints real coordinates; a real dimension or a real subspace
+equality is read off complex ranks and kernels when conjugation preserves the
+spaces, as for the real ddc quotient and the ddc-descent audit, and the real
+(1,1) basis is read off the conjugation permutation.  The containments
 that make each quotient well defined are asserted; a violation raises
 NotContained and is treated as a fatal model diagnostic rather than clamped.
 Everything here is model-level: dimensions refer to the invariant complex,
@@ -22,6 +24,7 @@ from .lie import SHIFTS
 from .linalg import ExactMatrix, Subspace
 from .metric import HermitianStructure, Not4Manifold
 from .operators import DIFFERENTIALS, FormComplex, compose, memoized
+from .scalars import ONE
 
 
 class CohomologyEngine:
@@ -225,36 +228,49 @@ class CohomologyEngine:
 
     # -- real structure ------------------------------------------------------------------------
 
-    def _real_constraint(self, c: ExactMatrix) -> ExactMatrix:
-        """conj - id in doubled coordinates, for the C-linear part c of a conjugation.
-
-        Its kernel is the real (conjugation-fixed) vectors.
-        """
-        conj_real = linalg.realify(None, c)
-        return conj_real - ExactMatrix.identity(conj_real.rows)
-
+    @memoized
     def real_subspace(self, p: int, q: int) -> Subspace:
-        """Fixed points of conjugation inside the doubled (real) coordinates.
+        """Fixed points of conjugation inside the doubled (real) coordinates, read off its permutation.
 
-        Only the conjugation-stable blocks (q, p) == (p, q) carry one.
+        Conjugation is x -> C conj(x) with C a real signed permutation and
+        C^2 = 1, so x = a + ib is fixed iff C a = a and C b = -b.  An orbit
+        j < pi(j) with sign s gives the rows e_2j + s e_2pi(j) and
+        e_2j+1 - s e_2pi(j)+1; a fixed j gives e_2j when s = 1 and e_2j+1 when
+        s = -1.  In order of j these are the reduced rows of the fixed space,
+        so no elimination is run.  Only the conjugation-stable blocks
+        (q, p) == (p, q) carry one.
         """
         if p != q:
             raise ValueError("real subspaces live on conjugation-stable blocks only")
-        return linalg.kernel(self._real_constraint(self.complex.conj_struct(p, q)))
+        c = self.complex.conj_struct(p, q)
+        image = {col: (r, s) for (r, col), s in c.entries.items()}
+        if not len(c.entries) == len(image) == c.cols or any(
+            s not in (ONE, -ONE) or image.get(r) != (col, s) for col, (r, s) in image.items()
+        ):
+            raise AssertionError(f"conjugation on ({p},{q}) is not a signed permutation involution")
+        entries = {}
+        k = 0
+        for j in range(c.cols):
+            t, s = image[j]
+            if t > j:
+                entries[(k, 2 * j)], entries[(k, 2 * t)] = ONE, s
+                entries[(k + 1, 2 * j + 1)], entries[(k + 1, 2 * t + 1)] = ONE, -s
+                k += 2
+            elif t == j:
+                entries[(k, 2 * j if s == ONE else 2 * j + 1)] = ONE
+                k += 1
+        return Subspace(rows=ExactMatrix.unchecked(k, 2 * c.cols, entries))
 
-    @memoized
-    def real_ddc_parts(self) -> tuple[Subspace, Subspace]:
-        """The real ddc quotient in doubled coordinates, for the audits that consume a real basis.
+    def real_ddc_kernel(self) -> Subspace:
+        """ker(del dbar) on real (1,1)-forms, in doubled coordinates: R^T K, held by its basis.
 
-        Numerator: ker(del dbar) on real (1,1)-forms; denominator: the image
-        of d^{1,1} on real 1-forms.  Its dimension is read off complex ranks
-        in special_11_quotients, which builds none of this.
+        R is the real basis of real_subspace(1, 1) in its rows and K the null
+        basis of the realified del dbar on them, so only the real directions
+        are eliminated.
         """
-        ddc = linalg.realify(compose(self.block, ["partial", "dbar"], 1, 1))
-        real = self._real_constraint(self.complex.conj_struct(1, 1))
-        numerator = linalg.kernel(ExactMatrix.vstack([ddc, real]))
-        denominator = linalg.map_subspace(linalg.realify(self._d11()), self.real_one_forms())
-        return numerator, denominator
+        real = self.real_subspace(1, 1).rows.transpose()
+        null = linalg.null_basis(linalg.realify(compose(self.block, ["partial", "dbar"], 1, 1)) @ real)
+        return Subspace(generators=real @ null, dim=null.cols)
 
     @memoized
     def realified_block(self, name: str, p: int, q: int) -> ExactMatrix:
@@ -313,7 +329,9 @@ class CohomologyEngine:
         c_01 = cx.conj_struct(0, 1)
         top = ExactMatrix.hstack([ExactMatrix(d10, d10), c_01])
         bottom = ExactMatrix.hstack([c_10, ExactMatrix(d01, d01)])
-        return linalg.kernel(self._real_constraint(ExactMatrix.vstack([top, bottom])))
+        # the kernel of conj - id in doubled coordinates
+        conj = linalg.realify(None, ExactMatrix.vstack([top, bottom]))
+        return linalg.kernel(conj - ExactMatrix.identity(conj.rows))
 
 
 # -- diamonds ---------------------------------------------------------------------------

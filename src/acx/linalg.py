@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import I, ONE, ZERO, Scalar, add_triples, canonical, reduced
+from .scalars import ONE, ZERO, Scalar, add_triples, canonical, reduced
 
 # there is no dense elimination path; the bench tracer still reads this name
 DENSE_COLUMN_LIMIT = 0
@@ -288,7 +288,20 @@ def complexify(m: ExactMatrix) -> ExactMatrix:
     """The complex columns whose (Re, Im) pairs are the row pairs of a real matrix: realify_vector undone."""
     entries: dict[tuple[int, int], Scalar] = {}
     for (r, c), v in m.entries.items():
-        entries[(r // 2, c)] = entries.get((r // 2, c), ZERO) + (I * v if r % 2 else v)
+        if r % 2:
+            # i * (a + b*i)/d = (-b + a*i)/d, still canonical
+            a, b, d = v.triple
+            v = canonical(-b, a, d)
+        key = (r // 2, c)
+        t = entries.get(key)
+        if t is None:
+            entries[key] = v
+        else:
+            v = t + v
+            if v:
+                entries[key] = v
+            else:
+                del entries[key]
     return ExactMatrix.unchecked(m.rows // 2, m.cols, entries)
 
 

@@ -13,7 +13,7 @@ from acx.cli import Session, manifest_from_dict, parse_manifest
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
 from acx.metric import HermitianStructure
-from acx.operators import FormComplex
+from acx.operators import FormComplex, compose
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MANIFESTS = Path(__file__).resolve().parents[1] / "src" / "acx" / "manifests"
@@ -95,6 +95,26 @@ def oracle_engines(kt4_session, torus_session, nil6_session, kodaira_session):
     for seed in (0, 101):
         cases += [(f"sweep{seed} {k}", s.engine()) for k, s in enumerate(sweep_sessions(seed))]
     return cases
+
+
+# -- realified references for the real (1,1) statements ----------------------------------------
+
+
+def realified_real_subspace(engine, p: int):
+    """The real (conjugation-fixed) vectors of the (p,p) block in doubled coordinates, as the kernel
+    of conj - id realified: an elimination, where the engine reads the conjugation permutation."""
+    conj = linalg.realify(None, engine.complex.conj_struct(p, p))
+    return linalg.kernel(conj - ExactMatrix.identity(conj.rows))
+
+
+def real_ddc_parts(engine):
+    """The real ddc quotient in doubled coordinates: ker(del dbar) on real (1,1)-forms, from one
+    stacked realified kernel, over the realified image of d^{1,1} on real 1-forms."""
+    ddc = linalg.realify(compose(engine.block, ["partial", "dbar"], 1, 1))
+    conj = linalg.realify(None, engine.complex.conj_struct(1, 1))
+    numerator = linalg.kernel(ExactMatrix.vstack([ddc, conj - ExactMatrix.identity(conj.rows)]))
+    denominator = linalg.map_subspace(linalg.realify(engine._d11()), engine.real_one_forms())
+    return numerator, denominator
 
 
 def _mat_mul(a, b):

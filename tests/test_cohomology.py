@@ -18,6 +18,7 @@ from conftest import (
     contains,
     engine_on,
     random_4d_session,
+    realified_real_subspace,
     sector_model,
     sectors,
     sweep_sessions,
@@ -348,7 +349,7 @@ def _ref_exact_11(eng):
 def _ref_real_ddc_numerator(eng):
     cx = eng.complex
     pdbar11 = _ref_product(cx, "partial", "dbar", 1, 1)
-    real11 = eng.real_subspace(1, 1)
+    real11 = realified_real_subspace(eng, 1)
     if pdbar11 is None:
         return real11
     return linalg.intersect([linalg.kernel(linalg.realify(pdbar11)), real11])
@@ -356,7 +357,8 @@ def _ref_real_ddc_numerator(eng):
 
 def test_stacked_kernels_equal_kernel_intersections(oracle_engines):
     """A_Dol, the refined numerator, harmonic spaces, the d-exact (1,1) forms and
-    the real ddc numerator equal their old constructions as Subspaces."""
+    the real ddc source equal their old constructions as Subspaces; the ddc source in its
+    canonical rows, which the descent audit reads."""
     for label, eng in oracle_engines:
         cx = eng.complex
         for p in range(eng.n + 1):
@@ -370,7 +372,8 @@ def test_stacked_kernels_equal_kernel_intersections(oracle_engines):
                     assert eng.harmonic_space(deltas, p, q) == want, (label, deltas, p, q)
         assert eng.exact_11() == _ref_exact_11(eng), label
         if eng.n == 2:
-            assert eng.real_ddc_parts()[0] == _ref_real_ddc_numerator(eng), label
+            want = _ref_real_ddc_numerator(eng)
+            assert eng.real_ddc_kernel() == want and eng.real_ddc_kernel().rows == want.rows, label
 
 
 def test_oracle_cases_are_not_vacuous(oracle_engines):
@@ -381,11 +384,49 @@ def test_oracle_cases_are_not_vacuous(oracle_engines):
     assert 0 < kt4.a_dol(0, 1).dim < kt4.complex.dim(0, 1)
     assert 0 < kt4.refined_parts(2, 1)[0].dim < kt4.a_dol(2, 1).dim
     assert 0 < kt4.harmonic_space(("dbar", "mu"), 1, 1).dim < kt4.complex.dim(1, 1)
-    assert 0 < kt4.real_ddc_parts()[0].dim < 2 * kt4.complex.dim(1, 1)
+    assert 0 < kt4.real_ddc_kernel().dim < kt4.real_subspace(1, 1).dim
     nil6 = engines["nil6"]
     assert 0 < nil6.a_dol(1, 1).dim < nil6.complex.dim(1, 1)
     assert 0 < nil6.refined_parts(2, 1)[0].dim < nil6.a_dol(2, 1).dim
     assert all(eng.exact_11().dim for label, eng in engines.items() if label.startswith("random"))
+
+
+def test_real_subspace_reads_the_conjugation_permutation(oracle_engines, fourier_sessions, kt4_session):
+    """real_subspace(p, p), read off the signed permutation C of conjugation, is the canonical
+    reduced rows of the kernel of conj - id realified, on every diagonal block."""
+    engines = list(oracle_engines)
+    engines += [(f"{label} N={n}", session.engine(n)) for label, session in fourier_sessions for n in (1, 2)]
+    engines += [(f"kt4 N={n}", kt4_session.engine(n)) for n in range(4)]
+    kinds = set()
+    for label, eng in engines:
+        for p in range(eng.n + 1):
+            want = realified_real_subspace(eng, p)
+            assert eng.real_subspace(p, p).rows == want.rows, (label, p)
+            for (r, c), s in eng.complex.conj_struct(p, p).entries.items():
+                kinds.add(("fixed" if r == c else "orbit", s))
+    # non-vacuity: fixed indices of both signs (theta^1 ^ thetabar^1 at weight 0 is sent to minus
+    # itself) and orbits of both signs
+    assert kinds == {("fixed", ONE), ("fixed", -ONE), ("orbit", ONE), ("orbit", -ONE)}, kinds
+    cx = kt4_session.engine(0).complex
+    j = next(j for j, e in enumerate(cx.basis(1, 1)) if e.holo == e.anti == (1,))
+    assert cx.conj_struct(1, 1).entry(j, j) == -ONE
+
+
+def test_real_subspace_refuses_a_conjugation_that_is_not_an_involution(kt4_session, monkeypatch):
+    """A C that is not a signed permutation involution is an internal-consistency error: it raises."""
+    model = kt4_session.spec.coefficients.with_truncation(0)
+    dim = kt4_session.engine(0).complex.dim(1, 1)
+    cycle = linalg.ExactMatrix(dim, dim, {((j + 1) % dim, j): ONE for j in range(dim)})
+    doubled = linalg.ExactMatrix(dim, dim, {(j, j): ONE + ONE for j in range(dim)})
+    swapped_sign = kt4_session.engine(0).complex.conj_struct(1, 1)
+    r, c = next(rc for rc in swapped_sign.entries if rc[0] != rc[1])
+    swapped_sign = linalg.ExactMatrix(dim, dim, {**swapped_sign.entries, (r, c): -swapped_sign.entry(r, c)})
+    for bad in (cycle, doubled, swapped_sign):
+        eng = engine_on(kt4_session, model)
+        monkeypatch.setattr(eng.complex, "conj_struct", lambda p, q, bad=bad: bad)
+        with pytest.raises(AssertionError):
+            eng.real_subspace(1, 1)
+    assert engine_on(kt4_session, model).real_subspace(1, 1).dim == dim
 
 
 def test_rank_first_harmonic_dim_matches_harmonic_space(oracle_engines):

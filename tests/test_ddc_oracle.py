@@ -2,7 +2,7 @@
 
 `special_11_quotients` reads `h11_ddc_real` off complex ranks: dim ker(del dbar)
 on (1,1) minus rank d^{1,1}, guarded by del dbar . d^{1,1} = 0.  The reference
-is the realified quotient `quotient_dim(*real_ddc_parts())` in doubled
+is the realified quotient `quotient_dim(*real_ddc_parts(engine))` in doubled
 coordinates.  On every model both give the same number or raise the same
 exception type; the models include ones whose guard fails.  The de Rham and
 Bott-Chern guards that `special_11_quotients` checks first hold on all of
@@ -20,7 +20,7 @@ from acx.cli import Session, main, manifest_from_dict, run
 from acx.linalg import NotContained
 from acx.operators import FormComplex
 
-from conftest import _mat_inv, _mat_mul, bundled_manifest_path, engine_on, random_4d_session
+from conftest import _mat_inv, _mat_mul, bundled_manifest_path, engine_on, random_4d_session, real_ddc_parts
 
 
 def outcome(compute):
@@ -35,7 +35,7 @@ def both_ways(engine) -> tuple:
     """h11_ddc_real from complex ranks (the diamond's) and from the realified reference."""
     return (
         outcome(lambda: engine.special_11_quotients()["h11_ddc_real"]),
-        outcome(lambda: linalg.quotient_dim(*engine.real_ddc_parts())),
+        outcome(lambda: linalg.quotient_dim(*real_ddc_parts(engine))),
     )
 
 

@@ -9,11 +9,14 @@ elimination of [m | b], the descent loop that corrects, differentiates and
 flattens one basis form at a time, and the taming selector that builds every
 real (1,1) basis form and tests it by operator applications.  Certificates,
 selected forms, obstruction functionals and descent witnesses must agree on
-every case.
+every case.  The descent audit and the selector are also compared with their
+realified constructions: an eliminated real basis, preimages of realified
+images, and realified block products.
 """
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from acx import linalg
@@ -33,10 +36,10 @@ from acx.audits import (
 from acx.cli import Session, ValidationError, manifest_from_dict, psi_from_selector
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
-from acx.operators import FormComplex, compose
+from acx.operators import DIFFERENTIALS, FormComplex, compose
 from acx.scalars import ONE, ZERO, rational
 
-from conftest import random_4d_session
+from conftest import engine_on, random_4d_session, real_ddc_parts, realified_real_subspace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SELECTORS = ("fundamental", "perturbed", "basis:0", "basis:1", "basis:2")
@@ -148,7 +151,7 @@ def reference_ddc_descent(engine):
     if ht10 != ht01:
         reason = {"reason": "correction equation can be obstructed", "ht10": ht10, "ht01": ht01}
         return [AuditItem("ddc-descent-injective", "not-applicable", reason)]
-    num_real, den_real = engine.real_ddc_parts()
+    num_real, den_real = real_ddc_parts(engine)
     if num_real.dim == 0:
         return [AuditItem("ddc-descent-injective", "pass", {"note": "empty source"})]
     system = reference_closedness_system(cx)
@@ -277,7 +280,7 @@ def test_closed_check_matches_realified_reference(kt4_session, kodaira_session, 
     for label, session, n in _oracle_cases(kt4_session, kodaira_session):
         engine = session.engine(n)
         cx = engine.complex
-        num_real, _ = engine.real_ddc_parts()
+        num_real, _ = real_ddc_parts(engine)
         if not num_real.dim:
             continue
         psi = num_real.rows.transpose()
@@ -318,7 +321,7 @@ def reference_psi_from_selector(session, truncation, selector):
     engine = session.engine(truncation)
     cx = engine.complex
     omega = engine.hermitian.omega
-    real_11 = [cx.from_realified(vec, 1, 1) for vec in engine.real_subspace(1, 1).basis]
+    real_11 = [cx.from_realified(vec, 1, 1) for vec in realified_real_subspace(engine, 1).basis]
     pure = [c for c in real_11 if cx.apply("partial", cx.apply("dbar", c)).is_zero()]
     if selector == "perturbed":
         candidate = next((c for c in pure if not cx.apply("d", c).is_zero()), None)
@@ -377,3 +380,133 @@ def test_selector_applies_no_operator_to_forms(kt4_session, monkeypatch):
         psi = psi_from_selector(kt4_session, 2, selector)
         assert psi != kt4_session.engine(2).hermitian.omega
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the realified constructions that the descent audit and the selector replaced
+
+
+def realified_ddc_descent(engine):
+    """The descent audit on realified images and preimages: the real kernel of ddc from one stacked
+    realified kernel, and both kernel comparisons as preimages of realified subspaces."""
+    cx = engine.complex
+    ht10 = engine.refined_dolbeault(1, 0)
+    ht01 = engine.refined_dolbeault(0, 1)
+    if ht10 != ht01:
+        reason = {"reason": "correction equation can be obstructed", "ht10": ht10, "ht01": ht01}
+        return [AuditItem("ddc-descent-injective", "not-applicable", reason)]
+    num_real, den_real = real_ddc_parts(engine)
+    if num_real.dim == 0:
+        return [AuditItem("ddc-descent-injective", "pass", {"note": "empty source"})]
+    psi = num_real.rows.transpose()
+    try:
+        _, corrected = _correct(engine, psi)
+    except NoSolution:
+        return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction equation obstructed"})]
+    if not _closed(cx, corrected):
+        return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction not closed"})]
+    kernel = linalg.preimage(corrected, linalg.image(linalg.realify(cx.d_total(1))))
+    expected = linalg.preimage(psi, den_real)
+    witness = {"source_dim": num_real.dim, "class_map_kernel": kernel.dim, "expected_kernel": expected.dim}
+    return [AuditItem("ddc-descent-injective", "pass" if kernel == expected else "fail", witness)]
+
+
+def realified_psi_from_selector(session, truncation, selector):
+    """The selector on the eliminated real basis, classified by realified block products."""
+    engine = session.engine(truncation)
+    cx = engine.complex
+    omega = engine.hermitian.omega
+    basis = realified_real_subspace(engine, 1).rows
+    ddc = linalg.realify(compose(engine.block, ["partial", "dbar"], 1, 1))
+    d = linalg.realify(ExactMatrix.vstack([cx.block(name, 1, 1) for name in DIFFERENTIALS]))
+    not_ddc_closed = {r for r, _ in (basis @ ddc.transpose()).entries}
+    not_closed = {r for r, _ in (basis @ d.transpose()).entries}
+    pure = [r for r in range(basis.rows) if r not in not_ddc_closed]
+
+    def form(r):
+        return cx.from_realified([basis.entry(r, c) for c in range(basis.cols)], 1, 1)
+
+    if selector == "perturbed":
+        candidate = next((r for r in pure if r in not_closed), None)
+        return omega if candidate is None else omega + form(candidate).scale(rational(1, 10))
+    idx = int(selector.partition(":")[2])
+    if idx >= len(pure):
+        raise ValidationError("TamingSelector", f"basis index {idx} out of range ({len(pure)} available)")
+    return form(pure[idx])
+
+
+def _widened_cases(kt4_session, kodaira_session, fourier_sessions):
+    """The 13 oracle cases and every four-dimensional Fourier model at truncations 1 and 2."""
+    cases = _oracle_cases(kt4_session, kodaira_session)
+    for label, session in fourier_sessions:
+        if session.frame.n == 2:
+            cases += [(f"{label} N={n}", session, n) for n in (1, 2)]
+    return cases
+
+
+def test_descent_and_selector_match_realified_references(kt4_session, kodaira_session, fourier_sessions):
+    outcomes = []
+    for label, session, n in _widened_cases(kt4_session, kodaira_session, fourier_sessions):
+        engine = session.engine(n)
+        got = [i.as_dict() for i in audit_ddc_descent(engine)]
+        assert got == [i.as_dict() for i in realified_ddc_descent(engine)], label
+        outcomes.append((label, got[0]["status"], got[0]["witness"].get("reason")))
+        for selector in ("perturbed", "basis:0", "basis:1", "basis:2", "basis:3"):
+            want = _selection(realified_psi_from_selector, session, n, selector)
+            assert _selection(psi_from_selector, session, n, selector) == want, (label, selector)
+    # non-vacuity: sources that pass, models off the gate, and obstructed correction equations on
+    # kt4 acted on along e1 and e3, which span no J-invariant plane
+    statuses = {status for _, status, _ in outcomes}
+    assert statuses == {"pass", "not-applicable", "fail"}, statuses
+    obstructed = {label for label, _, reason in outcomes if reason == "correction equation obstructed"}
+    assert obstructed == {f"kt4-fourier-rank{r} N={n}" for r in (1, 2) for n in (1, 2)}, obstructed
+
+
+def _zero(m):
+    return ExactMatrix(m.rows, m.cols)
+
+
+def test_descent_kernels_that_differ_match_the_realified_reference(kt4_session, monkeypatch):
+    """No model separates the class map's kernel from the expected one, so two mutations seen by the
+    audit and the reference alike do: a zeroed d on 1-forms (a zero class map kernel) and a zeroed
+    d^{1,1} (a zero expected kernel)."""
+    model = kt4_session.spec.coefficients.with_truncation(2)
+    d_total = FormComplex.d_total
+    mutations = {
+        "d_total(1) = 0": lambda engine: monkeypatch.setattr(
+            engine.complex, "d_total", lambda r: _zero(d_total(engine.complex, r)) if r == 1 else d_total(engine.complex, r)
+        ),
+        "d11 = 0": lambda engine: monkeypatch.setattr(engine, "_d11", lambda: _zero(CohomologyEngine._d11(engine))),
+    }
+    for label, mutate in mutations.items():
+        engine = engine_on(kt4_session, model)
+        mutate(engine)
+        got = audit_ddc_descent(engine)[0]
+        assert got.as_dict() == realified_ddc_descent(engine)[0].as_dict(), label
+        witness = got.witness
+        assert got.status == "fail" and witness["class_map_kernel"] != witness["expected_kernel"], (label, witness)
+        assert 0 in (witness["class_map_kernel"], witness["expected_kernel"]), (label, witness)
+        monkeypatch.undo()
+
+
+def test_descent_builds_no_realified_image_or_preimage(kt4_session, monkeypatch):
+    """During the audit no preimage is taken, and realify runs only for the correction system, the
+    realified dbar of its target and the realified del dbar of the source."""
+    engine = engine_on(kt4_session, kt4_session.spec.coefficients.with_truncation(2))
+    calls = []
+    preimage, realify = linalg.preimage, linalg.realify
+
+    def counting_realify(*args):
+        calls.append(("realify", sys._getframe(1).f_code.co_name, args[0]))
+        return realify(*args)
+
+    monkeypatch.setattr(linalg, "preimage", lambda *args: calls.append(("preimage",)) or preimage(*args))
+    monkeypatch.setattr(linalg, "realify", counting_realify)
+    (item,) = audit_ddc_descent(engine)
+    assert item.status == "pass" and item.witness["source_dim"] > 0
+    assert ("preimage",) not in calls
+    callers = [caller for _, caller, _ in calls]
+    assert set(callers) == {"correction_map", "realified_block", "real_ddc_kernel"}, callers
+    ddc = compose(engine.block, ["partial", "dbar"], 1, 1)
+    assert [m for _, caller, m in calls if caller == "real_ddc_kernel"] == [ddc]
+    assert [m for _, caller, m in calls if caller == "realified_block"] == [engine.complex.block("dbar", 1, 1)]
