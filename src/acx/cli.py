@@ -396,34 +396,64 @@ def _basis_index(selector: str) -> int | None:
     return idx
 
 
+def _sector_batches(engine: CohomologyEngine):
+    """Restricted engines on runs of 1, 2, 4, ... weight sectors {w, -w}, in real (1,1) basis order.
+
+    real_subspace(1, 1) lists its rows by the first basis index of each
+    conjugation orbit, so sector by sector: representatives w < -w ascending,
+    then w = 0.  Each engine is made when reached, so none passed is kept.
+    """
+    weights = engine.complex.coefficients.weights()
+    negated = {w: tuple(-x for x in w) for w in weights}
+    order = [w for w in weights if w < negated[w]] + [w for w in weights if w == negated[w]]
+    start, size = 0, 1
+    while start < len(order):
+        batch = order[start : start + size]
+        yield engine.restricted(batch + [negated[w] for w in batch])
+        start, size = start + size, 2 * size
+
+
 def psi_from_selector(session: Session, truncation, selector: str) -> Form:
+    """The real (1,1)-form a taming selector names.
+
+    fundamental is omega.  basis:K is the K-th ddc-closed row of the real
+    (1,1) basis, perturbed omega plus 1/10 of the first ddc-closed row that
+    is not d-closed (omega when there is none).  Blocks preserve the weight,
+    so each row is classified in its batch of sectors, and the walk stops at
+    the selected row.
+    """
     engine = session.engine(truncation)
-    cx = engine.complex
     omega = engine.hermitian.omega
     if selector == "fundamental":
         return omega
-    # the real (1,1) basis in its rows, classified by two complex block products on its columns:
-    # column r of block @ complexify(basis^T) is zero iff the realified block kills row r
-    basis = engine.real_subspace(1, 1).rows
-    columns = linalg.complexify(basis.transpose())
-    ddc = compose(engine.block, ["partial", "dbar"], 1, 1)
-    d = ExactMatrix.vstack([cx.block(name, 1, 1) for name in DIFFERENTIALS])
-    not_ddc_closed = {r for _, r in (ddc @ columns).entries}
-    not_closed = {r for _, r in (d @ columns).entries}
-    # the ddc-closed basis rows, in basis order
-    pure = [r for r in range(basis.rows) if r not in not_ddc_closed]
+    idx = None if selector == "perturbed" else _basis_index(selector)
+    seen = 0  # ddc-closed rows of the batches passed
+    for part in _sector_batches(engine):
+        cx = part.complex
+        # the real (1,1) basis in its rows, classified by complex block products on its columns:
+        # column r of block @ complexify(basis^T) is zero iff the realified block kills row r
+        basis = part.real_subspace(1, 1).rows
+        columns = linalg.complexify(basis.transpose())
+        not_ddc_closed = {r for _, r in (compose(part.block, ["partial", "dbar"], 1, 1) @ columns).entries}
+        # the ddc-closed basis rows, in basis order
+        pure = [r for r in range(basis.rows) if r not in not_ddc_closed]
 
-    def form(r: int) -> Form:
-        return cx.from_realified([basis.entry(r, c) for c in range(basis.cols)], 1, 1)
+        def form(r: int) -> Form:
+            return cx.from_realified([basis.entry(r, c) for c in range(basis.cols)], 1, 1)
 
-    if selector == "perturbed":
-        # the first one that is not d-closed; omega itself when there is none
-        candidate = next((r for r in pure if r in not_closed), None)
-        return omega if candidate is None else omega + form(candidate).scale(rational(1, 10))
-    idx = _basis_index(selector)
-    if idx >= len(pure):
-        raise ValidationError("TamingSelector", f"basis index {idx} out of range ({len(pure)} available)")
-    return form(pure[idx])
+        if idx is None:
+            # the first one that is not d-closed
+            d = ExactMatrix.vstack([cx.block(name, 1, 1) for name in DIFFERENTIALS])
+            not_closed = {r for _, r in (d @ columns).entries}
+            candidate = next((r for r in pure if r in not_closed), None)
+            if candidate is not None:
+                return omega + form(candidate).scale(rational(1, 10))
+        elif idx < seen + len(pure):
+            return form(pure[idx - seen])
+        seen += len(pure)
+    if idx is None:
+        return omega
+    raise ValidationError("TamingSelector", f"basis index {idx} out of range ({seen} available)")
 
 
 # ---------------------------------------------------------------------------

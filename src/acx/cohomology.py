@@ -40,6 +40,25 @@ class CohomologyEngine:
         self.hermitian = hermitian
         self.n = complex_.n
 
+    def restricted(self, weights) -> "CohomologyEngine":
+        """A fresh engine of the direct summand on `weights`, a set closed under negation.
+
+        Operators preserve the weight and conjugation negates it, so its bases
+        and blocks are this engine's restricted in order, and kernels, RREFs
+        and solves split over it.  An invariant model, or every weight, gives
+        this engine itself.
+        """
+        model = self.complex.coefficients.restricted(weights)
+        if model == self.complex.coefficients:
+            return self
+        cx = FormComplex(self.complex.frame, model)
+        return CohomologyEngine(cx, HermitianStructure(cx, self.hermitian.metric))
+
+    @memoized
+    def sector(self, weights: tuple) -> "CohomologyEngine":
+        """restricted(weights), built once per engine and weight tuple."""
+        return self.restricted(weights)
+
     # -- generic block subspaces ------------------------------------------------
 
     def block(self, name: str, p: int, q: int) -> ExactMatrix:

@@ -184,9 +184,10 @@ class CoefficientModel:
     into this convention so eigenvalues stay in Q(i).  Truncation keeps all
     weights with |w_a| <= N, a box closed under every weight-preserving
     operator and under conjugation.  When set, `kept` restricts the model to
-    those weights, a set closed under negation; its complex is a direct
-    summand of the box's, so dimensions add.  The box of truncation N is the
-    disjoint union of the shells max |w_a| = s for s = 0..N (`shell`).
+    those weights, a set closed under negation, in box order (`restricted`);
+    its complex is a direct summand of the box's, so dimensions add.  The box
+    of truncation N is the disjoint union of the shells max |w_a| = s for
+    s = 0..N (`shell`).
     """
 
     kind: str  # "invariant" | "torus_fourier"
@@ -207,7 +208,19 @@ class CoefficientModel:
     def shell(self, s: int) -> "CoefficientModel":
         """The model at truncation s that keeps only the weights with max |w_a| = s."""
         box = self.with_truncation(s)
-        return replace(box, kept=tuple(w for w in box.weights() if max(map(abs, w)) == s))
+        return box.restricted(w for w in box.weights() if max(map(abs, w)) == s)
+
+    def restricted(self, weights) -> "CoefficientModel":
+        """The model keeping those of its weights that are in `weights`, in its own order.
+
+        The model itself when that is all of them, and always for an invariant model.
+        """
+        if self.kind == "invariant":
+            return self
+        chosen = set(weights)
+        own = self.weights()
+        kept = tuple(w for w in own if w in chosen)
+        return self if len(kept) == len(own) else replace(self, kept=kept)
 
     def weights(self) -> list[tuple[int, ...]]:
         if self.kind == "invariant":

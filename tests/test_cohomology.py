@@ -429,6 +429,40 @@ def test_real_subspace_refuses_a_conjugation_that_is_not_an_involution(kt4_sessi
     assert engine_on(kt4_session, model).real_subspace(1, 1).dim == dim
 
 
+def test_a_restricted_engine_is_the_box_restricted_in_order(kt4_session, fourier_sessions, torus_session):
+    """A restricted engine's bases are the box's bases with the other weights left out, in order, and
+    its blocks are the box's blocks on those rows and columns; an invariant model, or every weight,
+    gives the engine itself, and sector memoizes restricted."""
+    cases = [(f"kt4 N={n}", kt4_session.engine(n)) for n in (1, 2)]
+    cases += [(f"{label} N=2", session.engine(2)) for label, session in fourier_sessions]
+    restricted = 0
+    for label, eng in cases:
+        weights = eng.complex.coefficients.weights()
+        for w in sectors(eng.complex.coefficients)[::3]:
+            kept = [v for v in weights if v in {w, tuple(-x for x in w)} or not any(v)]
+            part = eng.restricted(reversed(kept))
+            assert part is not eng and part.complex.coefficients.kept == tuple(kept), (label, w)
+            for p in range(eng.n + 1):
+                for q in range(eng.n + 1):
+                    rows = [i for i, e in enumerate(eng.complex.basis(p, q)) if e.weight in kept]
+                    assert part.complex.basis(p, q) == tuple(eng.complex.basis(p, q)[i] for i in rows), (label, p, q)
+                    for name in SHIFTS:
+                        dp, dq = SHIFTS[name]
+                        if not part.complex.valid_bidegree(p + dp, q + dq):
+                            continue
+                        targets = [i for i, e in enumerate(eng.complex.basis(p + dp, q + dq)) if e.weight in kept]
+                        whole = eng.complex.block(name, p, q)
+                        want = {(r, c): whole.entry(tr, tc) for r, tr in enumerate(targets) for c, tc in enumerate(rows)}
+                        assert part.complex.block(name, p, q).entries == {k: v for k, v in want.items() if v}, (label, name)
+            restricted += 1
+        assert eng.restricted(weights) is eng and eng.sector(tuple(weights)) is eng, label
+    assert restricted > len(cases)
+    invariant = torus_session.engine()
+    assert invariant.restricted([()]) is invariant and invariant.sector(((),)) is invariant
+    eng = kt4_session.engine(1)
+    assert eng.sector(((0, 0),)) is eng.sector(((0, 0),)) is not eng.restricted([(0, 0)])
+
+
 def test_rank_first_harmonic_dim_matches_harmonic_space(oracle_engines):
     """harmonic_dim is cols - rank of the stacked system; the kernel basis gives the same number."""
     for label, eng in oracle_engines:

@@ -442,6 +442,11 @@ def _rendered_suite(cx):
     ]
 
 
+def _failure_key(identity):
+    """The audit witness key of an identity_suite entry's failures: d.d fails in total degrees, the rest in blocks."""
+    return "failing_degrees" if identity == "d.d" else "failing_blocks"
+
+
 def test_identities_read_off_the_n1_box_match_the_whole_box(kt4_session, fourier_sessions, monkeypatch):
     """verify's identity items at N = 2 and 3, and validate's suite at a manifest truncation of 3,
     are read off the N = 1 box; they equal audit_identities and identity_suite on the whole box.
@@ -470,7 +475,7 @@ def test_identities_read_off_the_n1_box_match_the_whole_box(kt4_session, fourier
                         {
                             "claim": f"square-zero-relations:{e['identity']}",
                             "status": "pass" if e["passed"] else "fail",
-                            "witness": {**({"failing_blocks": e["failures"]} if e["failures"] else {}), **tag},
+                            "witness": {**({_failure_key(e["identity"]): e["failures"]} if e["failures"] else {}), **tag},
                         }
                         for e in _rendered_suite(session.complex(truncation))
                     ]
@@ -480,6 +485,26 @@ def test_identities_read_off_the_n1_box_match_the_whole_box(kt4_session, fourier
                 payload, code = run("validate", Session(spec), {})
                 assert payload["validation"]["identity_suite"] == _rendered_suite(session.complex(3)), (mutation, label)
     assert failing == {"square-zero-relations", "symplectic-commutators", "lefschetz-sl2-commutator"}
+
+
+def test_dd_witness_names_total_degrees_and_the_relations_name_blocks(fourier_sessions, monkeypatch):
+    """Under the partial-only E_r mutation, verify on nil6-fourier-rank1 at N = 2 fails d.d in total
+    degrees, under failing_degrees, and the bidegree relations in [p, q] blocks, under failing_blocks."""
+    fixture = dict(fourier_sessions)["nil6-fourier-rank1"]
+    _scaled_partial_coefficients(monkeypatch)
+    payload, code = run("verify", Session(fixture.spec), {"truncations": "2"})
+    assert code == 0
+    square_zero = {
+        a["claim"].split(":")[1]: a for a in payload["audits"] if a["claim"].startswith("square-zero-relations:")
+    }
+    assert square_zero["d.d"]["status"] == "fail"
+    assert square_zero["d.d"]["witness"] == {"failing_degrees": [0, 1, 2, 3, 4], "truncation": "N=2"}
+    relations = [a for label, a in square_zero.items() if label in SQUARE_ZERO_RELATIONS.values()]
+    failing = [a["witness"] for a in relations if a["status"] == "fail"]
+    assert failing and all(set(w) == {"failing_blocks", "truncation"} for w in failing)
+    assert all(len(block) == 2 for w in failing for block in w["failing_blocks"])
+    # the degrees are those of the failing blocks
+    assert sorted({p + q for w in failing for p, q in w["failing_blocks"]}) == [0, 1, 2, 3, 4]
 
 
 def test_verify_audits_the_identities_once_per_deciding_engine(kt4_session, monkeypatch):

@@ -11,10 +11,13 @@ real (1,1) basis form and tests it by operator applications.  Certificates,
 selected forms, obstruction functionals and descent witnesses must agree on
 every case.  The descent audit and the selector are also compared with their
 realified constructions: an eliminated real basis, preimages of realified
-images, and realified block products.
+images, and realified block products.  The references run on the whole box,
+while solve_taming and the selector run on the weight sectors of psi, so
+they also pin that the sectors give the whole box's answers.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -33,7 +36,8 @@ from acx.audits import (
     check_nondegenerate,
     solve_taming,
 )
-from acx.cli import Session, ValidationError, manifest_from_dict, psi_from_selector
+from acx import audits, cli
+from acx.cli import Session, ValidationError, _sector_batches, manifest_from_dict, psi_from_selector, render_json, run
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
 from acx.operators import DIFFERENTIALS, FormComplex, compose
@@ -255,19 +259,28 @@ def _drop_mubar_term(engine):
     return k02, k20, system
 
 
+def _solving_engine(engine, psi):
+    """The engine solve_taming corrects psi on: the engine's sector of the weights of psi."""
+    return engine.sector(tuple(sorted(psi.weights())))
+
+
 def test_closed_and_well_defined_guards_can_fail(kt4_session, monkeypatch):
     """A correction map missing one term solves its own system but leaves d(omega') != 0;
-    two pivot orders that reach different corrected forms are caught."""
+    two pivot orders that reach different corrected forms are caught.  The maps are set on
+    the engine that solves, the sector of psi, which is not the whole box here."""
     session_engine = kt4_session.engine(1)
     psi = psi_from_selector(kt4_session, 1, "perturbed")
     engine = CohomologyEngine(session_engine.complex, session_engine.hermitian)
-    broken = _drop_mubar_term(engine)
-    monkeypatch.setattr(engine, "correction_map", lambda: broken)
+    solver = _solving_engine(engine, psi)
+    assert solver is not engine and solver.complex.dim(1, 1) < engine.complex.dim(1, 1)
+    good, broken = solver.correction_map(), _drop_mubar_term(solver)
+    monkeypatch.setattr(solver, "correction_map", lambda: broken)
     assert not solve_taming(engine, psi).closed
+    monkeypatch.setattr(engine, "correction_map", lambda: _drop_mubar_term(session_engine))
     assert audit_ddc_descent(engine)[0].witness == {"reason": "correction not closed"}
 
-    maps = iter([session_engine.correction_map(), broken])
-    monkeypatch.setattr(engine, "correction_map", lambda: next(maps))
+    maps = iter([good, broken])
+    monkeypatch.setattr(solver, "correction_map", lambda: next(maps))
     cert = solve_taming(engine, psi)
     assert cert.closed and not cert.well_defined
 
@@ -291,28 +304,32 @@ def test_closed_check_matches_realified_reference(kt4_session, kodaira_session, 
                 _, omega = _correct(fresh, psi)
             except NoSolution:
                 continue
-            assert _closed(cx, omega) == reference_closed(cx, omega), label
+            assert _closed(cx, linalg.complexify(omega)) == reference_closed(cx, omega), label
             for j in range(omega.cols):
                 column = ExactMatrix(omega.rows, 1, {(r, 0): v for (r, c), v in omega.entries.items() if c == j})
-                got = _closed(cx, column)
+                got = _closed(cx, linalg.complexify(column))
                 assert got == reference_closed(cx, column), label
                 verdicts.add(got)
     assert verdicts == {True, False}
 
 
 def test_correction_target_realifies_dbar_once_per_engine(kt4_session, monkeypatch):
-    """Both pivot orders of solve_taming, and a second solve, share one realified dbar(1,1) block."""
+    """Both pivot orders of solve_taming, and a second solve, share one realified dbar(1,1) block of the
+    engine that solves, the sector of psi, which the engine builds once."""
     session_engine = kt4_session.engine(1)
     engine = CohomologyEngine(session_engine.complex, session_engine.hermitian)
     psi = psi_from_selector(kt4_session, 1, "perturbed")
-    dbar = engine.complex.block("dbar", 1, 1)
+    solver = _solving_engine(engine, psi)
+    assert solver is not engine
+    dbar = solver.complex.block("dbar", 1, 1)
     realified = []
     realify = linalg.realify
     monkeypatch.setattr(linalg, "realify", lambda m, *rest: realified.append(m is dbar) or realify(m, *rest))
     first, second = solve_taming(engine, psi), solve_taming(engine, psi)
     assert first.closed and first == second
     assert sum(realified) == 1
-    assert engine.realified_block("dbar", 1, 1) == realify(dbar)
+    assert solver.realified_block("dbar", 1, 1) == realify(dbar)
+    assert not vars(engine).get("_correction_map_cache") and not vars(engine).get("_realified_block_cache")
 
 
 def reference_psi_from_selector(session, truncation, selector):
@@ -403,7 +420,7 @@ def realified_ddc_descent(engine):
         _, corrected = _correct(engine, psi)
     except NoSolution:
         return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction equation obstructed"})]
-    if not _closed(cx, corrected):
+    if not _closed(cx, linalg.complexify(corrected)):
         return [AuditItem("ddc-descent-injective", "fail", {"reason": "correction not closed"})]
     kernel = linalg.preimage(corrected, linalg.image(linalg.realify(cx.d_total(1))))
     expected = linalg.preimage(psi, den_real)
@@ -435,13 +452,16 @@ def realified_psi_from_selector(session, truncation, selector):
     return form(pure[idx])
 
 
+def _fourier_cases(fourier_sessions):
+    """Every four-dimensional Fourier model at truncations 1 and 2."""
+    return [
+        (f"{label} N={n}", session, n) for label, session in fourier_sessions if session.frame.n == 2 for n in (1, 2)
+    ]
+
+
 def _widened_cases(kt4_session, kodaira_session, fourier_sessions):
     """The 13 oracle cases and every four-dimensional Fourier model at truncations 1 and 2."""
-    cases = _oracle_cases(kt4_session, kodaira_session)
-    for label, session in fourier_sessions:
-        if session.frame.n == 2:
-            cases += [(f"{label} N={n}", session, n) for n in (1, 2)]
-    return cases
+    return _oracle_cases(kt4_session, kodaira_session) + _fourier_cases(fourier_sessions)
 
 
 def test_descent_and_selector_match_realified_references(kt4_session, kodaira_session, fourier_sessions):
@@ -510,3 +530,117 @@ def test_descent_builds_no_realified_image_or_preimage(kt4_session, monkeypatch)
     ddc = compose(engine.block, ["partial", "dbar"], 1, 1)
     assert [m for _, caller, m in calls if caller == "real_ddc_kernel"] == [ddc]
     assert [m for _, caller, m in calls if caller == "realified_block"] == [engine.complex.block("dbar", 1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# taming on the weight sectors of psi
+
+
+def _sector_rows(engine):
+    """The real (1,1) basis rows of an engine as forms, in order."""
+    basis = engine.real_subspace(1, 1).rows
+    return [engine.complex.from_realified([basis.entry(r, c) for c in range(basis.cols)], 1, 1) for r in range(basis.rows)]
+
+
+def test_real_basis_rows_are_the_batches_rows_in_walk_order(kt4_session, fourier_sessions):
+    """The whole real (1,1) basis lists its rows sector by sector, representatives w < -w ascending and then
+    w = 0, so its rows are the rows of the selector's batches of 1, 2, 4, ... sectors, concatenated."""
+    cases = [(f"kt4 N={n}", kt4_session, n) for n in range(4)] + _fourier_cases(fourier_sessions)
+    for label, session, n in cases:
+        engine = session.engine(n)
+        weights = engine.complex.coefficients.weights()
+        batches = list(_sector_batches(engine))
+        got = [row for part in batches for row in _sector_rows(part)]
+        assert got == _sector_rows(engine), label
+        sizes = [len(part.complex.coefficients.weights()) for part in batches]
+        assert sum(sizes) == len(weights), label
+        # 1, 2, 4, ... sectors: 2, 4, 8, ... weights, and the zero sector one weight, at the end
+        assert all(size == 2 ** (k + 1) for k, size in enumerate(sizes[:-1])), (label, sizes)
+        assert (0,) * len(weights[0]) in batches[-1].complex.coefficients.weights(), label
+        assert (len(batches) == 1) == (batches[0] is engine), label
+
+
+def test_taming_on_sectors_matches_the_whole_box_reference_on_fourier_models(fourier_sessions):
+    """On every four-dimensional Fourier model at N = 1 and 2, each selector's certificate or obstruction
+    equals the whole-box form-level reference; the solves run on sectors smaller than the box."""
+    seen = set()
+    for label, session, n in _fourier_cases(fourier_sessions):
+        engine = session.engine(n)
+        for selector in SELECTORS + ("basis:3",):
+            try:
+                psi = psi_from_selector(session, n, selector)
+            except ValidationError:
+                continue
+            got = _outcome(solve_taming, engine, psi)
+            assert got == _outcome(reference_solve_taming, engine, psi), (label, selector)
+            seen.add((_solving_engine(engine, psi) is engine, got[0]))
+    assert (False, "certified") in seen
+
+
+def _kodaira_fourier_session(truncation):
+    """kodaira4 with a rank-2 torus acting along e1 and e4, closed and commuting directions."""
+    raw = {
+        "name": "kodaira4-fourier",
+        "real_dim": 4,
+        "brackets": [[1, 2, 3, "1"]],
+        "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+        "metric": [["1", "0"], ["0", "1"]],
+        "coefficients": {
+            "type": "torus_fourier",
+            "rank": 2,
+            "actions": [["2", "0"], ["0", "0"], ["0", "0"], ["0", "3"]],
+            "truncation": truncation,
+        },
+        "tasks": [],
+    }
+    return Session(manifest_from_dict(raw))
+
+
+def _taming_json(session, selector, monkeypatch, whole_box=False):
+    """taming's JSON minus timing, and its exit code; whole_box runs the form-level references instead."""
+    with monkeypatch.context() as patch:
+        if whole_box:
+            patch.setattr(audits, "solve_taming", reference_solve_taming)
+            patch.setattr(
+                cli, "psi_from_selector",
+                lambda s, n, sel: s.engine(n).hermitian.omega if sel == "fundamental" else reference_psi_from_selector(s, n, sel),
+            )
+        payload, code = run("taming", session, {"psi": selector})
+    payload.pop("timing")
+    return render_json(payload), code
+
+
+def test_obstructed_fourier_taming_prints_the_whole_box_functional(monkeypatch):
+    """kodaira4 acted on along e1 and e4 obstructs the correction of omega and of its perturbation at N = 1
+    and 2.  The certificate equals the whole-box reference byte for byte, and its obstruction functional
+    has the length of the whole realified (1,2) block though the solve ran on a sector."""
+    obstructed = 0
+    for n in (1, 2):
+        for selector in ("fundamental", "perturbed", "basis:0", "basis:5"):
+            got = _taming_json(_kodaira_fourier_session(n), selector, monkeypatch)
+            assert got == _taming_json(_kodaira_fourier_session(n), selector, monkeypatch, whole_box=True), (n, selector)
+            session = _kodaira_fourier_session(n)
+            engine = session.engine()
+            (cert,) = json.loads(got[0])["certificates"]
+            if cert["status"] == "no-solution":
+                obstructed += 1
+                psi = psi_from_selector(session, None, selector)
+                assert _solving_engine(engine, psi) is not engine
+                assert len(cert["obstruction"]["functional"]) == 2 * engine.complex.dim(1, 2) == 2 * 2 * (2 * n + 1) ** 2
+                assert cert["obstruction"]["pairing"] != "0"
+    assert obstructed == 4
+
+
+def test_taming_by_sector_builds_nothing_of_the_box_on_one_one(kt4_session):
+    """After taming kt4 at N = 2 with basis:0 (or perturbed) the N = 2 engine holds no block from (1,1), no
+    real (1,1) basis and no correction map: the selector and the solve ran on sectors, and only the
+    hypothesis numbers were read off the box."""
+    for selector in ("basis:0", "perturbed"):
+        session = Session(kt4_session.spec)
+        payload, code = run("taming", session, {"truncations": "2", "psi": selector})
+        assert code == 0 and payload["certificates"][0]["status"] == "certified"
+        engine = session.engine(2)
+        assert engine.refined_dolbeault(1, 0) == payload["certificates"][0]["hypothesis"]["ht10"]
+        assert not [key for key in vars(engine.complex).get("_block_cache", {}) if key[1:] == (1, 1)]
+        assert (1, 1) not in vars(engine).get("_real_subspace_cache", {})
+        assert not vars(engine).get("_correction_map_cache")
