@@ -146,15 +146,12 @@ def audit_identities(engine: CohomologyEngine) -> list[AuditItem]:
     totals: dict[tuple[str, int], ExactMatrix] = {}
 
     def total(group: str, r: int) -> ExactMatrix:
-        """A group of IDENTITY_TERMS from degree r, or H, the counting operator r - n; built once.
-
-        A group enters several products, so it keeps its row view.
-        """
+        """A group of IDENTITY_TERMS from degree r, or H, the counting operator r - n; built once."""
         if (group, r) not in totals:
             if group == "H":
                 totals[(group, r)] = ExactMatrix.identity(cx.total_dim(r)).scale(integer(r - n))
             else:
-                totals[(group, r)] = cx.total(engine.block, IDENTITY_TERMS[group], r).keep_row_view()
+                totals[(group, r)] = cx.total(engine.block, IDENTITY_TERMS[group], r)
         return totals[(group, r)]
 
     def read_commutator(a: str, b: str, rhs: str | None, table: dict) -> dict:
@@ -200,7 +197,10 @@ def audit_dualities(engine: CohomologyEngine) -> list[AuditItem]:
             )
         ]
     n = engine.n
-    ell = {(p, q): engine.ell(p, q) for p in range(n + 1) for q in range(n + 1)}
+    # star takes (p,q) to (n-q, n-p): each harmonic space is built once, as a source and as a target,
+    # and the table is read off their dimensions (engine.ell, the same number as a rank, is left to the diamond)
+    spaces = {(p, q): engine.harmonic_space(("dbar", "mu"), p, q) for p in range(n + 1) for q in range(n + 1)}
+    ell = {cell: space.dim for cell, space in spaces.items()}
     sym_fail = []
     for (p, q), v in ell.items():
         if not (v == ell[(q, p)] == ell[(n - q, n - p)] == ell[(n - p, n - q)]):
@@ -214,9 +214,7 @@ def audit_dualities(engine: CohomologyEngine) -> list[AuditItem]:
             {"table": {f"{p},{q}": v for (p, q), v in sorted(ell.items())}},
         )
     ]
-    # star takes (p,q) to (n-q, n-p): each harmonic space is built once, as a source and as a target;
     # the verdict asks only whether a star image escapes, so the null basis kernel built answers it
-    spaces = {cell: engine.harmonic_space(("dbar", "mu"), *cell) for cell in ell}
     star_fail = []
     for (p, q), space in spaces.items():
         if space.dim and spaces[(n - q, n - p)].outside((h.star(p, q) @ space.generators).transpose()):

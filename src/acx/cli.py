@@ -434,7 +434,7 @@ def psi_from_selector(session: Session, truncation, selector: str) -> Form:
         # column r of block @ complexify(basis^T) is zero iff the realified block kills row r
         basis = part.real_subspace(1, 1).rows
         columns = linalg.complexify(basis.transpose())
-        not_ddc_closed = {r for _, r in (compose(part.block, ["partial", "dbar"], 1, 1) @ columns).entries}
+        not_ddc_closed = {r for _, r in (compose(part.block, ["partial", "dbar"], 1, 1) @ columns).triples}
         # the ddc-closed basis rows, in basis order
         pure = [r for r in range(basis.rows) if r not in not_ddc_closed]
 
@@ -444,7 +444,7 @@ def psi_from_selector(session: Session, truncation, selector: str) -> Form:
         if idx is None:
             # the first one that is not d-closed
             d = ExactMatrix.vstack([cx.block(name, 1, 1) for name in DIFFERENTIALS])
-            not_closed = {r for _, r in (d @ columns).entries}
+            not_closed = {r for _, r in (d @ columns).triples}
             candidate = next((r for r in pure if r in not_closed), None)
             if candidate is not None:
                 return omega + form(candidate).scale(rational(1, 10))

@@ -262,8 +262,9 @@ class CohomologyEngine:
         if p != q:
             raise ValueError("real subspaces live on conjugation-stable blocks only")
         c = self.complex.conj_struct(p, q)
-        image = {col: (r, s) for (r, col), s in c.entries.items()}
-        if not len(c.entries) == len(image) == c.cols or any(
+        cells = c.entries
+        image = {col: (r, s) for (r, col), s in cells.items()}
+        if not len(cells) == len(image) == c.cols or any(
             s not in (ONE, -ONE) or image.get(r) != (col, s) for col, (r, s) in image.items()
         ):
             raise AssertionError(f"conjugation on ({p},{q}) is not a signed permutation involution")
@@ -278,7 +279,7 @@ class CohomologyEngine:
             elif t == j:
                 entries[(k, 2 * j if s == ONE else 2 * j + 1)] = ONE
                 k += 1
-        return Subspace(rows=ExactMatrix.unchecked(k, 2 * c.cols, entries))
+        return Subspace(rows=ExactMatrix(k, 2 * c.cols, entries))
 
     def real_ddc_kernel(self) -> Subspace:
         """ker(del dbar) on real (1,1)-forms, in doubled coordinates: R^T K, held by its basis.

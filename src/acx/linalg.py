@@ -15,15 +15,17 @@ column span), and completed only as far as it is read: a dimension is a
 count or a rank, a containment is one product, and the canonical reduced
 rows are built only for callers that read coordinates.
 
-Products and elimination run on the (a, b, d) int triples of the scalars
-(see scalars.py), not on Scalar objects.  A product accumulates each output
-row unreduced, with a gcd only where two terms meet over different
-denominators, and reduces each result entry once; the row view of a
-factor (its entries grouped by row, as triples) is built per product, or
-once for a matrix marked with keep_row_view, which keeps it for every
-product it enters.  Elimination keeps its rows as
-canonical triples and builds Scalars only for the rows it returns, so a
-rank builds none.
+Matrices hold their entries once, as canonical (a, b, d) int triples
+(see scalars.py), and every kernel runs on them: transposes, sums, stacks,
+products and elimination read and write triples, and a Scalar is built
+only where a caller reads a value (`entries`, `entry`, `row_dicts`,
+`Subspace.basis` and the rows `rref` returns).  A product groups the
+entries of its right factor by row, reads the left factor's triples as
+they are stored, accumulates each output row unreduced, with a gcd only
+where two terms meet over different denominators, and reduces each result
+entry once.  Elimination copies the triples into its rows, so a rank builds
+no Scalar; null_basis, Subspace.rows and solve_many read the triples of the
+Scalar rows that rref and _rref_full return.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, add_triples, canonical, reduced
+from .scalars import ZERO, Scalar, add_triples, canonical, mul_triples, reduced_triple
 
 # there is no dense elimination path; the bench tracer still reads this name
 DENSE_COLUMN_LIMIT = 0
+
+Triple = tuple[int, int, int]
 
 
 class AmbientMismatch(Exception):
@@ -45,32 +49,47 @@ class NotContained(Exception):
     """A quotient denominator escapes its numerator: the complex is broken."""
 
 
+def _add_into(triples: dict, key, u: Triple) -> None:
+    """triples[key] += u, for canonical triples; an entry that cancels is removed."""
+    t = triples.get(key)
+    if t is None:
+        triples[key] = u
+        return
+    a, b, d = add_triples(t, u)
+    if a or b:
+        triples[key] = reduced_triple(a, b, d)
+    else:
+        del triples[key]
+
+
 class ExactMatrix:
     """Sparse matrix over Q(i); absent entries are zero.
 
-    The entries are not changed after construction, since a matrix marked by keep_row_view keeps a
-    view of them in _view ({} until its first product builds it; None for any other matrix).
+    triples is the one store of the entries: {(r, c): (a, b, d)} with every
+    (a + b*i)/d canonical and nonzero.  entries is a {(r, c): Scalar} view
+    of it, built on each read and never kept, for callers that read values.
+    A matrix is not changed after construction.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_view")
+    __slots__ = ("rows", "cols", "triples")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
+        """The matrix with the given {(r, c): Scalar} entries; zeros are dropped, positions are checked."""
         self.rows = rows
         self.cols = cols
-        self.entries = {}
-        self._view = None
+        self.triples = {}
         if entries:
             for (r, c), v in entries.items():
                 if v:
                     if not (0 <= r < rows and 0 <= c < cols):
                         raise IndexError(f"entry {(r, c)} outside {rows}x{cols}")
-                    self.entries[(r, c)] = v
+                    self.triples[(r, c)] = v.triple
 
     @classmethod
-    def unchecked(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
-        """A matrix that owns entries, all nonzero and inside rows x cols: for results derived from checked matrices."""
+    def unchecked(cls, rows: int, cols: int, triples: dict[tuple[int, int], Triple]) -> "ExactMatrix":
+        """A matrix that owns triples, all canonical, nonzero and inside rows x cols: for results derived from checked matrices."""
         m = object.__new__(cls)
-        m.rows, m.cols, m.entries, m._view = rows, cols, entries, None
+        m.rows, m.cols, m.triples = rows, cols, triples
         return m
 
     @classmethod
@@ -86,160 +105,147 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls.unchecked(n, n, {(i, i): (1, 0, 1) for i in range(n)})
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Scalar]:
+        """{(r, c): Scalar}, built from the triples on each read, in their order."""
+        return {rc: canonical(a, b, d) for rc, (a, b, d) in self.triples.items()}
 
     def entry(self, r: int, c: int) -> Scalar:
-        return self.entries.get((r, c), ZERO)
+        t = self.triples.get((r, c))
+        return ZERO if t is None else canonical(*t)
 
     def row_dicts(self) -> list[dict[int, Scalar]]:
         rows: list[dict[int, Scalar]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
+        for (r, c), (a, b, d) in self.triples.items():
+            rows[r][c] = canonical(a, b, d)
         return rows
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.unchecked(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        return ExactMatrix.unchecked(self.cols, self.rows, {(c, r): t for (r, c), t in self.triples.items()})
 
     def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix.unchecked(self.rows, self.cols, {rc: v.conj() for rc, v in self.entries.items()})
+        return ExactMatrix.unchecked(self.rows, self.cols, {rc: (a, -b, d) for rc, (a, b, d) in self.triples.items()})
 
     def scale(self, a: Scalar) -> "ExactMatrix":
         if not a:
             return ExactMatrix(self.rows, self.cols)
-        return ExactMatrix.unchecked(self.rows, self.cols, {rc: a * v for rc, v in self.entries.items()})
+        u = a.triple
+        return ExactMatrix.unchecked(self.rows, self.cols, {rc: mul_triples(u, t) for rc, t in self.triples.items()})
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix.unchecked(self.rows, self.cols, {rc: -v for rc, v in self.entries.items()})
+        return ExactMatrix.unchecked(self.rows, self.cols, {rc: (-a, -b, d) for rc, (a, b, d) in self.triples.items()})
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        entries = dict(self.entries)
-        for rc, v in other.entries.items():
-            s = entries.get(rc, ZERO) + v
-            if s:
-                entries[rc] = s
-            else:
-                entries.pop(rc, None)
-        return ExactMatrix.unchecked(self.rows, self.cols, entries)
+        triples = dict(self.triples)
+        for rc, u in other.triples.items():
+            _add_into(triples, rc, u)
+        return ExactMatrix.unchecked(self.rows, self.cols, triples)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
 
-    def keep_row_view(self) -> "ExactMatrix":
-        """Keep the row view that the first product of self builds for its later products; returns self.
-
-        For a matrix that is a factor of several products (the totals of an identity audit): the
-        view of any other factor is built per product and dies with it.
-        """
-        self._view = {}
-        return self
-
-    def _row_view(self) -> dict[int, list[tuple[int, int, int, int]]]:
-        """{r: [(c, a, b, d), ...]}: the entries of each row as (column, triple); only for a matrix with entries."""
-        view = self._view
-        if view:
-            return view
-        built: dict[int, list[tuple[int, int, int, int]]] = {}
-        for (r, c), v in self.entries.items():
-            a, b, d = v.triple
-            if r in built:
-                built[r].append((c, a, b, d))
-            else:
-                built[r] = [(c, a, b, d)]
-        if view is not None:
-            self._view = built
-        return built
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if not (self.entries and other.entries):
+        if not (self.triples and other.triples):
             return ExactMatrix.unchecked(self.rows, other.cols, {})
+        # the right factor grouped by row: {k: [(c, a, b, d), ...]}
+        right: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (k, c), (a, b, d) in other.triples.items():
+            if k in right:
+                right[k].append((c, a, b, d))
+            else:
+                right[k] = [(c, a, b, d)]
         # row r of the product accumulates x * (row k of other) over the entries x = (r, k) of self,
         # on unreduced triples: a gcd only where two terms meet over different denominators, and one
         # reduction per nonzero result entry (scalars.add_triples, inlined: a call per flop makes the
-        # random-rational sweep about 9% slower)
-        right = other._row_view()
-        entries: dict[tuple[int, int], Scalar] = {}
-        for r, terms in self._row_view().items():
-            acc: dict[int, tuple[int, int, int]] = {}
-            for k, xa, xb, xd in terms:
-                row = right.get(k)
-                if row is None:
-                    continue
-                for c, ya, yb, yd in row:
-                    pa = xa * ya - xb * yb
-                    pb = xa * yb + xb * ya
-                    pd = xd * yd
-                    t = acc.get(c)
-                    if t is None:
-                        acc[c] = (pa, pb, pd)
+        # random-rational sweep about 9% slower); the rows come out in the order self first meets them
+        accs: dict[int, dict[int, Triple]] = {}
+        for (r, k), (xa, xb, xd) in self.triples.items():
+            acc = accs.get(r)
+            if acc is None:
+                acc = accs[r] = {}
+            row = right.get(k)
+            if row is None:
+                continue
+            for c, ya, yb, yd in row:
+                pa = xa * ya - xb * yb
+                pb = xa * yb + xb * ya
+                pd = xd * yd
+                t = acc.get(c)
+                if t is None:
+                    acc[c] = (pa, pb, pd)
+                else:
+                    ta, tb, td = t
+                    if td == pd:
+                        acc[c] = (ta + pa, tb + pb, td)
                     else:
-                        ta, tb, td = t
-                        if td == pd:
-                            acc[c] = (ta + pa, tb + pb, td)
-                        else:
-                            g = gcd(td, pd)
-                            u, w = pd // g, td // g
-                            acc[c] = (ta * u + pa * w, tb * u + pb * w, td * u)
+                        g = gcd(td, pd)
+                        u, w = pd // g, td // g
+                        acc[c] = (ta * u + pa * w, tb * u + pb * w, td * u)
+        triples: dict[tuple[int, int], Triple] = {}
+        for r, acc in accs.items():
             for c, (a, b, d) in acc.items():
                 if a or b:
-                    entries[(r, c)] = reduced(a, b, d)
-        return ExactMatrix.unchecked(self.rows, other.cols, entries)
+                    triples[(r, c)] = reduced_triple(a, b, d)
+        return ExactMatrix.unchecked(self.rows, other.cols, triples)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
+        for (r, c), (a, b, d) in self.triples.items():
             if vec[c]:
-                out[r] = out[r] + v * vec[c]
+                out[r] = out[r] + canonical(a, b, d) * vec[c]
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.triples
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.triples == other.triples
         )
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.triples)})"
 
     @staticmethod
     def vstack(blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
         if not blocks:
             return ExactMatrix(0, 0)
         cols = blocks[0].cols
-        entries = {}
+        triples = {}
         off = 0
         for b in blocks:
             if b.cols != cols:
                 raise ValueError("vstack column mismatch")
-            for (r, c), v in b.entries.items():
-                entries[(r + off, c)] = v
+            for (r, c), t in b.triples.items():
+                triples[(r + off, c)] = t
             off += b.rows
-        return ExactMatrix.unchecked(off, cols, entries)
+        return ExactMatrix.unchecked(off, cols, triples)
 
     @staticmethod
     def hstack(blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
         if not blocks:
             return ExactMatrix(0, 0)
         rows = blocks[0].rows
-        entries = {}
+        triples = {}
         off = 0
         for b in blocks:
             if b.rows != rows:
                 raise ValueError("hstack row mismatch")
-            for (r, c), v in b.entries.items():
-                entries[(r, c + off)] = v
+            for (r, c), t in b.triples.items():
+                triples[(r, c + off)] = t
             off += b.cols
-        return ExactMatrix.unchecked(rows, off, entries)
+        return ExactMatrix.unchecked(rows, off, triples)
 
 
 def realify(m: ExactMatrix | None, antilinear: ExactMatrix | None = None) -> ExactMatrix:
@@ -251,29 +257,28 @@ def realify(m: ExactMatrix | None, antilinear: ExactMatrix | None = None) -> Exa
     from compositions with complex conjugation are realified once, as honest
     matrices.  Either part may be None; the other sets the shape.
     """
-    entries: dict[tuple[int, int], Scalar] = {}
+    triples: dict[tuple[int, int], Triple] = {}
     if m is not None:
-        for (r, c), s in m.entries.items():
-            u, v = s.real_part(), s.imag_part()
-            if u:
-                entries[(2 * r, 2 * c)] = u
-                entries[(2 * r + 1, 2 * c + 1)] = u
-            if v:
-                entries[(2 * r, 2 * c + 1)] = -v
-                entries[(2 * r + 1, 2 * c)] = v
+        for (r, c), (a, b, d) in m.triples.items():
+            if a:
+                u = reduced_triple(a, 0, d)
+                triples[(2 * r, 2 * c)] = u
+                triples[(2 * r + 1, 2 * c + 1)] = u
+            if b:
+                va, _, vd = reduced_triple(b, 0, d)
+                triples[(2 * r, 2 * c + 1)] = (-va, 0, vd)
+                triples[(2 * r + 1, 2 * c)] = (va, 0, vd)
     if antilinear is not None:
-        for (r, c), s in antilinear.entries.items():
-            u, v = s.real_part(), s.imag_part()
+        for (r, c), (a, b, d) in antilinear.triples.items():
+            ua, _, ud = reduced_triple(a, 0, d)
+            va, _, vd = reduced_triple(b, 0, d)
             r2, c2 = 2 * r, 2 * c
-            for rc, x in (((r2, c2), u), ((r2 + 1, c2 + 1), -u), ((r2, c2 + 1), v), ((r2 + 1, c2), v)):
-                if x:
-                    x = entries.get(rc, ZERO) + x
-                    if x:
-                        entries[rc] = x
-                    else:
-                        del entries[rc]
+            for rc, x in (((r2, c2), (ua, 0, ud)), ((r2 + 1, c2 + 1), (-ua, 0, ud)),
+                          ((r2, c2 + 1), (va, 0, vd)), ((r2 + 1, c2), (va, 0, vd))):
+                if x[0]:  # a real part is zero exactly when its numerator is
+                    _add_into(triples, rc, x)
     shape = m if m is not None else antilinear
-    return ExactMatrix.unchecked(2 * shape.rows, 2 * shape.cols, entries)
+    return ExactMatrix.unchecked(2 * shape.rows, 2 * shape.cols, triples)
 
 
 def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -286,23 +291,14 @@ def realify_vector(vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
 
 def complexify(m: ExactMatrix) -> ExactMatrix:
     """The complex columns whose (Re, Im) pairs are the row pairs of a real matrix: realify_vector undone."""
-    entries: dict[tuple[int, int], Scalar] = {}
-    for (r, c), v in m.entries.items():
+    triples: dict[tuple[int, int], Triple] = {}
+    for (r, c), t in m.triples.items():
         if r % 2:
             # i * (a + b*i)/d = (-b + a*i)/d, still canonical
-            a, b, d = v.triple
-            v = canonical(-b, a, d)
-        key = (r // 2, c)
-        t = entries.get(key)
-        if t is None:
-            entries[key] = v
-        else:
-            v = t + v
-            if v:
-                entries[key] = v
-            else:
-                del entries[key]
-    return ExactMatrix.unchecked(m.rows // 2, m.cols, entries)
+            a, b, d = t
+            t = (-b, a, d)
+        _add_into(triples, (r // 2, c), t)
+    return ExactMatrix.unchecked(m.rows // 2, m.cols, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +327,8 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
     """
     rows: list[dict[int, tuple[int, int, int]]] = [dict() for _ in range(m.rows)]
     index: dict[int, set[int]] = {}
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v.triple
+    for (r, c), t in m.triples.items():
+        rows[r][c] = t
         if c in index:
             index[c].add(r)
         else:
@@ -432,7 +428,7 @@ def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
 
     A matrix with no entries is not eliminated.
     """
-    if not m.entries:
+    if not m.triples:
         return [], []
     pivots, pivot_rows, _ = _rref_full(m)
     return pivots, pivot_rows
@@ -451,13 +447,14 @@ def null_basis(m: ExactMatrix) -> ExactMatrix:
     """
     pivots, red = rref(m)
     pivot_set = set(pivots)
-    vectors: dict[int, dict[int, Scalar]] = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
+    vectors: dict[int, dict[int, Triple]] = {f: {f: (1, 0, 1)} for f in range(m.cols) if f not in pivot_set}
     for p, row in zip(pivots, red):
         for f, coeff in row.items():
             if f != p:
-                vectors[f][p] = -coeff
-    entries = {(c, j): v for j, vec in enumerate(vectors.values()) for c, v in vec.items()}
-    return ExactMatrix.unchecked(m.cols, len(vectors), entries)
+                a, b, d = coeff.triple
+                vectors[f][p] = (-a, -b, d)
+    triples = {(c, j): t for j, vec in enumerate(vectors.values()) for c, t in vec.items()}
+    return ExactMatrix.unchecked(m.cols, len(vectors), triples)
 
 
 class Subspace:
@@ -512,8 +509,8 @@ class Subspace:
         """The reduced row echelon form of a basis, as a dim x n matrix."""
         if self._rows is None:
             _, red = rref(self.generators.transpose())
-            entries = {(r, c): v for r, row in enumerate(red) for c, v in row.items()}
-            self._rows = ExactMatrix.unchecked(len(red), self.ambient_dim, entries)
+            triples = {(r, c): v.triple for r, row in enumerate(red) for c, v in row.items()}
+            self._rows = ExactMatrix.unchecked(len(red), self.ambient_dim, triples)
             self._dim = len(red)
         return self._rows
 
@@ -526,7 +523,7 @@ class Subspace:
         """The number of rows of m that do not lie in the subspace."""
         if m.cols != self.ambient_dim:
             raise AmbientMismatch(f"{m.cols} != {self.ambient_dim}")
-        return len({r for r, _ in (m @ self.constraint.transpose()).entries})
+        return len({r for r, _ in (m @ self.constraint.transpose()).triples})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -555,7 +552,7 @@ def zero_space(n: int) -> Subspace:
 
 def rank(m: ExactMatrix) -> int:
     """The number of pivots, from the forward pass of the elimination."""
-    return len(_eliminate(m, forward=True)[0]) if m.entries else 0
+    return len(_eliminate(m, forward=True)[0]) if m.triples else 0
 
 
 def kernel(m: ExactMatrix) -> Subspace:
@@ -641,10 +638,10 @@ def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -
         raise ValueError("right-hand side length mismatch")
     width = m.cols
     last = width - 1
-    entries = {(r, last - c): v for (r, c), v in m.entries.items()} if reverse_pivots else dict(m.entries)
-    for (r, j), v in rhs.entries.items():
-        entries[(r, width + j)] = v
-    pivots, red, leftover = _rref_full(ExactMatrix.unchecked(m.rows, width + rhs.cols, entries), pivot_limit=width)
+    triples = {(r, last - c): t for (r, c), t in m.triples.items()} if reverse_pivots else dict(m.triples)
+    for (r, j), t in rhs.triples.items():
+        triples[(r, width + j)] = t
+    pivots, red, leftover = _rref_full(ExactMatrix.unchecked(m.rows, width + rhs.cols, triples), pivot_limit=width)
     # a leftover row is zero on the columns of m, so its entries name inconsistent right-hand sides
     inconsistent = sorted({c - width for row in leftover for c in row})
     bad = set(inconsistent)
@@ -653,7 +650,7 @@ def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -
         x = last - p if reverse_pivots else p
         for c, v in row.items():
             if c >= width and c - width not in bad:
-                solutions[(x, c - width)] = v
+                solutions[(x, c - width)] = v.triple
     return ExactMatrix.unchecked(width, rhs.cols, solutions), inconsistent
 
 

@@ -29,7 +29,7 @@ from .forms import (
 )
 from .lie import SHIFTS, ComplexFrame, exterior_d_on_generators, split_d
 from .linalg import ExactMatrix
-from .scalars import I, ONE, ZERO, Scalar
+from .scalars import I, ONE, ZERO, Scalar, mul_triples
 
 DIFFERENTIALS = ("mu", "partial", "dbar", "mubar")
 
@@ -258,13 +258,14 @@ class FormComplex:
         matrix on the invariant monomials.  With scales, the copy at the k-th
         weight is multiplied by scales[k].
         """
-        entries = {}
+        triples = {}
         for k in range(len(self._weights)):
             s = ONE if scales is None else scales[k]
             if s:
-                for (r, c), v in inv.entries.items():
-                    entries[(r + k * inv.rows, c + k * inv.cols)] = v if scales is None else s * v
-        return ExactMatrix.unchecked(inv.rows * len(self._weights), inv.cols * len(self._weights), entries)
+                u = s.triple
+                for (r, c), t in inv.triples.items():
+                    triples[(r + k * inv.rows, c + k * inv.cols)] = t if scales is None else mul_triples(u, t)
+        return ExactMatrix.unchecked(inv.rows * len(self._weights), inv.cols * len(self._weights), triples)
 
     # -- operators ----------------------------------------------------------
 
@@ -350,17 +351,17 @@ class FormComplex:
         """
         k = sum(shift(terms[0][1]))
         tgt_off = self.total_offsets(r + k)
-        entries = {}
+        triples = {}
         for (p, q), so in self.total_offsets(r).items():
             for c, name in terms:
                 dp, dq = shift(name)
                 to = tgt_off.get((p + dp, q + dq))
                 if to is None:
                     continue
-                unit = c == ONE
-                for (rr, cc), v in block(name, p, q).entries.items():
-                    entries[(rr + to, cc + so)] = v if unit else c * v
-        return ExactMatrix.unchecked(self.total_dim(r + k), self.total_dim(r), entries)
+                unit, u = c == ONE, c.triple
+                for (rr, cc), t in block(name, p, q).triples.items():
+                    triples[(rr + to, cc + so)] = t if unit else mul_triples(u, t)
+        return ExactMatrix.unchecked(self.total_dim(r + k), self.total_dim(r), triples)
 
     @memoized
     def d_total(self, r: int) -> ExactMatrix:
@@ -380,7 +381,7 @@ class FormComplex:
         k = sum(next(iter(relations)))
         failing: dict[tuple[int, int], set[tuple[int, int]]] = {s: set() for s in relations}
         for r, lhs, rhs in sides:
-            left, right = lhs.entries, rhs.entries
+            left, right = lhs.triples, rhs.triples
             if left == right:
                 continue
             src, tgt = self.total_offsets(r), self.total_offsets(r + k)

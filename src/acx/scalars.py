@@ -12,12 +12,15 @@ and hashing plain comparisons of the triple.  Arithmetic stays on ints with
 at most one gcd per result; `Fraction` appears only at the edges (parsing and
 the `re`/`im` views).
 
-The triple is also the working form of the hot loops elsewhere (products
-and elimination in linalg, the Leibniz rule in forms, the structure
-equations in lie): they read `Scalar.triple`, accumulate on ints (the sum
-of `add_triples`, inlined only in the product, where a call per flop
-costs measurably), and turn each result entry into a Scalar once with
-`reduced` (or `canonical`, for a triple they keep canonical).
+The triple is also the form in which linalg.ExactMatrix holds its entries,
+{(r, c): (a, b, d)}, and the working form of the hot loops: products,
+elimination, lifts and totals run on the stored triples, and the Leibniz
+rule in forms and the structure equations in lie read `Scalar.triple`.
+They accumulate on ints (the sum of `add_triples`, inlined only in the
+product, where a call per flop costs measurably) and reduce each result
+entry once: `reduced_triple` and `mul_triples` give a canonical triple,
+`reduced` (or `canonical`, for a triple kept canonical) a Scalar, which is
+built only where a value is read.
 """
 
 from __future__ import annotations
@@ -42,6 +45,22 @@ def reduced(a: int, b: int, d: int) -> Scalar:
     s._b = b
     s._d = d
     return s
+
+
+def reduced_triple(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The canonical triple of (a + b*i)/d, for d > 0: one gcd unless d = 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return (a // g, b // g, d // g)
+    return (a, b, d)
+
+
+def mul_triples(t: tuple[int, int, int], u: tuple[int, int, int]) -> tuple[int, int, int]:
+    """t * u for canonical triples, as a canonical triple."""
+    ta, tb, td = t
+    ua, ub, ud = u
+    return reduced_triple(ta * ua - tb * ub, ta * ub + tb * ua, td * ud)
 
 
 def add_triples(t: tuple[int, int, int], u: tuple[int, int, int]) -> tuple[int, int, int]:

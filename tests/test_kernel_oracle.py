@@ -20,8 +20,9 @@ import pytest
 from acx import forms, lie, linalg
 from acx.forms import BasisElement, Form, GeneratorImages, enumerate_basis, extend_derivation
 from acx.linalg import ExactMatrix
-from acx.operators import INVARIANT, frame_blocks
-from acx.scalars import ONE, ZERO, Scalar, reduced
+from acx.audits import IDENTITY_TERMS
+from acx.operators import D_TERMS, DIFFERENTIALS, INVARIANT, frame_blocks, shift
+from acx.scalars import I, ONE, ZERO, Scalar, reduced
 
 from conftest import _mat_inv, _mat_mul
 from test_linalg import solve_columns
@@ -311,17 +312,13 @@ def test_products_match_reference(name, m):
         assert_same_matrix(left @ m, reference_matmul(left, m), name, kind)
     assert_same_matrix(m.transpose() @ m, reference_matmul(m.transpose(), m), name)
     assert_same_matrix(m @ m.conjugate().transpose(), reference_matmul(m, m.conjugate().transpose()), name)
-    # factors that keep their row views give the same products, every time; others keep none
+    # a product reads its factors' triples and leaves them as they were, so a repeated product is the same
     right = sparse(rng, m.cols, 4, 0.5)
     want = reference_matmul(m, right)
+    held = (list(m.triples.items()), list(right.triples.items()))
     assert_same_matrix(m @ right, want, name)
-    assert right._view is None and m._view is None
-    kept = ExactMatrix.unchecked(m.rows, m.cols, dict(m.entries)).keep_row_view()
-    right.keep_row_view()
-    assert_same_matrix(kept @ right, want, name)
-    if m.entries and right.entries:
-        assert right._view and kept._view
-    assert_same_matrix(kept @ right, want, name)
+    assert_same_matrix(m @ right, want, name)
+    assert (list(m.triples.items()), list(right.triples.items())) == held
     assert_same_matrix(-m @ right, reference_matmul(-m, right), name)
 
 
@@ -412,6 +409,111 @@ def test_null_basis_of_a_matrix_with_no_entries_eliminates_nothing(monkeypatch):
     assert calls == []
     linalg.null_basis(ExactMatrix(2, 2, {(0, 1): ONE}))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# matrix operations on stored triples, against references that compute every
+# entry as a Scalar and store it through the checked constructor
+
+
+def reference_sum(left, right):
+    entries = dict(left.entries)
+    for rc, v in right.entries.items():
+        entries[rc] = entries.get(rc, ZERO) + v
+    return ExactMatrix(left.rows, left.cols, entries)
+
+
+def reference_stack(blocks, vertical):
+    entries = {}
+    off = 0
+    for b in blocks:
+        for (r, c), v in b.entries.items():
+            entries[(r + off, c) if vertical else (r, c + off)] = v
+        off += b.rows if vertical else b.cols
+    return ExactMatrix(off, blocks[0].cols, entries) if vertical else ExactMatrix(blocks[0].rows, off, entries)
+
+
+def reference_lift(cx, inv, scales=None):
+    """One copy of inv per weight of cx, the k-th multiplied by scales[k]."""
+    copies = len(cx._weights)
+    entries = {}
+    for k in range(copies):
+        s = ONE if scales is None else scales[k]
+        for (r, c), v in inv.entries.items():
+            entries[(r + k * inv.rows, c + k * inv.cols)] = s * v
+    return ExactMatrix(inv.rows * copies, inv.cols * copies, entries)
+
+
+def reference_total(cx, block, terms, r):
+    """sum_k c_k name_k from degree r, each block placed at its total-degree offsets and scaled entry by entry."""
+    k = sum(shift(terms[0][1]))
+    tgt = cx.total_offsets(r + k)
+    entries = {}
+    for (p, q), so in cx.total_offsets(r).items():
+        for c, name in terms:
+            dp, dq = shift(name)
+            to = tgt.get((p + dp, q + dq))
+            if to is not None:
+                for (rr, cc), v in block(name, p, q).entries.items():
+                    entries[(rr + to, cc + so)] = c * v
+    return ExactMatrix(cx.total_dim(r + k), cx.total_dim(r), entries)
+
+
+def tiled(m, rows, cols):
+    """A rows x cols matrix whose entry (r, c) is m's entry (r mod m.rows, c mod m.cols)."""
+    if not (m.rows and m.cols):
+        return ExactMatrix(rows, cols)
+    return ExactMatrix(rows, cols, {(r, c): m.entry(r % m.rows, c % m.cols) for r in range(rows) for c in range(cols)})
+
+
+@pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in matrix_cases()])
+def test_matrix_operations_match_scalar_references(name, m):
+    rng = random.Random(f"{name}-operations")
+    # the Scalar view stores back to the same triples, and a caller's edits of it do not reach the matrix
+    assert ExactMatrix(m.rows, m.cols, m.entries) == m
+    m.entries.clear()
+    assert ExactMatrix(m.rows, m.cols, m.entries) == m and len(m.entries) == len(m.triples)
+    assert_same_matrix(m.transpose(), ExactMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}), name)
+    assert_same_matrix(m.conjugate(), ExactMatrix(m.rows, m.cols, {rc: v.conj() for rc, v in m.entries.items()}), name)
+    assert_same_matrix(-m, ExactMatrix(m.rows, m.cols, {rc: -v for rc, v in m.entries.items()}), name)
+    for s in (I, -ONE, gaussian(rng, "complex", 4), gaussian(rng, "real", 70), gaussian(rng, "imaginary", 4), ZERO):
+        assert_same_matrix(m.scale(s), ExactMatrix(m.rows, m.cols, {rc: s * v for rc, v in m.entries.items()}), name, s)
+    for kind in ("complex", "real", "imaginary"):
+        other = sparse(rng, m.rows, m.cols, 0.4, kind, 70 if kind == "real" else 4)
+        assert_same_matrix(m + other, reference_sum(m, other), name, kind)
+        assert_same_matrix(m - other, reference_sum(m, -other), name, kind)
+        scaled = m.scale(Scalar(Fraction(-2, 3), Fraction(1, 5)))
+        assert_same_matrix(other + scaled, reference_sum(other, scaled), name, kind)
+        wide = sparse(rng, m.rows, 3, 0.5, kind)
+        tall = sparse(rng, 2, m.cols, 0.5, kind)
+        assert_same_matrix(ExactMatrix.vstack([m, tall, m]), reference_stack([m, tall, m], True), name, kind)
+        assert_same_matrix(ExactMatrix.hstack([wide, m, wide]), reference_stack([wide, m, wide], False), name, kind)
+        right = sparse(rng, m.cols, 5, 0.4, kind)
+        assert_same_matrix(m @ right, reference_matmul(m, right), name, kind)
+    assert (m + (-m)).is_zero() and (m - m).is_zero()
+
+
+@pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in matrix_cases()])
+def test_lift_and_total_match_scalar_references(kt4_session, name, m):
+    rng = random.Random(f"{name}-lift")
+    cx = kt4_session.engine(1).complex
+    weights = len(cx._weights)
+    scales = [gaussian(rng, "complex", 70 if k % 3 else 4) if k % 4 else ZERO for k in range(weights)]
+    for s in (None, scales, [I] * weights, [ZERO] * weights):
+        assert_same_matrix(cx.lift(m, s), reference_lift(cx, m, s), name)
+    # the case's values tiled over every block of the complex, summed with unit, +-i and big coefficients
+    blocks = {}
+
+    def block(op, p, q):
+        if (op, p, q) not in blocks:
+            shape = cx.block(op, p, q)
+            blocks[(op, p, q)] = tiled(m, shape.rows, shape.cols)
+        return blocks[(op, p, q)]
+
+    big = tuple((gaussian(rng, "complex", 70), op) for op in DIFFERENTIALS)
+    for terms in (D_TERMS, IDENTITY_TERMS["C+"], big):
+        for r in range(5):
+            assert_same_matrix(cx.total(block, terms, r), reference_total(cx, block, terms, r), name, r)
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,27 @@ def to_ref(s):
     return RefScalar(s.re, s.im)
 
 
+class RefMatrix:
+    """A sparse matrix of reference scalars, with the shape and {(r, c): value} entries the dense references read.
+
+    ExactMatrix holds canonical int triples, so it cannot hold a RefScalar.
+    """
+
+    def __init__(self, rows, cols, entries=None):
+        self.rows = rows
+        self.cols = cols
+        self.entries = {rc: v for rc, v in (entries or {}).items() if v}
+
+    @classmethod
+    def from_rows(cls, rowvecs, cols):
+        return cls(len(rowvecs), cols, {(r, c): v for r, row in enumerate(rowvecs) for c, v in enumerate(row)})
+
+    def transpose(self):
+        return RefMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+
+
 def ref_matrix(m):
-    return ExactMatrix(m.rows, m.cols, {rc: to_ref(v) for rc, v in m.entries.items()})
+    return RefMatrix(m.rows, m.cols, {rc: to_ref(v) for rc, v in m.entries.items()})
 
 
 def ref_rows(rows):
@@ -342,12 +361,28 @@ def elimination_cases():
     return cases
 
 
+class DenseReferences:
+    """tests/test_linalg.py's dense references, each call run with its zero, one and matrices in reference scalars.
+
+    Only the call is patched: test_linalg.solve_columns, which the tests also call, builds an ExactMatrix.
+    """
+
+    def __getattr__(self, name):
+        reference = getattr(test_linalg, name)
+
+        def call(*args):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(test_linalg, "ZERO", REF_ZERO)
+                patch.setattr(test_linalg, "ONE", REF_ONE)
+                patch.setattr(test_linalg, "ExactMatrix", RefMatrix)
+                return reference(*args)
+
+        return call
+
+
 @pytest.fixture
-def dense(monkeypatch):
-    """tests/test_linalg.py's dense references, with their zero and one in reference scalars."""
-    monkeypatch.setattr(test_linalg, "ZERO", REF_ZERO)
-    monkeypatch.setattr(test_linalg, "ONE", REF_ONE)
-    return test_linalg
+def dense():
+    return DenseReferences()
 
 
 @pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in elimination_cases()])
