@@ -197,10 +197,11 @@ def audit_dualities(engine: CohomologyEngine) -> list[AuditItem]:
             )
         ]
     n = engine.n
-    # star takes (p,q) to (n-q, n-p): each harmonic space is built once, as a source and as a target,
-    # and the table is read off their dimensions (engine.ell, the same number as a rank, is left to the diamond)
+    # star takes (p,q) to (n-q, n-p): each harmonic space is built once, as a source and as a target.
+    # The star check maps their bases, so the table is read off the basis widths, which also sets each
+    # dim with no forward pass (engine.ell, the same number as a rank, is left to the diamond)
     spaces = {(p, q): engine.harmonic_space(("dbar", "mu"), p, q) for p in range(n + 1) for q in range(n + 1)}
-    ell = {cell: space.dim for cell, space in spaces.items()}
+    ell = {cell: space.generators.cols for cell, space in spaces.items()}
     sym_fail = []
     for (p, q), v in ell.items():
         if not (v == ell[(q, p)] == ell[(n - q, n - p)] == ell[(n - p, n - q)]):

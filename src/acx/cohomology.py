@@ -168,7 +168,12 @@ class CohomologyEngine:
     def _hat_system(self) -> tuple[ExactMatrix, Subspace]:
         """[T | S] on pairs of 1-forms and its kernel, the pairs whose d is pure (1,1)."""
         phi = ExactMatrix.hstack(self._hat_maps())
-        return phi, linalg.kernel(phi)
+        kernel = linalg.kernel(phi)
+        if self.n == 2:
+            # exact_11 maps this basis in dimension four; reading it before hat_h1 reads the
+            # dimension spares phi a forward pass on top of its rref
+            kernel.generators
+        return phi, kernel
 
     def hat_h01_parts(self) -> tuple[Subspace, Subspace]:
         t, s = self._hat_maps()
@@ -338,7 +343,7 @@ class CohomologyEngine:
         pdbar = compose(self.block, ["partial", "dbar"], 0, 0)
         h11_bc = linalg.quotient_dim(closed, linalg.map_subspace(pdbar, pure_potentials))
         ddc = compose(self.block, ["partial", "dbar"], 1, 1)
-        h11_ddc_real = linalg.quotient_dim(Subspace(constraint=ddc), linalg.image(self._d11()))
+        h11_ddc_real = linalg.quotient_dim(linalg.kernel(ddc), linalg.image(self._d11()))
         return {"h11_dR": h11_dr, "h11_BC": h11_bc, "h11_ddc_real": h11_ddc_real}
 
     def real_one_forms(self) -> Subspace:

@@ -160,12 +160,14 @@ class ComplexFrame:
         return self.theta[s - 1] if kind == "h" else self.theta_bar(s - 1)
 
 
+@lru_cache(maxsize=16)
 def build_frame(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> ComplexFrame:
     """Project the real frame onto the +i eigenspace of J and dualize.
 
     The (1,0)-frame is the pivot-column subset of (1 - iJ)/2 applied to the
     real frame, so the output is deterministic; the coframe solves the exact
-    duality system against (Z, Zbar).
+    duality system against (Z, Zbar).  The frame is built once per model:
+    validate_model and Session share the immutable frame of equal arguments.
     """
     dim = spec.dim
     if dim % 2 != 0:

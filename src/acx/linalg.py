@@ -13,7 +13,12 @@ of the pivot row.  A rank is its forward pass alone.  A subspace is held by
 a presentation, a constraint matrix (its kernel) or a generator matrix (its
 column span), and completed only as far as it is read: a dimension is a
 count or a rank, a containment is one product, and the canonical reduced
-rows are built only for callers that read coordinates.
+rows are built only for callers that read coordinates.  A kernel is held by
+its constraint alone, and its null basis is built on the first read of its
+generators.  Four exact identities spare the work of whole and zero spaces:
+an intersection whose cut has no entries is the generator-held space, the
+image of the whole space is the image of the map, the preimage of the zero
+space is the kernel of the map, and a sum of one space is that space.
 
 Matrices hold their entries once, as canonical (a, b, d) int triples
 (see scalars.py), and every kernel runs on them: transposes, sums, stacks,
@@ -465,9 +470,12 @@ class Subspace:
     canonical reduced rows, or several of these.  A missing C or G costs one
     elimination: G is a null basis of C, C is the annihilator of G (a null
     basis of G^T, transposed).  `dim` is a count when G is a basis and a
-    rank otherwise; containment is one product, C @ G = 0.  `rows`, the
-    reduced row echelon form of a basis, is canonical and built only when
-    it (or `basis`) is read.
+    rank otherwise: a forward pass on C or G, or nothing once a null basis
+    is built, which sets it.  So a reader that wants both a kernel's basis
+    and its dimension reads the basis first, and no matrix is eliminated
+    twice.  Containment is one product, C @ G = 0.  `rows`, the reduced row
+    echelon form of a basis, is canonical and built only when it (or
+    `basis`) is read.
     """
 
     __slots__ = ("ambient_dim", "_constraint", "_generators", "_rows", "_dim")
@@ -528,11 +536,11 @@ class Subspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.dim == other.dim
-            and (self.constraint @ other.generators).is_zero()
-        )
+        if self.ambient_dim != other.ambient_dim:
+            return False
+        # other's basis before its dim: a kernel's null basis sets its dim, so nothing is eliminated twice
+        generators = other.generators
+        return self.dim == other.dim and (self.constraint @ generators).is_zero()
 
     __hash__ = None
 
@@ -556,9 +564,12 @@ def rank(m: ExactMatrix) -> int:
 
 
 def kernel(m: ExactMatrix) -> Subspace:
-    """ker(m): constraint m, generators its null basis; dim = cols - rank(m)."""
-    generators = null_basis(m)
-    return Subspace(constraint=m, generators=generators, dim=generators.cols)
+    """ker(m), held by its constraint m: nothing is eliminated until it is read.
+
+    dim is cols - rank(m), one forward pass; the first read of generators
+    builds the null basis, one rref, and sets dim with it.
+    """
+    return Subspace(constraint=m)
 
 
 def image(m: ExactMatrix) -> Subspace:
@@ -567,9 +578,11 @@ def image(m: ExactMatrix) -> Subspace:
 
 
 def map_subspace(m: ExactMatrix, s: Subspace) -> Subspace:
-    """Image of the subspace s under m."""
+    """Image of the subspace s under m: m itself when s is held by a constraint with no entries, the whole space."""
     if s.ambient_dim != m.cols:
         raise AmbientMismatch(f"{s.ambient_dim} != {m.cols}")
+    if s._constraint is not None and not s._constraint.triples:
+        return Subspace(generators=m)
     return Subspace(generators=m @ s.generators)
 
 
@@ -587,7 +600,8 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
     When every space holds a constraint it is the stacked constraints.
     Otherwise, with G the generators of the first space held without one,
     it is G @ null_basis(the others' constraints @ G), so no annihilator of
-    G is built; when G is a basis, so is the result.
+    G is built; when G is a basis, so is the result.  When that cut has no
+    entries the others contain G's span, and the result is G's space itself.
     """
     spaces = list(spaces)
     _check_ambient(spaces)
@@ -597,13 +611,19 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
     if k is None:
         return Subspace(constraint=ExactMatrix.vstack([s.constraint for s in spaces]))
     g = spaces[k].generators
-    null = null_basis(ExactMatrix.vstack([s.constraint for j, s in enumerate(spaces) if j != k]) @ g)
+    cut = ExactMatrix.vstack([s.constraint for j, s in enumerate(spaces) if j != k]) @ g
+    if not cut.triples:
+        return spaces[k]
+    null = null_basis(cut)
     return Subspace(generators=g @ null, dim=null.cols if spaces[k]._dim == g.cols else None)
 
 
 def sum_spaces(spaces: Sequence[Subspace]) -> Subspace:
+    """The span of the spaces' generators; the sum of one space is that space."""
     spaces = list(spaces)
     _check_ambient(spaces)
+    if len(spaces) == 1:
+        return spaces[0]
     return Subspace(generators=ExactMatrix.hstack([s.generators for s in spaces]))
 
 
@@ -617,9 +637,13 @@ def quotient_dim(num: Subspace, den: Subspace) -> int:
 
 
 def preimage(m: ExactMatrix, w: Subspace) -> Subspace:
-    """{x : m x in w}: the kernel of w's constraint composed with m."""
+    """{x : m x in w}: the kernel of w's constraint composed with m, or of m when w is held by
+    rows or generators with no entries, the zero space."""
     if w.ambient_dim != m.rows:
         raise AmbientMismatch(f"{w.ambient_dim} != {m.rows}")
+    held = w._rows if w._rows is not None else w._generators
+    if held is not None and not held.triples:
+        return Subspace(constraint=m)
     return Subspace(constraint=w.constraint @ m)
 
 

@@ -15,7 +15,8 @@ def test_tracer_installs_on_every_traced_name():
     try:
         tracer_module.install(tracer)
         assert linalg.kernel is not originals[0]
-        linalg.kernel(ExactMatrix.identity(2))
+        # a kernel is eliminated when its basis is read
+        linalg.kernel(ExactMatrix.identity(2)).generators
         assert {group for _, group, _, _ in tracer.spans} >= {"linalg.kernel", "linalg.rref"}
     finally:
         tracer.unpatch()

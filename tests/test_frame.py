@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from acx import linalg
+from acx.cli import Session, parse_manifest
 from acx.forms import BasisElement, Form
 from acx.lie import (
     AlmostComplexStructure,
@@ -14,6 +16,8 @@ from acx.lie import (
 )
 from acx.operators import nijenhuis_rank
 from acx.scalars import ZERO, Scalar, rational
+
+from conftest import bundled_manifest_path
 
 HALF = Fraction(1, 2)
 
@@ -128,3 +132,16 @@ def test_bracket_table_rejects_bad_entries():
         LieAlgebraSpec.from_entries(
             4, [(1, 2, 3, Fraction(1)), (2, 1, 3, Fraction(1))]
         )
+
+
+def test_one_manifest_builds_one_frame(monkeypatch):
+    """validate_model at parse and Session share build_frame's memo: one frame, one duality solve."""
+    validate_model.cache_clear()
+    build_frame.cache_clear()
+    solves = []
+    solve_many = linalg.solve_many
+    monkeypatch.setattr(linalg, "solve_many", lambda *args, **kwargs: solves.append(args) or solve_many(*args, **kwargs))
+    spec = parse_manifest(bundled_manifest_path("kt4"))
+    session = Session(spec)
+    assert build_frame.cache_info().misses == 1 and len(solves) == 1
+    assert session.frame is build_frame(spec.algebra, spec.structure)

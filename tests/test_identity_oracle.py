@@ -382,8 +382,10 @@ def test_one_parse_evaluates_j_squared_once(monkeypatch):
     spec = parse_manifest(bundled_manifest_path("kt4"))
     session = Session(spec)
     assert len(calls) == 1
-    # build_frame still checks J, and still returns a fresh frame
-    assert lie.build_frame(spec.algebra, spec.structure) is not session.frame
+    # the manifest's one frame is build_frame's; a frame built past the memo still checks J, on the cached square
+    assert lie.build_frame(spec.algebra, spec.structure) is session.frame
+    fresh = lie.build_frame.__wrapped__(spec.algebra, spec.structure)
+    assert fresh is not session.frame and fresh == session.frame
     assert len(calls) == 1
 
 

@@ -793,12 +793,32 @@ def count_calls(monkeypatch, owner, attr):
 
 
 def test_kernel_is_one_rref(monkeypatch):
+    """kernel() eliminates nothing: dim is one forward pass, generators one rref, and dim is free after generators."""
+    passes = []
+    eliminate = linalg._eliminate
+
+    def counted(m, pivot_limit=None, forward=False):
+        passes.append(forward)
+        return eliminate(m, pivot_limit, forward)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     calls = count_calls(monkeypatch, linalg, "rref")
     for name, m in kernel_cases():
         nullity = m.cols - len(linalg.rref(m)[0])
+        # a matrix with no entries is not eliminated at all
+        one_pass = [True] if m.triples else []
         calls.clear()
+        passes.clear()
         k = kernel(m)
-        assert len(calls) == 1 and (k.dim, k.ambient_dim) == (nullity, m.cols), name
+        assert not calls and not passes, name
+        assert (k.dim, k.ambient_dim) == (nullity, m.cols), name
+        assert passes == one_pass and not calls, name
+        passes.clear()
+        k = kernel(m)
+        assert k.generators.cols == nullity, name
+        assert len(calls) == 1 and passes == [not p for p in one_pass], name
+        passes.clear()
+        assert k.dim == nullity and not passes and len(calls) == 1, name
 
 
 def test_quotient_guard_is_one_product(monkeypatch):
@@ -807,6 +827,8 @@ def test_quotient_guard_is_one_product(monkeypatch):
     a = rand_matrix(rng, 3, 9, 0.5)
     num = kernel(a)
     den = kernel(ExactMatrix.vstack([a, rand_matrix(rng, 2, 9, 0.5)]))
+    # the null bases, built before the counters start: the second quotient's guard reads num's
+    num.generators, den.generators
     # the per-vector reduction the guard once ran, counted wherever it still exists
     escapes = []
     reduce = getattr(linalg.Subspace, "_escapes", None)
@@ -819,6 +841,122 @@ def test_quotient_guard_is_one_product(monkeypatch):
     with pytest.raises(NotContained):
         quotient_dim(den, num)
     assert len(products) == 2 and not escapes and not eliminations
+
+
+# ---------------------------------------------------------------------------
+# the whole- and zero-space identities against the general path they skip: an
+# identity's space has the dim, the reduced rows and the guard outcomes of the
+# operation run in full
+
+
+def general_intersect(spaces):
+    """intersect as it was before its identity: the generators are always cut by a null basis."""
+    spaces = list(spaces)
+    linalg._check_ambient(spaces)
+    if len(spaces) == 1:
+        return spaces[0]
+    k = next((k for k, s in enumerate(spaces) if s._constraint is None), None)
+    if k is None:
+        return Subspace(constraint=ExactMatrix.vstack([s.constraint for s in spaces]))
+    g = spaces[k].generators
+    null = linalg.null_basis(ExactMatrix.vstack([s.constraint for j, s in enumerate(spaces) if j != k]) @ g)
+    return Subspace(generators=g @ null, dim=null.cols if spaces[k]._dim == g.cols else None)
+
+
+def general_map(m, s):
+    """map_subspace as it was: always the product with s's generators."""
+    if s.ambient_dim != m.cols:
+        raise AmbientMismatch(f"{s.ambient_dim} != {m.cols}")
+    return Subspace(generators=m @ s.generators)
+
+
+def general_preimage(m, w):
+    """preimage as it was: always the product with w's constraint."""
+    if w.ambient_dim != m.rows:
+        raise AmbientMismatch(f"{w.ambient_dim} != {m.rows}")
+    return Subspace(constraint=w.constraint @ m)
+
+
+def general_sum(spaces):
+    """sum_spaces as it was: always a stack of generators."""
+    spaces = list(spaces)
+    linalg._check_ambient(spaces)
+    return Subspace(generators=ExactMatrix.hstack([s.generators for s in spaces]))
+
+
+def with_zero_blocks(rng, rows, cols, density):
+    """A random matrix whose leading rows and trailing columns are zero blocks, each possibly empty or everything."""
+    zr, zc = rng.randint(0, rows), rng.randint(0, cols)
+    m = rand_matrix(rng, rows, cols, density)
+    return ExactMatrix.unchecked(rows, cols, {(r, c): t for (r, c), t in m.triples.items() if r >= zr and c < cols - zc})
+
+
+def assert_same_space(got, want, *where):
+    assert (got.ambient_dim, got.dim, got.basis) == (want.ambient_dim, want.dim, want.basis), where
+    assert got == want and want == got, where
+
+
+def assert_same_guards(got, want, others, *where):
+    for other in others:
+        assert outcome(quotient_dim, got, other) == outcome(quotient_dim, want, other), ("num", *where)
+        assert outcome(quotient_dim, other, got) == outcome(quotient_dim, other, want), ("den", *where)
+
+
+def identity_cases():
+    """(n, c, g): a constraint c with zero blocks and generators g of n rows that c annihilates."""
+    rng = random.Random(2510)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        c = with_zero_blocks(rng, rng.randint(0, 5), n, 0.5)
+        null = kernel(c).generators
+        yield n, c, null @ with_zero_blocks(rng, null.cols, rng.randint(0, 4), 0.6), rng
+
+
+def test_identities_match_the_general_path():
+    fired = {"intersect": 0, "map": 0, "preimage": 0}
+    for case, (n, c, g, rng) in enumerate(identity_cases()):
+        annihilated, zero_constraint = image(g), kernel(ExactMatrix(rng.randint(0, 3), n))
+        others = [kernel(c), image(with_zero_blocks(rng, n, 3, 0.5)), zero_space(n), zero_constraint]
+        # intersect: the stacked constraints of the others annihilate g, so the cut has no entries;
+        # each order gets fresh spaces, since reading a space fills in its presentation
+        for order in itertools.permutations(range(3)):
+            spaces = [image(g), kernel(c), kernel(zero_constraint.constraint)]
+            got = intersect([spaces[i] for i in order])
+            assert got is spaces[0], case
+            fired["intersect"] += 1
+            want = general_intersect([spaces[i] for i in order])
+            assert_same_space(got, want, "intersect", order, case)
+            assert_same_guards(got, want, others, "intersect", order, case)
+        # a constraint that does not annihilate g runs the general path
+        escaping = [image(g), kernel(with_zero_blocks(rng, 2, n, 0.7))]
+        assert_same_space(intersect(escaping), general_intersect(escaping), "intersect general", case)
+        # map_subspace: a whole space held by a constraint with no entries maps to the image of m
+        m = with_zero_blocks(rng, rng.randint(0, 6), n, 0.5)
+        targets = [image(m), zero_space(m.rows), kernel(with_zero_blocks(rng, 2, m.rows, 0.5))]
+        for whole in (kernel(ExactMatrix(0, n)), zero_constraint, Subspace(constraint=zero_constraint.constraint)):
+            got = linalg.map_subspace(m, whole)
+            assert got.generators is m, case
+            fired["map"] += 1
+            assert_same_space(got, general_map(m, whole), "map", case)
+            assert_same_guards(got, general_map(m, whole), targets, "map", case)
+        for s in (annihilated, kernel(c), image(ExactMatrix.identity(n))):
+            assert_same_space(linalg.map_subspace(m, s), general_map(m, s), "map general", case)
+        # preimage: the zero space, held by zero rows or by generators with no entries, pulls back to ker m
+        sources = [kernel(c), annihilated, zero_space(n), zero_constraint]
+        for zero in (zero_space(m.rows), image(ExactMatrix(m.rows, 2)), subspace_from_vectors(m.rows, [])):
+            got = preimage(m, zero)
+            assert got.constraint is m, case
+            fired["preimage"] += 1
+            assert_same_space(got, general_preimage(m, zero), "preimage", case)
+            assert_same_guards(got, general_preimage(m, zero), sources, "preimage", case)
+        for w in targets + [Subspace(constraint=ExactMatrix.identity(m.rows))]:
+            assert_same_space(preimage(m, w), general_preimage(m, w), "preimage general", case)
+        # sum_spaces of one space is that space, in each of its presentations
+        for s in [annihilated, kernel(c), zero_space(n), zero_constraint]:
+            for form, copy in held_forms(s):
+                assert sum_spaces([copy]) is copy, (form, case)
+                assert_same_space(sum_spaces([copy]), general_sum([copy]), "sum", form, case)
+    assert all(count >= 40 for count in fired.values()), fired
 
 
 # ---------------------------------------------------------------------------
