@@ -237,7 +237,7 @@ def audit_4mfld_lemmas(engine: CohomologyEngine) -> list[AuditItem]:
     items = []
     # kernel equality on (1,0)-forms
     ker_dbar = engine.op_kernel("dbar", 1, 0)
-    ker_d = linalg.kernel(ExactMatrix.vstack([cx.block(name, 1, 0) for name in DIFFERENTIALS]))
+    ker_d = engine._kernel_of(*([name] for name in DIFFERENTIALS), p=1, q=0)
     items.append(
         AuditItem(
             "closed-one-zero-forms",
@@ -526,7 +526,6 @@ def check_nondegenerate(engine: CohomologyEngine, omega_prime: Form) -> dict:
         evidence["top_wedge_coefficient"] = str(coeff)
     else:
         samples = _quarter_grid(rank)
-        values = []
         for point in samples:
             value = ZERO
             for e, c in top.coeffs.items():
@@ -535,7 +534,6 @@ def check_nondegenerate(engine: CohomologyEngine, omega_prime: Form) -> dict:
                 value = value + c * _mode_value(e.weight, point)
             if not value:
                 raise DegenerateAtSample(point)
-            values.append(str(value))
         evidence["kind"] = "fourier-sample-grid"
         evidence["samples"] = len(samples)
         evidence["all_nonzero"] = True
@@ -587,27 +585,15 @@ def _structural_guarantee(engine: CohomologyEngine, omega_prime: Form) -> dict:
     }
 
 
-def audit_taming(engine: CohomologyEngine, psi: Form, label: str) -> tuple[AuditItem, TamingCertificate | None]:
+def audit_taming(engine: CohomologyEngine, psi: Form, label: str) -> AuditItem:
     try:
         cert = solve_taming(engine, psi)
     except (NoSolution, NotDdcClosed, DegenerateAtSample) as exc:
-        return (
-            AuditItem(
-                f"taming-correction:{label}",
-                "fail",
-                {"error": type(exc).__name__, "detail": str(exc)},
-            ),
-            None,
-        )
-    ok = cert.closed and cert.well_defined
-    return (
-        AuditItem(
-            f"taming-correction:{label}",
-            _verdict(ok),
-            {"closed": cert.closed, "well_defined": cert.well_defined,
-             "nondegenerate": cert.nondegeneracy.get("kind", "")},
-        ),
-        cert,
+        return AuditItem(f"taming-correction:{label}", "fail", {"error": type(exc).__name__, "detail": str(exc)})
+    return AuditItem(
+        f"taming-correction:{label}",
+        _verdict(cert.closed and cert.well_defined),
+        {"closed": cert.closed, "well_defined": cert.well_defined, "nondegenerate": cert.nondegeneracy.get("kind", "")},
     )
 
 

@@ -20,6 +20,8 @@ from math import comb
 from . import __version__, linalg
 from .audits import (
     AuditItem,
+    DegenerateAtSample,
+    NoSolution,
     NotDdcClosed,
     audit_4mfld_lemmas,
     audit_ddbar_images,
@@ -30,12 +32,13 @@ from .audits import (
     audit_maximal_nijenhuis,
     audit_taming,
     failure_list,
+    solve_taming,
 )
 from .cohomology import CohomologyEngine, compute_diamond, diamond_numbers
 from .forms import CoefficientModel, Form, InconsistentModel
 from .lie import AlmostComplexStructure, DegenerateJ, LieAlgebraSpec, build_frame, validate_model
 from .linalg import ExactMatrix, NotContained
-from .metric import HermitianMetric, HermitianStructure, Not4Manifold, NotPositive
+from .metric import HermitianMetric, Not4Manifold, NotPositive
 from .operators import DIFFERENTIALS, FormComplex, compose, memoized, nijenhuis_rank
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, rational
 
@@ -297,12 +300,8 @@ class Session:
         self.spec = spec
         self.frame = build_frame(spec.algebra, spec.structure)
 
-    def truncation_label(self, truncation: int | None) -> str:
-        if self.spec.coefficients.kind == "invariant":
-            return "invariant"
-        if truncation is None:
-            truncation = self.spec.coefficients.truncation
-        return f"N={truncation}"
+    def truncation_label(self, truncation: int) -> str:
+        return "invariant" if self.spec.coefficients.kind == "invariant" else f"N={truncation}"
 
     def complex(self, truncation: int | None = None) -> FormComplex:
         return self.engine(truncation).complex
@@ -328,26 +327,15 @@ class Session:
         which is what read_off reports.  The gate d(omega) = 0 of the metric
         identities reads omega, of weight zero, the same on every box.  At
         N = 0 only the constant term counts, and an invariant model has one
-        engine.
+        engine at every truncation.
         """
-        if self.spec.coefficients.kind == "invariant":
-            return self.engine()
         if truncation is None:
             truncation = self.spec.coefficients.truncation
         return self.engine(min(truncation, 1))
 
     @memoized
     def _engine(self, model: CoefficientModel) -> CohomologyEngine:
-        return self._new_engine(model)
-
-    def _new_engine(self, model: CoefficientModel) -> CohomologyEngine:
-        cx = FormComplex(self.frame, model)
-        return CohomologyEngine(cx, HermitianStructure(cx, self.spec.metric))
-
-    def default_truncations(self) -> list[int | None]:
-        if self.spec.coefficients.kind == "invariant":
-            return [None]
-        return [self.spec.coefficients.truncation]
+        return CohomologyEngine.of(self.frame, model, self.spec.metric)
 
     @memoized
     def shell_numbers(self, s: int) -> dict:
@@ -357,7 +345,7 @@ class Session:
         """
         if self.spec.coefficients.kind == "invariant":
             return diamond_numbers(self.engine())
-        return diamond_numbers(self._new_engine(self.spec.coefficients.shell(s)))
+        return diamond_numbers(CohomologyEngine.of(self.frame, self.spec.coefficients.shell(s), self.spec.metric))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +477,7 @@ def run(command: str, session: Session, flags: dict) -> tuple[dict, int]:
             payload["validation"] = _run_validate(session)
             payload["diamonds"] = _run_diamond(session, flags)
             payload["audits"] = _run_verify(session, flags)
-            if session.spec.real_dim == 4:
-                payload["certificates"] = _run_taming(session, {**flags, "psi": flags.get("psi", "fundamental")})
-            else:
-                payload["certificates"] = []
+            payload["certificates"] = _run_taming(session, flags) if session.spec.real_dim == 4 else []
         else:
             raise ValidationError("Command", f"unknown command {command!r}")
     except (NotContained, InconsistentModel, DegenerateJ, NotPositive, Not4Manifold, NotDdcClosed, ValidationError) as exc:
@@ -515,8 +500,14 @@ def _run_validate(session: Session) -> dict:
 
 
 def check_flags(session: Session, flags: dict) -> dict:
-    """The flags with truncations (defaulted) and bidegree parsed; raises ValidationError on bad input."""
-    out = {**flags, "truncations": session.default_truncations()}
+    """The flags with every default set; raises ValidationError on bad input.
+
+    truncations is a list of ints, the manifest's truncation when none is
+    given (0 for an invariant model, whose every truncation is its one
+    complex), bidegree a (p, q) pair or absent, and psi a taming selector,
+    fundamental when none is given.
+    """
+    out = {**flags, "truncations": [session.spec.coefficients.truncation], "psi": flags.get("psi") or "fundamental"}
     if flags.get("truncations") is not None:
         if session.spec.coefficients.kind == "invariant":
             raise ValidationError("CoefficientModel", "truncations require a torus_fourier manifest")
@@ -534,13 +525,13 @@ def check_flags(session: Session, flags: dict) -> dict:
         if len(cell) != 2 or not all(x is not None and x <= n for x in cell):
             raise ValidationError("Bidegree", f"{flags['bidegree']!r} is not p,q with 0 <= p, q <= {n}")
         out["bidegree"] = tuple(cell)
-    _basis_index(flags.get("psi") or "fundamental")
+    _basis_index(out["psi"])
     return out
 
 
 def _run_diamond(session: Session, flags: dict) -> dict:
-    # column N sums shells 0..N; an invariant model's one truncation, None, is shell 0
-    columns = [(session.truncation_label(t), map(session.shell_numbers, range((t or 0) + 1))) for t in flags["truncations"]]
+    # column N sums shells 0..N; an invariant model's one truncation, 0, is shell 0
+    columns = [(session.truncation_label(t), map(session.shell_numbers, range(t + 1))) for t in flags["truncations"]]
     out = compute_diamond(columns).as_dict()
     if flags.get("bidegree"):
         p, q = flags["bidegree"]
@@ -553,15 +544,14 @@ def _run_diamond(session: Session, flags: dict) -> dict:
 
 def _run_verify(session: Session, flags: dict) -> list[dict]:
     items: list[AuditItem] = []
-    # the identity audits of each deciding engine, computed once; every truncation gets its own witness dicts
+    # the identity audits of each deciding engine, computed once and shared by its truncations
     identities: dict[CohomologyEngine, list[AuditItem]] = {}
     for t in flags["truncations"]:
         engine = session.engine(t)
-        label = session.truncation_label(t)
         deciding = session.identity_engine(t)
         if deciding not in identities:
             identities[deciding] = audit_identities(deciding)
-        scoped = [AuditItem(item.claim, item.status, dict(item.witness)) for item in identities[deciding]]
+        scoped = list(identities[deciding])
         scoped.extend(audit_dualities(engine))
         scoped.extend(audit_maximal_nijenhuis(engine))
         if engine.n == 2:
@@ -569,18 +559,15 @@ def _run_verify(session: Session, flags: dict) -> list[dict]:
             scoped.extend(audit_ddbar_images(engine))
             scoped.extend(audit_generalized_ddbar(engine))
             scoped.extend(audit_ddc_descent(engine))
-            item, _ = audit_taming(engine, engine.hermitian.omega, "fundamental")
-            scoped.append(item)
-        for item in scoped:
-            item.witness["truncation"] = label
-        items.extend(scoped)
+            scoped.append(audit_taming(engine, engine.hermitian.omega, "fundamental"))
+        # each truncation's items get new witness dicts carrying its label
+        label = session.truncation_label(t)
+        items.extend(AuditItem(item.claim, item.status, {**item.witness, "truncation": label}) for item in scoped)
     return [item.as_dict() for item in items]
 
 
 def _run_taming(session: Session, flags: dict) -> list[dict]:
-    from .audits import DegenerateAtSample, NoSolution, solve_taming
-
-    selector = flags.get("psi") or "fundamental"
+    selector = flags["psi"]
     truncation = flags["truncations"][0]
     engine = session.engine(truncation)
     cx = engine.complex

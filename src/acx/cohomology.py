@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import linalg
-from .lie import SHIFTS
+from .forms import CoefficientModel
+from .lie import SHIFTS, ComplexFrame
 from .linalg import ExactMatrix, Subspace
-from .metric import HermitianStructure, Not4Manifold
+from .metric import HermitianMetric, HermitianStructure, Not4Manifold
 from .operators import DIFFERENTIALS, FormComplex, compose, memoized
 from .scalars import ONE
 
@@ -40,6 +41,12 @@ class CohomologyEngine:
         self.hermitian = hermitian
         self.n = complex_.n
 
+    @classmethod
+    def of(cls, frame: ComplexFrame, model: CoefficientModel, metric: HermitianMetric) -> "CohomologyEngine":
+        """A fresh engine of the frame's complex on the coefficient model, with the metric."""
+        cx = FormComplex(frame, model)
+        return cls(cx, HermitianStructure(cx, metric))
+
     def restricted(self, weights) -> "CohomologyEngine":
         """A fresh engine of the direct summand on `weights`, a set closed under negation.
 
@@ -51,8 +58,7 @@ class CohomologyEngine:
         model = self.complex.coefficients.restricted(weights)
         if model == self.complex.coefficients:
             return self
-        cx = FormComplex(self.complex.frame, model)
-        return CohomologyEngine(cx, HermitianStructure(cx, self.hermitian.metric))
+        return CohomologyEngine.of(self.complex.frame, model, self.hermitian.metric)
 
     @memoized
     def sector(self, weights: tuple) -> "CohomologyEngine":

@@ -20,8 +20,6 @@ from .forms import BasisElement, Form
 from .linalg import ExactMatrix
 from .scalars import I, ONE, ZERO, Scalar, add_triples, from_fraction, rational, reduced
 
-OPERATOR_NAMES = ("mu", "partial", "dbar", "mubar")
-
 # bidegree shifts of the components of d
 SHIFTS = {"mu": (2, -1), "partial": (1, 0), "dbar": (0, 1), "mubar": (-1, 2)}
 
@@ -269,7 +267,7 @@ def split_d(differentials: dict[tuple[str, int], Form]) -> dict[str, dict[tuple[
     """
     holo_map = {(2, 0): "partial", (1, 1): "dbar", (0, 2): "mubar"}
     anti_map = {(2, 0): "mu", (1, 1): "partial", (0, 2): "dbar"}
-    out: dict[str, dict[tuple[str, int], Form]] = {name: {} for name in OPERATOR_NAMES}
+    out: dict[str, dict[tuple[str, int], Form]] = {name: {} for name in SHIFTS}
     for gen, form in differentials.items():
         table = holo_map if gen[0] == "h" else anti_map
         for bidegree, op in table.items():

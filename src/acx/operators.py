@@ -1,14 +1,17 @@
 """Assembly of the graded operator calculus as exact matrices.
 
 A FormComplex bundles a complex frame with a coefficient model and exposes
-mu, partial, dbar, mubar, d and conjugation both as functions on forms and as
-per-bidegree block matrices over the truncated monomial basis.  On the mode
-e_w a differential is A + sum_r lambda_r(w) E_r: A is its matrix on
-invariant monomials, E_r is theta^r ^ for partial and tbar^r ^ for dbar, and
-lambda_r(w) is the eigenvalue of Z_r or Zbar_r on e_w; mu and mubar are the
-A term alone.  Every block is therefore a lift of per-frame invariant blocks,
-every operator preserves the Fourier weight, and conjugation negates it, so
-the symmetric truncation |w_a| <= N is an honest subcomplex.
+mu, partial, dbar, mubar and d both as functions on forms and as
+per-bidegree block matrices over the truncated monomial basis, and
+conjugation as a block matrix.  On the mode e_w a differential is
+A + sum_r lambda_r(w) E_r: A is its matrix on invariant monomials, E_r is
+theta^r ^ for partial and tbar^r ^ for dbar, and lambda_r(w) is the
+eigenvalue of Z_r or Zbar_r on e_w; mu and mubar are the A term alone.
+Conjugation is one signed permutation C on invariant monomials, copied from
+each weight w to -w.  Every block is therefore a lift of per-frame invariant
+blocks (FrameBlocks), every operator preserves the Fourier weight, and
+conjugation negates it, so the symmetric truncation |w_a| <= N is an honest
+subcomplex.
 """
 
 from __future__ import annotations
@@ -139,10 +142,11 @@ class FrameBlocks:
     """The differentials of one frame on invariant monomials.
 
     block(name, p, q) is A, the Leibniz extension of the split structure
-    equations, and coefficient_block(name, p, q, r) is E_r, the wedge on the
-    left with theta^r (partial) or tbar^r (dbar).  They depend on the frame
-    alone, so every truncation and truncation shell of it shares them through
-    frame_blocks.
+    equations, coefficient_block(name, p, q, r) is E_r, the wedge on the
+    left with theta^r (partial) or tbar^r (dbar), and conjugation(p, q) is
+    the signed permutation of conjugation onto (q,p).  They depend on the
+    frame alone, so every truncation and truncation shell of it shares them
+    through frame_blocks.
     """
 
     def __init__(self, frame: ComplexFrame):
@@ -162,6 +166,11 @@ class FrameBlocks:
     def images(self, name: str) -> GeneratorImages:
         """The split structure equations of one differential ("d" for all of them), converted once."""
         return GeneratorImages(self.structure if name == "d" else self.parts[name])
+
+    @memoized
+    def conjugation(self, p: int, q: int) -> ExactMatrix:
+        """Conjugation from invariant (p,q)-monomials to (q,p)-monomials: a signed permutation."""
+        return invariant_matrix(self.n, lambda m: Form.monomial(m).conjugate(), p, q, q, p)
 
     @memoized
     def coefficient_block(self, name: str, p: int, q: int, r: int) -> ExactMatrix:
@@ -250,22 +259,27 @@ class FormComplex:
         coords = [doubled[2 * j] + I * doubled[2 * j + 1] for j in range(self.dim(p, q))]
         return self.from_vector(coords, p, q)
 
-    def lift(self, inv: ExactMatrix, scales=None) -> ExactMatrix:
+    def lift(self, inv: ExactMatrix, scales=None, negate: bool = False) -> ExactMatrix:
         """The block-diagonal copy of a matrix on invariant monomials, one copy per weight.
 
         Every basis is weight-major (forms.enumerate_basis), so a pointwise
         operator, one that acts on each Fourier mode alike, is this lift of its
         matrix on the invariant monomials.  With scales, the copy at the k-th
-        weight is multiplied by scales[k].
+        weight is multiplied by scales[k].  With negate, the copy taken from
+        weight w is placed at the rows of -w, as for conjugation; every model
+        has a weight set closed under negation.
         """
+        weights = self._weights
+        at = {w: k for k, w in enumerate(weights)} if negate else None
         triples = {}
-        for k in range(len(self._weights)):
+        for k, w in enumerate(weights):
             s = ONE if scales is None else scales[k]
             if s:
                 u = s.triple
+                j = at[tuple(-x for x in w)] if negate else k
                 for (r, c), t in inv.triples.items():
-                    triples[(r + k * inv.rows, c + k * inv.cols)] = t if scales is None else mul_triples(u, t)
-        return ExactMatrix.unchecked(inv.rows * len(self._weights), inv.cols * len(self._weights), triples)
+                    triples[(r + j * inv.rows, c + k * inv.cols)] = t if scales is None else mul_triples(u, t)
+        return ExactMatrix.unchecked(inv.rows * len(weights), inv.cols * len(weights), triples)
 
     # -- operators ----------------------------------------------------------
 
@@ -300,16 +314,11 @@ class FormComplex:
         """C-linear part of conjugation: (p,q) -> (q,p), weight-negating.
 
         Conjugation itself is x -> C . conj(x) in coordinates, with C the
-        real signed permutation returned here.
+        real signed permutation returned here: the lift of the invariant
+        conjugation (FrameBlocks.conjugation) whose copy from weight w sits
+        at the rows of -w.
         """
-        src = self.basis(p, q)
-        tgt_index = self.index(q, p)
-        entries = {}
-        for col, elt in enumerate(src):
-            img = Form.monomial(elt).conjugate()
-            ((e, c),) = list(img.coeffs.items())
-            entries[(tgt_index[e], col)] = c
-        return ExactMatrix(self.dim(q, p), len(src), entries)
+        return self.lift(self._frame_blocks.conjugation(p, q), negate=True)
 
     def conj_twisted_block(self, name: str, p: int, q: int) -> ExactMatrix:
         """Matrix of conj . op . conj on the (p,q) block.

@@ -12,7 +12,6 @@ from acx import linalg
 from acx.cli import Session, manifest_from_dict, parse_manifest
 from acx.cohomology import CohomologyEngine
 from acx.linalg import ExactMatrix
-from acx.metric import HermitianStructure
 from acx.operators import FormComplex, compose
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -244,8 +243,7 @@ def sector_model(model, w: tuple[int, ...]):
 
 def engine_on(session: Session, model) -> CohomologyEngine:
     """A fresh engine on the session's frame and metric, over the weights of this model."""
-    cx = FormComplex(session.frame, model)
-    return CohomologyEngine(cx, HermitianStructure(cx, session.spec.metric))
+    return CohomologyEngine.of(session.frame, model, session.spec.metric)
 
 
 def sector_complexes(session: Session, truncation: int) -> list[FormComplex]:

@@ -4,13 +4,17 @@ from math import comb
 
 import pytest
 
+from acx import cli
+from acx.audits import audit_identities
 from acx.cli import (
+    KNOWN_TASKS,
     MAX_BASIS_MONOMIALS,
     MAX_INVARIANT_BLOCK,
     ParseError,
     Session,
     ValidationError,
     check_basis_size,
+    check_flags,
     check_invariant_block,
     main,
     manifest_from_dict,
@@ -393,6 +397,54 @@ def test_report_determinism(kt4_session):
     first.pop("timing")
     second.pop("timing")
     assert render_json(first) == render_json(second)
+
+
+def test_check_flags_sets_every_default(kt4_session, torus_session, nil6_session):
+    """Truncations come back as ints, the manifest's or 0 for an invariant model, and psi as a selector."""
+    cases = ((kt4_session, [1], ["N=1"]), (torus_session, [0], ["invariant"]), (nil6_session, [0], ["invariant"]))
+    for session, truncations, labels in cases:
+        # run's callers pass no flags, or main's flags with nothing given
+        for flags in ({}, {"truncations": None, "bidegree": None, "psi": None}):
+            out = check_flags(session, flags)
+            assert out["truncations"] == truncations and all(type(t) is int for t in out["truncations"])
+            assert [session.truncation_label(t) for t in out["truncations"]] == labels
+            assert out["psi"] == "fundamental"
+    out = check_flags(kt4_session, {"truncations": "0,2", "psi": "basis:3", "bidegree": "1,0"})
+    assert (out["truncations"], out["psi"], out["bidegree"]) == ([0, 2], "basis:3", (1, 0))
+
+
+@pytest.mark.parametrize("command", KNOWN_TASKS)
+def test_every_command_labels_invariant_models_invariant(command, torus_session, nil6_session):
+    for session in (torus_session, nil6_session):
+        payload, code = run(command, session, {})
+        labels = payload.get("diamonds", {}).get("labels", [])
+        labels += [a["witness"]["truncation"] for a in payload.get("audits", [])]
+        labels += [c["truncation"] for c in payload.get("certificates", [])]
+        # validate reports no truncation, and taming nil6 is refused off dimension four
+        fatal = command == "taming" and session is nil6_session
+        assert code == (2 if fatal else 0), (command, payload.get("fatal"))
+        assert set(labels) == (set() if command == "validate" or fatal else {"invariant"}), command
+
+
+def test_report_with_no_psi_certifies_fundamental(kt4_session):
+    for flags in ({}, {"psi": None}):
+        payload, code = run("report", kt4_session, flags)
+        (cert,) = payload["certificates"]
+        assert code == 0 and (cert["selector"], cert["status"]) == ("fundamental", "certified")
+
+
+def test_verify_gives_each_truncation_its_own_witness_dicts(kt4_session, monkeypatch):
+    """verify --truncations 0,1,2,3 audits the identities on engine(0) and engine(1) only, and every
+    item of every truncation gets a new witness dict with its own label; the audited items are not touched."""
+    audited = []
+    monkeypatch.setattr(cli, "audit_identities", lambda engine: audited.append(audit_identities(engine)) or audited[-1])
+    payload, code = run("verify", Session(kt4_session.spec), {"truncations": "0,1,2,3"})
+    assert code == 0 and len(audited) == 2
+    assert not any("truncation" in item.witness for items in audited for item in items)
+    witnesses = [a["witness"] for a in payload["audits"]]
+    assert len({id(w) for w in witnesses}) == len(witnesses)
+    per_truncation = len(witnesses) // 4
+    assert [w["truncation"] for w in witnesses] == [f"N={t}" for t in range(4) for _ in range(per_truncation)]
 
 
 @pytest.mark.parametrize(
