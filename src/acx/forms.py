@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .scalars import ONE, ZERO, Scalar, add_triples, as_scalar, reduced
+from .scalars import ONE, ZERO, Scalar, Triple, add_triples, as_scalar, canonical, reduced_triple
 
 
 class BasisElement(NamedTuple):
@@ -86,6 +86,10 @@ class Form:
 
     def items(self):
         return sorted(self.coeffs.items())
+
+    def triples(self) -> dict[BasisElement, Triple]:
+        """{monomial: canonical triple} of the nonzero coefficients, in their order."""
+        return {e: c.triple for e, c in self.coeffs.items()}
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -302,7 +306,7 @@ def _term(e: BasisElement, v: Scalar) -> tuple:
 
 
 class GeneratorImages:
-    """A snapshot of generator actions with every image term converted for extend_derivation.
+    """A snapshot of generator actions with every image term converted for leibniz, keyed by generator bit.
 
     Pass one in place of the mapping when the same images are extended over
     many forms, so the terms are converted once and not once per call.
@@ -311,43 +315,43 @@ class GeneratorImages:
     __slots__ = ("terms",)
 
     def __init__(self, gen_action: GenAction):
-        self.terms = {gen: [_term(e, v) for e, v in image.coeffs.items()] for gen, image in gen_action.items()}
+        # the mask bit of ('h', s), theta^s, is s and that of ('a', s), tbar^s, is s + _ANTI_BIT
+        self.terms = {
+            1 << (s if kind == "h" else s + _ANTI_BIT): [_term(e, v) for e, v in image.coeffs.items()]
+            for (kind, s), image in gen_action.items()
+        }
 
 
-def extend_derivation(gen_action: GenAction | GeneratorImages, form: Form) -> Form:
-    """Extend generator actions to an odd derivation of the full algebra.
+def leibniz(images: GeneratorImages, terms: Iterable[tuple[BasisElement, Triple]]) -> dict[BasisElement, Triple]:
+    """The odd derivation of the generator images on the combination of (monomial, canonical triple) terms.
 
-    gen_action maps ('h', s) and ('a', s) to the image of theta^s and
-    tbar^s, a 2-form; coefficients are constants, and the graded Leibniz rule
-    fixes everything else.  Monomials are bit masks whose bit order is the
-    theta^holo ^ tbar^anti order of BasisElement, so the term that replaces
-    generator bit g of m by the image bits a < b is (m ^ g) | e, and it dies
-    when the two overlap.  Its sign is (-1)^(k + i): k generators of m lie
-    below g, and i counts the inversions of sorting a and b into the rest
-    r = m ^ g, the prefix bits above a and above b plus the suffix bits below
-    a and below b.  The prefix holds k bits, so mod 2 its bits above a equal
-    k plus its bits below a, and k + i is k plus the bits of r below a plus
-    the bits of r below b.  A mapping gen_action is converted to
-    GeneratorImages on each call; pass GeneratorImages to convert it once.
-    Coefficients are accumulated as unreduced (a, b, d) triples, with a gcd
-    only where two terms meet over different denominators, and each
-    coefficient of the result is reduced once.
+    images holds the image of each coframe generator, a 2-form with constant
+    coefficients, and the graded Leibniz rule fixes everything else.  The
+    result is {monomial: canonical triple} over the nonzero coefficients, in
+    the order the terms first meet their monomials.  Monomials are bit masks
+    whose bit order is the theta^holo ^ tbar^anti order of BasisElement, so
+    the term that replaces generator bit g of m by the image bits a < b is
+    (m ^ g) | e, and it dies when the two overlap.  Its sign is (-1)^(k + i): k
+    generators of m lie below g, and i counts the inversions of sorting a and
+    b into the rest r = m ^ g, the prefix bits above a and above b plus the
+    suffix bits below a and below b.  The prefix holds k bits, so mod 2 its
+    bits above a equal k plus its bits below a, and k + i is k plus the bits
+    of r below a plus the bits of r below b.  Coefficients are accumulated as
+    unreduced (a, b, d) triples, with a gcd only where two terms meet over
+    different denominators, and each coefficient of the result is reduced
+    once; no Scalar is built.
     """
-    if not isinstance(gen_action, GeneratorImages):
-        gen_action = GeneratorImages(gen_action)
-    placements = gen_action.terms
-    out: dict[tuple[int, ...], dict[int, tuple[int, int, int]]] = {}
-    for elt, c in form.coeffs.items():
-        w, holo, anti = elt
+    placements = images.terms
+    out: dict[tuple[int, ...], dict[int, Triple]] = {}
+    for (w, holo, anti), (ca, cb, cd) in terms:
         m = _mask(holo, anti)
         rank = len(w)
-        ca, cb, cd = c.triple
         unit = ca == 1 and not cb and cd == 1
         acc = out.setdefault(w, {})
-        gens = [(("h", s), 1 << s) for s in holo] + [(("a", s), 1 << (s + _ANTI_BIT)) for s in anti]
-        for k, (gen, g) in enumerate(gens):
+        gens = [1 << s for s in holo] + [1 << (s + _ANTI_BIT) for s in anti]
+        for k, g in enumerate(gens):
             rest = m ^ g
-            for e, below_a, below_b, e_rank, shift, plus, minus in placements.get(gen, ()):
+            for e, below_a, below_b, e_rank, shift, plus, minus in placements.get(g, ()):
                 if rest & e:
                     continue
                 if e_rank != rank:
@@ -363,6 +367,19 @@ def extend_derivation(gen_action: GenAction | GeneratorImages, form: Form) -> Fo
                 key = rest | e
                 t = target.get(key)
                 target[key] = p if t is None else add_triples(t, p)
-    return Form(
-        {_decode(w, key): reduced(a, b, d) for w, acc in out.items() for key, (a, b, d) in acc.items() if a or b}
-    )
+    return {
+        _decode(w, key): reduced_triple(a, b, d) for w, acc in out.items() for key, (a, b, d) in acc.items() if a or b
+    }
+
+
+def extend_derivation(gen_action: GenAction | GeneratorImages, form: Form) -> Form:
+    """The odd derivation of the generator actions on a form: leibniz, with Scalar coefficients.
+
+    gen_action maps ('h', s) and ('a', s) to the image of theta^s and tbar^s,
+    a 2-form; a mapping is converted to GeneratorImages on each call, so pass
+    GeneratorImages to convert it once.
+    """
+    if not isinstance(gen_action, GeneratorImages):
+        gen_action = GeneratorImages(gen_action)
+    terms = leibniz(gen_action, form.triples().items())
+    return Form({e: canonical(a, b, d) for e, (a, b, d) in terms.items()})

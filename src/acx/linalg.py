@@ -29,8 +29,8 @@ entries of its right factor by row, reads the left factor's triples as
 they are stored, accumulates each output row unreduced, with a gcd only
 where two terms meet over different denominators, and reduces each result
 entry once.  Elimination copies the triples into its rows, so a rank builds
-no Scalar; null_basis, Subspace.rows and solve_many read the triples of the
-Scalar rows that rref and _rref_full return.
+no Scalar, and null_basis, Subspace.rows and solve_many read its rows as
+triples (_triple_rref); rref and _rref_full box them as Scalar rows.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import ZERO, Scalar, add_triples, canonical, mul_triples, reduced_triple
+from .scalars import ZERO, Scalar, Triple, add_triples, canonical, mul_triples, reduced_triple
 
 # there is no dense elimination path; the bench tracer still reads this name
 DENSE_COLUMN_LIMIT = 0
-
-Triple = tuple[int, int, int]
 
 
 class AmbientMismatch(Exception):
@@ -415,17 +413,27 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
     return pivots, rows, at, r
 
 
-def _scalar_rows(rows: Iterable[dict[int, tuple[int, int, int]]]) -> list[dict[int, Scalar]]:
+def _triple_rref(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
+    """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as {column: triple} dicts.
+
+    A matrix with no entries is not eliminated.
+    """
+    if not m.triples:
+        return [], [], []
+    pivots, rows, at, r = _eliminate(m, pivot_limit, forward)
+    leftover = [rows[at[k]] for k in range(r, len(rows)) if rows[at[k]]]
+    return pivots, [rows[at[k]] for k in range(r)], leftover
+
+
+def _scalar_rows(rows: Iterable[dict[int, Triple]]) -> list[dict[int, Scalar]]:
     """Rows of canonical triples as rows of Scalars, the key order kept."""
     return [{k: canonical(a, b, d) for k, (a, b, d) in row.items()} for row in rows]
 
 
 def _rref_full(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
-    """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as Scalar dicts."""
-    pivots, rows, at, r = _eliminate(m, pivot_limit, forward)
-    pivot_rows = _scalar_rows(rows[at[k]] for k in range(r))
-    leftover = _scalar_rows(rows[at[k]] for k in range(r, len(rows)) if rows[at[k]])
-    return pivots, pivot_rows, leftover
+    """_triple_rref with the rows as Scalar dicts."""
+    pivots, pivot_rows, leftover = _triple_rref(m, pivot_limit, forward)
+    return pivots, _scalar_rows(pivot_rows), _scalar_rows(leftover)
 
 
 def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
@@ -433,8 +441,6 @@ def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
 
     A matrix with no entries is not eliminated.
     """
-    if not m.triples:
-        return [], []
     pivots, pivot_rows, _ = _rref_full(m)
     return pivots, pivot_rows
 
@@ -450,13 +456,12 @@ def null_basis(m: ExactMatrix) -> ExactMatrix:
     rows at the pivots; every entry of a reduced row off its pivot lies in a
     free column.
     """
-    pivots, red = rref(m)
+    pivots, red, _ = _triple_rref(m)
     pivot_set = set(pivots)
     vectors: dict[int, dict[int, Triple]] = {f: {f: (1, 0, 1)} for f in range(m.cols) if f not in pivot_set}
     for p, row in zip(pivots, red):
-        for f, coeff in row.items():
+        for f, (a, b, d) in row.items():
             if f != p:
-                a, b, d = coeff.triple
                 vectors[f][p] = (-a, -b, d)
     triples = {(c, j): t for j, vec in enumerate(vectors.values()) for c, t in vec.items()}
     return ExactMatrix.unchecked(m.cols, len(vectors), triples)
@@ -516,8 +521,8 @@ class Subspace:
     def rows(self) -> ExactMatrix:
         """The reduced row echelon form of a basis, as a dim x n matrix."""
         if self._rows is None:
-            _, red = rref(self.generators.transpose())
-            triples = {(r, c): v.triple for r, row in enumerate(red) for c, v in row.items()}
+            _, red, _ = _triple_rref(self.generators.transpose())
+            triples = {(r, c): t for r, row in enumerate(red) for c, t in row.items()}
             self._rows = ExactMatrix.unchecked(len(red), self.ambient_dim, triples)
             self._dim = len(red)
         return self._rows
@@ -665,16 +670,16 @@ def solve_many(m: ExactMatrix, rhs: ExactMatrix, reverse_pivots: bool = False) -
     triples = {(r, last - c): t for (r, c), t in m.triples.items()} if reverse_pivots else dict(m.triples)
     for (r, j), t in rhs.triples.items():
         triples[(r, width + j)] = t
-    pivots, red, leftover = _rref_full(ExactMatrix.unchecked(m.rows, width + rhs.cols, triples), pivot_limit=width)
+    pivots, red, leftover = _triple_rref(ExactMatrix.unchecked(m.rows, width + rhs.cols, triples), pivot_limit=width)
     # a leftover row is zero on the columns of m, so its entries name inconsistent right-hand sides
     inconsistent = sorted({c - width for row in leftover for c in row})
     bad = set(inconsistent)
     solutions = {}
     for p, row in zip(pivots, red):
         x = last - p if reverse_pivots else p
-        for c, v in row.items():
+        for c, t in row.items():
             if c >= width and c - width not in bad:
-                solutions[(x, c - width)] = v.triple
+                solutions[(x, c - width)] = t
     return ExactMatrix.unchecked(width, rhs.cols, solutions), inconsistent
 
 

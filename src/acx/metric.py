@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from . import linalg
 from .forms import BasisElement, Form, conjugate_element, enumerate_basis, wedge_elements, with_weight_rank
 from .lie import SHIFTS
 from .linalg import ExactMatrix
 from .operators import INVARIANT, FormComplex, invariant_matrix, memoized
-from .scalars import I, ONE, ZERO, Scalar, integer, rational
+from .scalars import I, ONE, ZERO, Scalar, Triple, add_triples, canonical, integer, mul_triples, rational, reduced_triple
 
 HALF_I = rational(1, 2) * I
 
@@ -49,10 +50,12 @@ class HermitianMetric:
             for j in range(n):
                 if self.entries[k][j] != self.entries[j][k].conj():
                     raise NotPositive("metric matrix is not conjugate-symmetric")
+        minors = compound_minors([[v.triple for v in row] for row in self.entries])
         for size in range(1, n + 1):
-            minor = exact_det([row[:size] for row in self.entries[:size]])
-            if not minor.is_real() or minor.re <= 0:
-                raise NotPositive(f"leading principal minor of size {size} is {minor}")
+            leading = tuple(range(1, size + 1))
+            a, b, d = minors.get((leading, leading), (0, 0, 1))
+            if b or a <= 0:
+                raise NotPositive(f"leading principal minor of size {size} is {canonical(a, b, d)}")
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":
@@ -60,25 +63,36 @@ class HermitianMetric:
         return cls(rows)
 
 
-def exact_det(rows) -> Scalar:
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    out = ZERO
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * exact_det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+def compound_minors(h: list[list[Triple]]) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Triple]:
+    """Every nonzero minor of a square matrix of canonical triples, keyed by its 1-based row and column index sets.
 
-
-def _minor(h, rows_idx, cols_idx) -> Scalar:
-    """The minor of h on 1-based row and column index sets."""
-    return exact_det([[h[r - 1][c - 1] for c in cols_idx] for r in rows_idx])
+    These are the entries of the compound matrices of h, the empty minor 1
+    included.  They are built by size, each minor by Laplace expansion along
+    its first row over the minors one size smaller, so each is computed once,
+    accumulated unreduced and reduced once.
+    """
+    indices = range(1, len(h) + 1)
+    minors = smaller = {((), ()): (1, 0, 1)}
+    for k in indices:
+        current = {}
+        for rows in combinations(indices, k):
+            first, rest = h[rows[0] - 1], rows[1:]
+            for cols in combinations(indices, k):
+                acc = None
+                for t, c in enumerate(cols):
+                    xa, xb, xd = first[c - 1]
+                    m = smaller.get((rest, cols[:t] + cols[t + 1 :])) if xa or xb else None
+                    if m is None:
+                        continue
+                    ma, mb, md = m
+                    pa, pb = xa * ma - xb * mb, xa * mb + xb * ma
+                    term = (-pa, -pb, xd * md) if t & 1 else (pa, pb, xd * md)
+                    acc = term if acc is None else add_triples(acc, term)
+                if acc is not None and (acc[0] or acc[1]):
+                    current[(rows, cols)] = reduced_triple(*acc)
+        minors.update(current)
+        smaller = current
+    return minors
 
 
 def _invert(rows) -> list[list[Scalar]]:
@@ -147,38 +161,28 @@ class PointwiseMetric:
     def _monomials(self, p: int, q: int) -> tuple[BasisElement, ...]:
         return enumerate_basis(self.n, p, q, INVARIANT)
 
+    @cached_property
+    def _minors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Triple]:
+        """The compound matrices of h (compound_minors); those of conj(h) are their conjugates."""
+        return compound_minors([[v.triple for v in row] for row in self._h])
+
     def _gram(self, p: int, q: int) -> ExactMatrix:
         """Pointwise Hermitian pairing of invariant monomials of bidegree (p,q).
 
-        The entry of x and y is the holo minor of h times the anti minor of
-        conj h on their index sets; the anti minors are read only against a
-        nonzero holo minor.
+        The entry of x and y is the minor of h on their holo index sets times
+        the minor of conj(h) on their anti index sets, both read off _minors.
         """
         monos = self._monomials(p, q)
-        h = self._h
-        hbar = [[v.conj() for v in row] for row in h]
-        by_holo: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        for i, x in enumerate(monos):
-            by_holo.setdefault(x.holo, []).append((i, x.anti))
-        antis = sorted({x.anti for x in monos})
-        anti_minors = {}
-        for a in antis:
-            for b in antis:
-                v = _minor(hbar, a, b)
-                if v:
-                    anti_minors[(a, b)] = v
-        entries = {}
-        for a, rows in by_holo.items():
-            for b, cols in by_holo.items():
-                holo = _minor(h, a, b)
-                if not holo:
-                    continue
-                for r, x in rows:
-                    for c, y in cols:
-                        anti = anti_minors.get((x, y))
-                        if anti:
-                            entries[(r, c)] = holo * anti
-        return ExactMatrix(len(monos), len(monos), dict(sorted(entries.items())))
+        minors = self._minors
+        triples = {}
+        for r, x in enumerate(monos):
+            for c, y in enumerate(monos):
+                holo = minors.get((x.holo, y.holo))
+                anti = minors.get((x.anti, y.anti)) if holo else None
+                if anti:
+                    a, b, d = anti
+                    triples[(r, c)] = mul_triples(holo, (a, -b, d))
+        return ExactMatrix.unchecked(len(monos), len(monos), triples)
 
     def _star(self, p: int, q: int) -> ExactMatrix:
         """Star on invariant (p,q)-monomials, read from the wedge pairing.
@@ -219,7 +223,7 @@ class PointwiseMetric:
     def _lefschetz(self, p: int, q: int) -> ExactMatrix:
         """L = omega ^ - from invariant (p,q) to (p+1,q+1)-monomials."""
         omega = self._omega_invariant
-        return invariant_matrix(self.n, lambda m: omega.wedge(Form.monomial(m)), p, q, p + 1, q + 1)
+        return invariant_matrix(self.n, lambda m: omega.wedge(Form.monomial(m)).triples(), p, q, p + 1, q + 1)
 
     def _lambda(self, p: int, q: int) -> ExactMatrix:
         """Lambda = (-1)^(p+q) star L star from (p,q) to (p-1,q-1)."""

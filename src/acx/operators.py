@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache, wraps
 from typing import Callable
 
 from . import linalg
-from .forms import (
+from .forms import (  # extend_derivation is not called here: bench/tracer.py wraps it by this name
     BasisElement,
     CoefficientModel,
     Form,
@@ -29,10 +29,11 @@ from .forms import (
     InconsistentModel,
     enumerate_basis,
     extend_derivation,
+    leibniz,
 )
 from .lie import SHIFTS, ComplexFrame, exterior_d_on_generators, split_d
 from .linalg import ExactMatrix
-from .scalars import I, ONE, ZERO, Scalar, mul_triples
+from .scalars import I, ONE, ZERO, Scalar, Triple, mul_triples
 
 DIFFERENTIALS = ("mu", "partial", "dbar", "mubar")
 
@@ -109,22 +110,25 @@ def memoized(method):
     return cached
 
 
-def invariant_matrix(n: int, image: Callable[[BasisElement], Form], p: int, q: int, tp: int, tq: int) -> ExactMatrix:
+def invariant_matrix(n: int, image: Callable[[BasisElement], dict], p: int, q: int, tp: int, tq: int) -> ExactMatrix:
     """The matrix of a map from invariant (p,q)-monomials to invariant (tp,tq)-monomials.
 
-    image(m) is the Form the map sends the monomial m to.  A target off the
-    diamond gives zero rows and image is not called; an image component off
-    (tp,tq) is a bidegree fault and raises AssertionError.
+    image(m) is what the map sends the monomial m to, as {monomial: canonical
+    nonzero triple} (forms.leibniz, Form.triples); column m holds its
+    triples in that order.  A target off the diamond gives zero rows and
+    image is not called; an image component off (tp,tq) is a bidegree fault
+    and raises AssertionError.
     """
     src = enumerate_basis(n, p, q, INVARIANT)
     tgt = {m: i for i, m in enumerate(enumerate_basis(n, tp, tq, INVARIANT))}
-    entries = {}
+    triples = {}
     for col, elt in enumerate(src if tgt else ()):
-        for e, c in image(elt).coeffs.items():
-            if e.bidegree != (tp, tq):
+        for e, t in image(elt).items():
+            row = tgt.get(e)
+            if row is None:
                 raise AssertionError(f"the map from ({p},{q}) to ({tp},{tq}) hit {e.bidegree} on {elt}")
-            entries[(tgt[e], col)] = c
-    return ExactMatrix(len(tgt), len(src), entries)
+            triples[(row, col)] = t
+    return ExactMatrix.unchecked(len(tgt), len(src), triples)
 
 
 @lru_cache(maxsize=16)
@@ -159,8 +163,7 @@ class FrameBlocks:
         """A: the named differential on invariant (p,q)-monomials."""
         dp, dq = SHIFTS[name]
         action = self.images(name)
-        leibniz = lambda m: extend_derivation(action, Form.monomial(m))
-        return invariant_matrix(self.n, leibniz, p, q, p + dp, q + dq)
+        return invariant_matrix(self.n, lambda m: leibniz(action, ((m, (1, 0, 1)),)), p, q, p + dp, q + dq)
 
     @memoized
     def images(self, name: str) -> GeneratorImages:
@@ -170,14 +173,14 @@ class FrameBlocks:
     @memoized
     def conjugation(self, p: int, q: int) -> ExactMatrix:
         """Conjugation from invariant (p,q)-monomials to (q,p)-monomials: a signed permutation."""
-        return invariant_matrix(self.n, lambda m: Form.monomial(m).conjugate(), p, q, q, p)
+        return invariant_matrix(self.n, lambda m: Form.monomial(m).conjugate().triples(), p, q, q, p)
 
     @memoized
     def coefficient_block(self, name: str, p: int, q: int, r: int) -> ExactMatrix:
         """E_r of partial or dbar on invariant (p,q)-monomials, r = 1..n, built on first use."""
         dp, dq = SHIFTS[name]
         gen = Form.monomial(BasisElement((), (r,), ()) if name == "partial" else BasisElement((), (), (r,)))
-        return invariant_matrix(self.n, lambda m: gen.wedge(Form.monomial(m)), p, q, p + dp, q + dq)
+        return invariant_matrix(self.n, lambda m: gen.wedge(Form.monomial(m)).triples(), p, q, p + dp, q + dq)
 
 
 class FormComplex:
@@ -435,17 +438,18 @@ class FormComplex:
         # reconstruction: the Leibniz rule on the unsplit structure equations, applied
         # to each invariant monomial, equals its column in the four invariant blocks
         frame = self._frame_blocks
+        images = frame.images("d")
         recon_fail = []
         for p in range(self.n + 1):
             for q in range(self.n + 1):
-                columns: dict[int, dict[BasisElement, Scalar]] = {}
+                columns: dict[int, dict[BasisElement, Triple]] = {}
                 for name in DIFFERENTIALS:
                     dp, dq = SHIFTS[name]
                     target = enumerate_basis(self.n, p + dp, q + dq, INVARIANT)
-                    for (r, c), v in frame.block(name, p, q).entries.items():
-                        columns.setdefault(c, {})[target[r]] = v
+                    for (r, c), t in frame.block(name, p, q).triples.items():
+                        columns.setdefault(c, {})[target[r]] = t
                 for col, elt in enumerate(enumerate_basis(self.n, p, q, INVARIANT)):
-                    if extend_derivation(frame.images("d"), Form.monomial(elt)).coeffs != columns.get(col, {}):
+                    if leibniz(images, ((elt, (1, 0, 1)),)) != columns.get(col, {}):
                         recon_fail.append((p, q))
                         break
         report.append(("d=mu+partial+dbar+mubar", tuple(recon_fail)))

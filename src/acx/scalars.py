@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 _new = object.__new__
+Triple = tuple[int, int, int]
 
 
 def reduced(a: int, b: int, d: int) -> Scalar:

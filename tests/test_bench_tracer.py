@@ -2,7 +2,7 @@
 
 import json
 
-from acx import cli, cohomology, linalg
+from acx import cli, cohomology, lie, linalg
 from acx.linalg import ExactMatrix
 
 from conftest import bundled_manifest_path, load_bench_module
@@ -15,8 +15,9 @@ def test_tracer_installs_on_every_traced_name():
     try:
         tracer_module.install(tracer)
         assert linalg.kernel is not originals[0]
-        # a kernel is eliminated when its basis is read
+        # a kernel is eliminated when its basis is read, on triples; rref boxes the reduced rows it returns
         linalg.kernel(ExactMatrix.identity(2)).generators
+        linalg.rref(ExactMatrix.identity(2))
         assert {group for _, group, _, _ in tracer.spans} >= {"linalg.kernel", "linalg.rref"}
     finally:
         tracer.unpatch()
@@ -27,6 +28,8 @@ def test_tracer_reads_a_traced_report(capsys):
     """The counters read subspaces and reduced rows: the guard's den.dim and the bit height of rref's rows."""
     tracer_module = load_bench_module("tracer")
     tracer = tracer_module.Tracer()
+    # rref's one caller in a report is the frame construction, run once per model
+    lie.build_frame.cache_clear()
     try:
         tracer_module.install(tracer)
         code = cli.main(["report", bundled_manifest_path("kt4"), "--truncations", "1", "--format", "json"])

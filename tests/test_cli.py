@@ -177,13 +177,13 @@ def test_report_validates_the_model_once(monkeypatch, capsys):
     from acx import forms, lie
 
     calls = []
-    extend = forms.extend_derivation
+    leibniz = forms.leibniz
 
-    def counting_extend(gen_action, form):
+    def counting_leibniz(images, terms):
         calls.append(1)
-        return extend(gen_action, form)
+        return leibniz(images, terms)
 
-    monkeypatch.setattr(forms, "extend_derivation", counting_extend)
+    monkeypatch.setattr(forms, "leibniz", counting_leibniz)
     lie.validate_model.cache_clear()
     assert main(["report", bundled_manifest_path("kt4"), "--truncations", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["validation"]["passed"]
@@ -193,13 +193,13 @@ def test_report_validates_the_model_once(monkeypatch, capsys):
 
 def test_diamond_extends_derivations_on_invariant_monomials_only(monkeypatch, capsys):
     """The Leibniz rule runs on invariant monomials, once per frame: the number of
-    extend_derivation calls is the same for one truncation as for four."""
+    leibniz calls is the same for one truncation as for four."""
     from acx import forms, lie, operators
 
     calls = []
     for module in (forms, operators):
-        extend = module.extend_derivation
-        monkeypatch.setattr(module, "extend_derivation", lambda *args, extend=extend: calls.append(1) or extend(*args))
+        leibniz = module.leibniz
+        monkeypatch.setattr(module, "leibniz", lambda *args, leibniz=leibniz: calls.append(1) or leibniz(*args))
     counts = []
     for truncations in ("0", "0,1,2,3"):
         lie.validate_model.cache_clear()

@@ -364,12 +364,18 @@ def test_elimination_matches_reference(name, m):
 
 
 def solve_with_reference_kernel(m, rhs, reverse):
-    original = linalg._rref_full
-    linalg._rref_full = reference_rref_full
+    """solve_columns with solve_many's elimination, linalg._triple_rref, run by the reference."""
+
+    def reference_triple_rref(m, pivot_limit=None, forward=False):
+        pivots, red, leftover = reference_rref_full(m, pivot_limit, forward)
+        return pivots, [triples(row) for row in red], [triples(row) for row in leftover]
+
+    original = linalg._triple_rref
+    linalg._triple_rref = reference_triple_rref
     try:
         return solve_columns(m, rhs, reverse)
     finally:
-        linalg._rref_full = original
+        linalg._triple_rref = original
 
 
 @pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in matrix_cases()])
@@ -400,8 +406,8 @@ def test_elimination_cases_leave_rows_and_cancel():
 
 def test_null_basis_of_a_matrix_with_no_entries_eliminates_nothing(monkeypatch):
     calls = []
-    original = linalg._rref_full
-    monkeypatch.setattr(linalg, "_rref_full", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    original = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
     for rows, cols in ((3, 4), (0, 5), (5, 0), (0, 0)):
         m = ExactMatrix(rows, cols)
         assert linalg.null_basis(m) == ExactMatrix.identity(cols)

@@ -480,12 +480,19 @@ def kernel_cases():
 
 
 def solve_many_with_reference_kernel(m, rhs, reverse):
-    original = linalg._rref_full
-    linalg._rref_full = reference_sparse_rref_full
+    """solve_columns with solve_many's elimination, linalg._triple_rref, run by the reference."""
+
+    def reference_triple_rref(m, pivot_limit=None):
+        pivots, red, leftover = reference_sparse_rref_full(m, pivot_limit)
+        as_triples = lambda rows: [{k: v.triple for k, v in row.items()} for row in rows]
+        return pivots, as_triples(red), as_triples(leftover)
+
+    original = linalg._triple_rref
+    linalg._triple_rref = reference_triple_rref
     try:
         return solve_columns(m, rhs, reverse)
     finally:
-        linalg._rref_full = original
+        linalg._triple_rref = original
 
 
 @pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in kernel_cases()])
@@ -802,7 +809,8 @@ def test_kernel_is_one_rref(monkeypatch):
         return eliminate(m, pivot_limit, forward)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
-    calls = count_calls(monkeypatch, linalg, "rref")
+    # the reduced rows of a null basis come from _triple_rref
+    calls = count_calls(monkeypatch, linalg, "_triple_rref")
     for name, m in kernel_cases():
         nullity = m.cols - len(linalg.rref(m)[0])
         # a matrix with no entries is not eliminated at all
@@ -834,7 +842,7 @@ def test_quotient_guard_is_one_product(monkeypatch):
     reduce = getattr(linalg.Subspace, "_escapes", None)
     monkeypatch.setattr(linalg.Subspace, "_escapes", lambda s, work: escapes.append(work) or reduce(s, work), raising=False)
     products = count_calls(monkeypatch, ExactMatrix, "__matmul__")
-    eliminations = count_calls(monkeypatch, linalg, "_rref_full")
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate")
     assert quotient_dim(num, den) == 9 - rank(a) - den.dim
     assert len(products) == 1 and not escapes
     eliminations.clear()

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 
 import pytest
 
@@ -389,7 +389,20 @@ def test_almost_kahler_implies_ddc_closed_on_models(kt4_session, torus_session, 
 
 
 # differential oracle: the Gram build that recomputed both metric minors for
-# every pair of monomials, kept as the reference for the per-build minor table
+# every pair of monomials by Scalar Laplace expansion, kept as the reference
+# for the compound minors
+
+
+def reference_det(rows):
+    """The determinant by Laplace expansion along the first row, in Scalar arithmetic."""
+    if not rows:
+        return ONE
+    out = ZERO
+    for j, x in enumerate(rows[0]):
+        if x:
+            term = x * reference_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            out = out + (term if j % 2 == 0 else -term)
+    return out
 
 
 def reference_gram(pm, p, q):
@@ -397,8 +410,7 @@ def reference_gram(pm, p, q):
     h = pm._h
 
     def det_sub(rows_idx, cols_idx, conj):
-        rows = [[h[r - 1][c - 1].conj() if conj else h[r - 1][c - 1] for c in cols_idx] for r in rows_idx]
-        return metric_module.exact_det(rows)
+        return reference_det([[h[r - 1][c - 1].conj() if conj else h[r - 1][c - 1] for c in cols_idx] for r in rows_idx])
 
     return ExactMatrix.from_rows(
         [[det_sub(x.holo, y.holo, False) * det_sub(x.anti, y.anti, True) for y in monos] for x in monos],
@@ -428,31 +440,29 @@ def gram_metrics():
 
 @pytest.mark.parametrize("name, metric", [pytest.param(name, m, id=name) for name, m in gram_metrics()])
 def test_gram_minor_table_matches_per_pair_gram(name, metric, monkeypatch):
-    """Each (rows, cols, conj) minor is computed once per Gram build: C(n,p)^2 + C(n,q)^2 top-level dets."""
+    """Each minor of h is computed once per metric: one compound_minors call on h serves every
+    Gram build, after the one on g that validate reads its leading principal minors from."""
+    calls = []
+    compound = metric_module.compound_minors
+    monkeypatch.setattr(metric_module, "compound_minors", lambda h: calls.append(h) or compound(h))
     pm = PointwiseMetric(metric, 0)
     n = pm.n
-    calls = []
-    depth = [0]
-    exact_det = metric_module.exact_det
-
-    def counting(rows):
-        if not depth[0]:
-            calls.append(len(rows))
-        depth[0] += 1
-        try:
-            return exact_det(rows)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(metric_module, "exact_det", counting)
+    assert calls == [[[v.triple for v in row] for row in metric.entries]]
     for p in range(n + 1):
         for q in range(n + 1):
-            calls.clear()
-            gram = pm._gram(p, q)
-            assert len(calls) == comb(n, p) ** 2 + comb(n, q) ** 2, (p, q)
-            calls.clear()
-            assert gram == reference_gram(pm, p, q), (p, q)
-            assert len(calls) == 2 * (comb(n, p) * comb(n, q)) ** 2
+            gram, want = pm._gram(p, q), reference_gram(pm, p, q)
+            assert list(gram.triples.items()) == list(want.triples.items()), (p, q)
+    assert calls[1:] == [[[v.triple for v in row] for row in pm._h]]
+    # the one table holds every nonzero minor of every size, under its own index sets
+    h, indices = pm._h, range(1, n + 1)
+    want = {}
+    for k in range(n + 1):
+        for rows in combinations(indices, k):
+            for cols in combinations(indices, k):
+                v = reference_det([[h[r - 1][c - 1] for c in cols] for r in rows])
+                if v:
+                    want[(rows, cols)] = v.triple
+    assert pm._minors == want
 
 
 def reference_star(pm, p, q):
