@@ -9,7 +9,9 @@ Gauss-Jordan on sparse rows ({column: entry} dicts) with a column -> rows
 index: the matrices of a truncated complex are block-diagonal by Fourier
 weight and a few percent dense, so the kernel finds pivots and the rows to
 update through the index and a row update only touches the nonzero entries
-of the pivot row.  A rank is its forward pass alone.  A subspace is held by
+of the pivot row.  A rank is its forward pass alone, or no pass when every
+nonzero row or every nonzero column holds one entry: the pattern decides it,
+and for one entry per row the reduced rows too.  A subspace is held by
 a presentation, a constraint matrix (its kernel) or a generator matrix (its
 column span), and completed only as far as it is read: a dimension is a
 count or a rank, a containment is one product, and the canonical reduced
@@ -52,7 +54,7 @@ class NotContained(Exception):
     """A quotient denominator escapes its numerator: the complex is broken."""
 
 
-def _add_into(triples: dict, key, u: Triple) -> None:
+def add_into(triples: dict, key, u: Triple) -> None:
     """triples[key] += u, for canonical triples; an entry that cancels is removed."""
     t = triples.get(key)
     if t is None:
@@ -145,7 +147,7 @@ class ExactMatrix:
             raise ValueError("shape mismatch in matrix addition")
         triples = dict(self.triples)
         for rc, u in other.triples.items():
-            _add_into(triples, rc, u)
+            add_into(triples, rc, u)
         return ExactMatrix.unchecked(self.rows, self.cols, triples)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -279,7 +281,7 @@ def realify(m: ExactMatrix | None, antilinear: ExactMatrix | None = None) -> Exa
             for rc, x in (((r2, c2), (ua, 0, ud)), ((r2 + 1, c2 + 1), (-ua, 0, ud)),
                           ((r2, c2 + 1), (va, 0, vd)), ((r2 + 1, c2), (va, 0, vd))):
                 if x[0]:  # a real part is zero exactly when its numerator is
-                    _add_into(triples, rc, x)
+                    add_into(triples, rc, x)
     shape = m if m is not None else antilinear
     return ExactMatrix.unchecked(2 * shape.rows, 2 * shape.cols, triples)
 
@@ -300,7 +302,7 @@ def complexify(m: ExactMatrix) -> ExactMatrix:
             # i * (a + b*i)/d = (-b + a*i)/d, still canonical
             a, b, d = t
             t = (-b, a, d)
-        _add_into(triples, (r // 2, c), t)
+        add_into(triples, (r // 2, c), t)
     return ExactMatrix.unchecked(m.rows // 2, m.cols, triples)
 
 
@@ -383,7 +385,8 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
                     continue
                 tgt = rows[i]
                 fa, fb, fd = tgt.pop(c)
-                if divide:
+                # the quotient f / lead is read only by the update with the rest of the pivot row
+                if divide and rest:
                     a, b, d = (fa * la + fb * lb) * ld, (fb * la - fa * lb) * ld, fd * n
                     g = gcd(a, b, d)
                     fa, fb, fd = a // g, b // g, d // g
@@ -413,13 +416,30 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
     return pivots, rows, at, r
 
 
+def _spread(m: ExactMatrix, by_row: bool) -> set[int] | None:
+    """The columns m's entries lie in when every nonzero row holds one entry (by_row), or the rows
+    when every nonzero column does; None otherwise, after an O(1) test when m is denser than that."""
+    t = m.triples
+    if len(t) > (m.rows if by_row else m.cols):
+        return None
+    own = 0 if by_row else 1
+    if len({rc[own] for rc in t}) != len(t):
+        return None
+    return {rc[1 - own] for rc in t}
+
+
 def _triple_rref(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
     """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as {column: triple} dicts.
 
-    A matrix with no entries is not eliminated.
+    A matrix with no entries is not eliminated, nor is a full reduction of one whose every nonzero row
+    holds one entry: each such row is a multiple of a unit row, so the pivots are the distinct columns,
+    in order, the reduced rows their unit rows, and no row is left over.
     """
     if not m.triples:
         return [], [], []
+    if pivot_limit is None and not forward and (spread := _spread(m, True)) is not None:
+        pivots = sorted(spread)
+        return pivots, [{c: (1, 0, 1)} for c in pivots], []
     pivots, rows, at, r = _eliminate(m, pivot_limit, forward)
     leftover = [rows[at[k]] for k in range(r, len(rows)) if rows[at[k]]]
     return pivots, [rows[at[k]] for k in range(r)], leftover
@@ -564,8 +584,10 @@ def zero_space(n: int) -> Subspace:
 
 
 def rank(m: ExactMatrix) -> int:
-    """The number of pivots, from the forward pass of the elimination."""
-    return len(_eliminate(m, forward=True)[0]) if m.triples else 0
+    """The number of pivots, from the forward pass of the elimination, or from the pattern when every nonzero
+    row (column) holds one entry: multiples of unit rows (columns) span as many as they have distinct columns (rows)."""
+    spread = _spread(m, True) or _spread(m, False)
+    return len(_eliminate(m, forward=True)[0]) if spread is None else len(spread)
 
 
 def kernel(m: ExactMatrix) -> Subspace:

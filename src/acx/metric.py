@@ -257,7 +257,7 @@ class HermitianStructure:
     @memoized
     def _lift(self, name: str, p: int, q: int) -> ExactMatrix:
         """The named PointwiseMetric matrix on the (p,q) block, lifted once."""
-        return self.complex.lift(self._pointwise.invariant(name, p, q))
+        return self.complex.lift(((self._pointwise.invariant(name, p, q), None),))
 
     # -- inner products -----------------------------------------------------
 

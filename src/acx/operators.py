@@ -9,7 +9,8 @@ theta^r ^ for partial and tbar^r ^ for dbar, and lambda_r(w) is the
 eigenvalue of Z_r or Zbar_r on e_w; mu and mubar are the A term alone.
 Conjugation is one signed permutation C on invariant monomials, copied from
 each weight w to -w.  Every block is therefore a lift of per-frame invariant
-blocks (FrameBlocks), every operator preserves the Fourier weight, and
+blocks (FrameBlocks), A and the scaled E_r copies placed in one pass, every
+operator preserves the Fourier weight, and
 conjugation negates it, so the symmetric truncation |w_a| <= N is an honest
 subcomplex.
 """
@@ -262,27 +263,36 @@ class FormComplex:
         coords = [doubled[2 * j] + I * doubled[2 * j + 1] for j in range(self.dim(p, q))]
         return self.from_vector(coords, p, q)
 
-    def lift(self, inv: ExactMatrix, scales=None, negate: bool = False) -> ExactMatrix:
-        """The block-diagonal copy of a matrix on invariant monomials, one copy per weight.
+    def lift(self, terms, negate: bool = False) -> ExactMatrix:
+        """The block-diagonal copy of a sum of matrices on invariant monomials, one copy per weight.
 
         Every basis is weight-major (forms.enumerate_basis), so a pointwise
         operator, one that acts on each Fourier mode alike, is this lift of its
-        matrix on the invariant monomials.  With scales, the copy at the k-th
-        weight is multiplied by scales[k].  With negate, the copy taken from
-        weight w is placed at the rows of -w, as for conjugation; every model
-        has a weight set closed under negation.
+        matrix on the invariant monomials.  terms is a sequence of (matrix,
+        scales) of one shape: the copy of a matrix at the k-th weight is
+        multiplied by scales[k], or kept as it is when scales is None, and the
+        copies are summed in place, term by term and weight by weight, so the
+        entries come in the order of lift(first) + lift(second) + ....  With
+        negate, the copy taken from weight w is placed at the rows of -w, as for
+        conjugation; every model has a weight set closed under negation.
         """
         weights = self._weights
         at = {w: k for k, w in enumerate(weights)} if negate else None
+        rows, cols = terms[0][0].rows, terms[0][0].cols
         triples = {}
-        for k, w in enumerate(weights):
-            s = ONE if scales is None else scales[k]
-            if s:
-                u = s.triple
-                j = at[tuple(-x for x in w)] if negate else k
-                for (r, c), t in inv.triples.items():
-                    triples[(r + j * inv.rows, c + k * inv.cols)] = t if scales is None else mul_triples(u, t)
-        return ExactMatrix.unchecked(inv.rows * len(weights), inv.cols * len(weights), triples)
+        for n, (inv, scales) in enumerate(terms):
+            for k, w in enumerate(weights):
+                s = ONE if scales is None else scales[k]
+                if s:
+                    u = s.triple
+                    j = at[tuple(-x for x in w)] if negate else k
+                    for (r, c), t in inv.triples.items():
+                        rc, v = (r + j * rows, c + k * cols), t if scales is None else mul_triples(u, t)
+                        if n:
+                            linalg.add_into(triples, rc, v)
+                        else:
+                            triples[rc] = v
+        return ExactMatrix.unchecked(rows * len(weights), cols * len(weights), triples)
 
     # -- operators ----------------------------------------------------------
 
@@ -290,16 +300,17 @@ class FormComplex:
     def block(self, name: str, p: int, q: int) -> ExactMatrix:
         """Matrix of the named differential from the (p,q) block to its target.
 
-        It is lift(A) plus, for partial and dbar, each E_r lifted with its copy
-        at weight w scaled by the eigenvalue of Z_r or Zbar_r on e_w; a
-        direction whose eigenvalue vanishes at every weight adds nothing.
+        It is the lift of A plus, for partial and dbar, each E_r with its copy
+        at weight w scaled by the eigenvalue of Z_r or Zbar_r on e_w, all placed
+        in one pass; a direction whose eigenvalue vanishes at every weight adds
+        nothing.
         """
-        mat = self.lift(self._frame_blocks.block(name, p, q))
+        frame = self._frame_blocks
         eig = self._z_eig if name == "partial" else self._zbar_eig
+        terms = [(frame.block(name, p, q), None)]
         for r in self._acting.get(name, ()):
-            scales = [eig[w][r - 1] for w in self._weights]
-            mat = mat + self.lift(self._frame_blocks.coefficient_block(name, p, q, r), scales)
-        return mat
+            terms.append((frame.coefficient_block(name, p, q, r), [eig[w][r - 1] for w in self._weights]))
+        return self.lift(terms)
 
     def apply(self, name: str, form: Form) -> Form:
         """Apply one of mu, partial, dbar, mubar, d to a form, through the blocks; d is the sum of the four."""
@@ -321,7 +332,7 @@ class FormComplex:
         conjugation (FrameBlocks.conjugation) whose copy from weight w sits
         at the rows of -w.
         """
-        return self.lift(self._frame_blocks.conjugation(p, q), negate=True)
+        return self.lift(((self._frame_blocks.conjugation(p, q), None),), negate=True)
 
     def conj_twisted_block(self, name: str, p: int, q: int) -> ExactMatrix:
         """Matrix of conj . op . conj on the (p,q) block.

@@ -82,7 +82,7 @@ def test_a_copy_left_at_its_own_weight_fails_the_oracle(kt4_session, torus_sessi
     """
 
     def unmoved(cx):
-        return lambda p, q: cx.lift(frame_blocks(cx.frame).conjugation(p, q))
+        return lambda p, q: cx.lift(((frame_blocks(cx.frame).conjugation(p, q), None),))
 
     torus = torus_session.complex()
     assert_conjugation_matches("torus4 unmoved", torus, unmoved(torus))

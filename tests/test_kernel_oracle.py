@@ -413,7 +413,8 @@ def test_null_basis_of_a_matrix_with_no_entries_eliminates_nothing(monkeypatch):
         assert linalg.null_basis(m) == ExactMatrix.identity(cols)
         assert linalg.kernel(m).dim == cols and linalg.rank(m) == 0
     assert calls == []
-    linalg.null_basis(ExactMatrix(2, 2, {(0, 1): ONE}))
+    # a two-entry row and a two-entry column: the pattern decides nothing, so there is one elimination
+    linalg.null_basis(ExactMatrix(2, 2, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE}))
     assert len(calls) == 1
 
 
@@ -506,7 +507,7 @@ def test_lift_and_total_match_scalar_references(kt4_session, name, m):
     weights = len(cx._weights)
     scales = [gaussian(rng, "complex", 70 if k % 3 else 4) if k % 4 else ZERO for k in range(weights)]
     for s in (None, scales, [I] * weights, [ZERO] * weights):
-        assert_same_matrix(cx.lift(m, s), reference_lift(cx, m, s), name)
+        assert_same_matrix(cx.lift(((m, s),)), reference_lift(cx, m, s), name)
     # the case's values tiled over every block of the complex, summed with unit, +-i and big coefficients
     blocks = {}
 

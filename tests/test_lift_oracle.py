@@ -270,4 +270,4 @@ def test_lift_places_one_copy_per_weight(kt4_session):
     cx = sector_complexes(kt4_session, 1)[-1]
     assert len(cx.coefficients.weights()) == 2
     inv = ExactMatrix(2, 1, {(0, 0): integer(3), (1, 0): I})
-    assert cx.lift(inv) == ExactMatrix(4, 2, {(0, 0): integer(3), (1, 0): I, (2, 1): integer(3), (3, 1): I})
+    assert cx.lift(((inv, None),)) == ExactMatrix(4, 2, {(0, 0): integer(3), (1, 0): I, (2, 1): integer(3), (3, 1): I})

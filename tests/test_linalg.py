@@ -799,8 +799,15 @@ def count_calls(monkeypatch, owner, attr):
     return calls
 
 
+def one_entry_per(m, axis: int) -> bool:
+    """Every nonzero row (axis 0) or column (axis 1) of m holds one entry."""
+    keys = [rc[axis] for rc in m.triples]
+    return len(set(keys)) == len(keys)
+
+
 def test_kernel_is_one_rref(monkeypatch):
-    """kernel() eliminates nothing: dim is one forward pass, generators one rref, and dim is free after generators."""
+    """kernel() eliminates nothing: dim is at most one forward pass, none when the pattern decides the rank,
+    generators one rref, a full pass unless the pattern decides it, and dim is free after generators."""
     passes = []
     eliminate = linalg._eliminate
 
@@ -813,8 +820,11 @@ def test_kernel_is_one_rref(monkeypatch):
     calls = count_calls(monkeypatch, linalg, "_triple_rref")
     for name, m in kernel_cases():
         nullity = m.cols - len(linalg.rref(m)[0])
-        # a matrix with no entries is not eliminated at all
-        one_pass = [True] if m.triples else []
+        # a matrix with no entries is not eliminated at all, nor is the rank of one whose every nonzero
+        # row or column holds one entry, nor the full reduction of one whose every nonzero row does
+        by_row = one_entry_per(m, 0)
+        one_pass = [] if by_row or one_entry_per(m, 1) else [True]
+        one_full_pass = [] if by_row else [False]
         calls.clear()
         passes.clear()
         k = kernel(m)
@@ -824,7 +834,7 @@ def test_kernel_is_one_rref(monkeypatch):
         passes.clear()
         k = kernel(m)
         assert k.generators.cols == nullity, name
-        assert len(calls) == 1 and passes == [not p for p in one_pass], name
+        assert len(calls) == 1 and passes == one_full_pass, name
         passes.clear()
         assert k.dim == nullity and not passes and len(calls) == 1, name
 
@@ -1027,7 +1037,7 @@ def test_lifts_and_totals_hold_only_checked_entries(kt4_session):
     for p, q in ((0, 0), (1, 0), (1, 1), (2, 1)):
         inv = cx._frame_blocks.block("dbar", p, q)
         scales = [rand_scalar(rng, 0.5) for _ in range(weights)]
-        for lifted in (cx.lift(inv), cx.lift(inv, scales), cx.lift(inv, [ZERO] * weights)):
+        for lifted in (cx.lift(((inv, None),)), cx.lift(((inv, scales),)), cx.lift(((inv, [ZERO] * weights),))):
             assert lifted == rechecked(lifted), (p, q)
     for r in range(5):
         for terms in IDENTITY_TERMS.values():

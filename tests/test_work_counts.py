@@ -1,11 +1,13 @@
-"""Work-count pin: eliminations and products over the benchmark's seed-0 jobs.
+"""Work-count pin: eliminations, products and sums over the benchmark's seed-0 jobs.
 
 Each workload's jobs (bench/workloads.py: the kt4 diamond scan at N = 0..3,
 the three kt4-verify jobs and the reports of the seed-0 sweep models) run
 through the CLI in a fresh interpreter, so no process-wide cache starts warm,
-with every linalg._eliminate and ExactMatrix.__matmul__ call counted.  A count
-may fall; a rise means a path does work it did not do before, such as a
-kernel basis built for a reader that only wants its dimension.
+with every linalg._eliminate, ExactMatrix.__matmul__ and ExactMatrix.__add__
+call counted.  A count may fall; a rise means a path does work it did not do
+before, such as a kernel basis built for a reader that only wants its
+dimension, a rank the sparsity pattern decides sent to elimination, or a
+Fourier block summed from separate lifts.
 """
 
 import json
@@ -16,11 +18,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (eliminations, products) of one pass
+# (eliminations, products, additions) of one pass
 PINNED = {
-    "kt4-diamond-scan": (191, 222),
-    "kt4-verify": (60, 255),
-    "random-rational-sweep": (286, 439),
+    "kt4-diamond-scan": (31, 222, 0),
+    "kt4-verify": (18, 255, 23),
+    "random-rational-sweep": (243, 439, 4),
 }
 
 COUNTER = r"""
@@ -32,8 +34,8 @@ sys.path[:0] = [str(root / "src"), str(root / "bench")]
 import workloads
 from acx import cli, linalg
 
-counts = {"eliminations": 0, "products": 0, "codes": []}
-eliminate, matmul = linalg._eliminate, linalg.ExactMatrix.__matmul__
+counts = {"eliminations": 0, "products": 0, "additions": 0, "codes": []}
+eliminate, matmul, add = linalg._eliminate, linalg.ExactMatrix.__matmul__, linalg.ExactMatrix.__add__
 
 
 def counted_eliminate(*args, **kwargs):
@@ -46,7 +48,13 @@ def counted_matmul(a, b):
     return matmul(a, b)
 
 
-linalg._eliminate, linalg.ExactMatrix.__matmul__ = counted_eliminate, counted_matmul
+def counted_add(a, b):
+    counts["additions"] += 1
+    return add(a, b)
+
+
+linalg._eliminate = counted_eliminate
+linalg.ExactMatrix.__matmul__, linalg.ExactMatrix.__add__ = counted_matmul, counted_add
 for job in workloads.prepare(workload, 0, root, workdir)["jobs"]:
     with contextlib.redirect_stdout(io.StringIO()):
         counts["codes"].append(cli.main(job))
@@ -66,8 +74,9 @@ def count_work(workload: str, workdir: Path) -> dict:
 
 
 def test_bench_jobs_do_no_more_work_than_pinned(tmp_path):
-    for workload, (eliminations, products) in PINNED.items():
+    for workload, (eliminations, products, additions) in PINNED.items():
         counts = count_work(workload, tmp_path)
         assert counts["codes"] and not any(counts["codes"]), (workload, counts)
         assert counts["eliminations"] <= eliminations, (workload, counts)
         assert counts["products"] <= products, (workload, counts)
+        assert counts["additions"] <= additions, (workload, counts)
