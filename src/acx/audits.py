@@ -37,11 +37,15 @@ class NotDdcClosed(Exception):
 
 
 class DegenerateAtSample(Exception):
-    """The candidate 2-form degenerates at an exact sample point."""
+    """The candidate 2-form degenerates at an exact sample point, or between two where its top wedge changes sign.
 
-    def __init__(self, point):
+    witness is the evidence beside its kind: the point, or both points of a sign change with their values.
+    """
+
+    def __init__(self, point, witness: dict | None = None):
         super().__init__(f"degenerate at sample point {point}")
         self.point = point
+        self.witness = witness or {"sample_point": [str(x) for x in point]}
 
 
 @dataclass
@@ -462,7 +466,7 @@ def solve_taming(engine: CohomologyEngine, psi: Form) -> TamingCertificate:
         evidence = check_nondegenerate(sector, omega_prime)
     except DegenerateAtSample as exc:
         # legitimate for non-positive inputs; the certificate records it
-        evidence = {"kind": "degenerate", "sample_point": [str(x) for x in exc.point]}
+        evidence = {"kind": "degenerate", **exc.witness}
     return TamingCertificate(
         psi=psi,
         u=cx.from_realified([u.entry(r, 0) for r in range(u.rows)], 0, 1),
@@ -506,9 +510,13 @@ def check_nondegenerate(engine: CohomologyEngine, omega_prime: Form) -> dict:
 
     Constant-coefficient forms: the top-wedge coefficient is a nonzero
     rational.  Fourier-coefficient forms: exact evaluation on the
-    quarter-period grid, where every mode takes values in {1, i, -1, -i};
-    additionally the structural guarantee applies whenever the (1,1)-part is
-    an invariant positive form and the rest is purely (2,0) + (0,2).
+    quarter-period grid, where every mode takes values in {1, i, -1, -i}.
+    omega' ^ omega' is a real 4-form, so the top-wedge values at two samples
+    differ by a real factor; a negative one means the form changes sign
+    between them and, by continuity, vanishes somewhere, so it is degenerate
+    even when no sample is zero.  Additionally the structural guarantee
+    applies whenever the (1,1)-part is an invariant positive form and the
+    rest is purely (2,0) + (0,2).
     """
     cx = engine.complex
     if cx.n != 2:
@@ -526,6 +534,7 @@ def check_nondegenerate(engine: CohomologyEngine, omega_prime: Form) -> dict:
         evidence["top_wedge_coefficient"] = str(coeff)
     else:
         samples = _quarter_grid(rank)
+        values = []
         for point in samples:
             value = ZERO
             for e, c in top.coeffs.items():
@@ -534,6 +543,13 @@ def check_nondegenerate(engine: CohomologyEngine, omega_prime: Form) -> dict:
                 value = value + c * _mode_value(e.weight, point)
             if not value:
                 raise DegenerateAtSample(point)
+            values.append(value)
+        for point, value in zip(samples[1:], values[1:]):
+            ratio = value / values[0]
+            if ratio.is_real() and ratio.re < 0:
+                pair = ((samples[0], values[0]), (point, value))
+                witness = [{"point": [str(x) for x in pt], "top_wedge": str(v)} for pt, v in pair]
+                raise DegenerateAtSample(point, {"sign_change": witness})
         evidence["kind"] = "fourier-sample-grid"
         evidence["samples"] = len(samples)
         evidence["all_nonzero"] = True

@@ -51,6 +51,9 @@ MAX_BASIS_MONOMIALS = 100_000
 # star and wedge-pairing matrices are dense, so their cost grows with its square;
 # 400 admits real_dim 12 and refuses real_dim 14 (1,225) and 16 (4,900)
 MAX_INVARIANT_BLOCK = 400
+# consecutive truncation shells share one diamond engine up to this many weights: that spares each
+# shell's fixed bookkeeping and keeps a run's memory near one wide shell's
+RUN_WEIGHTS = 64
 
 
 class ParseError(Exception):
@@ -337,15 +340,41 @@ class Session:
     def _engine(self, model: CoefficientModel) -> CohomologyEngine:
         return CohomologyEngine.of(self.frame, model, self.spec.metric)
 
+    def shell_runs(self, last: int) -> list[tuple[int, int]]:
+        """Shells 0..last as runs (first, last) of at most RUN_WEIGHTS weights, or one wider shell.
+
+        Shell s > 0 of a rank-k model holds (2s+1)^k - (2s-1)^k weights, shell 0 one.
+        """
+        k = self.spec.coefficients.rank
+        runs: list[tuple[int, int]] = []
+        size = 0
+        for s in range(last + 1):
+            width = (2 * s + 1) ** k - max(2 * s - 1, 0) ** k
+            if runs and size + width <= RUN_WEIGHTS:
+                runs[-1] = (runs[-1][0], s)
+                size += width
+            else:
+                runs.append((s, s))
+                size = width
+        return runs
+
+    def shell_numbers(self, last: int) -> dict[int, dict]:
+        """diamond_numbers of shells 0..last by shell, one engine per run of shells."""
+        out: dict[int, dict] = {}
+        for first, end in self.shell_runs(last):
+            out.update(self.run_numbers(first, end))
+        return out
+
     @memoized
-    def shell_numbers(self, s: int) -> dict:
-        """diamond_numbers of the weights with max |w_a| = s, computed once; the shell's engine is dropped.
+    def run_numbers(self, first: int, last: int) -> dict[int, dict]:
+        """diamond_numbers of one engine over shells first..last, computed once; the engine is dropped.
 
         An invariant model is the one shell 0: its session engine, whose blocks later stages reuse.
         """
         if self.spec.coefficients.kind == "invariant":
             return diamond_numbers(self.engine())
-        return diamond_numbers(CohomologyEngine.of(self.frame, self.spec.coefficients.shell(s), self.spec.metric))
+        model = self.spec.coefficients.shell(first, last)
+        return diamond_numbers(CohomologyEngine.of(self.frame, model, self.spec.metric))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +560,8 @@ def check_flags(session: Session, flags: dict) -> dict:
 
 def _run_diamond(session: Session, flags: dict) -> dict:
     # column N sums shells 0..N; an invariant model's one truncation, 0, is shell 0
-    columns = [(session.truncation_label(t), map(session.shell_numbers, range(t + 1))) for t in flags["truncations"]]
+    shells = session.shell_numbers(max(flags["truncations"]))
+    columns = [(session.truncation_label(t), [shells[s] for s in range(t + 1)]) for t in flags["truncations"]]
     out = compute_diamond(columns).as_dict()
     if flags.get("bidegree"):
         p, q = flags["bidegree"]

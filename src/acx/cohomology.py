@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import linalg
-from .forms import CoefficientModel
+from .forms import CoefficientModel, shell_of
 from .lie import SHIFTS, ComplexFrame
 from .linalg import ExactMatrix, Subspace
 from .metric import HermitianMetric, HermitianStructure, Not4Manifold
@@ -65,6 +65,29 @@ class CohomologyEngine:
         """restricted(weights), built once per engine and weight tuple."""
         return self.restricted(weights)
 
+    # -- truncation shells ---------------------------------------------------------
+
+    @memoized
+    def grading(self, blocks: tuple) -> list[int]:
+        """The shell of each coordinate of the (p,q) blocks stacked in order; every basis is weight-major."""
+        cx = self.complex
+        shells = [shell_of(w) for w in cx.coefficients.weights()]
+        out: list[int] = []
+        for p, q in blocks:
+            run = cx.dim(p, q) // len(shells)
+            out += [s for s in shells for _ in range(run)]
+        return out
+
+    def by_shell(self, terms) -> Counter:
+        """sum of sign * dim over (sign, space, blocks) terms, in each shell: the count of the space's
+        coordinates there (Subspace.coordinates); a space of None is the whole of its stacked blocks."""
+        counts: Counter = Counter()
+        for sign, space, blocks in terms:
+            grading = self.grading(blocks)
+            for s, k in Counter(grading if space is None else map(grading.__getitem__, space.coordinates)).items():
+                counts[s] += sign * k
+        return counts
+
     # -- generic block subspaces ------------------------------------------------
 
     def block(self, name: str, p: int, q: int) -> ExactMatrix:
@@ -99,13 +122,14 @@ class CohomologyEngine:
     # -- de Rham ------------------------------------------------------------------
 
     @memoized
-    def _d_rank(self, r: int) -> int:
-        return linalg.rank(self.complex.d_total(r))
+    def d_kernel(self, r: int) -> Subspace:
+        """ker(d on r-forms), built once: de_rham reads its dimension in degrees r and r + 1."""
+        return linalg.kernel(self.complex.d_total(r))
 
     def de_rham(self, r: int) -> int:
-        """dim ker(d on r-forms) - rank(d on (r-1)-forms); each rank is computed once."""
-        kernel_dim = self.complex.total_dim(r) - self._d_rank(r)
-        return kernel_dim if r == 0 else kernel_dim - self._d_rank(r - 1)
+        """dim ker(d on r-forms) - rank(d on (r-1)-forms), the rank being total_dim(r-1) - dim ker."""
+        closed = self.d_kernel(r).dim
+        return closed if r == 0 else closed - self.complex.total_dim(r - 1) + self.d_kernel(r - 1).dim
 
     # -- spectral (first page) Dolbeault -------------------------------------------
 
@@ -201,6 +225,10 @@ class CohomologyEngine:
 
     @memoized
     def _hat_h1(self, diagonal_potentials: bool) -> int:
+        return linalg.quotient_dim(*self.hat_h1_parts(diagonal_potentials))
+
+    def hat_h1_parts(self, diagonal_potentials: bool) -> tuple[Subspace, Subspace]:
+        """hat_h1's quotient on the 1-form pairs, (1,0) before (0,1)."""
         # numerator: pairs (u1, u2) with T u1 + S u2 = 0, i.e. d(u1 + u2) is pure (1,1)
         phi, numerator = self._hat_system()
         # denominator: (partial f, dbar g) pairs satisfying the same equations
@@ -215,8 +243,7 @@ class CohomologyEngine:
                 [ExactMatrix.hstack([pf, zero]), ExactMatrix.hstack([ExactMatrix(dg.rows, dim0), dg])]
             )
         good_potentials = linalg.kernel(phi @ psi)
-        denominator = linalg.map_subspace(psi, good_potentials)
-        return linalg.quotient_dim(numerator, denominator)
+        return numerator, linalg.map_subspace(psi, good_potentials)
 
     def _d11(self) -> ExactMatrix:
         """The (1,1) part of d on 1-forms (u', u''): dbar u' + partial u''."""
@@ -329,7 +356,11 @@ class CohomologyEngine:
         return k02, k20, system
 
     def special_11_quotients(self) -> dict:
-        """The de Rham, del-delbar-potential and ddc quotients in bidegree (1,1).
+        """The de Rham, del-delbar-potential and ddc quotients in bidegree (1,1), each guarded by quotient_dim."""
+        return {name: linalg.quotient_dim(*parts) for name, parts in self.special_11_parts().items()}
+
+    def special_11_parts(self) -> dict[str, tuple[Subspace, Subspace]]:
+        """The numerator and denominator of each (1,1) special quotient.
 
         The real ddc quotient is read off complex ranks, with no real basis.  In
         dimension four d^2 = 0 gives dbar del = -del dbar on (1,1), so conjugation
@@ -343,14 +374,15 @@ class CohomologyEngine:
             raise Not4Manifold("the (1,1) special quotients are four-dimensional constructions")
         # numerator: d-closed pure (1,1) forms
         closed = self._kernel_of(*([name] for name in DIFFERENTIALS), p=1, q=1)
-        h11_dr = linalg.quotient_dim(closed, self.exact_11())
         # del-delbar potentials whose ddc output is pure (1,1)
         pure_potentials = self._kernel_of(["mu", "dbar"], ["mubar", "partial"], p=0, q=0)
         pdbar = compose(self.block, ["partial", "dbar"], 0, 0)
-        h11_bc = linalg.quotient_dim(closed, linalg.map_subspace(pdbar, pure_potentials))
         ddc = compose(self.block, ["partial", "dbar"], 1, 1)
-        h11_ddc_real = linalg.quotient_dim(linalg.kernel(ddc), linalg.image(self._d11()))
-        return {"h11_dR": h11_dr, "h11_BC": h11_bc, "h11_ddc_real": h11_ddc_real}
+        return {
+            "h11_dR": (closed, self.exact_11()),
+            "h11_BC": (closed, linalg.map_subspace(pdbar, pure_potentials)),
+            "h11_ddc_real": (linalg.kernel(ddc), linalg.image(self._d11())),
+        }
 
     def real_one_forms(self) -> Subspace:
         """Real (conjugation-fixed) vectors of A^1 = (1,0) + (0,1), doubled coords."""
@@ -414,8 +446,22 @@ class HodgeDiamond:
         }
 
 
-def diamond_numbers(engine: CohomologyEngine) -> dict:
-    """Every diamond number of one engine, keyed (theory, cell), ("betti", r) or ("scalar", name)."""
+def diamond_numbers(engine: CohomologyEngine) -> dict[int, dict]:
+    """Every diamond number of one engine by truncation shell: {s: numbers}, the numbers keyed
+    (theory, cell), ("betti", r) or ("scalar", name).
+
+    An engine over one shell reads them off its memoized methods, which a
+    session engine's audits share.  An engine over several shells, a diamond
+    run's own, splits each by counting its spaces' coordinates per shell.
+    """
+    shells = sorted({shell_of(w) for w in engine.complex.coefficients.weights()})
+    if len(shells) > 1:
+        split: dict[int, dict] = {s: {} for s in shells}
+        for key, terms in _graded_terms(engine):
+            counts = engine.by_shell(terms)
+            for s in shells:
+                split[s][key] = counts[s]
+        return split
     n = engine.n
     out = {}
     for p in range(n + 1):
@@ -432,11 +478,44 @@ def diamond_numbers(engine: CohomologyEngine) -> dict:
     if n == 2:
         for k, v in engine.special_11_quotients().items():
             out[("scalar", k)] = v
-    return out
+    return {shells[0]: out}
+
+
+def _graded_terms(engine: CohomologyEngine):
+    """(key, terms) for each diamond number in diamond_numbers' order: the (sign, space, blocks) terms
+    whose dimensions sum to it.  A quotient's containment guard is checked as it is reached; b_r is
+    dim ker d_r - total_dim(r-1) + dim ker d_(r-1)."""
+    n, cx = engine.n, engine.complex
+    for p in range(n + 1):
+        for q in range(n + 1):
+            cell = ((p, q),)
+            yield ("refined", (p, q)), _quotient(engine.refined_parts(p, q), cell)
+            yield ("spectral", (p, q)), _quotient(engine.dolbeault_cw_parts(p, q), cell)
+            yield ("harmonic", (p, q)), [(1, engine.harmonic_space(("dbar", "mu"), p, q), cell)]
+    for r in range(2 * n + 1):
+        terms = [(1, engine.d_kernel(r), tuple(cx.total_blocks(r)))]
+        if r:
+            below = tuple(cx.total_blocks(r - 1))
+            terms += [(-1, None, below), (1, engine.d_kernel(r - 1), below)]
+        yield ("betti", r), terms
+    yield ("scalar", "hat_h01"), _quotient(engine.hat_h01_parts(), ((0, 1),))
+    pairs = ((1, 0), (0, 1))
+    yield ("scalar", "hat_h1"), _quotient(engine.hat_h1_parts(False), pairs)
+    yield ("scalar", "hat_h1_diagonal_potentials"), _quotient(engine.hat_h1_parts(True), pairs)
+    if n == 2:
+        for name, parts in engine.special_11_parts().items():
+            yield ("scalar", name), _quotient(parts, ((1, 1),))
+
+
+def _quotient(parts: tuple[Subspace, Subspace], blocks: tuple) -> list[tuple]:
+    """The terms of dim(num/den), after quotient_dim's containment guard."""
+    linalg.quotient_dim(*parts)
+    num, den = parts
+    return [(1, num, blocks), (-1, den, blocks)]
 
 
 def compute_diamond(columns: Iterable[tuple[str, Iterable[dict]]]) -> HodgeDiamond:
-    """One column per (label, parts): the sum of the parts' diamond_numbers.
+    """One column per (label, parts): the sum of the parts' numbers, each one shell's of diamond_numbers.
 
     A part is a truncation shell or a whole complex; every number adds over direct sums.
     """

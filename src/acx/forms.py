@@ -191,7 +191,7 @@ class CoefficientModel:
     those weights, a set closed under negation, in box order (`restricted`);
     its complex is a direct summand of the box's, so dimensions add.  The box
     of truncation N is the disjoint union of the shells max |w_a| = s for
-    s = 0..N (`shell`).
+    s = 0..N (`shell`, `shell_of`).
     """
 
     kind: str  # "invariant" | "torus_fourier"
@@ -209,10 +209,14 @@ class CoefficientModel:
             return self
         return CoefficientModel(self.kind, self.rank, self.actions, n)
 
-    def shell(self, s: int) -> "CoefficientModel":
-        """The model at truncation s that keeps only the weights with max |w_a| = s."""
-        box = self.with_truncation(s)
-        return box.restricted(w for w in box.weights() if max(map(abs, w)) == s)
+    def shell(self, s: int, last: int | None = None) -> "CoefficientModel":
+        """The model at truncation `last` (s by default) keeping the weights of shells s..last.
+
+        Those are the weights with s <= max |w_a| <= last; from shell 0 it is the box itself.
+        """
+        last = s if last is None else last
+        box = self.with_truncation(last)
+        return box.restricted(w for w in box.weights() if max(map(abs, w)) >= s)
 
     def restricted(self, weights) -> "CoefficientModel":
         """The model keeping those of its weights that are in `weights`, in its own order.
@@ -238,6 +242,11 @@ class CoefficientModel:
         if self.kind == "invariant":
             return []
         return [a + 1 for a, row in enumerate(self.actions) if any(row)]
+
+
+def shell_of(weight: tuple[int, ...]) -> int:
+    """The truncation shell of a weight, max |w_a|; 0 for the invariant model's empty weight."""
+    return max(map(abs, weight), default=0)
 
 
 def enumerate_basis(n: int, p: int, q: int, model: CoefficientModel) -> tuple[BasisElement, ...]:

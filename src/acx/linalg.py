@@ -11,11 +11,14 @@ weight and a few percent dense, so the kernel finds pivots and the rows to
 update through the index and a row update only touches the nonzero entries
 of the pivot row.  A rank is its forward pass alone, or no pass when every
 nonzero row or every nonzero column holds one entry: the pattern decides it,
-and for one entry per row the reduced rows too.  A subspace is held by
+and the reduced rows too.  A subspace is held by
 a presentation, a constraint matrix (its kernel) or a generator matrix (its
 column span), and completed only as far as it is read: a dimension is a
 count or a rank, a containment is one product, and the canonical reduced
-rows are built only for callers that read coordinates.  A kernel is held by
+rows are built only for callers that read coordinates.  A dimension is
+attributed to ambient coordinates, one each, off the work that found it
+(`Subspace.coordinates`), so the dimension of a space graded by weight
+splits by weight by counting.  A kernel is held by
 its constraint alone, and its null basis is built on the first read of its
 generators.  Four exact identities spare the work of whole and zero spaces:
 an intersection whose cut has no entries is the generator-held space, the
@@ -367,15 +370,8 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
         n = la * la + lb * lb
         unit = la == 1 and not lb and ld == 1
         divide = forward and not unit
-        if not (unit or forward):
-            # the inverse, reduced once: (ia + ib*i)/id
-            ia, ib, id_ = la * ld, -lb * ld, n
-            g = gcd(ia, ib, id_)
-            ia, ib, id_ = ia // g, ib // g, id_ // g
-            for k, (va, vb, vd) in prow.items():
-                a, b, d = va * ia - vb * ib, va * ib + vb * ia, vd * id_
-                g = gcd(a, b, d)
-                prow[k] = (a // g, b // g, d // g)
+        if not forward:
+            rows[p] = prow = _divided(prow, prow[c])
         if len(holders) > 1:
             # every other entry of the pivot row lies right of c, so fill-in lands in columns
             # still to visit and index[c] is never read again
@@ -416,33 +412,82 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
     return pivots, rows, at, r
 
 
-def _spread(m: ExactMatrix, by_row: bool) -> set[int] | None:
-    """The columns m's entries lie in when every nonzero row holds one entry (by_row), or the rows
-    when every nonzero column does; None otherwise, after an O(1) test when m is denser than that."""
+def _one_per(m: ExactMatrix, by_row: bool) -> bool:
+    """Whether every nonzero row (by_row) or every nonzero column of m holds one entry: an O(1) no when
+    m is denser than that."""
     t = m.triples
-    if len(t) > (m.rows if by_row else m.cols):
-        return None
-    own = 0 if by_row else 1
-    if len({rc[own] for rc in t}) != len(t):
-        return None
-    return {rc[1 - own] for rc in t}
+    if by_row:
+        return len(t) <= m.rows and len({r for r, _ in t}) == len(t)
+    return len(t) <= m.cols and len({c for _, c in t}) == len(t)
+
+
+def _pattern_rank(m: ExactMatrix) -> int | None:
+    """The rank of m when every nonzero row (column) holds one entry: multiples of unit rows (columns) span as
+    many as they have distinct columns (rows); None otherwise."""
+    if _one_per(m, True):
+        return len({c for _, c in m.triples})
+    if _one_per(m, False):
+        return len({r for r, _ in m.triples})
+    return None
+
+
+def _independent(m: ExactMatrix, of_rows: bool) -> list[int]:
+    """A maximal independent set of m's rows (of_rows) or columns, as many as its rank: the pivot rows or
+    columns of the forward pass, or, when the pattern decides the rank, one row or column per distinct
+    column or row.  When m is graded by weight, it has as many of a weight as the rank of that block."""
+    t = m.triples
+    if _one_per(m, True):
+        return list({c: r for r, c in t}.values()) if of_rows else list({c for _, c in t})
+    if _one_per(m, False):
+        return list({r for r, _ in t}) if of_rows else list({r: c for r, c in t}.values())
+    pivots, _, at, r = _eliminate(m, forward=True)
+    return at[:r] if of_rows else pivots
 
 
 def _triple_rref(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
     """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as {column: triple} dicts.
 
     A matrix with no entries is not eliminated, nor is a full reduction of one whose every nonzero row
-    holds one entry: each such row is a multiple of a unit row, so the pivots are the distinct columns,
-    in order, the reduced rows their unit rows, and no row is left over.
+    or every nonzero column holds one entry.  One entry per row: each such row is a multiple of a unit
+    row, so the pivots are the distinct columns, in order, the reduced rows their unit rows, and no row
+    is left over.  One entry per column: the nonzero rows lie on disjoint columns, so each is a pivot
+    row at its first column, divided by its entry there, in the order of those columns.
     """
     if not m.triples:
         return [], [], []
-    if pivot_limit is None and not forward and (spread := _spread(m, True)) is not None:
-        pivots = sorted(spread)
-        return pivots, [{c: (1, 0, 1)} for c in pivots], []
+    if pivot_limit is None and not forward:
+        if _one_per(m, True):
+            pivots = sorted({c for _, c in m.triples})
+            return pivots, [{c: (1, 0, 1)} for c in pivots], []
+        if _one_per(m, False):
+            rows: dict[int, dict[int, Triple]] = {}
+            for (r, c), t in m.triples.items():
+                if r in rows:
+                    rows[r][c] = t
+                else:
+                    rows[r] = {c: t}
+            leads = sorted((min(row), r) for r, row in rows.items())
+            return [c for c, _ in leads], [_divided(rows[r], rows[r][c]) for c, r in leads], []
     pivots, rows, at, r = _eliminate(m, pivot_limit, forward)
     leftover = [rows[at[k]] for k in range(r, len(rows)) if rows[at[k]]]
     return pivots, [rows[at[k]] for k in range(r)], leftover
+
+
+def _divided(row: dict[int, Triple], lead: Triple) -> dict[int, Triple]:
+    """row / lead, entry by entry in its order, one gcd per entry; the row itself when lead is 1."""
+    la, lb, ld = lead
+    if la == 1 and not lb and ld == 1:
+        return row
+    # the inverse, reduced once: (ia + ib*i)/id = ld * conj(lead) / |lead|^2
+    ia, ib, id_ = la * ld, -lb * ld, la * la + lb * lb
+    g = gcd(ia, ib, id_)
+    ia, ib, id_ = ia // g, ib // g, id_ // g
+    out = {}
+    for k, (va, vb, vd) in row.items():
+        a, b, d = va * ia - vb * ib, va * ib + vb * ia, vd * id_
+        g = gcd(a, b, d)
+        out[k] = (a // g, b // g, d // g)
+    return out
 
 
 def _scalar_rows(rows: Iterable[dict[int, Triple]]) -> list[dict[int, Scalar]]:
@@ -470,7 +515,12 @@ def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
 
 
 def null_basis(m: ExactMatrix) -> ExactMatrix:
-    """A basis of ker(m) as the columns of a cols x nullity matrix, from one rref.
+    """A basis of ker(m) as the columns of a cols x nullity matrix, from one rref."""
+    return _null_basis(m)[0]
+
+
+def _null_basis(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
+    """null_basis(m) and the pivot columns of m.
 
     One vector per free column f: 1 at f, minus the f-column of the reduced
     rows at the pivots; every entry of a reduced row off its pivot lies in a
@@ -484,7 +534,7 @@ def null_basis(m: ExactMatrix) -> ExactMatrix:
             if f != p:
                 vectors[f][p] = (-a, -b, d)
     triples = {(c, j): t for j, vec in enumerate(vectors.values()) for c, t in vec.items()}
-    return ExactMatrix.unchecked(m.cols, len(vectors), triples)
+    return ExactMatrix.unchecked(m.cols, len(vectors), triples), pivots
 
 
 class Subspace:
@@ -501,21 +551,32 @@ class Subspace:
     twice.  Containment is one product, C @ G = 0.  `rows`, the reduced row
     echelon form of a basis, is canonical and built only when it (or
     `basis`) is read.
+
+    `coordinates` attributes `dim` to ambient coordinates, one each, off the
+    work that found it: the free columns of C, the independent rows of G,
+    or a coordinate of each vector of a basis G or reduced row.  When the
+    subspace is the sum of its weight parts, as every space made from
+    weight-preserving maps is, a weight holds as many of them as its part's
+    dimension.
     """
 
-    __slots__ = ("ambient_dim", "_constraint", "_generators", "_rows", "_dim")
+    __slots__ = ("ambient_dim", "_constraint", "_generators", "_rows", "_dim", "_coordinates", "_pivots")
 
     def __init__(self, *, constraint=None, generators=None, rows=None, dim=None):
         held = constraint if constraint is not None else rows
         self.ambient_dim = held.cols if held is not None else generators.rows
         self._constraint, self._generators, self._rows = constraint, generators, rows
         self._dim = rows.rows if rows is not None else dim
+        # _pivots: the independent columns of C that dim found, kept for coordinates
+        self._coordinates = self._pivots = None
 
     @property
     def constraint(self) -> ExactMatrix:
         if self._constraint is None:
-            self._constraint = null_basis(self.generators.transpose()).transpose()
-            self._dim = self.ambient_dim - self._constraint.rows
+            # the pivot columns of G^T are the independent rows of G
+            annihilator, self._coordinates = _null_basis(self.generators.transpose())
+            self._constraint = annihilator.transpose()
+            self._dim = len(self._coordinates)
         return self._constraint
 
     @property
@@ -528,14 +589,44 @@ class Subspace:
                 self._dim = self._generators.cols
         return self._generators
 
+    def _find_dim(self) -> None:
+        """dim off the pattern or one forward pass, whose pivot rows of G are kept as the coordinates and
+        whose pivot columns of C are kept for them."""
+        held = self._generators if self._generators is not None else self._constraint
+        r = _pattern_rank(held)
+        if r is None:
+            pivots, _, at, r = _eliminate(held, forward=True)
+            if held is self._generators:
+                self._coordinates = at[:r]
+            else:
+                self._pivots = pivots
+        self._dim = r if held is self._generators else self.ambient_dim - r
+
     @property
     def dim(self) -> int:
         if self._dim is None:
-            if self._generators is not None:
-                self._dim = rank(self._generators)
-            else:
-                self._dim = self.ambient_dim - rank(self._constraint)
+            self._find_dim()
         return self._dim
+
+    @property
+    def coordinates(self) -> list[int]:
+        """One ambient coordinate per dimension, built on first read: no elimination once dim is known."""
+        if self._coordinates is None:
+            # a reduced row or a basis vector lies in one weight: any column or row of its entries will do
+            if self._rows is not None:
+                self._coordinates = list({r: c for r, c in self._rows.triples}.values())
+            elif self._generators is not None and self._dim == self._generators.cols:
+                self._coordinates = list({c: r for r, c in self._generators.triples}.values())
+            else:
+                if self._dim is None:
+                    self._find_dim()
+                # a dim the pattern decided is read off it again, with no elimination
+                if self._coordinates is None and self._generators is not None:
+                    self._coordinates = _independent(self._generators, True)
+                elif self._coordinates is None:
+                    pivots = self._pivots if self._pivots is not None else _independent(self._constraint, False)
+                    self._coordinates = list(set(range(self.ambient_dim)).difference(pivots))
+        return self._coordinates
 
     @property
     def rows(self) -> ExactMatrix:
@@ -585,9 +676,9 @@ def zero_space(n: int) -> Subspace:
 
 def rank(m: ExactMatrix) -> int:
     """The number of pivots, from the forward pass of the elimination, or from the pattern when every nonzero
-    row (column) holds one entry: multiples of unit rows (columns) span as many as they have distinct columns (rows)."""
-    spread = _spread(m, True) or _spread(m, False)
-    return len(_eliminate(m, forward=True)[0]) if spread is None else len(spread)
+    row (column) holds one entry (_pattern_rank)."""
+    r = _pattern_rank(m)
+    return len(_eliminate(m, forward=True)[0]) if r is None else r
 
 
 def kernel(m: ExactMatrix) -> Subspace:

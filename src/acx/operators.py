@@ -139,8 +139,8 @@ def frame_blocks(frame: ComplexFrame) -> "FrameBlocks":
 
 
 def nijenhuis_rank(frame: ComplexFrame) -> int:
-    """Rank of mubar as a map from (1,0)-forms to (0,2)-forms."""
-    return linalg.rank(frame_blocks(frame).block("mubar", 1, 0))
+    """Rank of mubar as a map from (1,0)-forms to (0,2)-forms, computed once per frame (FrameBlocks.nijenhuis_rank)."""
+    return frame_blocks(frame).nijenhuis_rank()
 
 
 class FrameBlocks:
@@ -165,6 +165,11 @@ class FrameBlocks:
         dp, dq = SHIFTS[name]
         action = self.images(name)
         return invariant_matrix(self.n, lambda m: leibniz(action, ((m, (1, 0, 1)),)), p, q, p + dp, q + dq)
+
+    @memoized
+    def nijenhuis_rank(self) -> int:
+        """Rank of mubar from (1,0) to (0,2): validate and the maximal-Nijenhuis audit both read it."""
+        return linalg.rank(self.block("mubar", 1, 0))
 
     @memoized
     def images(self, name: str) -> GeneratorImages:

@@ -60,7 +60,7 @@ def test_criterion_03_unbounded_witnesses(kt4_session):
     assert got_21 == baseline_21
     assert all(a < b for a, b in zip(got_11, got_11[1:]))
     assert all(a < b for a, b in zip(got_21, got_21[1:]))
-    diamond = compute_diamond([(f"N={n}", [diamond_numbers(kt4_session.engine(n))]) for n in range(4)])
+    diamond = compute_diamond([(f"N={n}", diamond_numbers(kt4_session.engine(n)).values()) for n in range(4)])
     witnessed = {(w["theory"], w["cell"]) for w in diamond.as_dict()["unbounded_witnesses"]}
     assert {("refined", "1,1"), ("refined", "2,1")} <= witnessed
     report(3, "strict growth at (1,1) and (2,1) with frozen per-N baselines")

@@ -293,6 +293,25 @@ def test_check_nondegenerate_omega(kt4_session):
     assert out["top_wedge_coefficient"] == "1/2"
 
 
+def test_check_nondegenerate_refuses_a_sign_change(kt4_session):
+    """The corrected basis:2 form at N = 1 has no zero on the sample grid, but its top wedge is -24/25 at
+    (0, 0) and 24/25 at (0, 1/4): it changes sign between them, so it vanishes somewhere and the evidence
+    is degenerate, with both points and their values."""
+    eng = kt4_session.engine(1)
+    cert = solve_taming(eng, psi_from_selector(kt4_session, 1, "basis:2"))
+    assert cert.closed and cert.well_defined
+    witness = {
+        "sign_change": [
+            {"point": ["0", "0"], "top_wedge": "-24/25"},
+            {"point": ["0", "1/4"], "top_wedge": "24/25"},
+        ]
+    }
+    assert cert.nondegeneracy == {"kind": "degenerate", **witness}
+    with pytest.raises(DegenerateAtSample) as exc:
+        check_nondegenerate(eng, cert.omega_prime)
+    assert exc.value.witness == witness and exc.value.point == (0, Fraction(1, 4))
+
+
 def test_taming_well_definedness_two_pivot_orders(kt4_session):
     """The kernel of the correction system is nontrivial, yet both pivot
     orders give the same corrected form."""

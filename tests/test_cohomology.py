@@ -203,9 +203,10 @@ def test_per_weight_refined_sums(kt4_session):
 
 
 def whole_complex_diamond(session, truncations):
-    """The diamond of whole truncated complexes, one part per column: the sector path's oracle."""
+    """The diamond of whole truncated complexes, one engine per column (its parts are its shells): the
+    sector path's oracle."""
     return compute_diamond(
-        [(session.truncation_label(t), [diamond_numbers(session.engine(t))]) for t in truncations]
+        [(session.truncation_label(t), diamond_numbers(session.engine(t)).values()) for t in truncations]
     )
 
 
@@ -237,17 +238,20 @@ def test_sector_diamond_equals_whole_complex(kt4_session):
     for t in range(3):
         model = kt4_session.spec.coefficients.with_truncation(t)
         parts = [diamond_numbers(engine_on(kt4_session, sector_model(model, w))) for w in sectors(model)]
-        columns.append((kt4_session.truncation_label(t), parts))
+        columns.append((kt4_session.truncation_label(t), [shell for part in parts for shell in part.values()]))
     assert compute_diamond(columns).as_dict() == whole
 
 
 def test_shell_numbers_do_not_depend_on_truncation(kt4_session):
+    """Shells 0 and 1 have the same numbers from the run over shells 0..1, 0..2 and 0..4, which the
+    diamond splits in one engine, and from the runs over 0..3 and then 4 alone."""
     reached = {}
-    for n in (1, 2):
+    for n in (1, 2, 4):
         session = Session(kt4_session.spec)
         run("diamond", session, {"truncations": str(n)})
-        reached[n] = {s: session.shell_numbers(s) for s in (0, 1)}
-    assert reached[1] == reached[2]
+        reached[n] = {s: session.shell_numbers(n)[s] for s in (0, 1)}
+        assert list(session._run_numbers_cache) == ([(0, 3), (4, 4)] if n == 4 else [(0, n)])
+    assert reached[1] == reached[2] == reached[4]
 
 
 def test_sector_count(kt4_session):
@@ -275,7 +279,7 @@ def test_invariant_diamond_is_one_shell(torus_session, nil6_session):
         payload, code = run("diamond", session, {})
         assert code == 0
         assert payload["diamonds"] == whole_complex_diamond(base, [None]).as_dict()
-        assert list(session._shell_numbers_cache) == [(0,)] and sectors(base.spec.coefficients) == [()]
+        assert list(session._run_numbers_cache) == [(0, 0)] and sectors(base.spec.coefficients) == [()]
         # the diamond ran on the session's own engine, whose blocks later stages reuse
         assert session.engine().complex._block_cache
 

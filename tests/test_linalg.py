@@ -820,11 +820,11 @@ def test_kernel_is_one_rref(monkeypatch):
     calls = count_calls(monkeypatch, linalg, "_triple_rref")
     for name, m in kernel_cases():
         nullity = m.cols - len(linalg.rref(m)[0])
-        # a matrix with no entries is not eliminated at all, nor is the rank of one whose every nonzero
-        # row or column holds one entry, nor the full reduction of one whose every nonzero row does
-        by_row = one_entry_per(m, 0)
-        one_pass = [] if by_row or one_entry_per(m, 1) else [True]
-        one_full_pass = [] if by_row else [False]
+        # a matrix with no entries is not eliminated at all, nor are the rank and the full reduction
+        # of one whose every nonzero row or every nonzero column holds one entry
+        by_pattern = one_entry_per(m, 0) or one_entry_per(m, 1)
+        one_pass = [] if by_pattern else [True]
+        one_full_pass = [] if by_pattern else [False]
         calls.clear()
         passes.clear()
         k = kernel(m)
@@ -1043,3 +1043,61 @@ def test_lifts_and_totals_hold_only_checked_entries(kt4_session):
         for terms in IDENTITY_TERMS.values():
             total = cx.total(engine.block, terms, r)
             assert total == rechecked(total), r
+
+
+# ---------------------------------------------------------------------------
+# coordinates: a dimension attributed to ambient coordinates, split by block
+
+
+def block_diagonal(blocks):
+    """The block-diagonal matrix of the blocks, and the row and column block of each row and column."""
+    entries, row_block, col_block = {}, [], []
+    for k, b in enumerate(blocks):
+        r0, c0 = len(row_block), len(col_block)
+        entries.update({(r + r0, c + c0): v for (r, c), v in b.entries.items()})
+        row_block += [k] * b.rows
+        col_block += [k] * b.cols
+    return ExactMatrix(len(row_block), len(col_block), entries), row_block, col_block
+
+
+def per_block(coordinates, block_of, blocks: int) -> list[int]:
+    return [sum(1 for c in coordinates if block_of[c] == k) for k in range(blocks)]
+
+
+def test_coordinates_split_a_graded_space_by_block(monkeypatch):
+    """Every presentation of a kernel or an image of a block-diagonal matrix has as many coordinates in a
+    block as the dimension of its part there, and reading them after dim eliminates nothing."""
+    rng = random.Random(29)
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate")
+    for trial in range(12):
+        blocks = [rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), rng.choice((0.2, 0.5))) for _ in range(3)]
+        if trial % 3 == 0:
+            # a rank-deficient block: a repeated row
+            b = blocks[0]
+            first_row = {(0, c): v for (r, c), v in b.entries.items() if r == 0}
+            blocks[0] = ExactMatrix.vstack([b, ExactMatrix(1, b.cols, first_row)])
+        m, row_block, col_block = block_diagonal(blocks)
+        nullity = [b.cols - rank(b) for b in blocks]
+        ranks = [rank(b) for b in blocks]
+        spaces = []
+        k = kernel(m)
+        spaces.append((k, col_block, nullity))
+        basis_held = kernel(m)
+        basis_held.generators
+        spaces.append((basis_held, col_block, nullity))
+        spaces.append((Subspace(generators=linalg.null_basis(m), dim=sum(nullity)), col_block, nullity))
+        spaces.append((image(m), row_block, ranks))
+        annihilated = image(m)
+        annihilated.constraint
+        spaces.append((annihilated, row_block, ranks))
+        spaces.append((Subspace(rows=kernel(m).rows), col_block, nullity))
+        for space, block_of, want in spaces:
+            space.dim
+            eliminations.clear()
+            assert per_block(space.coordinates, block_of, len(blocks)) == want, trial
+            assert not eliminations, trial
+        # read before dim, the coordinates cost the one forward pass dim would, and set it
+        fresh = kernel(m)
+        eliminations.clear()
+        assert per_block(fresh.coordinates, col_block, len(blocks)) == nullity and len(eliminations) <= 1
+        assert fresh.dim == sum(nullity) and len(eliminations) <= 1

@@ -124,7 +124,7 @@ def reference_solve_taming(engine, psi):
     try:
         evidence = check_nondegenerate(engine, omega_prime)
     except DegenerateAtSample as exc:
-        evidence = {"kind": "degenerate", "sample_point": [str(x) for x in exc.point]}
+        evidence = {"kind": "degenerate", **exc.witness}
     return TamingCertificate(
         psi=psi,
         u=u,
