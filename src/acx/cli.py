@@ -367,13 +367,13 @@ class Session:
 
     @memoized
     def run_numbers(self, first: int, last: int) -> dict[int, dict]:
-        """diamond_numbers of one engine over shells first..last, computed once; the engine is dropped.
-
-        An invariant model is the one shell 0: its session engine, whose blocks later stages reuse.
+        """diamond_numbers of one engine over shells first..last, computed once; the engine is dropped,
+        unless shells 0..last are the box of truncation last (always, for an invariant model): that is
+        the session engine of the truncation, whose blocks later stages reuse.
         """
-        if self.spec.coefficients.kind == "invariant":
-            return diamond_numbers(self.engine())
         model = self.spec.coefficients.shell(first, last)
+        if model.kept is None:
+            return diamond_numbers(self._engine(model))
         return diamond_numbers(CohomologyEngine.of(self.frame, model, self.spec.metric))
 
 

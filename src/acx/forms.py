@@ -11,6 +11,7 @@ coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple
 
@@ -244,6 +245,9 @@ class CoefficientModel:
         return [a + 1 for a, row in enumerate(self.actions) if any(row)]
 
 
+INVARIANT = CoefficientModel.invariant()
+
+
 def shell_of(weight: tuple[int, ...]) -> int:
     """The truncation shell of a weight, max |w_a|; 0 for the invariant model's empty weight."""
     return max(map(abs, weight), default=0)
@@ -261,6 +265,13 @@ def enumerate_basis(n: int, p: int, q: int, model: CoefficientModel) -> tuple[Ba
             for a in antis:
                 out.append(BasisElement(w, h, a))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def invariant_basis(n: int, p: int, q: int) -> tuple[tuple[BasisElement, ...], dict[BasisElement, int]]:
+    """The invariant (p,q)-monomials and their index map, built once per (n, p, q); callers only read them."""
+    basis = enumerate_basis(n, p, q, INVARIANT)
+    return basis, {m: i for i, m in enumerate(basis)}
 
 
 GenAction = Mapping[tuple[str, int], Form]

@@ -9,19 +9,27 @@ components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .forms import BasisElement, Form
 from .linalg import ExactMatrix
-from .scalars import I, ONE, ZERO, Scalar, add_triples, from_fraction, rational, reduced
+from .scalars import I, ONE, ZERO, Scalar, add_triples, canonical, from_fraction, rational, reduced_triple
 
 # bidegree shifts of the components of d
 SHIFTS = {"mu": (2, -1), "partial": (1, 0), "dbar": (0, 1), "mubar": (-1, 2)}
+
+
+def _hash_once(self) -> int:
+    """A frozen dataclass's field hash, taken once: the frame layer's lru caches hash their arguments on every call."""
+    if "_hash" not in self.__dict__:
+        self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+    return self.__dict__["_hash"]
 
 
 class DegenerateJ(Exception):
@@ -38,6 +46,7 @@ class LieAlgebraSpec:
 
     dim: int
     brackets: tuple[tuple[int, int, int, Fraction], ...]
+    __hash__ = _hash_once
 
     @classmethod
     def from_entries(cls, dim: int, entries: Sequence[tuple[int, int, int, Fraction]]) -> "LieAlgebraSpec":
@@ -69,28 +78,6 @@ class LieAlgebraSpec:
         """The brackets with 0-based indices and each constant as numerator, denominator; converted once."""
         return tuple((i - 1, j - 1, k - 1, v.numerator, v.denominator) for (i, j, k, v) in self.brackets)
 
-    def bracket_complex(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Bilinear extension of the bracket to complexified vectors.
-
-        Each coordinate accumulates c (x_i y_j - x_j y_i) on unreduced (a, b, d) triples and is reduced once.
-        """
-        xt = [v.triple for v in x]
-        yt = [v.triple for v in y]
-        out: list = [None] * self.dim
-        for (i, j, k, cn, cd) in self._int_brackets:
-            xa, xb, xd = xt[i]
-            ya, yb, yd = yt[j]
-            ua, ub, ud = xt[j]
-            wa, wb, wd = yt[i]
-            x_i_y_j = (xa * ya - xb * yb, xa * yb + xb * ya, xd * yd)
-            minus_x_j_y_i = (ub * wb - ua * wa, -(ua * wb + ub * wa), ud * wd)
-            a, b, d = add_triples(x_i_y_j, minus_x_j_y_i)
-            if not (a or b):
-                continue
-            term = (a * cn, b * cn, d * cd)
-            out[k] = term if out[k] is None else add_triples(out[k], term)
-        return tuple(ZERO if t is None else reduced(*t) for t in out)
-
     def coframe_is_closed(self, index: int) -> bool:
         """Whether d e^index = 0, i.e. e_index never appears as a bracket target."""
         return all(k != index for (_, _, k, _) in self.brackets)
@@ -101,6 +88,7 @@ class AlmostComplexStructure:
     """A rational endomorphism J of the real algebra with J^2 = -1."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
+    __hash__ = _hash_once
 
     @property
     def dim(self) -> int:
@@ -138,6 +126,7 @@ class ComplexFrame:
     structure: AlmostComplexStructure
     z_vectors: tuple[tuple[Scalar, ...], ...]
     theta: tuple[tuple[Scalar, ...], ...]
+    __hash__ = _hash_once
 
     @property
     def n(self) -> int:
@@ -146,16 +135,10 @@ class ComplexFrame:
     def z_bar(self, r: int) -> tuple[Scalar, ...]:
         return tuple(v.conj() for v in self.z_vectors[r])
 
-    def theta_bar(self, r: int) -> tuple[Scalar, ...]:
-        return tuple(v.conj() for v in self.theta[r])
-
     def complex_frame_vector(self, a: int) -> tuple[Scalar, ...]:
         """W_a for a in [0, 2n): Z_1..Z_n then conjugates."""
         n = self.n
         return self.z_vectors[a] if a < n else self.z_bar(a - n)
-
-    def covector(self, kind: str, s: int) -> tuple[Scalar, ...]:
-        return self.theta[s - 1] if kind == "h" else self.theta_bar(s - 1)
 
 
 @lru_cache(maxsize=16)
@@ -229,33 +212,42 @@ def exterior_d_on_generators(frame: ComplexFrame) -> dict[tuple[str, int], Form]
 def _structure_equations(frame: ComplexFrame) -> tuple[tuple[tuple[str, int], tuple], ...]:
     """(generator, ((monomial, coefficient), ...)) of d on every coframe generator.
 
-    d(phi)(W_a, W_b) = -phi([W_a, W_b]): each bracket of a pair a < b of
-    complex frame vectors is computed once and paired with all 2n covectors;
-    each pairing accumulates on unreduced (a, b, d) triples and is reduced once.
+    d(theta^s)(W_a, W_b) = -theta^s([W_a, W_b]) with [W_a, W_b]^k = sum_{i<j}
+    c^k_ij (W_a^i W_b^j - W_a^j W_b^i), so theta^s([W_a, W_b]) is entry (s, (a, b))
+    of R = (Theta @ C) @ L: Theta holds the theta covectors, C the constants
+    c^k_ij in row k and column (i, j), and L is the second compound of the frame,
+    its entry ((i, j), (a, b)) the minor above; only the rows of L that Theta @ C
+    reaches are built.  As tbar^s = conj(theta^s), W_{n+a} = conj(W_a) and c is
+    real, the coefficient of d(tbar^s) on phi^a ^ phi^b is the conjugate of that
+    of d(theta^s) on the conjugate pair, negated when that pair reorders.
     """
     n = frame.n
     dim = 2 * n
-    vectors = [frame.complex_frame_vector(a) for a in range(dim)]
-    gens = [(kind, s) for kind in ("h", "a") for s in range(1, n + 1)]
-    covectors = [[v.triple for v in frame.covector(kind, s)] for kind, s in gens]
-    terms: list[list] = [[] for _ in gens]
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            bracket = [(k, x.triple) for k, x in enumerate(frame.algebra.bracket_complex(vectors[a], vectors[b])) if x]
-            if not bracket:
-                continue
-            mono = _pair_monomial(n, a, b)
-            for cov, out in zip(covectors, terms):
-                acc = None
-                for k, (xa, xb, xd) in bracket:
-                    ca, cb, cd = cov[k]
-                    if not (ca or cb):
-                        continue
-                    term = (ca * xa - cb * xb, ca * xb + cb * xa, cd * xd)
-                    acc = term if acc is None else add_triples(acc, term)
-                if acc is not None and (acc[0] or acc[1]):
-                    out.append((mono, reduced(-acc[0], -acc[1], acc[2])))
-    return tuple((gen, tuple(out)) for gen, out in zip(gens, terms))
+    pairs = list(combinations(range(dim), 2))
+    col = {pair: c for c, pair in enumerate(pairs)}
+    consts = {(k, col[(i, j)]): (cn, 0, cd) for (i, j, k, cn, cd) in frame.algebra._int_brackets}
+    theta = {(s, k): v.triple for s, row in enumerate(frame.theta) for k, v in enumerate(row) if v}
+    tc = ExactMatrix.unchecked(n, dim, theta) @ ExactMatrix.unchecked(dim, len(pairs), consts)
+    w = [[v.triple for v in frame.complex_frame_vector(a)] for a in range(dim)]
+    minors = {}
+    for r in {c for _, c in tc.triples}:
+        i, j = pairs[r]
+        for c, (a, b) in enumerate(pairs):
+            (pa, pb, pd), (qa, qb, qd), (ua, ub, ud), (va, vb, vd) = w[a][i], w[b][j], w[a][j], w[b][i]
+            t = add_triples((pa * qa - pb * qb, pa * qb + pb * qa, pd * qd), (ub * vb - ua * va, -ua * vb - ub * va, ud * vd))
+            if t[0] or t[1]:
+                minors[(r, c)] = reduced_triple(*t)
+    rows = (tc @ ExactMatrix.unchecked(len(pairs), len(pairs), minors)).triples
+    monos = [_pair_monomial(n, a, b) for a, b in pairs]
+    # pair (a, b) conjugates to (a + n, b + n) mod 2n: its column, and -1 where that pair reorders
+    conj = [(col[(a, b)], 1) if a < b else (col[(b, a)], -1) for a, b in (((a + n) % dim, (b + n) % dim) for a, b in pairs)]
+    holo, anti = [], []
+    for s in range(n):
+        row = [rows.get((s, c)) for c in range(len(pairs))]
+        holo.append((("h", s + 1), tuple((m, canonical(-t[0], -t[1], t[2])) for m, t in zip(monos, row) if t)))
+        bar = [(m, row[k], sign) for m, (k, sign) in zip(monos, conj)]
+        anti.append((("a", s + 1), tuple((m, canonical(-sign * t[0], sign * t[1], t[2])) for m, t, sign in bar if t)))
+    return tuple(holo + anti)
 
 
 def split_d(differentials: dict[tuple[str, int], Form]) -> dict[str, dict[tuple[str, int], Form]]:
@@ -321,9 +313,11 @@ def validate_model(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> V
         diffs = exterior_d_on_generators(frame)
         from .forms import GeneratorImages, leibniz
 
-        # d(d theta) on triples: a generator fails when the Leibniz rule leaves a nonzero coefficient
+        # d(d theta) on triples: a generator fails when the Leibniz rule leaves a nonzero coefficient;
+        # d(d tbar^s) is the conjugate of d(d theta^s), as the structure equations are, so it fails with it
         gen_action = GeneratorImages(diffs)
-        failures = [gen for gen, dgen in diffs.items() if leibniz(gen_action, dgen.triples().items())]
+        failing = [s for s in range(1, frame.n + 1) if leibniz(gen_action, diffs[("h", s)].triples().items())]
+        failures = [(kind, s) for kind in ("h", "a") for s in failing]
         checks.append(
             ValidationCheck(
                 "jacobi-via-d-squared",

@@ -17,10 +17,10 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import linalg
-from .forms import BasisElement, Form, conjugate_element, enumerate_basis, wedge_elements, with_weight_rank
+from .forms import BasisElement, Form, conjugate_element, invariant_basis, wedge_elements, with_weight_rank
 from .lie import SHIFTS
 from .linalg import ExactMatrix
-from .operators import INVARIANT, FormComplex, invariant_matrix, memoized
+from .operators import FormComplex, invariant_matrix, memoized
 from .scalars import I, ONE, ZERO, Scalar, Triple, add_triples, canonical, integer, mul_triples, rational, reduced_triple
 
 HALF_I = rational(1, 2) * I
@@ -159,7 +159,7 @@ class PointwiseMetric:
         return self.invariant("star", p, q)
 
     def _monomials(self, p: int, q: int) -> tuple[BasisElement, ...]:
-        return enumerate_basis(self.n, p, q, INVARIANT)
+        return invariant_basis(self.n, p, q)[0]
 
     @cached_property
     def _minors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Triple]:
@@ -198,8 +198,8 @@ class PointwiseMetric:
         indices = range(1, n + 1)
         src = self._monomials(p, q)
         probe = self._monomials(q, p)
-        tgt_index = {m: i for i, m in enumerate(self._monomials(n - q, n - p))}
-        probe_index = {m: i for i, m in enumerate(probe)}
+        tgt_index = invariant_basis(n, n - q, n - p)[1]
+        probe_index = invariant_basis(n, q, p)[1]
         # per probe: (target row of its complement, sign of phi ^ complement)
         pairing = []
         for phi in probe:

@@ -30,6 +30,7 @@ from .forms import (  # extend_derivation is not called here: bench/tracer.py wr
     InconsistentModel,
     enumerate_basis,
     extend_derivation,
+    invariant_basis,
     leibniz,
 )
 from .lie import SHIFTS, ComplexFrame, exterior_d_on_generators, split_d
@@ -87,9 +88,6 @@ def _dot(row, vec) -> Scalar:
     return acc
 
 
-INVARIANT = CoefficientModel.invariant()
-
-
 def memoized(method):
     """A method computed once per object and positional argument tuple.
 
@@ -120,8 +118,7 @@ def invariant_matrix(n: int, image: Callable[[BasisElement], dict], p: int, q: i
     image is not called; an image component off (tp,tq) is a bidegree fault
     and raises AssertionError.
     """
-    src = enumerate_basis(n, p, q, INVARIANT)
-    tgt = {m: i for i, m in enumerate(enumerate_basis(n, tp, tq, INVARIANT))}
+    src, tgt = invariant_basis(n, p, q)[0], invariant_basis(n, tp, tq)[1]
     triples = {}
     for col, elt in enumerate(src if tgt else ()):
         for e, t in image(elt).items():
@@ -461,10 +458,10 @@ class FormComplex:
                 columns: dict[int, dict[BasisElement, Triple]] = {}
                 for name in DIFFERENTIALS:
                     dp, dq = SHIFTS[name]
-                    target = enumerate_basis(self.n, p + dp, q + dq, INVARIANT)
+                    target = invariant_basis(self.n, p + dp, q + dq)[0]
                     for (r, c), t in frame.block(name, p, q).triples.items():
                         columns.setdefault(c, {})[target[r]] = t
-                for col, elt in enumerate(enumerate_basis(self.n, p, q, INVARIANT)):
+                for col, elt in enumerate(invariant_basis(self.n, p, q)[0]):
                     if leibniz(images, ((elt, (1, 0, 1)),)) != columns.get(col, {}):
                         recon_fail.append((p, q))
                         break

@@ -172,6 +172,19 @@ def test_parse_errors(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["fatal"]["type"] == "ValidationError"
     assert not built
 
+
+def test_report_builds_each_complex_once(monkeypatch, capsys):
+    """The diamond's run of shells 0..3 is the box of truncation 3, so report's diamond and verify
+    stages share that box's engine: every complex of the report, box or weight sector, is built once."""
+    built = []
+    init = FormComplex.__init__
+    monkeypatch.setattr(FormComplex, "__init__", lambda cx, frame, model: built.append(model) or init(cx, frame, model))
+    assert main(["report", bundled_manifest_path("kt4"), "--truncations", "0,1,2,3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["diamonds"]["labels"] == ["N=0", "N=1", "N=2", "N=3"]
+    assert sorted(m.truncation for m in built if m.kept is None) == [0, 1, 2, 3]
+    assert len(set(built)) == len(built)
+
+
 def test_report_validates_the_model_once(monkeypatch, capsys):
     """Parse time and the report's validation section share one Jacobi d(d theta) check."""
     from acx import forms, lie
@@ -187,8 +200,8 @@ def test_report_validates_the_model_once(monkeypatch, capsys):
     lie.validate_model.cache_clear()
     assert main(["report", bundled_manifest_path("kt4"), "--truncations", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["validation"]["passed"]
-    # one d(d theta) per coframe generator of the 4-dimensional model
-    assert len(calls) == 4
+    # one d(d theta) per theta generator of the 4-dimensional model; each d(d tbar) is its conjugate
+    assert len(calls) == 2
 
 
 def test_diamond_extends_derivations_on_invariant_monomials_only(monkeypatch, capsys):

@@ -18,10 +18,10 @@ import pytest
 
 from acx import forms, lie, linalg, metric, operators, scalars
 from acx.cli import parse_manifest
-from acx.forms import BasisElement, Form, enumerate_basis
+from acx.forms import INVARIANT, BasisElement, Form, enumerate_basis
 from acx.linalg import ExactMatrix
 from acx.metric import PointwiseMetric
-from acx.operators import DIFFERENTIALS, INVARIANT, FormComplex, FrameBlocks, frame_blocks
+from acx.operators import DIFFERENTIALS, FormComplex, FrameBlocks, frame_blocks
 from acx.scalars import Scalar, rational
 
 from conftest import bundled_manifest_path, sweep_sessions

@@ -1,14 +1,18 @@
-"""Work-count pin: eliminations, products and sums over the benchmark's seed-0 jobs.
+"""Work-count pin: eliminations, products, sums, Leibniz calls and invariant bases over the benchmark's seed-0 jobs.
 
 Each workload's jobs (bench/workloads.py: the kt4 diamond scan at N = 0..3,
 the three kt4-verify jobs and the reports of the seed-0 sweep models) run
 through the CLI in a fresh interpreter, so no process-wide cache starts warm,
-with every linalg._eliminate, ExactMatrix.__matmul__ and ExactMatrix.__add__
-call counted.  A count may fall; a rise means a path does work it did not do
-before, such as a kernel basis built for a reader that only wants its
-dimension, a rank the sparsity pattern decides sent to elimination, a
-Fourier block summed from separate lifts, or a diamond that builds one
-engine per truncation shell where a run of shells shares one.
+with every linalg._eliminate, ExactMatrix.__matmul__, ExactMatrix.__add__ and
+forms.leibniz call counted, and every monomial basis of the invariant model
+that enumerate_basis builds.  An elimination is a repeat when the same matrix,
+by its shape and entries, was eliminated before in the same CLI call.  A
+count may fall; a rise means a path does work it did not do before, such as a
+kernel basis built for a reader that only wants its dimension, a rank the
+sparsity pattern decides sent to elimination, a Fourier block summed from
+separate lifts, a diamond that builds one engine per truncation shell where a
+run of shells shares one, or an invariant basis rebuilt for each reader.  The
+frame's structure equations are two products, so every frame adds two.
 """
 
 import json
@@ -19,12 +23,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (eliminations, products, additions) of one pass
+# (eliminations, products, additions, leibniz calls, invariant bases, repeated eliminations) of one pass
 PINNED = {
-    "kt4-diamond-scan": (9, 56, 0),
-    "kt4-verify": (16, 255, 23),
-    "random-rational-sweep": (237, 439, 4),
+    "kt4-diamond-scan": (9, 58, 0, 32, 24, 0),
+    "kt4-verify": (16, 257, 23, 48, 25, 0),
+    "random-rational-sweep": (237, 449, 4, 801, 134, 19),
 }
+KINDS = ("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats")
 
 COUNTER = r"""
 import contextlib, io, json, sys
@@ -33,15 +38,20 @@ from pathlib import Path
 root, workload, workdir = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
 sys.path[:0] = [str(root / "src"), str(root / "bench")]
 import workloads
-from acx import cli, linalg
+from acx import cli, forms, linalg, operators
 
-counts = {"eliminations": 0, "products": 0, "additions": 0, "codes": []}
+counts = dict.fromkeys(("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats"), 0)
+counts["codes"] = []
 eliminate, matmul, add = linalg._eliminate, linalg.ExactMatrix.__matmul__, linalg.ExactMatrix.__add__
+eliminated = set()
 
 
-def counted_eliminate(*args, **kwargs):
+def counted_eliminate(m, *args, **kwargs):
     counts["eliminations"] += 1
-    return eliminate(*args, **kwargs)
+    content = (m.rows, m.cols, frozenset(m.triples.items()))
+    counts["repeats"] += content in eliminated
+    eliminated.add(content)
+    return eliminate(m, *args, **kwargs)
 
 
 def counted_matmul(a, b):
@@ -54,9 +64,21 @@ def counted_add(a, b):
     return add(a, b)
 
 
+def counting(kind, function, counted=lambda *args: True):
+    def wrapper(*args):
+        counts[kind] += counted(*args)
+        return function(*args)
+    return wrapper
+
+
 linalg._eliminate = counted_eliminate
 linalg.ExactMatrix.__matmul__, linalg.ExactMatrix.__add__ = counted_matmul, counted_add
+# operators binds both by name; lie and invariant_basis read them off forms when called
+for module in (forms, operators):
+    module.leibniz = counting("leibniz", module.leibniz)
+    module.enumerate_basis = counting("invariant_bases", module.enumerate_basis, lambda n, p, q, m: m.kind == "invariant")
 for job in workloads.prepare(workload, 0, root, workdir)["jobs"]:
+    eliminated.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         counts["codes"].append(cli.main(job))
 print(json.dumps(counts))
@@ -75,9 +97,8 @@ def count_work(workload: str, workdir: Path) -> dict:
 
 
 def test_bench_jobs_do_no_more_work_than_pinned(tmp_path):
-    for workload, (eliminations, products, additions) in PINNED.items():
+    for workload, pinned in PINNED.items():
         counts = count_work(workload, tmp_path)
         assert counts["codes"] and not any(counts["codes"]), (workload, counts)
-        assert counts["eliminations"] <= eliminations, (workload, counts)
-        assert counts["products"] <= products, (workload, counts)
-        assert counts["additions"] <= additions, (workload, counts)
+        for kind, ceiling in zip(KINDS, pinned):
+            assert counts[kind] <= ceiling, (workload, kind, counts)
