@@ -1,6 +1,9 @@
 """Every cohomology dimension of the model, from assembled operator blocks.
 
-All quotients are computed as exact subspace dimensions over Q(i).  Matrices
+All quotients are computed as exact subspace dimensions over Q(i), and so is
+a harmonic number where dbar and mu compose to zero on its cell: ker/im,
+metric-free (harmonic_terms); elsewhere it is the Gram-weighted system's
+nullity.  Matrices
 are realified over Q only in the taming correction system and where a
 certificate prints real coordinates; a real dimension or a real subspace
 equality is read off complex ranks and kernels when conjugation preserves the
@@ -40,6 +43,8 @@ class CohomologyEngine:
         self.complex = complex_
         self.hermitian = hermitian
         self.n = complex_.n
+        # (chain, p, q) -> whether it composes to zero, for each chain _kernel_of built; the matrices are not kept
+        self._vanishing: dict[tuple, bool] = {}
 
     @classmethod
     def of(cls, frame: ComplexFrame, model: CoefficientModel, metric: HermitianMetric) -> "CohomologyEngine":
@@ -105,7 +110,14 @@ class CohomologyEngine:
 
     def _kernel_of(self, *chains, p: int, q: int) -> Subspace:
         """The common kernel of operator chains on the (p,q) block: the kernel of their stack."""
-        return linalg.kernel(ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains]))
+        blocks = [compose(self.block, chain, p, q) for chain in chains]
+        self._vanishing.update(((tuple(chain), p, q), not m.triples) for chain, m in zip(chains, blocks))
+        return linalg.kernel(ExactMatrix.vstack(blocks))
+
+    def vanishes(self, names: tuple, p: int, q: int) -> bool:
+        """Whether the chain composes to zero on (p,q): a_dol's dbar.dbar and mu.dbar answer the harmonic guard."""
+        known = self._vanishing.get((names, p, q))
+        return not compose(self.block, names, p, q).triples if known is None else known
 
     @memoized
     def op_image_into(self, name: str, p: int, q: int) -> Subspace:
@@ -279,9 +291,32 @@ class CohomologyEngine:
         system = self._harmonic_system(deltas, p, q)
         return system.cols - linalg.rank(system)
 
+    def harmonic_terms(self, p: int, q: int) -> list[tuple] | None:
+        """ell's (sign, space, blocks) terms, dim K - dim I, where dbar and mu compose to zero on (p,q); else None.
+
+        K = ker(dbar, mu out of (p,q)), I = im(dbar, mu into (p,q)), and the guard
+        K.constraint @ I.generators = 0 is read block by block off the composites,
+        whose verdicts a_dol shares (vanishes).  Then I lies in K and
+        ker dbar^* ^ ker mu^* = I^perp for the positive-definite Gram pairing, so
+        the harmonic space K ^ I^perp is I's complement in K.  Only blocks with
+        entries are stacked (dbar's stands for none), so a one-block K or I reads
+        its memoized block's forward pass.
+        """
+        cx = self.complex
+        source = {a: (p - SHIFTS[a][0], q - SHIFTS[a][1]) for a in ("dbar", "mu")}
+        outs = [b for b in ("dbar", "mu") if cx.block(b, p, q).triples]
+        ins = [a for a, (sp, sq) in source.items() if cx.valid_bidegree(sp, sq) and cx.block(a, sp, sq).triples]
+        if not all(self.vanishes((b, a), *source[a]) for b in outs for a in ins):
+            return None
+        terms = [(1, self._kernel_of(*([b] for b in outs or ["dbar"]), p=p, q=q), ((p, q),))]
+        if ins:
+            terms.append((-1, linalg.sum_spaces([self.op_image_into(a, p, q) for a in ins]), ((p, q),)))
+        return terms
+
     @memoized
     def ell(self, p: int, q: int) -> int:
-        return self.harmonic_dim(("dbar", "mu"), p, q)
+        terms = self.harmonic_terms(p, q)
+        return self.harmonic_dim(("dbar", "mu"), p, q) if terms is None else sum(sign * space.dim for sign, space, _ in terms)
 
     # -- real structure ------------------------------------------------------------------------
 
@@ -491,7 +526,8 @@ def _graded_terms(engine: CohomologyEngine):
             cell = ((p, q),)
             yield ("refined", (p, q)), _quotient(engine.refined_parts(p, q), cell)
             yield ("spectral", (p, q)), _quotient(engine.dolbeault_cw_parts(p, q), cell)
-            yield ("harmonic", (p, q)), [(1, engine.harmonic_space(("dbar", "mu"), p, q), cell)]
+            harmonic = engine.harmonic_terms(p, q)
+            yield ("harmonic", (p, q)), harmonic or [(1, engine.harmonic_space(("dbar", "mu"), p, q), cell)]
     for r in range(2 * n + 1):
         terms = [(1, engine.d_kernel(r), tuple(cx.total_blocks(r)))]
         if r:

@@ -310,13 +310,14 @@ def validate_model(spec: LieAlgebraSpec, structure: AlmostComplexStructure) -> V
 
     if j_ok and spec.dim % 2 == 0:
         frame = build_frame(spec, structure)
-        diffs = exterior_d_on_generators(frame)
-        from .forms import GeneratorImages, leibniz
+        from .forms import leibniz
+        from .operators import frame_blocks
 
         # d(d theta) on triples: a generator fails when the Leibniz rule leaves a nonzero coefficient;
-        # d(d tbar^s) is the conjugate of d(d theta^s), as the structure equations are, so it fails with it
-        gen_action = GeneratorImages(diffs)
-        failing = [s for s in range(1, frame.n + 1) if leibniz(gen_action, diffs[("h", s)].triples().items())]
+        # d(d tbar^s) is the conjugate of d(d theta^s), as the structure equations are, so it fails with it.
+        # The frame's FrameBlocks holds the equations and their converted images once per frame
+        blocks = frame_blocks(frame)
+        failing = [s for s in range(1, frame.n + 1) if leibniz(blocks.images("d"), blocks.structure[("h", s)].triples().items())]
         failures = [(kind, s) for kind in ("h", "a") for s in failing]
         checks.append(
             ValidationCheck(

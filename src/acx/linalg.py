@@ -76,10 +76,11 @@ class ExactMatrix:
     triples is the one store of the entries: {(r, c): (a, b, d)} with every
     (a + b*i)/d canonical and nonzero.  entries is a {(r, c): Scalar} view
     of it, built on each read and never kept, for callers that read values.
-    A matrix is not changed after construction.
+    A matrix is not changed after construction, so the forward pass of its
+    elimination is run at most once (_forward).
     """
 
-    __slots__ = ("rows", "cols", "triples")
+    __slots__ = ("rows", "cols", "triples", "_forward_pass")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         """The matrix with the given {(r, c): Scalar} entries; zeros are dropped, positions are checked."""
@@ -159,6 +160,12 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # an identity factor gives the other; shape, entry count and the (0, 0) entry rule out nearly any other in O(1)
+        for a, b in ((self, other), (other, self)):
+            t = a.triples
+            if a.rows == a.cols == len(t) and t.get((0, 0), (1, 0, 1)) == (1, 0, 1):
+                if all(x == (1, 0, 1) and r == c for (r, c), x in t.items()):
+                    return b
         if not (self.triples and other.triples):
             return ExactMatrix.unchecked(self.rows, other.cols, {})
         # the right factor grouped by row: {k: [(c, a, b, d), ...]}
@@ -227,6 +234,9 @@ class ExactMatrix:
 
     @staticmethod
     def vstack(blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
+        """The blocks one above the other; a stack of one block is that block."""
+        if len(blocks) == 1:
+            return blocks[0]
         if not blocks:
             return ExactMatrix(0, 0)
         cols = blocks[0].cols
@@ -412,6 +422,15 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
     return pivots, rows, at, r
 
 
+def _forward(m: ExactMatrix) -> tuple[list[int], list[int]]:
+    """(pivot columns, pivot rows) of m's forward pass, run once per matrix: its rank, kernel and image share it."""
+    done = getattr(m, "_forward_pass", None)
+    if done is None:
+        pivots, _, at, r = _eliminate(m, forward=True)
+        m._forward_pass = done = (pivots, at[:r])
+    return done
+
+
 def _one_per(m: ExactMatrix, by_row: bool) -> bool:
     """Whether every nonzero row (by_row) or every nonzero column of m holds one entry: an O(1) no when
     m is denser than that."""
@@ -440,8 +459,8 @@ def _independent(m: ExactMatrix, of_rows: bool) -> list[int]:
         return list({c: r for r, c in t}.values()) if of_rows else list({c for _, c in t})
     if _one_per(m, False):
         return list({r for r, _ in t}) if of_rows else list({r: c for r, c in t}.values())
-    pivots, _, at, r = _eliminate(m, forward=True)
-    return at[:r] if of_rows else pivots
+    pivots, rows = _forward(m)
+    return rows if of_rows else pivots
 
 
 def _triple_rref(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
@@ -560,15 +579,14 @@ class Subspace:
     dimension.
     """
 
-    __slots__ = ("ambient_dim", "_constraint", "_generators", "_rows", "_dim", "_coordinates", "_pivots")
+    __slots__ = ("ambient_dim", "_constraint", "_generators", "_rows", "_dim", "_coordinates")
 
     def __init__(self, *, constraint=None, generators=None, rows=None, dim=None):
         held = constraint if constraint is not None else rows
         self.ambient_dim = held.cols if held is not None else generators.rows
         self._constraint, self._generators, self._rows = constraint, generators, rows
         self._dim = rows.rows if rows is not None else dim
-        # _pivots: the independent columns of C that dim found, kept for coordinates
-        self._coordinates = self._pivots = None
+        self._coordinates = None
 
     @property
     def constraint(self) -> ExactMatrix:
@@ -589,23 +607,14 @@ class Subspace:
                 self._dim = self._generators.cols
         return self._generators
 
-    def _find_dim(self) -> None:
-        """dim off the pattern or one forward pass, whose pivot rows of G are kept as the coordinates and
-        whose pivot columns of C are kept for them."""
-        held = self._generators if self._generators is not None else self._constraint
-        r = _pattern_rank(held)
-        if r is None:
-            pivots, _, at, r = _eliminate(held, forward=True)
-            if held is self._generators:
-                self._coordinates = at[:r]
-            else:
-                self._pivots = pivots
-        self._dim = r if held is self._generators else self.ambient_dim - r
-
     @property
     def dim(self) -> int:
         if self._dim is None:
-            self._find_dim()
+            # a rank off the pattern or the one forward pass the held matrix keeps, which coordinates reread
+            held = self._generators if self._generators is not None else self._constraint
+            r = _pattern_rank(held)
+            r = len(_forward(held)[0]) if r is None else r
+            self._dim = r if held is self._generators else self.ambient_dim - r
         return self._dim
 
     @property
@@ -617,15 +626,10 @@ class Subspace:
                 self._coordinates = list({r: c for r, c in self._rows.triples}.values())
             elif self._generators is not None and self._dim == self._generators.cols:
                 self._coordinates = list({c: r for r, c in self._generators.triples}.values())
+            elif self._generators is not None:
+                self._coordinates = _independent(self._generators, True)
             else:
-                if self._dim is None:
-                    self._find_dim()
-                # a dim the pattern decided is read off it again, with no elimination
-                if self._coordinates is None and self._generators is not None:
-                    self._coordinates = _independent(self._generators, True)
-                elif self._coordinates is None:
-                    pivots = self._pivots if self._pivots is not None else _independent(self._constraint, False)
-                    self._coordinates = list(set(range(self.ambient_dim)).difference(pivots))
+                self._coordinates = list(set(range(self.ambient_dim)).difference(_independent(self._constraint, False)))
         return self._coordinates
 
     @property
@@ -678,7 +682,7 @@ def rank(m: ExactMatrix) -> int:
     """The number of pivots, from the forward pass of the elimination, or from the pattern when every nonzero
     row (column) holds one entry (_pattern_rank)."""
     r = _pattern_rank(m)
-    return len(_eliminate(m, forward=True)[0]) if r is None else r
+    return len(_forward(m)[0]) if r is None else r
 
 
 def kernel(m: ExactMatrix) -> Subspace:

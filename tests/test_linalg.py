@@ -1101,3 +1101,50 @@ def test_coordinates_split_a_graded_space_by_block(monkeypatch):
         eliminations.clear()
         assert per_block(fresh.coordinates, col_block, len(blocks)) == nullity and len(eliminations) <= 1
         assert fresh.dim == sum(nullity) and len(eliminations) <= 1
+
+
+def dense_product(a, b):
+    """a @ b summed entry by entry over Scalars."""
+    out = {}
+    for (r, k), x in a.entries.items():
+        for (k2, c), y in b.entries.items():
+            if k == k2:
+                out[(r, c)] = out.get((r, c), ZERO) + x * y
+    return ExactMatrix(a.rows, b.cols, out)
+
+
+def test_an_identity_factor_gives_the_other_factor():
+    """A product with an identity factor is the other factor itself; a matrix that only looks like one (a
+    scaled, moved or missing diagonal entry, a permutation) is multiplied."""
+    rng = random.Random(32)
+    for rows, cols in ((0, 3), (3, 0), (1, 1), (4, 6), (6, 4), (5, 5)):
+        m = rand_matrix(rng, rows, cols, 0.5)
+        assert (ExactMatrix.identity(rows) @ m) is m and (m @ ExactMatrix.identity(cols)) is m
+    n = 5
+    identity = ExactMatrix.identity(n).entries
+    near = [
+        {**identity, (2, 2): integer(2)},
+        {**identity, (2, 2): I},
+        {k: v for k, v in identity.items() if k != (3, 3)},
+        {**{k: v for k, v in identity.items() if k != (3, 3)}, (3, 4): ONE},
+        {(i, (i + 1) % n): ONE for i in range(n)},
+    ]
+    for entries in near:
+        lookalike, m = ExactMatrix(n, n, entries), rand_matrix(rng, n, n, 0.6)
+        for a, b in ((lookalike, m), (m, lookalike)):
+            product = a @ b
+            assert product is not a and product is not b and product == dense_product(a, b)
+
+
+def test_a_matrix_runs_one_forward_pass(monkeypatch):
+    """The rank, the kernel's and the image's dimensions and coordinates of one matrix share one forward pass."""
+    calls = count_calls(monkeypatch, linalg, "_eliminate")
+    for name, m in kernel_cases():
+        if one_entry_per(m, 0) or one_entry_per(m, 1):
+            continue
+        calls.clear()
+        k, g = kernel(m), image(m)
+        r = rank(m)
+        assert k.dim == m.cols - r and g.dim == r, name
+        assert len(k.coordinates) == k.dim and len(g.coordinates) == r, name
+        assert len(calls) == 1, name

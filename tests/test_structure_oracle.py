@@ -20,6 +20,7 @@ from acx import lie
 from acx.cli import ParseError, ValidationError, manifest_from_dict
 from acx.forms import Form, GeneratorImages, InconsistentModel, leibniz
 from acx.metric import NotPositive
+from acx.operators import frame_blocks
 
 from conftest import sweep_sessions
 from test_fuzz import BASES, CASES_PER_BASE, SEEDS, _load, mutate
@@ -69,8 +70,10 @@ def test_structure_equations_match_reference_on_models_and_random_frames(kt4_ses
 
 def test_structure_equations_match_reference_on_fuzzed_manifests(monkeypatch):
     """Every frame whose structure equations the 300 mutated manifests of test_fuzz reach at parse,
-    also where validation then refuses the model."""
+    also where validation then refuses the model.  validate_model reads them through frame_blocks, so
+    both caches start empty."""
     lie.validate_model.cache_clear()
+    frame_blocks.cache_clear()
     frames = []
     build = lie._structure_equations
     monkeypatch.setattr(lie, "_structure_equations", lambda frame: frames.append(frame) or build(frame))

@@ -1,18 +1,21 @@
-"""Work-count pin: eliminations, products, sums, Leibniz calls and invariant bases over the benchmark's seed-0 jobs.
+"""Work-count pin: eliminations, products, sums, Leibniz calls, invariant bases and Gram systems over the
+benchmark's seed-0 jobs.
 
 Each workload's jobs (bench/workloads.py: the kt4 diamond scan at N = 0..3,
 the three kt4-verify jobs and the reports of the seed-0 sweep models) run
 through the CLI in a fresh interpreter, so no process-wide cache starts warm,
 with every linalg._eliminate, ExactMatrix.__matmul__, ExactMatrix.__add__ and
-forms.leibniz call counted, and every monomial basis of the invariant model
-that enumerate_basis builds.  An elimination is a repeat when the same matrix,
+forms.leibniz call counted, every monomial basis of the invariant model
+that enumerate_basis builds, and every Gram-weighted harmonic system
+(CohomologyEngine._harmonic_system) built.  An elimination is a repeat when the same matrix,
 by its shape and entries, was eliminated before in the same CLI call.  A
 count may fall; a rise means a path does work it did not do before, such as a
 kernel basis built for a reader that only wants its dimension, a rank the
 sparsity pattern decides sent to elimination, a Fourier block summed from
 separate lifts, a diamond that builds one engine per truncation shell where a
-run of shells shares one, or an invariant basis rebuilt for each reader.  The
-frame's structure equations are two products, so every frame adds two.
+run of shells shares one, an invariant basis rebuilt for each reader, or a
+harmonic number ranked off the Gram system on a cell where dbar and mu compose
+to zero.  The frame's structure equations are two products, so every frame adds two.
 """
 
 import json
@@ -23,13 +26,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (eliminations, products, additions, leibniz calls, invariant bases, repeated eliminations) of one pass
+# (eliminations, products, additions, leibniz calls, invariant bases, repeated eliminations, Gram systems) of one pass
 PINNED = {
-    "kt4-diamond-scan": (9, 58, 0, 32, 24, 0),
-    "kt4-verify": (16, 257, 23, 48, 25, 0),
-    "random-rational-sweep": (237, 449, 4, 801, 134, 19),
+    "kt4-diamond-scan": (9, 55, 0, 32, 24, 0, 3),
+    "kt4-verify": (16, 257, 23, 48, 25, 0, 11),
+    "random-rational-sweep": (221, 391, 4, 801, 134, 18, 0),
 }
-KINDS = ("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats")
+KINDS = ("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats", "gram_systems")
 
 COUNTER = r"""
 import contextlib, io, json, sys
@@ -38,9 +41,9 @@ from pathlib import Path
 root, workload, workdir = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
 sys.path[:0] = [str(root / "src"), str(root / "bench")]
 import workloads
-from acx import cli, forms, linalg, operators
+from acx import cli, cohomology, forms, linalg, operators
 
-counts = dict.fromkeys(("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats"), 0)
+counts = dict.fromkeys(("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats", "gram_systems"), 0)
 counts["codes"] = []
 eliminate, matmul, add = linalg._eliminate, linalg.ExactMatrix.__matmul__, linalg.ExactMatrix.__add__
 eliminated = set()
@@ -77,6 +80,7 @@ linalg.ExactMatrix.__matmul__, linalg.ExactMatrix.__add__ = counted_matmul, coun
 for module in (forms, operators):
     module.leibniz = counting("leibniz", module.leibniz)
     module.enumerate_basis = counting("invariant_bases", module.enumerate_basis, lambda n, p, q, m: m.kind == "invariant")
+cohomology.CohomologyEngine._harmonic_system = counting("gram_systems", cohomology.CohomologyEngine._harmonic_system)
 for job in workloads.prepare(workload, 0, root, workdir)["jobs"]:
     eliminated.clear()
     with contextlib.redirect_stdout(io.StringIO()):
