@@ -463,6 +463,16 @@ def _independent(m: ExactMatrix, of_rows: bool) -> list[int]:
     return rows if of_rows else pivots
 
 
+def product_vanishes(a: ExactMatrix, b: ExactMatrix) -> bool:
+    """Whether a @ b = 0, decided on its core, a's independent rows times b's independent columns
+    (_independent, off the pattern or the forward pass each matrix keeps): the rest are combinations of them."""
+    rows = {r: k for k, r in enumerate(_independent(a, True))}
+    cols = {c: k for k, c in enumerate(_independent(b, False))}
+    left = ExactMatrix.unchecked(len(rows), a.cols, {(rows[r], c): t for (r, c), t in a.triples.items() if r in rows})
+    right = ExactMatrix.unchecked(b.rows, len(cols), {(r, cols[c]): t for (r, c), t in b.triples.items() if c in cols})
+    return (left @ right).is_zero()
+
+
 def _triple_rref(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
     """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as {column: triple} dicts.
 

@@ -8,7 +8,10 @@ here as the reference: each identity as a sum of chains checked on every
 block with failing_blocks, and total d.d checked on a separately assembled
 exterior differential.  The two must agree on every label, every failing
 block (in order) and every failing degree, on working complexes and on
-complexes and engines broken on purpose.
+complexes and engines broken on purpose.  On a complex of one weight the
+suite first decides each product on its core, the independent rows of
+d_total(r+1) times the independent columns of d_total(r); there it must also
+equal the reading of the whole products.
 """
 
 import random
@@ -210,7 +213,11 @@ def _broken(session, rng, truncation=None):
     model = session.spec.coefficients
     if model.kind != "invariant":
         model = model.with_truncation(model.truncation if truncation is None else truncation)
-    cx = FormComplex(session.frame, model)
+    return _broken_copy(FormComplex(session.frame, model), rng)
+
+
+def _broken_copy(cx, rng):
+    """The fresh complex cx with one entry of one cached differential block perturbed."""
     keys = [
         (name, p, q)
         for name in DIFFERENTIALS
@@ -340,8 +347,42 @@ def test_broken_complexes_report_the_reference_failures(kt4_session, nil6_sessio
     assert detected >= 10
 
 
-def test_invariant_suite_does_2n_total_products_and_no_chain_products(nil6_session, monkeypatch):
-    cx = FormComplex(nil6_session.frame, nil6_session.spec.coefficients)
+def whole_product_suite(cx):
+    """(label, failing blocks) of the seven relations, then ("d.d", failing degrees), read off the whole
+    products d_total(r+1) . d_total(r), each built."""
+    sides = []
+    for r in range(2 * cx.n):
+        product = cx.d_total(r + 1) @ cx.d_total(r)
+        sides.append((r, product, ExactMatrix(product.rows, product.cols)))
+    relations = [(label, list(blocks)) for label, blocks in cx.read_off(SQUARE_ZERO_RELATIONS, sides).items()]
+    return relations + [("d.d", [r for r, product, _ in sides if not product.is_zero()])]
+
+
+def one_weight_complexes(oracle_engines):
+    return [(label, e.complex) for label, e in oracle_engines if len(e.complex.coefficients.weights()) == 1]
+
+
+def test_one_weight_suite_matches_the_whole_products(oracle_engines):
+    """On every one-weight complex of the oracle models, and on three broken copies of each, the suite
+    decided on core products gives every failing block, in order, and every failing degree that the
+    whole products give."""
+    rng = random.Random(3333)
+    cases = one_weight_complexes(oracle_engines)
+    labels = [label for label, _ in cases]
+    assert {"kt4 N=0", "torus4", "nil6", "kodaira4"} <= set(labels)
+    assert sum(label.startswith(("sweep0 ", "sweep101 ")) for label in labels) == 10
+    broken = 0
+    for label, cx in cases:
+        assert suite_without_reconstruction(cx) == whole_product_suite(cx), label
+        for _ in range(3):
+            what, copy = _broken_copy(FormComplex(cx.frame, cx.coefficients), rng)
+            got = suite_without_reconstruction(copy)
+            assert got == whole_product_suite(copy), (label, what)
+            broken += bool(dict(got)["d.d"])
+    assert broken > len(cases)
+
+
+def _counted_products(monkeypatch):
     products = []
     matmul = linalg.ExactMatrix.__matmul__
 
@@ -349,13 +390,43 @@ def test_invariant_suite_does_2n_total_products_and_no_chain_products(nil6_sessi
         products.append((a.rows, a.cols, b.cols))
         return matmul(a, b)
 
+    monkeypatch.setattr(linalg.ExactMatrix, "__matmul__", counting_matmul)
+    return products
+
+
+def test_one_weight_suites_do_2n_core_products_and_no_chain_products(oracle_engines, monkeypatch):
+    """A passing suite on one weight decides each d_total(r+1) . d_total(r) = 0 on its core alone: the
+    rank(d_total(r+1)) independent rows of d_total(r+1) times the rank(d_total(r)) independent columns of
+    d_total(r), each smaller than the whole matrix."""
+
     def no_chains(*args, **kwargs):
         raise AssertionError("the identity suite composed a chain of blocks")
 
-    monkeypatch.setattr(linalg.ExactMatrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(operators, "compose", no_chains)
+    products = _counted_products(monkeypatch)
+    for label, cx in one_weight_complexes(oracle_engines):
+        fresh = FormComplex(cx.frame, cx.coefficients)
+        totals = [fresh.d_total(r) for r in range(2 * fresh.n + 1)]
+        products.clear()
+        assert all(e["passed"] for e in fresh.identity_suite()), label
+        ranks = [linalg.rank(d) for d in totals]
+        assert products == [(ranks[r + 1], fresh.total_dim(r + 1), ranks[r]) for r in range(2 * fresh.n)], label
+        assert all(rank < fresh.total_dim(r) for r, rank in enumerate(ranks)), label
+
+
+def test_a_fourier_box_suite_multiplies_whole_differentials_and_runs_no_forward_pass(kt4_session, monkeypatch):
+    """On kt4's N = 1 box, the identity engine of every N >= 1, nothing else reads d_total's forward passes:
+    the suite multiplies the 2n whole differentials and eliminates nothing."""
+    cx = FormComplex(kt4_session.frame, kt4_session.spec.coefficients.with_truncation(1))
+    for r in range(2 * cx.n + 1):
+        cx.d_total(r)
+    products = _counted_products(monkeypatch)
+    eliminations = []
+    monkeypatch.setattr(linalg, "_eliminate", lambda m, *args, **kwargs: eliminations.append(m))
     assert all(e["passed"] for e in cx.identity_suite())
     assert products == [(cx.total_dim(r + 2), cx.total_dim(r + 1), cx.total_dim(r)) for r in range(2 * cx.n)]
+    assert not eliminations
+    assert all(getattr(cx.d_total(r), "_forward_pass", None) is None for r in range(2 * cx.n + 1))
 
 
 def test_coefficient_blocks_are_built_only_for_acting_directions(nil6_session, kt4_session):

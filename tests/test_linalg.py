@@ -1148,3 +1148,31 @@ def test_a_matrix_runs_one_forward_pass(monkeypatch):
         assert k.dim == m.cols - r and g.dim == r, name
         assert len(k.coordinates) == k.dim and len(g.coordinates) == r, name
         assert len(calls) == 1, name
+
+
+def test_a_product_vanishes_exactly_when_its_core_does():
+    """product_vanishes(a, b) is whether a @ b = 0, on products that vanish and on ones broken by one
+    entry.  The rows of a sit below as many zero rows as a has columns, and its last row repeats its
+    first nonzero one, so its first rank-many rows are not its independent ones; b has rank one or two,
+    so each of its independent columns is needed; and every third b holds one entry per row, so its
+    pattern picks its columns."""
+    rng = random.Random(33)
+    verdicts = []
+    for trial in range(90):
+        inner, cols = rng.randint(3, 7), rng.randint(2, 6)
+        if trial % 3:
+            k = rng.randint(1, 2)
+            b = rand_matrix(rng, inner, k, 0.8) @ rand_matrix(rng, k, cols, 0.8)
+        else:
+            b = ExactMatrix(inner, cols, {(r, rng.randrange(2)): rand_scalar(rng, 1.0) for r in range(inner)})
+        left = linalg.null_basis(b.transpose()).transpose()
+        combos = rand_matrix(rng, rng.randint(1, 4), left.rows, 0.7) @ left
+        first = ExactMatrix(1, inner, {(0, c): v for (r, c), v in combos.entries.items() if r == 0})
+        a = ExactMatrix.vstack([ExactMatrix(inner, inner), combos, first])
+        bump_a = ExactMatrix(a.rows, a.cols, {(rng.randrange(a.rows), rng.randrange(a.cols)): ONE})
+        bump_b = ExactMatrix(b.rows, b.cols, {(rng.randrange(b.rows), rng.randrange(b.cols)): ONE})
+        for x, y in ((a, b), (a + bump_a, b), (a, b + bump_b)):
+            want = dense_product(x, y).is_zero()
+            assert linalg.product_vanishes(x, y) == want, trial
+            verdicts.append(want)
+    assert verdicts.count(True) > 60 and verdicts.count(False) > 60

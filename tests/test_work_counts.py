@@ -1,11 +1,13 @@
-"""Work-count pin: eliminations, products, sums, Leibniz calls, invariant bases and Gram systems over the
-benchmark's seed-0 jobs.
+"""Work-count pin: eliminations, products and their multiply-adds, sums, Leibniz calls, invariant bases and
+Gram systems over the benchmark's seed-0 jobs.
 
 Each workload's jobs (bench/workloads.py: the kt4 diamond scan at N = 0..3,
 the three kt4-verify jobs and the reports of the seed-0 sweep models) run
 through the CLI in a fresh interpreter, so no process-wide cache starts warm,
 with every linalg._eliminate, ExactMatrix.__matmul__, ExactMatrix.__add__ and
-forms.leibniz call counted, every monomial basis of the invariant model
+forms.leibniz call counted, the multiply-adds of each product A @ B (the sum
+over k of nnz(A[:, k]) * nnz(B[k, :]), whatever shortcut the product takes),
+every monomial basis of the invariant model
 that enumerate_basis builds, and every Gram-weighted harmonic system
 (CohomologyEngine._harmonic_system) built.  An elimination is a repeat when the same matrix,
 by its shape and entries, was eliminated before in the same CLI call.  A
@@ -15,7 +17,9 @@ sparsity pattern decides sent to elimination, a Fourier block summed from
 separate lifts, a diamond that builds one engine per truncation shell where a
 run of shells shares one, an invariant basis rebuilt for each reader, or a
 harmonic number ranked off the Gram system on a cell where dbar and mu compose
-to zero.  The frame's structure equations are two products, so every frame adds two.
+to zero, or a d.d check on a one-weight complex that multiplies whole
+differentials where their independent rows and columns decide it.  The
+frame's structure equations are two products, so every frame adds two.
 """
 
 import json
@@ -26,13 +30,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (eliminations, products, additions, leibniz calls, invariant bases, repeated eliminations, Gram systems) of one pass
+# (eliminations, products, additions, leibniz calls, invariant bases, repeated eliminations, Gram systems,
+# multiply-adds) of one pass
 PINNED = {
-    "kt4-diamond-scan": (9, 55, 0, 32, 24, 0, 3),
-    "kt4-verify": (16, 257, 23, 48, 25, 0, 11),
-    "random-rational-sweep": (221, 391, 4, 801, 134, 18, 0),
+    "kt4-diamond-scan": (9, 55, 0, 32, 24, 0, 3, 835),
+    "kt4-verify": (16, 257, 23, 48, 25, 0, 11, 5335),
+    "random-rational-sweep": (221, 391, 4, 801, 134, 18, 0, 14334),
 }
-KINDS = ("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats", "gram_systems")
+KINDS = ("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats", "gram_systems", "multiply_adds")
 
 COUNTER = r"""
 import contextlib, io, json, sys
@@ -43,7 +48,9 @@ sys.path[:0] = [str(root / "src"), str(root / "bench")]
 import workloads
 from acx import cli, cohomology, forms, linalg, operators
 
-counts = dict.fromkeys(("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats", "gram_systems"), 0)
+counts = dict.fromkeys(
+    ("eliminations", "products", "additions", "leibniz", "invariant_bases", "repeats", "gram_systems", "multiply_adds"), 0
+)
 counts["codes"] = []
 eliminate, matmul, add = linalg._eliminate, linalg.ExactMatrix.__matmul__, linalg.ExactMatrix.__add__
 eliminated = set()
@@ -59,6 +66,11 @@ def counted_eliminate(m, *args, **kwargs):
 
 def counted_matmul(a, b):
     counts["products"] += 1
+    left = {}
+    for _, k in a.triples:
+        left[k] = left.get(k, 0) + 1
+    for k, _ in b.triples:
+        counts["multiply_adds"] += left.get(k, 0)
     return matmul(a, b)
 
 
