@@ -14,6 +14,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
 
@@ -666,7 +667,9 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """main's argument parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="acx",
         description="exact Dolbeault-type cohomology engine for invariant almost complex models",
@@ -677,7 +680,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--bidegree", help="restrict diamond output to one cell, e.g. 1,1")
     parser.add_argument("--format", choices=["json", "table"], default="table")
     parser.add_argument("--psi", default="fundamental", help="taming input: fundamental | perturbed | basis:K")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         spec = parse_manifest(args.manifest)

@@ -3,7 +3,9 @@
 All quotients are computed as exact subspace dimensions over Q(i), and so is
 a harmonic number where dbar and mu compose to zero on its cell: ker/im,
 metric-free (harmonic_terms); elsewhere it is the Gram-weighted system's
-nullity.  Matrices
+nullity.  The refined numbers and the harmonic kernels share one chain of
+kernels per cell, each an echelon extended by more rows (refined_terms), so
+they read dimensions and build no null basis or image.  Matrices
 are realified over Q only in the taming correction system and where a
 certificate prints real coordinates; a real dimension or a real subspace
 equality is read off complex ranks and kernels when conjugation preserves the
@@ -43,8 +45,8 @@ class CohomologyEngine:
         self.complex = complex_
         self.hermitian = hermitian
         self.n = complex_.n
-        # (chain, p, q) -> whether it composes to zero, for each chain _kernel_of built; the matrices are not kept
-        self._vanishing: dict[tuple, bool] = {}
+        # (p, q) -> whether a_dol(p, q)'s K_I dbar block has no entries; the harmonic guard at (p, q+1) reads it
+        self._core_vanishes: dict[tuple[int, int], bool] = {}
 
     @classmethod
     def of(cls, frame: ComplexFrame, model: CoefficientModel, metric: HermitianMetric) -> "CohomologyEngine":
@@ -110,14 +112,7 @@ class CohomologyEngine:
 
     def _kernel_of(self, *chains, p: int, q: int) -> Subspace:
         """The common kernel of operator chains on the (p,q) block: the kernel of their stack."""
-        blocks = [compose(self.block, chain, p, q) for chain in chains]
-        self._vanishing.update(((tuple(chain), p, q), not m.triples) for chain, m in zip(chains, blocks))
-        return linalg.kernel(ExactMatrix.vstack(blocks))
-
-    def vanishes(self, names: tuple, p: int, q: int) -> bool:
-        """Whether the chain composes to zero on (p,q): a_dol's dbar.dbar and mu.dbar answer the harmonic guard."""
-        known = self._vanishing.get((names, p, q))
-        return not compose(self.block, names, p, q).triples if known is None else known
+        return linalg.kernel(ExactMatrix.vstack([compose(self.block, chain, p, q) for chain in chains]))
 
     @memoized
     def op_image_into(self, name: str, p: int, q: int) -> Subspace:
@@ -169,30 +164,92 @@ class CohomologyEngine:
         return linalg.quotient_dim(*self.dolbeault_cw_parts(p, q))
 
     # -- refined Dolbeault ------------------------------------------------------------
+    #
+    # One chain per cell, each link memoized and each an echelon extended by more rows (linalg.stacked_kernel):
+    # K = ker[dbar; mu] (harmonic_kernel), N = K ^ ker mubar (refined_numerator) and
+    # A_Dol = ker[mu; mubar; K_I dbar] (a_dol), K_I being K's independent rows one degree up.  The refined
+    # number reads their dimensions, and the harmonic guard reads a_dol's verdict on K_I dbar.
+
+    @memoized
+    def harmonic_kernel(self, p: int, q: int) -> Subspace:
+        """K = ker dbar ^ ker mu on (p,q): the blocks with entries, dbar's echelon extended by mu's rows (dbar's
+        block stands for none)."""
+        return self._stacked(self.complex.block("dbar", p, q), self.complex.block("mu", p, q))
+
+    @memoized
+    def refined_numerator(self, p: int, q: int) -> Subspace:
+        """N = ker dbar ^ ker mu ^ ker mubar on (p,q): K's echelon extended by mubar's rows, K itself where they
+        add no pivot."""
+        kernel, mubar = self.harmonic_kernel(p, q), self.complex.block("mubar", p, q)
+        return linalg.stacked_kernel(kernel, mubar) if mubar.triples else kernel
+
+    def _stacked(self, *blocks: ExactMatrix) -> Subspace:
+        """The common kernel of the blocks with entries, the first one's echelon extended by the others' rows;
+        the first block's kernel when none has entries."""
+        full = [m for m in blocks if m.triples] or blocks[:1]
+        space = linalg.kernel(full[0])
+        for m in full[1:]:
+            space = linalg.stacked_kernel(space, m)
+        return space
+
+    def _dbar_core(self, p: int, q: int) -> ExactMatrix:
+        """K(p,q+1)'s independent rows composed with dbar on (p,q): the row space of [dbar dbar; mu dbar] on (p,q)
+        in rank-K rows, none when dbar on (p,q) has no entries."""
+        dbar = self.complex.block("dbar", p, q)
+        if not dbar.triples:
+            return ExactMatrix(0, dbar.cols)
+        core = linalg.row_core(self.harmonic_kernel(p, q + 1).constraint)
+        return core @ dbar if core.triples else ExactMatrix(0, dbar.cols)
 
     @memoized
     def a_dol(self, p: int, q: int) -> Subspace:
         """ker(mu) ^ ker(mubar) ^ ker(dbar^2) ^ ker(mu dbar) inside (p,q).
 
         The composite (dbar + mu) dbar vanishes iff both summands do, because
-        they land in different bidegrees.
+        they land in different bidegrees, and [dbar; mu] on (p,q+1) has the row
+        space of K's independent rows there, so A_Dol is the common kernel of
+        mu, mubar and _dbar_core.  Whether that core has entries is kept, for
+        the harmonic guard at (p,q+1); the matrix is not.
         """
-        return self._kernel_of(["mu"], ["mubar"], ["dbar", "dbar"], ["mu", "dbar"], p=p, q=q)
+        cx = self.complex
+        core = self._dbar_core(p, q)
+        self._core_vanishes[(p, q)] = not core.triples
+        return self._stacked(cx.block("mu", p, q), cx.block("mubar", p, q), core)
+
+    def refined_terms(self, p: int, q: int) -> list[tuple]:
+        """h~^{p,q} = dim N(p,q) - dim A(p,q-1) + dim N(p,q-1) as (sign, space, blocks) terms, after the guard.
+
+        dbar maps A(p,q-1) onto the denominator dbar A_Dol^{p,q-1}, and its
+        kernel there is N(p,q-1), since dbar^2 and mu dbar vanish on ker dbar:
+        so no null basis and no image is built.  The guard dbar A(p,q-1) in
+        N(p,q) is a rank test.  K's rows composed with dbar vanish on A(p,q-1),
+        which stacks their core, so only N's independent mubar rows composed
+        with dbar are reduced by A's echelon, and each must leave nothing.
+        """
+        numerator = self.refined_numerator(p, q)
+        terms = [(1, numerator, ((p, q),))]
+        if q == 0 or not self.complex.valid_bidegree(p, q - 1):
+            return terms
+        below, dbar = self.a_dol(p, q - 1), self.complex.block("dbar", p, q - 1)
+        start = self.harmonic_kernel(p, q).constraint.rows
+        if dbar.triples and numerator.constraint.rows > start:
+            core = linalg.row_core(numerator.constraint, start)
+            if core.triples and not linalg.annihilates(core @ dbar, below):
+                raise linalg.NotContained("denominator vector escapes the numerator subspace")
+        cell = ((p, q - 1),)
+        return terms + [(-1, below, cell), (1, self.refined_numerator(p, q - 1), cell)]
 
     def refined_parts(self, p: int, q: int) -> tuple[Subspace, Subspace]:
-        # ker(dbar) ^ A_Dol: on ker(dbar) the composites dbar^2 and mu dbar vanish
-        numerator = self._kernel_of(["dbar"], ["mu"], ["mubar"], p=p, q=q)
+        """The refined quotient as subspaces, N(p,q) over dbar A(p,q-1), for readers of their bases."""
         if q == 0 or not self.complex.valid_bidegree(p, q - 1):
             denominator = linalg.zero_space(self.complex.dim(p, q))
         else:
-            below = self.a_dol(p, q - 1)
-            dbar = self.complex.block("dbar", p, q - 1)
-            denominator = linalg.map_subspace(dbar, below)
-        return numerator, denominator
+            denominator = linalg.map_subspace(self.complex.block("dbar", p, q - 1), self.a_dol(p, q - 1))
+        return self.refined_numerator(p, q), denominator
 
     @memoized
     def refined_dolbeault(self, p: int, q: int) -> int:
-        return linalg.quotient_dim(*self.refined_parts(p, q))
+        return sum(sign * space.dim for sign, space, _ in self.refined_terms(p, q))
 
     # -- hat spaces -----------------------------------------------------------------------
 
@@ -294,21 +351,27 @@ class CohomologyEngine:
     def harmonic_terms(self, p: int, q: int) -> list[tuple] | None:
         """ell's (sign, space, blocks) terms, dim K - dim I, where dbar and mu compose to zero on (p,q); else None.
 
-        K = ker(dbar, mu out of (p,q)), I = im(dbar, mu into (p,q)), and the guard
-        K.constraint @ I.generators = 0 is read block by block off the composites,
-        whose verdicts a_dol shares (vanishes).  Then I lies in K and
+        K = ker(dbar, mu out of (p,q)) (harmonic_kernel), I = im(dbar, mu into
+        (p,q)), and the guard K.constraint @ I.generators = 0 is read off K's
+        independent rows K_I: a_dol one degree down records whether K_I dbar
+        vanishes (_dbar_core), and only K_I mu is composed for it.  Then I lies in K and
         ker dbar^* ^ ker mu^* = I^perp for the positive-definite Gram pairing, so
         the harmonic space K ^ I^perp is I's complement in K.  Only blocks with
-        entries are stacked (dbar's stands for none), so a one-block K or I reads
-        its memoized block's forward pass.
+        entries are stacked, so a one-block K or I reads its memoized block's
+        forward pass.
         """
         cx = self.complex
+        kernel = self.harmonic_kernel(p, q)
         source = {a: (p - SHIFTS[a][0], q - SHIFTS[a][1]) for a in ("dbar", "mu")}
-        outs = [b for b in ("dbar", "mu") if cx.block(b, p, q).triples]
         ins = [a for a, (sp, sq) in source.items() if cx.valid_bidegree(sp, sq) and cx.block(a, sp, sq).triples]
-        if not all(self.vanishes((b, a), *source[a]) for b in outs for a in ins):
-            return None
-        terms = [(1, self._kernel_of(*([b] for b in outs or ["dbar"]), p=p, q=q), ((p, q),))]
+        if kernel.constraint.triples:
+            if "dbar" in ins:
+                self.a_dol(*source["dbar"])
+                if not self._core_vanishes[source["dbar"]]:
+                    return None
+            if "mu" in ins and (linalg.row_core(kernel.constraint) @ cx.block("mu", *source["mu"])).triples:
+                return None
+        terms = [(1, kernel, ((p, q),))]
         if ins:
             terms.append((-1, linalg.sum_spaces([self.op_image_into(a, p, q) for a in ins]), ((p, q),)))
         return terms
@@ -524,7 +587,7 @@ def _graded_terms(engine: CohomologyEngine):
     for p in range(n + 1):
         for q in range(n + 1):
             cell = ((p, q),)
-            yield ("refined", (p, q)), _quotient(engine.refined_parts(p, q), cell)
+            yield ("refined", (p, q)), engine.refined_terms(p, q)
             yield ("spectral", (p, q)), _quotient(engine.dolbeault_cw_parts(p, q), cell)
             harmonic = engine.harmonic_terms(p, q)
             yield ("harmonic", (p, q)), harmonic or [(1, engine.harmonic_space(("dbar", "mu"), p, q), cell)]

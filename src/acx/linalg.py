@@ -15,7 +15,10 @@ and the reduced rows too.  A subspace is held by
 a presentation, a constraint matrix (its kernel) or a generator matrix (its
 column span), and completed only as far as it is read: a dimension is a
 count or a rank, a containment is one product, and the canonical reduced
-rows are built only for callers that read coordinates.  A dimension is
+rows are built only for callers that read coordinates.  A kernel stacked on
+another reduces only its new rows, by the kept echelon of the other
+(stacked_kernel), and rows lie in a kernel's annihilator when that echelon
+reduces them to nothing (annihilates).  A dimension is
 attributed to ambient coordinates, one each, off the work that found it
 (`Subspace.coordinates`), so the dimension of a space graded by weight
 splits by weight by counting.  A kernel is held by
@@ -77,10 +80,11 @@ class ExactMatrix:
     (a + b*i)/d canonical and nonzero.  entries is a {(r, c): Scalar} view
     of it, built on each read and never kept, for callers that read values.
     A matrix is not changed after construction, so the forward pass of its
-    elimination is run at most once (_forward).
+    elimination is run at most once (_forward), and its echelon rows are
+    kept only where a caller extends them (_echelon).
     """
 
-    __slots__ = ("rows", "cols", "triples", "_forward_pass")
+    __slots__ = ("rows", "cols", "triples", "_forward_pass", "_echelon_rows")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         """The matrix with the given {(r, c): Scalar} entries; zeros are dropped, positions are checked."""
@@ -431,6 +435,52 @@ def _forward(m: ExactMatrix) -> tuple[list[int], list[int]]:
     return done
 
 
+def _echelon(m: ExactMatrix) -> tuple[list[int], list[dict[int, Triple]]]:
+    """(pivot columns, echelon rows) of m, row k leading at pivot k: the pattern's reduced rows when every nonzero
+    row or column of m holds one entry, otherwise its forward pass, run once with the rows kept on m."""
+    if _one_per(m, True) or _one_per(m, False):
+        pivots, rows, _ = _triple_rref(m)
+        return pivots, rows
+    rows = getattr(m, "_echelon_rows", None)
+    if rows is None:
+        pivots, reduced, at, r = _eliminate(m, forward=True)
+        m._forward_pass = (pivots, at[:r])
+        m._echelon_rows = rows = [reduced[at[k]] for k in range(r)]
+    return m._forward_pass[0], rows
+
+
+def _reduced_rows(echelon: tuple[list[int], list[dict[int, Triple]]], m: ExactMatrix) -> dict[int, dict[int, Triple]]:
+    """{r: row r of m less its combination of the echelon rows}, for the rows that do not vanish so.
+
+    echelon is (ascending pivot columns, rows), row k leading at pivot k and
+    zero at the pivots before it (_echelon), so a row of m loses its entry
+    at each pivot in turn and keeps none; the echelon rows are only read.
+    What is left of a row is zero exactly when the row lies in their span.
+    """
+    pivots, erows = echelon
+    rows: dict[int, dict[int, Triple]] = {}
+    for (r, c), t in m.triples.items():
+        if r in rows:
+            rows[r][c] = t
+        else:
+            rows[r] = {c: t}
+    for tgt in rows.values():
+        for c, prow in zip(pivots, erows):
+            f = tgt.pop(c, None)
+            if f is None:
+                continue
+            # tgt -= (f / lead) * prow, the quotient reduced once
+            (la, lb, ld), (fa, fb, fd) = prow[c], f
+            if not (la == 1 and not lb and ld == 1):
+                a, b, d = (fa * la + fb * lb) * ld, (fb * la - fa * lb) * ld, fd * (la * la + lb * lb)
+                g = gcd(a, b, d)
+                fa, fb, fd = a // g, b // g, d // g
+            for k, (va, vb, vd) in prow.items():
+                if k != c:
+                    add_into(tgt, k, reduced_triple(fb * vb - fa * va, -(fa * vb + fb * va), fd * vd))
+    return {r: row for r, row in rows.items() if row}
+
+
 def _one_per(m: ExactMatrix, by_row: bool) -> bool:
     """Whether every nonzero row (by_row) or every nonzero column of m holds one entry: an O(1) no when
     m is denser than that."""
@@ -463,14 +513,21 @@ def _independent(m: ExactMatrix, of_rows: bool) -> list[int]:
     return rows if of_rows else pivots
 
 
+def row_core(m: ExactMatrix, start: int = 0) -> ExactMatrix:
+    """m's independent rows (_independent) from row start on, as a matrix; from row 0 it has m's row space in
+    rank(m) rows, and is m itself when every row is independent."""
+    at = {r: k for k, r in enumerate(r for r in _independent(m, True) if r >= start)}
+    if len(at) == m.rows:
+        return m
+    return ExactMatrix.unchecked(len(at), m.cols, {(at[r], c): t for (r, c), t in m.triples.items() if r in at})
+
+
 def product_vanishes(a: ExactMatrix, b: ExactMatrix) -> bool:
     """Whether a @ b = 0, decided on its core, a's independent rows times b's independent columns
     (_independent, off the pattern or the forward pass each matrix keeps): the rest are combinations of them."""
-    rows = {r: k for k, r in enumerate(_independent(a, True))}
     cols = {c: k for k, c in enumerate(_independent(b, False))}
-    left = ExactMatrix.unchecked(len(rows), a.cols, {(rows[r], c): t for (r, c), t in a.triples.items() if r in rows})
     right = ExactMatrix.unchecked(b.rows, len(cols), {(r, cols[c]): t for (r, c), t in b.triples.items() if c in cols})
-    return (left @ right).is_zero()
+    return (row_core(a) @ right).is_zero()
 
 
 def _triple_rref(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
@@ -707,6 +764,45 @@ def kernel(m: ExactMatrix) -> Subspace:
 def image(m: ExactMatrix) -> Subspace:
     """The column space of m."""
     return Subspace(generators=m)
+
+
+def stacked_kernel(base: Subspace, extra: ExactMatrix) -> Subspace:
+    """ker[base.constraint; extra], base itself when extra's rows lie in base's constraint's row space.
+
+    Only extra's rows are eliminated: they are reduced by base's echelon
+    (_echelon), and what is left of them by an echelon of its own, unless
+    the stack's pattern decides its rank (_pattern_rank).  The stack keeps
+    that pass and its rows.  Its pivot columns are base's and the leftover's:
+    the leading columns of the stack's row space, which that space alone
+    decides, so its rank, its free columns (`coordinates`) and its reduced
+    rows are those of any other reduction.  Its independent rows are base's
+    and extra's pivot rows, and its echelon rows base's and the leftover's,
+    in the order of their leads.
+    """
+    constraint = base.constraint
+    stack = ExactMatrix.vstack([constraint, extra])
+    rank = _pattern_rank(stack)
+    if rank is not None:
+        return base if rank == base.ambient_dim - base.dim else Subspace(constraint=stack)
+    pivots, rows = _echelon(constraint)
+    left = _reduced_rows((pivots, rows), extra)
+    if not left:
+        return base
+    leftover = ExactMatrix.unchecked(extra.rows, extra.cols, {(r, c): t for r, row in left.items() for c, t in row.items()})
+    new_pivots, new_rows = _echelon(leftover)
+    leads = sorted(zip(pivots + new_pivots, rows + new_rows), key=lambda lead: lead[0])
+    independent = _independent(constraint, True) + [constraint.rows + r for r in _independent(leftover, True)]
+    stack._forward_pass = ([c for c, _ in leads], independent)
+    stack._echelon_rows = [row for _, row in leads]
+    return Subspace(constraint=stack)
+
+
+def annihilates(m: ExactMatrix, s: Subspace) -> bool:
+    """Whether m s = 0: every row of m lies in the row space of s's constraint, so its rows reduced by that
+    constraint's echelon (_echelon) leave nothing."""
+    if s.ambient_dim != m.cols:
+        raise AmbientMismatch(f"{m.cols} != {s.ambient_dim}")
+    return not m.triples or not _reduced_rows(_echelon(s.constraint), m)
 
 
 def map_subspace(m: ExactMatrix, s: Subspace) -> Subspace:

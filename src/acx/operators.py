@@ -276,9 +276,13 @@ class FormComplex:
         copies are summed in place, term by term and weight by weight, so the
         entries come in the order of lift(first) + lift(second) + ....  With
         negate, the copy taken from weight w is placed at the rows of -w, as for
-        conjugation; every model has a weight set closed under negation.
+        conjugation; every model has a weight set closed under negation.  On
+        one weight, which is then 0 and its own negative, a single unscaled
+        term is the matrix it was given, not a copy.
         """
         weights = self._weights
+        if len(weights) == 1 and len(terms) == 1 and terms[0][1] is None:
+            return terms[0][0]
         at = {w: k for k, w in enumerate(weights)} if negate else None
         rows, cols = terms[0][0].rows, terms[0][0].cols
         triples = {}

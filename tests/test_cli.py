@@ -261,7 +261,8 @@ def test_diamond_builds_no_star_and_no_adjoint(tmp_path, monkeypatch, capsys):
 
 def test_engine_numbers_and_hat_kernel_are_built_once(tmp_path, monkeypatch, capsys):
     """Within one engine each refined and spectral quotient is computed once, and the hat
-    system [T | S] once: the diamond, the audits and the taming hypothesis share them."""
+    system [T | S] once: the diamond, the audits and the taming hypothesis share them.  The
+    refined number is read off its chain's terms; no numerator/denominator pair is built."""
     from acx.cohomology import CohomologyEngine
 
     calls = []
@@ -278,7 +279,7 @@ def test_engine_numbers_and_hat_kernel_are_built_once(tmp_path, monkeypatch, cap
 
         return count if body is method else memoized(count)
 
-    for name in ("refined_parts", "dolbeault_cw_parts", "_hat_maps"):
+    for name in ("refined_terms", "refined_parts", "dolbeault_cw_parts", "_hat_maps"):
         monkeypatch.setattr(CohomologyEngine, name, counting(name))
     jobs = [
         ["verify", bundled_manifest_path("kt4"), "--truncations", "2"],
@@ -288,8 +289,9 @@ def test_engine_numbers_and_hat_kernel_are_built_once(tmp_path, monkeypatch, cap
         calls.clear()
         assert main([*job, "--format", "json"]) == 0
         capsys.readouterr()
-        refined = [c for c in calls if c[1] == "refined_parts"]
+        refined = [c for c in calls if c[1] == "refined_terms"]
         assert len(set(refined)) == len(refined) and any(c[2] == (1, 0) for c in refined)
+        assert not any(c[1] == "refined_parts" for c in calls)
         spectral = [c for c in calls if c[1] == "dolbeault_cw_parts"]
         assert len(set(spectral)) == len(spectral) and any(c[2] == (2, 0) for c in spectral)
         # once for the hat system, once for hat_h01's parts
@@ -387,6 +389,21 @@ def test_cli_main_json_fatal(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert json.loads(out)["fatal"]["type"] == "ParseError"
+
+
+def test_the_argument_parser_is_built_once_and_still_exits_2(capsys):
+    """main reuses one parser: a bad command or flag exits 2 with the same usage text on every call, and a good
+    call after them parses as the first did."""
+    assert cli._parser() is cli._parser()
+    texts = []
+    for argv in (["bogus", "x.json"], ["diamond"], ["bogus", "x.json"], ["diamond", "x.json", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        texts.append(capsys.readouterr().err)
+    assert texts[0] == texts[2] and all(t.startswith("usage: acx ") for t in texts)
+    assert main(["validate", bundled_manifest_path("kt4"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["passed"]
 
 
 def test_diamond_guard_fires_on_kt4_with_j_swapped(tmp_path, capsys):

@@ -145,32 +145,41 @@ def test_reports_match_the_eager_layer(
 
 
 # ---------------------------------------------------------------------------
-# a mutation past the whole-space identity
+# a mutation that breaks the one containment the refined chain can fail
 
 
 @pytest.mark.parametrize("path", ["lazy", "eager"])
-def test_guard_fires_when_dbar_squares_to_nonzero_on_a_whole_a_dol(kt4_session, monkeypatch, path):
-    """On kt4 J is integrable, so A_Dol on functions is the whole space and the refined (0,1)
-    denominator is the image of dbar, with no basis read.  A dbar on (0,1) that no longer
-    squares to zero after it must still stop the quotient."""
+def test_guard_fires_when_mubar_dbar_plus_dbar_mubar_is_nonzero(monkeypatch, path):
+    """dbar A_Dol^{1,0} lies in ker dbar ^ ker mu of (1,1) by A_Dol's construction, so the refined (1,1) quotient
+    can fail only through mubar, where d^2 = 0 gives mubar dbar + dbar mubar = 0 from (1,0).  On the benchmark
+    sweep's first six-dim model, a mubar on (1,1) with one entry added at a coordinate where dbar A_Dol^{1,0} is
+    nonzero breaks that relation, and both the quotient guard on refined_parts and the chain's rank test stop."""
     if path == "eager":
         use_reference(monkeypatch)
-    engine = engine_on(kt4_session, kt4_session.spec.coefficients.with_truncation(1))
-    cx = engine.complex
-    p, q = 0, 1
-    below = engine.a_dol(p, q - 1)
-    assert below.constraint.rows and not below.constraint.triples
-    dbar_below, dbar = cx.block("dbar", p, q - 1), cx.block("dbar", p, q)
-    if path == "lazy":
-        assert linalg.map_subspace(dbar_below, below).generators is dbar_below
-    row = min(r for r, _ in dbar_below.triples)
-    broken = dbar + ExactMatrix.unchecked(dbar.rows, dbar.cols, {(0, row): (1, 0, 1)})
-    assert (dbar @ dbar_below).is_zero() and not (broken @ dbar_below).is_zero()
-    block = cx.block
+    session = sweep_sessions(0)[0]
+    p, q = 1, 1
+    clean = session.engine()
+    cx = clean.complex
+    mubar, dbar = cx.block("mubar", p, q), cx.block("dbar", p, q - 1)
+    image = linalg.map_subspace(dbar, clean.a_dol(p, q - 1)).generators
+    row = min(r for r, _ in image.triples)
+    broken = mubar + ExactMatrix.unchecked(mubar.rows, mubar.cols, {(0, row): (1, 0, 1)})
+    # the (-1, 3) part of d^2 on (1,0): zero before the mutation, not after it
+    other = cx.block("dbar", p - 1, q + 1) @ cx.block("mubar", p, q - 1)
+    assert (mubar @ dbar + other).is_zero() and not (broken @ dbar + other).is_zero()
+    assert clean.refined_dolbeault(p, q) == linalg.quotient_dim(*clean.refined_parts(p, q))
 
-    def mutated(name, p_, q_):
-        return broken if (name, p_, q_) == ("dbar", p, q) else block(name, p_, q_)
+    def mutated_engine():
+        engine = fresh(clean)
+        block = engine.complex.block
 
-    monkeypatch.setattr(cx, "block", mutated)
+        def mutated(name, p_, q_):
+            return broken if (name, p_, q_) == ("mubar", p, q) else block(name, p_, q_)
+
+        monkeypatch.setattr(engine.complex, "block", mutated)
+        return engine
+
     with pytest.raises(NotContained):
-        engine.refined_dolbeault(p, q)
+        linalg.quotient_dim(*mutated_engine().refined_parts(p, q))
+    with pytest.raises(NotContained):
+        mutated_engine().refined_dolbeault(p, q)

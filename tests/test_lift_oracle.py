@@ -271,3 +271,28 @@ def test_lift_places_one_copy_per_weight(kt4_session):
     assert len(cx.coefficients.weights()) == 2
     inv = ExactMatrix(2, 1, {(0, 0): integer(3), (1, 0): I})
     assert cx.lift(((inv, None),)) == ExactMatrix(4, 2, {(0, 0): integer(3), (1, 0): I, (2, 1): integer(3), (3, 1): I})
+
+
+def test_one_weight_lift_of_one_unscaled_term_is_that_matrix(oracle_engines, kt4_session):
+    """On one weight a single unscaled term lifts to the matrix it was given, so a one-weight complex's
+    differential blocks and conjugation are its frame's invariant matrices, with their triples in the same
+    order as a copy; two weights, two terms or a scale still build a new matrix."""
+    cases = [(label, e.complex) for label, e in oracle_engines if len(e.complex.coefficients.weights()) == 1]
+    assert len(cases) >= 10 and any(label == "kt4 N=0" for label, _ in cases)
+    for label, cx in cases:
+        frame = cx._frame_blocks
+        for name in DIFFERENTIALS:
+            for p in range(cx.n + 1):
+                for q in range(cx.n + 1):
+                    inv = frame.block(name, p, q)
+                    assert cx.block(name, p, q) is inv, (label, name, p, q)
+                    # what the placement loop builds: the same triples in the same order
+                    copy = cx.lift(((inv, None), (ExactMatrix(inv.rows, inv.cols), None)))
+                    assert copy is not inv and list(copy.triples.items()) == list(inv.triples.items())
+        assert cx.conj_struct(1, 0) is frame.conjugation(1, 0), label
+    cx = kt4_session.engine(0).complex
+    inv = ExactMatrix(2, 1, {(0, 0): integer(3), (1, 0): I})
+    assert cx.lift(((inv, None), (inv, None))) == inv + inv
+    assert cx.lift(((inv, [I]),)) == inv.scale(I) and cx.lift(((inv, [I]),)) is not inv
+    two = sector_complexes(kt4_session, 1)[-1]
+    assert two.lift(((inv, None),)) is not inv

@@ -1176,3 +1176,84 @@ def test_a_product_vanishes_exactly_when_its_core_does():
             assert linalg.product_vanishes(x, y) == want, trial
             verdicts.append(want)
     assert verdicts.count(True) > 60 and verdicts.count(False) > 60
+
+
+def stack_cases(rng):
+    """(label, base, extra) of matrices on one set of columns: dense random pairs, extra rows that are
+    combinations of base's (so the stack has base's kernel), low-rank pairs, and pairs whose stack holds one
+    entry per row."""
+    for trial in range(40):
+        cols = rng.randint(2, 7)
+        base = rand_matrix(rng, rng.randint(1, 5), cols, 0.5)
+        yield f"random {trial}", base, rand_matrix(rng, rng.randint(1, 4), cols, 0.5)
+        yield f"inside {trial}", base, rand_matrix(rng, rng.randint(1, 3), base.rows, 0.7) @ base
+        yield f"low {trial}", low_rank_matrix(rng, 4, cols, 2, 0.7), low_rank_matrix(rng, 3, cols, 1, 0.8)
+        unit = lambda rows: ExactMatrix(rows, cols, {(r, rng.randrange(cols)): rand_scalar(rng, 1.0) for r in range(rows)})
+        yield f"pattern {trial}", unit(3), unit(2)
+
+
+def test_stacked_kernel_is_the_kernel_of_the_stack(monkeypatch):
+    """stacked_kernel(kernel(base), extra) is ker[base; extra]: the same space, dimension, free coordinates and
+    pivot columns as a forward pass of the whole stack, and kernel(base) itself when extra adds no pivot, whether
+    base kept its echelon rows or only its rank.  Once base keeps its echelon, only extra's leftover rows are
+    eliminated, and the stack's echelon rows reduce every row of the stack to nothing."""
+    rng = random.Random(34)
+    calls = count_calls(monkeypatch, linalg, "_eliminate")
+    same = grown = 0
+    for k, (label, base, extra) in enumerate(stack_cases(rng)):
+        whole = ExactMatrix.vstack([base, extra])
+        want = kernel(ExactMatrix.unchecked(whole.rows, whole.cols, dict(whole.triples)))
+        held = kernel(base)
+        if k % 2:
+            held.dim
+        else:
+            linalg._echelon(base)
+        calls.clear()
+        got = linalg.stacked_kernel(held, extra)
+        assert k % 2 or all(m is not base for m, *_ in calls), label
+        # the coordinates are free columns: the stack's other columns are independent, as many as its rank
+        bound = sorted(set(range(whole.cols)).difference(got.coordinates))
+        at = {c: k for k, c in enumerate(bound)}
+        columns = ExactMatrix.unchecked(whole.rows, len(at), {(r, at[c]): t for (r, c), t in whole.triples.items() if c in at})
+        assert len(got.coordinates) == got.dim and rank(columns) == len(bound) == rank(whole), label
+        assert got == want and got.dim == want.dim, label
+        if got is held:
+            assert want.dim == held.dim, label
+            same += 1
+            continue
+        grown += 1
+        pivots = linalg._independent(got.constraint, False)
+        assert sorted(pivots) == linalg._rref_full(got.constraint)[0], label
+        assert len(linalg._independent(got.constraint, True)) == rank(whole), label
+        assert linalg.annihilates(got.constraint, got), label
+    assert same > 30 and grown > 60
+
+
+def test_annihilates_is_the_containment_product():
+    """annihilates(m, ker A) is whether m @ null_basis(A) = 0: on rows inside A's row space, the same rows with
+    one entry moved, and an A with no entries."""
+    rng = random.Random(35)
+    verdicts = []
+    for trial in range(60):
+        cols = rng.randint(2, 7)
+        a = rand_matrix(rng, rng.randint(1, 5), cols, 0.5) if trial % 6 else ExactMatrix(2, cols)
+        inside = rand_matrix(rng, rng.randint(1, 3), a.rows, 0.7) @ a
+        bump = ExactMatrix(inside.rows, cols, {(0, rng.randrange(cols)): ONE})
+        for m in (inside, inside + bump):
+            want = (m @ linalg.null_basis(a)).is_zero()
+            assert linalg.annihilates(m, kernel(a)) == want, trial
+            verdicts.append(want)
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 20
+
+
+def test_row_core_has_the_row_space_in_rank_rows():
+    """row_core(m) is rank(m) rows of m spanning its row space, m itself when all its rows are independent, and
+    from a start row on it keeps only the independent rows there."""
+    rng = random.Random(36)
+    for trial in range(40):
+        m = ExactMatrix.vstack([low_rank_matrix(rng, 4, 5, 2, 0.8), rand_matrix(rng, 2, 5, 0.6)])
+        core = linalg.row_core(m)
+        assert core.rows == rank(core) == rank(m) and kernel(core) == kernel(m), trial
+        assert linalg.row_core(core) is core
+        tail = linalg.row_core(m, 4)
+        assert tail.rows == len([r for r in linalg._independent(m, True) if r >= 4]), trial
