@@ -604,7 +604,7 @@ def _structural_guarantee(engine: CohomologyEngine, omega_prime: Form) -> dict:
 def audit_taming(engine: CohomologyEngine, psi: Form, label: str) -> AuditItem:
     try:
         cert = solve_taming(engine, psi)
-    except (NoSolution, NotDdcClosed, DegenerateAtSample) as exc:
+    except (NoSolution, NotDdcClosed) as exc:
         return AuditItem(f"taming-correction:{label}", "fail", {"error": type(exc).__name__, "detail": str(exc)})
     return AuditItem(
         f"taming-correction:{label}",

@@ -21,7 +21,6 @@ from math import comb
 from . import __version__, linalg
 from .audits import (
     AuditItem,
-    DegenerateAtSample,
     NoSolution,
     NotDdcClosed,
     audit_4mfld_lemmas,
@@ -609,8 +608,6 @@ def _run_taming(session: Session, flags: dict) -> list[dict]:
     except NoSolution as exc:
         # a legitimate model-level outcome: report the obstruction functional
         return [{**base, "status": "no-solution", "obstruction": exc.obstruction}]
-    except DegenerateAtSample as exc:
-        return [{**base, "status": "degenerate", "sample_point": [str(x) for x in exc.point]}]
     rendered = cert.as_dict(lambda f: render_form(cx, f))
     rendered.update(base)
     rendered["status"] = "certified"

@@ -9,24 +9,28 @@ Gauss-Jordan on sparse rows ({column: entry} dicts) with a column -> rows
 index: the matrices of a truncated complex are block-diagonal by Fourier
 weight and a few percent dense, so the kernel finds pivots and the rows to
 update through the index and a row update only touches the nonzero entries
-of the pivot row.  A rank is its forward pass alone, or no pass when every
-nonzero row or every nonzero column holds one entry: the pattern decides it,
-and the reduced rows too.  A subspace is held by
-a presentation, a constraint matrix (its kernel) or a generator matrix (its
-column span), and completed only as far as it is read: a dimension is a
-count or a rank, a containment is one product, and the canonical reduced
-rows are built only for callers that read coordinates.  A kernel stacked on
-another reduces only its new rows, by the kept echelon of the other
-(stacked_kernel), and rows lie in a kernel's annihilator when that echelon
-reduces them to nothing (annihilates).  A dimension is
-attributed to ambient coordinates, one each, off the work that found it
-(`Subspace.coordinates`), so the dimension of a space graded by weight
-splits by weight by counting.  A kernel is held by
-its constraint alone, and its null basis is built on the first read of its
-generators.  Four exact identities spare the work of whole and zero spaces:
-an intersection whose cut has no entries is the generator-held space, the
-image of the whole space is the image of the map, the preimage of the zero
-space is the kernel of the map, and a sum of one space is that space.
+of the pivot row.
+
+What elimination decides about a matrix is one record (`echelon`): the pivot
+columns, the independent rows, how they were decided and, only on matrices a
+chain of kernels extends, the echelon rows.  When every nonzero row or every
+nonzero column holds one entry the pattern decides it with no arithmetic
+(`_pattern`, the one place that rule is tested); otherwise one forward pass
+does, or a full reduction, which records the same pivots and pivot rows, and
+the matrix keeps it.  A kernel stacked on another reduces only its new rows,
+by the other's echelon rows, and merges the two records (stacked_kernel);
+rows lie in a kernel's annihilator when that echelon reduces them to nothing
+(annihilates).  A subspace is held by a presentation, a constraint matrix
+(its kernel) or a generator matrix (its column span), and completed only as
+far as it is read: a dimension is a count or a rank, a containment is one
+product, and the canonical reduced rows are built only for callers that read
+coordinates.  Each basis vector is given a distinct ambient coordinate off
+the work that found it (`Subspace.coordinates`), so the dimension of a
+space graded by weight splits by weight by counting.  Four exact identities
+spare the work of whole and zero spaces: an intersection whose cut has no
+entries is the generator-held space, the image of the whole space is the
+image of the map, the preimage of the zero space is the kernel of the map,
+and a sum of one space is that space.
 
 Matrices hold their entries once, as canonical (a, b, d) int triples
 (see scalars.py), and every kernel runs on them: transposes, sums, stacks,
@@ -79,12 +83,11 @@ class ExactMatrix:
     triples is the one store of the entries: {(r, c): (a, b, d)} with every
     (a + b*i)/d canonical and nonzero.  entries is a {(r, c): Scalar} view
     of it, built on each read and never kept, for callers that read values.
-    A matrix is not changed after construction, so the forward pass of its
-    elimination is run at most once (_forward), and its echelon rows are
-    kept only where a caller extends them (_echelon).
+    A matrix is not changed after construction, so its elimination record
+    (_echelon, see echelon) is built at most once.
     """
 
-    __slots__ = ("rows", "cols", "triples", "_forward_pass", "_echelon_rows")
+    __slots__ = ("rows", "cols", "triples", "_echelon")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         """The matrix with the given {(r, c): Scalar} entries; zeros are dropped, positions are checked."""
@@ -370,14 +373,14 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
         for i in holders:
             k = pos[i]
             if r <= k < sel:
-                sel = k
+                sel, p = k, i
         if sel == nrows:
             continue
-        p = at[sel]
+        # p is the int of m's keys, so the pivot rows a record keeps (at[:r]) hold no ints of their own
         if sel != r:
             q = at[r]
-            at[r], at[sel] = p, q
-            pos[p], pos[q] = r, sel
+            at[sel], pos[p], pos[q] = q, r, sel
+        at[r] = p
         prow = rows[p]
         la, lb, ld = prow[c]
         # x / lead = x * ld * conj(lead) / n
@@ -426,38 +429,95 @@ def _eliminate(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
     return pivots, rows, at, r
 
 
-def _forward(m: ExactMatrix) -> tuple[list[int], list[int]]:
-    """(pivot columns, pivot rows) of m's forward pass, run once per matrix: its rank, kernel and image share it."""
-    done = getattr(m, "_forward_pass", None)
+class Echelon:
+    """What eliminating a matrix decided: its pivot columns, ascending; its independent rows, independent[k]
+    the row leading at pivots[k] (a pattern's are chosen on first read); how they were decided ("pattern",
+    "forward", "full" or "stack"); and rows, row k leading at pivots[k] and zero at the pivots before it, or
+    None where no reader asked for them."""
+
+    __slots__ = ("pivots", "how", "rows", "_independent")
+
+    def __init__(self, pivots: list[int], independent, how: str, rows: list | None = None):
+        self.pivots, self._independent, self.how, self.rows = pivots, independent, how, rows
+
+    @property
+    def independent(self) -> list[int]:
+        if callable(self._independent):
+            self._independent = self._independent()
+        return self._independent
+
+
+def _pattern(m: ExactMatrix, reduced: bool = False) -> Echelon | None:
+    """m's forward pass, with its reduced rows if asked, when every nonzero row or every nonzero column holds one
+    entry; None otherwise, an O(1) no when m is denser than that.  Such a pass does no row operation, so it is
+    its pivot choice alone, made as _eliminate makes it: with one entry per row every column is a pivot, its
+    reduced row a unit row, and its pivot row the holder in the lowest position at or below the current one,
+    which is swapped there; with one entry per column each nonzero row leads at its first column."""
+    t = m.triples
+    if not (len(t) <= m.rows and len({r for r, _ in t}) == len(t)):
+        if not (len(t) <= m.cols and len({c for _, c in t}) == len(t)):
+            return None
+        # each row's first column: the last one the columns, descending, leave in the dict
+        row_of = {c: r for r, c in t}
+        leads = {row_of[c]: c for c in sorted(row_of, reverse=True)}
+        independent = sorted(leads, key=leads.__getitem__)
+        rows = None
+        if reduced:
+            held: dict[int, dict[int, Triple]] = {r: {} for r in independent}
+            for (r, c), x in t.items():
+                held[r][c] = x
+            rows = [_divided(held[r], held[r][leads[r]]) for r in independent]
+        return Echelon([leads[r] for r in independent], independent, "pattern", rows)
+    pivots = sorted({c for _, c in t})
+
+    def chosen() -> list[int]:
+        row_of = {c: r for r, c in t}
+        if len(row_of) == len(t):
+            return [row_of[c] for c in pivots]
+        holders: dict[int, list[int]] = {}
+        for r, c in t:
+            if c in holders:
+                holders[c].append(r)
+            else:
+                holders[c] = [r]
+        at = list(range(m.rows))
+        pos = at[:]
+        for k, c in enumerate(pivots):
+            h = holders[c]
+            s = pos[h[0]] if len(h) == 1 else min(map(pos.__getitem__, h))
+            p, q = at[s], at[k]
+            at[k], at[s], pos[p], pos[q] = p, q, k, s
+        return at[:len(pivots)]
+
+    return Echelon(pivots, chosen, "pattern", [{c: (1, 0, 1)} for c in pivots] if reduced else None)
+
+
+def echelon(m: ExactMatrix, rows: str | None = None, eliminate: bool = True) -> Echelon | None:
+    """m's record, with "echelon" or "reduced" rows if asked; None where that takes an elimination and eliminate
+    is false.  A pattern matrix's is _pattern's, read afresh and kept nowhere.  Otherwise one _eliminate, kept
+    on m: a forward pass, with its echelon rows where asked (a chain of kernels extends m), or for reduced rows
+    a full reduction, which records the same pivots and pivot rows and keeps no rows.  A matrix is eliminated
+    again only for rows it did not keep."""
+    done = getattr(m, "_echelon", None)
     if done is None:
-        pivots, _, at, r = _eliminate(m, forward=True)
-        m._forward_pass = done = (pivots, at[:r])
-    return done
+        decided = _pattern(m, rows is not None)
+        if decided is not None or not eliminate:
+            return decided
+    elif rows is None or rows == "echelon" and done.rows is not None:
+        return done
+    forward = rows != "reduced"
+    pivots, out, at, r = _eliminate(m, forward=forward)
+    fresh = Echelon(pivots, at[:r], "forward" if forward else "full", [out[at[k]] for k in range(r)] if rows else None)
+    if forward or done is None:
+        m._echelon = fresh if forward else Echelon(pivots, fresh.independent, "full")
+    return fresh
 
 
-def _echelon(m: ExactMatrix) -> tuple[list[int], list[dict[int, Triple]]]:
-    """(pivot columns, echelon rows) of m, row k leading at pivot k: the pattern's reduced rows when every nonzero
-    row or column of m holds one entry, otherwise its forward pass, run once with the rows kept on m."""
-    if _one_per(m, True) or _one_per(m, False):
-        pivots, rows, _ = _triple_rref(m)
-        return pivots, rows
-    rows = getattr(m, "_echelon_rows", None)
-    if rows is None:
-        pivots, reduced, at, r = _eliminate(m, forward=True)
-        m._forward_pass = (pivots, at[:r])
-        m._echelon_rows = rows = [reduced[at[k]] for k in range(r)]
-    return m._forward_pass[0], rows
-
-
-def _reduced_rows(echelon: tuple[list[int], list[dict[int, Triple]]], m: ExactMatrix) -> dict[int, dict[int, Triple]]:
-    """{r: row r of m less its combination of the echelon rows}, for the rows that do not vanish so.
-
-    echelon is (ascending pivot columns, rows), row k leading at pivot k and
-    zero at the pivots before it (_echelon), so a row of m loses its entry
-    at each pivot in turn and keeps none; the echelon rows are only read.
-    What is left of a row is zero exactly when the row lies in their span.
-    """
-    pivots, erows = echelon
+def _reduced_rows(record: Echelon, m: ExactMatrix) -> dict[int, dict[int, Triple]]:
+    """{r: row r of m less its combination of the echelon's rows}, for the rows that do not vanish so: they lead at
+    the pivots in turn, so a row of m loses its entry at each and keeps none; it vanishes exactly when it lies in
+    their span.  The echelon rows are only read."""
+    pivots, erows = record.pivots, record.rows
     rows: dict[int, dict[int, Triple]] = {}
     for (r, c), t in m.triples.items():
         if r in rows:
@@ -481,79 +541,31 @@ def _reduced_rows(echelon: tuple[list[int], list[dict[int, Triple]]], m: ExactMa
     return {r: row for r, row in rows.items() if row}
 
 
-def _one_per(m: ExactMatrix, by_row: bool) -> bool:
-    """Whether every nonzero row (by_row) or every nonzero column of m holds one entry: an O(1) no when
-    m is denser than that."""
-    t = m.triples
-    if by_row:
-        return len(t) <= m.rows and len({r for r, _ in t}) == len(t)
-    return len(t) <= m.cols and len({c for _, c in t}) == len(t)
-
-
-def _pattern_rank(m: ExactMatrix) -> int | None:
-    """The rank of m when every nonzero row (column) holds one entry: multiples of unit rows (columns) span as
-    many as they have distinct columns (rows); None otherwise."""
-    if _one_per(m, True):
-        return len({c for _, c in m.triples})
-    if _one_per(m, False):
-        return len({r for r, _ in m.triples})
-    return None
-
-
-def _independent(m: ExactMatrix, of_rows: bool) -> list[int]:
-    """A maximal independent set of m's rows (of_rows) or columns, as many as its rank: the pivot rows or
-    columns of the forward pass, or, when the pattern decides the rank, one row or column per distinct
-    column or row.  When m is graded by weight, it has as many of a weight as the rank of that block."""
-    t = m.triples
-    if _one_per(m, True):
-        return list({c: r for r, c in t}.values()) if of_rows else list({c for _, c in t})
-    if _one_per(m, False):
-        return list({r for r, _ in t}) if of_rows else list({r: c for r, c in t}.values())
-    pivots, rows = _forward(m)
-    return rows if of_rows else pivots
-
-
 def row_core(m: ExactMatrix, start: int = 0) -> ExactMatrix:
-    """m's independent rows (_independent) from row start on, as a matrix; from row 0 it has m's row space in
-    rank(m) rows, and is m itself when every row is independent."""
-    at = {r: k for k, r in enumerate(r for r in _independent(m, True) if r >= start)}
+    """m's independent rows (echelon) from row start on, as a matrix; from row 0 it has m's row space in rank(m)
+    rows, and is m itself when every row is independent."""
+    at = {r: k for k, r in enumerate(r for r in echelon(m).independent if r >= start)}
     if len(at) == m.rows:
         return m
     return ExactMatrix.unchecked(len(at), m.cols, {(at[r], c): t for (r, c), t in m.triples.items() if r in at})
 
 
 def product_vanishes(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """Whether a @ b = 0, decided on its core, a's independent rows times b's independent columns
-    (_independent, off the pattern or the forward pass each matrix keeps): the rest are combinations of them."""
-    cols = {c: k for k, c in enumerate(_independent(b, False))}
+    """Whether a @ b = 0, decided on its core, a's independent rows times b's pivot columns (each matrix's
+    record): the rest are combinations of them."""
+    cols = {c: k for k, c in enumerate(echelon(b).pivots)}
     right = ExactMatrix.unchecked(b.rows, len(cols), {(r, cols[c]): t for (r, c), t in b.triples.items() if c in cols})
     return (row_core(a) @ right).is_zero()
 
 
 def _triple_rref(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = False):
-    """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as {column: triple} dicts.
-
-    A matrix with no entries is not eliminated, nor is a full reduction of one whose every nonzero row
-    or every nonzero column holds one entry.  One entry per row: each such row is a multiple of a unit
-    row, so the pivots are the distinct columns, in order, the reduced rows their unit rows, and no row
-    is left over.  One entry per column: the nonzero rows lie on disjoint columns, so each is a pivot
-    row at its first column, divided by its entry there, in the order of those columns.
-    """
+    """(pivot columns, pivot rows, nonzero leftover rows) of _eliminate, the rows as {column: triple} dicts; a full
+    reduction is m's record's (echelon), and leaves no row over."""
+    if pivot_limit is None and not forward:
+        done = echelon(m, "reduced")
+        return done.pivots, done.rows, []
     if not m.triples:
         return [], [], []
-    if pivot_limit is None and not forward:
-        if _one_per(m, True):
-            pivots = sorted({c for _, c in m.triples})
-            return pivots, [{c: (1, 0, 1)} for c in pivots], []
-        if _one_per(m, False):
-            rows: dict[int, dict[int, Triple]] = {}
-            for (r, c), t in m.triples.items():
-                if r in rows:
-                    rows[r][c] = t
-                else:
-                    rows[r] = {c: t}
-            leads = sorted((min(row), r) for r, row in rows.items())
-            return [c for c, _ in leads], [_divided(rows[r], rows[r][c]) for c, r in leads], []
     pivots, rows, at, r = _eliminate(m, pivot_limit, forward)
     leftover = [rows[at[k]] for k in range(r, len(rows)) if rows[at[k]]]
     return pivots, [rows[at[k]] for k in range(r)], leftover
@@ -588,10 +600,7 @@ def _rref_full(m: ExactMatrix, pivot_limit: int | None = None, forward: bool = F
 
 
 def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
-    """Reduced row echelon form; returns (pivot columns, nonzero reduced rows).
-
-    A matrix with no entries is not eliminated.
-    """
+    """Reduced row echelon form; returns (pivot columns, nonzero reduced rows)."""
     pivots, pivot_rows, _ = _rref_full(m)
     return pivots, pivot_rows
 
@@ -601,17 +610,8 @@ def rref(m: ExactMatrix) -> tuple[list[int], list[dict[int, Scalar]]]:
 
 
 def null_basis(m: ExactMatrix) -> ExactMatrix:
-    """A basis of ker(m) as the columns of a cols x nullity matrix, from one rref."""
-    return _null_basis(m)[0]
-
-
-def _null_basis(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """null_basis(m) and the pivot columns of m.
-
-    One vector per free column f: 1 at f, minus the f-column of the reduced
-    rows at the pivots; every entry of a reduced row off its pivot lies in a
-    free column.
-    """
+    """A basis of ker(m) as the columns of a cols x nullity matrix, from one rref: one vector per free column f,
+    in their order, 1 at f minus the f-column of the reduced rows at the pivots."""
     pivots, red, _ = _triple_rref(m)
     pivot_set = set(pivots)
     vectors: dict[int, dict[int, Triple]] = {f: {f: (1, 0, 1)} for f in range(m.cols) if f not in pivot_set}
@@ -620,7 +620,7 @@ def _null_basis(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
             if f != p:
                 vectors[f][p] = (-a, -b, d)
     triples = {(c, j): t for j, vec in enumerate(vectors.values()) for c, t in vec.items()}
-    return ExactMatrix.unchecked(m.cols, len(vectors), triples), pivots
+    return ExactMatrix.unchecked(m.cols, len(vectors), triples)
 
 
 class Subspace:
@@ -631,19 +631,16 @@ class Subspace:
     canonical reduced rows, or several of these.  A missing C or G costs one
     elimination: G is a null basis of C, C is the annihilator of G (a null
     basis of G^T, transposed).  `dim` is a count when G is a basis and a
-    rank otherwise: a forward pass on C or G, or nothing once a null basis
-    is built, which sets it.  So a reader that wants both a kernel's basis
-    and its dimension reads the basis first, and no matrix is eliminated
-    twice.  Containment is one product, C @ G = 0.  `rows`, the reduced row
-    echelon form of a basis, is canonical and built only when it (or
-    `basis`) is read.
+    rank otherwise, off the held matrix's record (echelon), which a null
+    basis leaves behind.  Containment is one product, C @ G = 0.  `rows`,
+    the reduced row echelon form of a basis, is built only when read.
 
-    `coordinates` attributes `dim` to ambient coordinates, one each, off the
-    work that found it: the free columns of C, the independent rows of G,
-    or a coordinate of each vector of a basis G or reduced row.  When the
-    subspace is the sum of its weight parts, as every space made from
-    weight-preserving maps is, a weight holds as many of them as its part's
-    dimension.
+    `coordinates` gives each basis vector a distinct ambient coordinate off
+    the work that found it: the lead of each reduced row, the free columns
+    of C (a null vector is 1 at its own and 0 at the others), the row of G
+    leading at each pivot (the k-th for the k-th generator of a basis held
+    alone), or, for an intersection's basis, G's coordinate at each free
+    column of the cut.  In a space graded by weight, each weight holds its part's dimension.
     """
 
     __slots__ = ("ambient_dim", "_constraint", "_generators", "_rows", "_dim", "_coordinates")
@@ -658,10 +655,12 @@ class Subspace:
     @property
     def constraint(self) -> ExactMatrix:
         if self._constraint is None:
-            # the pivot columns of G^T are the independent rows of G
-            annihilator, self._coordinates = _null_basis(self.generators.transpose())
-            self._constraint = annihilator.transpose()
-            self._dim = len(self._coordinates)
+            transposed = self.generators.transpose()
+            null = null_basis(transposed)
+            # the pivot columns of G^T are independent rows of G; G^T is let go before the annihilator is built
+            self._coordinates = echelon(transposed).pivots
+            del transposed
+            self._constraint, self._dim = null.transpose(), len(self._coordinates)
         return self._constraint
 
     @property
@@ -677,26 +676,28 @@ class Subspace:
     @property
     def dim(self) -> int:
         if self._dim is None:
-            # a rank off the pattern or the one forward pass the held matrix keeps, which coordinates reread
+            # a rank off the held matrix's record, which coordinates reread
             held = self._generators if self._generators is not None else self._constraint
-            r = _pattern_rank(held)
-            r = len(_forward(held)[0]) if r is None else r
+            r = len(echelon(held).pivots)
             self._dim = r if held is self._generators else self.ambient_dim - r
         return self._dim
 
     @property
     def coordinates(self) -> list[int]:
-        """One ambient coordinate per dimension, built on first read: no elimination once dim is known."""
+        """One distinct ambient coordinate per dimension, built on first read: no elimination once dim is known."""
         if self._coordinates is None:
-            # a reduced row or a basis vector lies in one weight: any column or row of its entries will do
             if self._rows is not None:
-                self._coordinates = list({r: c for r, c in self._rows.triples}.values())
-            elif self._generators is not None and self._dim == self._generators.cols:
-                self._coordinates = list({c: r for r, c in self._generators.triples}.values())
-            elif self._generators is not None:
-                self._coordinates = _independent(self._generators, True)
+                leads: dict[int, int] = {}
+                for r, c in sorted(self._rows.triples):
+                    leads.setdefault(r, c)
+                self._coordinates = list(leads.values())
+            elif self._constraint is not None:
+                self._coordinates = sorted(set(range(self.ambient_dim)).difference(echelon(self._constraint).pivots))
             else:
-                self._coordinates = list(set(range(self.ambient_dim)).difference(_independent(self._constraint, False)))
+                g = self._generators
+                done = echelon(g, eliminate=self._dim != g.cols)
+                # a basis handed in with nothing decided about it: a row of each vector, in its weight, maybe shared
+                self._coordinates = done.independent if done else [r for _, r in sorted({c: r for r, c in g.triples}.items())]
         return self._coordinates
 
     @property
@@ -746,18 +747,12 @@ def zero_space(n: int) -> Subspace:
 
 
 def rank(m: ExactMatrix) -> int:
-    """The number of pivots, from the forward pass of the elimination, or from the pattern when every nonzero
-    row (column) holds one entry (_pattern_rank)."""
-    r = _pattern_rank(m)
-    return len(_forward(m)[0]) if r is None else r
+    """The number of pivots in m's record (echelon)."""
+    return len(echelon(m).pivots)
 
 
 def kernel(m: ExactMatrix) -> Subspace:
-    """ker(m), held by its constraint m: nothing is eliminated until it is read.
-
-    dim is cols - rank(m), one forward pass; the first read of generators
-    builds the null basis, one rref, and sets dim with it.
-    """
+    """ker(m), held by its constraint m: nothing is eliminated until it is read."""
     return Subspace(constraint=m)
 
 
@@ -769,40 +764,37 @@ def image(m: ExactMatrix) -> Subspace:
 def stacked_kernel(base: Subspace, extra: ExactMatrix) -> Subspace:
     """ker[base.constraint; extra], base itself when extra's rows lie in base's constraint's row space.
 
-    Only extra's rows are eliminated: they are reduced by base's echelon
-    (_echelon), and what is left of them by an echelon of its own, unless
-    the stack's pattern decides its rank (_pattern_rank).  The stack keeps
-    that pass and its rows.  Its pivot columns are base's and the leftover's:
-    the leading columns of the stack's row space, which that space alone
-    decides, so its rank, its free columns (`coordinates`) and its reduced
-    rows are those of any other reduction.  Its independent rows are base's
-    and extra's pivot rows, and its echelon rows base's and the leftover's,
-    in the order of their leads.
+    Unless the stack's pattern decides its record, only extra's rows are
+    eliminated: reduced by base's echelon rows, and what is left of them by
+    an echelon of its own.  The stack's record merges the two in the order of
+    their leads.  Its pivot columns, the leading columns of its row space,
+    are those of any other reduction, and so are its rank, its free columns
+    (`coordinates`) and its reduced rows.
     """
     constraint = base.constraint
     stack = ExactMatrix.vstack([constraint, extra])
-    rank = _pattern_rank(stack)
-    if rank is not None:
-        return base if rank == base.ambient_dim - base.dim else Subspace(constraint=stack)
-    pivots, rows = _echelon(constraint)
-    left = _reduced_rows((pivots, rows), extra)
+    decided = echelon(stack, eliminate=False)
+    if decided is not None:
+        return base if len(decided.pivots) == base.ambient_dim - base.dim else Subspace(constraint=stack)
+    below = echelon(constraint, "echelon")
+    left = _reduced_rows(below, extra)
     if not left:
         return base
     leftover = ExactMatrix.unchecked(extra.rows, extra.cols, {(r, c): t for r, row in left.items() for c, t in row.items()})
-    new_pivots, new_rows = _echelon(leftover)
-    leads = sorted(zip(pivots + new_pivots, rows + new_rows), key=lambda lead: lead[0])
-    independent = _independent(constraint, True) + [constraint.rows + r for r in _independent(leftover, True)]
-    stack._forward_pass = ([c for c, _ in leads], independent)
-    stack._echelon_rows = [row for _, row in leads]
+    new = echelon(leftover, "echelon")
+    shifted = [constraint.rows + r for r in new.independent]
+    # distinct pivot columns order the merge, so the rows themselves are never compared
+    pivots, independent, rows = zip(*sorted(zip(below.pivots + new.pivots, below.independent + shifted, below.rows + new.rows)))
+    stack._echelon = Echelon(list(pivots), list(independent), "stack", list(rows))
     return Subspace(constraint=stack)
 
 
 def annihilates(m: ExactMatrix, s: Subspace) -> bool:
     """Whether m s = 0: every row of m lies in the row space of s's constraint, so its rows reduced by that
-    constraint's echelon (_echelon) leave nothing."""
+    constraint's echelon rows leave nothing."""
     if s.ambient_dim != m.cols:
         raise AmbientMismatch(f"{m.cols} != {s.ambient_dim}")
-    return not m.triples or not _reduced_rows(_echelon(s.constraint), m)
+    return not m.triples or not _reduced_rows(echelon(s.constraint, "echelon"), m)
 
 
 def map_subspace(m: ExactMatrix, s: Subspace) -> Subspace:
@@ -828,8 +820,10 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
     When every space holds a constraint it is the stacked constraints.
     Otherwise, with G the generators of the first space held without one,
     it is G @ null_basis(the others' constraints @ G), so no annihilator of
-    G is built; when G is a basis, so is the result.  When that cut has no
-    entries the others contain G's span, and the result is G's space itself.
+    G is built; when G is a basis, so is the result, and null vector j,
+    which is 1 at the cut's j-th free column and 0 at the others, takes G's
+    coordinate there.  When that cut has no entries the others contain G's
+    span, and the result is G's space itself.
     """
     spaces = list(spaces)
     _check_ambient(spaces)
@@ -843,7 +837,12 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
     if not cut.triples:
         return spaces[k]
     null = null_basis(cut)
-    return Subspace(generators=g @ null, dim=null.cols if spaces[k]._dim == g.cols else None)
+    if spaces[k]._dim != g.cols:
+        return Subspace(generators=g @ null)
+    space = Subspace(generators=g @ null, dim=null.cols)
+    coordinates, pivots = spaces[k].coordinates, set(echelon(cut).pivots)
+    space._coordinates = [coordinates[f] for f in range(cut.cols) if f not in pivots]
+    return space
 
 
 def sum_spaces(spaces: Sequence[Subspace]) -> Subspace:

@@ -352,6 +352,16 @@ def test_taming_command(kt4_session):
     assert cert["u"] == {}
 
 
+def test_taming_degenerate_form_is_certified_with_its_evidence(capsys):
+    """A corrected form whose top wedge changes sign is still certified closed and well defined: solve_taming
+    records the sign change as its nondegeneracy evidence, and the command exits 0."""
+    code = main(["taming", bundled_manifest_path("kt4"), "--truncations", "2", "--psi", "basis:8", "--format", "json"])
+    assert code == 0
+    (cert,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert cert["status"] == "certified" and cert["closed"] and cert["well_defined"]
+    assert cert["nondegeneracy"]["kind"] == "degenerate" and len(cert["nondegeneracy"]["sign_change"]) == 2
+
+
 def test_taming_no_solution_reported(kodaira_session):
     payload, code = run("taming", kodaira_session, {"psi": "fundamental"})
     assert code == 0  # a model-level obstruction is an outcome, not a crash

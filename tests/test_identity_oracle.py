@@ -426,7 +426,7 @@ def test_a_fourier_box_suite_multiplies_whole_differentials_and_runs_no_forward_
     assert all(e["passed"] for e in cx.identity_suite())
     assert products == [(cx.total_dim(r + 2), cx.total_dim(r + 1), cx.total_dim(r)) for r in range(2 * cx.n)]
     assert not eliminations
-    assert all(getattr(cx.d_total(r), "_forward_pass", None) is None for r in range(2 * cx.n + 1))
+    assert all(getattr(cx.d_total(r), "_echelon", None) is None for r in range(2 * cx.n + 1))
 
 
 def test_coefficient_blocks_are_built_only_for_acting_directions(nil6_session, kt4_session):

@@ -819,7 +819,8 @@ def test_kernel_is_one_rref(monkeypatch):
     # the reduced rows of a null basis come from _triple_rref
     calls = count_calls(monkeypatch, linalg, "_triple_rref")
     for name, m in kernel_cases():
-        nullity = m.cols - len(linalg.rref(m)[0])
+        # the reference rref runs on a copy: a reduction leaves its record on the matrix it reduces
+        nullity = m.cols - len(linalg.rref(rechecked(m))[0])
         # a matrix with no entries is not eliminated at all, nor are the rank and the full reduction
         # of one whose every nonzero row or every nonzero column holds one entry
         by_pattern = one_entry_per(m, 0) or one_entry_per(m, 1)
@@ -1085,17 +1086,28 @@ def test_coordinates_split_a_graded_space_by_block(monkeypatch):
         basis_held = kernel(m)
         basis_held.generators
         spaces.append((basis_held, col_block, nullity))
-        spaces.append((Subspace(generators=linalg.null_basis(m), dim=sum(nullity)), col_block, nullity))
+        # a basis handed in with its dimension and nothing decided about it: counted right, not always distinct
+        handed_in = Subspace(generators=linalg.null_basis(m), dim=sum(nullity))
+        spaces.append((handed_in, col_block, nullity))
         spaces.append((image(m), row_block, ranks))
         annihilated = image(m)
         annihilated.constraint
         spaces.append((annihilated, row_block, ranks))
         spaces.append((Subspace(rows=kernel(m).rows), col_block, nullity))
+        # intersections whose first space is held by a basis alone: reduced rows, or an image of full column rank
+        cuts = [rand_matrix(rng, rng.randint(1, 2), b.cols, 0.5) for b in blocks]
+        c, _, _ = block_diagonal(cuts)
+        both = [b.cols - rank(ExactMatrix.vstack([b, x])) for b, x in zip(blocks, cuts)]
+        full_rank = image(linalg.null_basis(m))
+        assert full_rank.dim == full_rank.generators.cols
+        for first in (Subspace(rows=kernel(m).rows), full_rank):
+            spaces.append((intersect([first, kernel(c)]), col_block, both))
         for space, block_of, want in spaces:
             space.dim
             eliminations.clear()
             assert per_block(space.coordinates, block_of, len(blocks)) == want, trial
             assert not eliminations, trial
+            assert space is handed_in or len(set(space.coordinates)) == space.dim, trial
         # read before dim, the coordinates cost the one forward pass dim would, and set it
         fresh = kernel(m)
         eliminations.clear()
@@ -1207,7 +1219,7 @@ def test_stacked_kernel_is_the_kernel_of_the_stack(monkeypatch):
         if k % 2:
             held.dim
         else:
-            linalg._echelon(base)
+            linalg.echelon(base, "echelon")
         calls.clear()
         got = linalg.stacked_kernel(held, extra)
         assert k % 2 or all(m is not base for m, *_ in calls), label
@@ -1222,9 +1234,9 @@ def test_stacked_kernel_is_the_kernel_of_the_stack(monkeypatch):
             same += 1
             continue
         grown += 1
-        pivots = linalg._independent(got.constraint, False)
+        pivots = linalg.echelon(got.constraint).pivots
         assert sorted(pivots) == linalg._rref_full(got.constraint)[0], label
-        assert len(linalg._independent(got.constraint, True)) == rank(whole), label
+        assert len(linalg.echelon(got.constraint).independent) == rank(whole), label
         assert linalg.annihilates(got.constraint, got), label
     assert same > 30 and grown > 60
 
@@ -1256,4 +1268,77 @@ def test_row_core_has_the_row_space_in_rank_rows():
         assert core.rows == rank(core) == rank(m) and kernel(core) == kernel(m), trial
         assert linalg.row_core(core) is core
         tail = linalg.row_core(m, 4)
-        assert tail.rows == len([r for r in linalg._independent(m, True) if r >= 4]), trial
+        assert tail.rows == len([r for r in linalg.echelon(m).independent if r >= 4]), trial
+
+
+# ---------------------------------------------------------------------------
+# the elimination record: one per matrix, equal to a fresh forward pass however it was decided
+
+
+def fresh_forward(m):
+    """(pivots, independent rows) of a forward pass of a copy of m, which starts with no record."""
+    pivots, _, at, r = linalg._eliminate(rechecked(m), forward=True)
+    return pivots, at[:r]
+
+
+def test_stacked_records_have_the_pivots_of_a_fresh_pass():
+    """A stack's merged record has the pivot columns and rank of a forward pass of the whole stack, and as many
+    independent rows, which span its row space; its echelon rows lead at its pivots."""
+    rng = random.Random(37)
+    merged = 0
+    for label, base, extra in stack_cases(rng):
+        whole = ExactMatrix.vstack([base, extra])
+        got = linalg.stacked_kernel(kernel(base), extra)
+        done = linalg.echelon(got.constraint)
+        merged += done.how == "stack"
+        pivots, _ = fresh_forward(whole)
+        assert done.pivots == pivots and rank(got.constraint) == len(pivots), label
+        if got.constraint.rows == whole.rows:
+            assert len(set(done.independent)) == len(pivots), label
+            core = ExactMatrix.unchecked(len(pivots), whole.cols, {
+                (done.independent.index(r), c): t for (r, c), t in whole.triples.items() if r in done.independent
+            })
+            assert rank(core) == len(pivots), label
+        if done.how == "stack":
+            assert all(min(row) == c for c, row in zip(done.pivots, done.rows)), label
+    assert merged > 40
+
+
+def test_a_null_basis_leaves_the_record_that_rank_dim_and_coordinates_read(monkeypatch):
+    """After null_basis(m), rank(m), kernel(m).dim and kernel(m).coordinates run no elimination, and the
+    coordinates are the free columns, in the order of the null basis's vectors."""
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate")
+    for name, m in kernel_cases():
+        m = rechecked(m)
+        null = linalg.null_basis(m)
+        eliminations.clear()
+        k = kernel(m)
+        assert rank(m) == m.cols - null.cols and k.dim == null.cols, name
+        free = k.coordinates
+        assert not eliminations, name
+        # vector j of the null basis is 1 at free column j and 0 at the others
+        assert all(null.triples.get((f, j)) == (1, 0, 1) for j, f in enumerate(free)), name
+        assert all((f, i) not in null.triples for j, f in enumerate(free) for i in range(null.cols) if i != j), name
+
+
+def test_coordinates_name_one_distinct_coordinate_per_basis_vector():
+    """A space held by a generator basis names a distinct coordinate for each vector: a null basis its free
+    columns (not the last row of each vector, where two vectors can meet), an image of full column rank the row
+    leading at each pivot, an intersection's basis G's coordinate at each free column of the cut, and reduced
+    rows their leads."""
+    ones = kernel(ExactMatrix(1, 4, {(0, c): ONE for c in range(4)}))
+    ones.generators
+    assert ones.coordinates == [1, 2, 3]
+    rational = kernel(ExactMatrix.from_rows([[integer(v) for v in (1, 2, 3, 4)], [integer(v) for v in (2, 3, 5, 7)]]))
+    rational.generators
+    assert rational.coordinates == [2, 3]
+    rng = random.Random(38)
+    for trial in range(30):
+        n = rng.randint(2, 8)
+        g = kernel(rand_matrix(rng, rng.randint(0, 3), n, 0.6))
+        full = image(g.generators)
+        assert full.dim == g.dim
+        for space in (Subspace(rows=g.rows), full, g):
+            cut = intersect([space, kernel(rand_matrix(rng, rng.randint(1, 2), n, 0.5))])
+            for s in (space, cut):
+                assert len(set(s.coordinates)) == len(s.coordinates) == s.dim, trial

@@ -28,6 +28,7 @@ from acx.operators import DIFFERENTIALS, FormComplex
 from acx.scalars import ONE
 
 from test_kernel_oracle import gaussian, reference_lift
+from test_linalg import fresh_forward, kernel_cases, rechecked
 
 # ---------------------------------------------------------------------------
 # the references: _eliminate itself
@@ -177,6 +178,32 @@ def test_cases_cover_repeats_and_empty_rows():
         repeats += linalg.rank(m) < max(len(nonzero_rows), len(nonzero_cols))
         empties += len(nonzero_rows) < m.rows
     assert repeats >= 5 and empties >= 5
+
+
+# ---------------------------------------------------------------------------
+# the elimination record: equal to a fresh forward pass however it was decided
+
+
+def record_cases():
+    yield from kernel_cases()
+    yield from pattern_cases()
+    yield from near_misses()
+
+
+@pytest.mark.parametrize("name, m", [pytest.param(name, m, id=name) for name, m in record_cases()])
+def test_records_equal_a_fresh_forward_pass(name, m):
+    """The record's pivots, independent rows and rank are a fresh forward pass's, whether the pattern, a forward
+    pass or a full reduction decided them, and with or without rows."""
+    pivots, independent = fresh_forward(m)
+    for rows in (None, "echelon", "reduced"):
+        done = linalg.echelon(rechecked(m), rows)
+        assert (done.pivots, done.independent) == (pivots, independent), (name, rows)
+        assert rows is None or len(done.rows) == len(pivots), (name, rows)
+    reduced = rechecked(m)
+    linalg.null_basis(reduced)
+    for copy in (m, reduced):
+        done = linalg.echelon(copy)
+        assert (done.pivots, done.independent, linalg.rank(copy)) == (pivots, independent, len(pivots)), name
 
 
 # ---------------------------------------------------------------------------
